@@ -3,8 +3,8 @@
 
 Usage: python scripts/run_bench.py [outdir]
 
-Honors STABKIT_THREADS for parallel (instance, algo) runs; rows are sorted
-before writing so reports are reproducible.
+Runs every (instance, algo) pair one after another; rows are sorted before
+writing so reports are reproducible.
 """
 
 import csv

@@ -8,7 +8,6 @@ arithmetic is exact rational.
 
 from .approx8 import approx8, round_rect, stretch_segment, to_laminar
 from .core import (
-    Box,
     BudgetError,
     InfeasibleError,
     Instance,
@@ -54,7 +53,6 @@ from .schemes import Guess, RunStats, SchemeParams, guess_long, ptas, qptas, sol
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
     "BudgetError",
     "Candidate",
     "CutResult",

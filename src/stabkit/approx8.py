@@ -27,10 +27,9 @@ def round_rect(r: Rect) -> Rect:
     return Rect(r.id, left, left + w2, r.yb, r.yt)
 
 
-def to_laminar(inst: Instance) -> tuple[Instance, dict[int, Rect]]:
-    """Round every rectangle; ids are preserved and mapped back to the originals."""
-    rounded = tuple(round_rect(r) for r in inst.rects)
-    return Instance(rounded), {r.id: r for r in inst.rects}
+def to_laminar(inst: Instance) -> Instance:
+    """Round every rectangle; ids are preserved."""
+    return Instance(tuple(round_rect(r) for r in inst.rects))
 
 
 def stretch_segment(s: Segment) -> Segment:
@@ -45,6 +44,5 @@ def approx8(inst: Instance) -> Solution:
     """
     if not inst.rects:
         return Solution(())
-    rounded, _ = to_laminar(inst)
-    inner = solve_laminar(rounded)
+    inner = solve_laminar(to_laminar(inst))
     return Solution(tuple(stretch_segment(s) for s in inner.segments))

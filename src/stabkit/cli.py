@@ -1,8 +1,8 @@
 """Command-line surface: solve, verify, decompose, gen, bench.
 
-Exit codes: 0 ok, 1 infeasible or bound violation, 2 parameter error,
-3 budget error.  STABKIT_THREADS caps bench parallelism; report rows are
-sorted before emission so output is deterministic regardless of thread count.
+Exit codes: 0 ok, 1 infeasible or bound violation, 2 parameter error
+(including unreadable or malformed input files), 3 budget error.  Bench rows
+run one after another and are sorted before emission.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .approx8 import approx8
@@ -30,7 +28,6 @@ from .core import (
     as_scalar,
     instance_from_json,
     instance_to_json,
-    scalar_str,
     shrink_solution,
     solution_from_json,
     solution_to_json,
@@ -45,17 +42,14 @@ from .schemes import SchemeParams, ptas, qptas
 ALGOS = ("exact", "greedy", "laminar-dp", "approx8", "ptas", "qptas")
 
 
-def _threads() -> int:
-    raw = os.environ.get("STABKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterError(f"STABKIT_THREADS must be an integer, got {raw!r}")
-
-
 def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _write_json(path: str | None, obj: dict) -> None:
@@ -117,7 +111,7 @@ def cmd_solve(args) -> int:
         print(f"solver produced an infeasible solution, unstabbed: {report.unstabbed_ids}", file=sys.stderr)
         return 1
     print(
-        f"{args.algo}: {len(sol.segments)} segments, cost {scalar_str(sol.cost)} ({float(sol.cost):.6f})",
+        f"{args.algo}: {len(sol.segments)} segments, cost {sol.cost} ({float(sol.cost):.6f})",
         file=sys.stderr,
     )
     return 0
@@ -130,7 +124,7 @@ def cmd_verify(args) -> int:
     _write_json(None, {
         "feasible": report.feasible,
         "unstabbed_ids": list(report.unstabbed_ids),
-        "cost": scalar_str(report.recomputed_cost),
+        "cost": str(report.recomputed_cost),
     })
     return 0 if report.feasible else 1
 
@@ -200,10 +194,12 @@ def _declared_bound(algo: str, opts: dict, n: int) -> Fraction | float | None:
     return None
 
 
-def _run_one(entry: tuple) -> dict:
-    instance_id, n, seed, algo, opts, inst, oracle_limit = entry
+def _bench_row(
+    instance_id: str, seed: int, algo: str, opts: dict, inst: Instance, oracle_limit: int
+) -> dict:
+    n = len(inst.rects)
     start = time.perf_counter()
-    sol = solve_with(algo, inst, dict(opts))
+    sol = solve_with(algo, inst, opts)
     millis = int((time.perf_counter() - start) * 1000)
     report = verify(inst, sol)
     if not report.feasible:
@@ -219,8 +215,8 @@ def _run_one(entry: tuple) -> dict:
         "seed": seed,
         "algo": algo,
         "params": ";".join(f"{k}={v}" for k, v in sorted(opts.items())),
-        "cost": scalar_str(sol.cost),
-        "opt": scalar_str(opt) if opt is not None else "",
+        "cost": str(sol.cost),
+        "opt": str(opt) if opt is not None else "",
         "ratio": "",
         "feasible": "true",
         "millis": millis,
@@ -247,22 +243,15 @@ def run_bench(suite: dict) -> tuple[list[dict], str]:
     the bench run: it signals a solver bug, not a bad measurement.
     """
     oracle_limit = int(suite.get("oracle_limit", 15))
-    entries = []
+    rows = []
     for gen_entry in suite.get("instances", []):
         for seed in gen_entry.get("seeds", [0]):
-            inst = _gen_instance(gen_entry, int(seed))
-            instance_id = f"{gen_entry.get('kind', 'uniform')}-n{int(gen_entry['n'])}-s{int(seed)}"
+            seed = int(seed)
+            inst = _gen_instance(gen_entry, seed)
+            instance_id = f"{gen_entry.get('kind', 'uniform')}-n{int(gen_entry['n'])}-s{seed}"
             for algo_entry in suite.get("algos", []):
-                algo = algo_entry["name"]
                 opts = _algo_opts(algo_entry)
-                entries.append((instance_id, len(inst.rects), int(seed), algo, opts, inst, oracle_limit))
-
-    threads = _threads()
-    if threads > 1 and entries:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_run_one, entries))
-    else:
-        rows = [_run_one(e) for e in entries]
+                rows.append(_bench_row(instance_id, seed, algo_entry["name"], opts, inst, oracle_limit))
     rows.sort(key=lambda r: (r["instance_id"], r["algo"], r["params"]))
 
     by_algo: dict[str, list[float]] = {}
@@ -362,6 +351,9 @@ def main(argv=None) -> int:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except (OracleLimitError, TransformError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

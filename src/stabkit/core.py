@@ -63,10 +63,6 @@ def as_scalar(value) -> Fraction:
     raise ParameterError(f"inexact or unsupported scalar type: {type(value).__name__}")
 
 
-def scalar_str(x: Fraction) -> str:
-    return str(x)
-
-
 def ceil_log2(x: Fraction) -> int:
     """Smallest integer t with x <= 2**t, for x > 0.  t may be negative."""
     if x <= 0:
@@ -179,23 +175,6 @@ class Solution:
     @cached_property
     def cost(self) -> Fraction:
         return sum((s.length for s in self.segments), Fraction(0))
-
-
-@dataclass(frozen=True)
-class Box:
-    """Closed axis-aligned box used by the divide-and-conquer solvers."""
-
-    x0: Fraction
-    x1: Fraction
-    y0: Fraction
-    y1: Fraction
-
-    def __post_init__(self):
-        if not (self.x0 <= self.x1 and self.y0 <= self.y1):
-            raise ParameterError("box requires x0 <= x1 and y0 <= y1")
-
-    def contains(self, r: Rect) -> bool:
-        return self.x0 <= r.xl and r.xr <= self.x1 and self.y0 <= r.yb and r.yt <= self.y1
 
 
 @dataclass(frozen=True)
@@ -404,10 +383,10 @@ def instance_to_json(inst: Instance) -> dict:
     rects = []
     for r in inst.rects:
         entry = {
-            "xl": scalar_str(r.xl),
-            "xr": scalar_str(r.xr),
-            "yb": scalar_str(r.yb),
-            "yt": scalar_str(r.yt),
+            "xl": str(r.xl),
+            "xr": str(r.xr),
+            "yb": str(r.yb),
+            "yt": str(r.yt),
         }
         if not positional:
             entry["id"] = r.id
@@ -415,15 +394,26 @@ def instance_to_json(inst: Instance) -> dict:
     return {"rects": rects}
 
 
+def _json_entries(obj, field: str, kind: str) -> list[dict]:
+    """The list of objects under ``field`` of a wire-format document."""
+    if not isinstance(obj, dict) or not isinstance(obj.get(field), list):
+        raise ParameterError(f'{kind} JSON must be an object with a "{field}" list')
+    for pos, entry in enumerate(obj[field], start=1):
+        if not isinstance(entry, dict):
+            raise ParameterError(f"{field[:-1]} #{pos} is not an object")
+    return obj[field]
+
+
 def instance_from_json(obj: dict) -> Instance:
-    if not isinstance(obj, dict) or "rects" not in obj:
-        raise ParameterError('instance JSON must be an object with a "rects" list')
     rects = []
-    for pos, rd in enumerate(obj["rects"], start=1):
+    for pos, rd in enumerate(_json_entries(obj, "rects", "instance"), start=1):
+        rid = rd.get("id", pos)
+        if isinstance(rid, bool) or not isinstance(rid, int):
+            raise ParameterError(f"rect #{pos}: id must be an integer, got {rid!r}")
         try:
             rects.append(
                 Rect(
-                    int(rd.get("id", pos)),
+                    rid,
                     as_scalar(rd["xl"]),
                     as_scalar(rd["xr"]),
                     as_scalar(rd["yb"]),
@@ -438,18 +428,16 @@ def instance_from_json(obj: dict) -> Instance:
 def solution_to_json(sol: Solution) -> dict:
     return {
         "segments": [
-            {"xl": scalar_str(s.xl), "xr": scalar_str(s.xr), "y": scalar_str(s.y)}
+            {"xl": str(s.xl), "xr": str(s.xr), "y": str(s.y)}
             for s in sol.segments
         ],
-        "cost": scalar_str(sol.cost),
+        "cost": str(sol.cost),
     }
 
 
 def solution_from_json(obj: dict) -> Solution:
-    if not isinstance(obj, dict) or "segments" not in obj:
-        raise ParameterError('solution JSON must be an object with a "segments" list')
     segments = []
-    for pos, sd in enumerate(obj["segments"], start=1):
+    for pos, sd in enumerate(_json_entries(obj, "segments", "solution"), start=1):
         try:
             segments.append(Segment(as_scalar(sd["xl"]), as_scalar(sd["xr"]), as_scalar(sd["y"])))
         except KeyError as exc:

@@ -7,8 +7,8 @@ Two stages:
   cheapest family, and groups the untouched rectangles into vertical strips.
 * ``horizontal_cuts`` sweeps a strip bottom-up and inserts a full-width
   horizontal cut whenever the 8-approximation cost of the rectangles already
-  passed exceeds c * w / eps^2, yielding y-separated chunks of bounded
-  optimum.
+  passed exceeds CUT_FACTOR * w / eps^2 (CUT_FACTOR = 8), yielding y-separated
+  chunks of bounded optimum.
 
 Composed by ``decompose``, the paid segments cost O(eps) times the optimum
 while every remaining chunk has optimum at most 8w/eps^2 + w/eps.
@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx8 import approx8
-from .core import Instance, ParameterError, Rect, Segment, as_scalar
+from .core import Instance, ParameterError, Rect, Segment, as_scalar, instance_to_json
+
+CUT_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -113,16 +115,15 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
 def horizontal_cuts(
     strip: Instance,
     eps,
-    c=8,
     width=None,
     span: tuple[Fraction, Fraction] | None = None,
 ) -> CutResult:
     """Sweep cut heights bottom-up and slice the strip into cheap chunks.
 
     At each distinct y level z the sweep prices the rectangles lying entirely
-    below z (by the 8-approximation); once that exceeds c * w / eps^2 it
-    emits a cut segment across the whole strip at z, removes everything the
-    cut stabs, closes the chunk of rectangles strictly below z, and
+    below z (by the 8-approximation); once that exceeds CUT_FACTOR * w / eps^2
+    it emits a cut segment across the whole strip at z, removes everything
+    the cut stabs, closes the chunk of rectangles strictly below z, and
     continues above.  The recorded cost per chunk is the trigger value (the
     plain 8-approx cost for the final chunk), an upper bound on the chunk's
     optimum.  Total cut length is at most eps * OPT of the strip.
@@ -132,7 +133,6 @@ def horizontal_cuts(
     (defaults to the strip's bounding x-range).
     """
     eps = as_scalar(eps)
-    c = as_scalar(c)
     if not 0 < eps < 1:
         raise ParameterError("eps must lie strictly between 0 and 1")
     if not strip.rects:
@@ -148,7 +148,7 @@ def horizontal_cuts(
     if x1 - x0 > w / eps:
         raise ParameterError("strip exceeds the allowed width max_width/eps")
 
-    threshold = c * w / eps**2
+    threshold = CUT_FACTOR * w / eps**2
     remaining = list(strip.rects)
     cuts: list[Segment] = []
     chunks: list[Instance] = []
@@ -203,14 +203,12 @@ def decompose(inst: Instance, eps) -> Decomposition:
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
-    from .core import instance_to_json, scalar_str
-
     return {
         "paid_segments": [
-            {"xl": scalar_str(s.xl), "xr": scalar_str(s.xr), "y": scalar_str(s.y)}
+            {"xl": str(s.xl), "xr": str(s.xr), "y": str(s.y)}
             for s in dec.paid_segments
         ],
-        "paid_cost": scalar_str(sum((s.length for s in dec.paid_segments), Fraction(0))),
+        "paid_cost": str(sum((s.length for s in dec.paid_segments), Fraction(0))),
         "sub_instances": [instance_to_json(sub) for sub in dec.sub_instances],
-        "opt_upper_bounds": [scalar_str(b) for b in dec.opt_upper_bounds],
+        "opt_upper_bounds": [str(b) for b in dec.opt_upper_bounds],
     }

@@ -10,8 +10,9 @@ interiors.  Laminarity buys three facts the solver exploits:
 * stabbing it splits the box into four independent sub-boxes (left, right,
   strictly below the stab height, strictly above it).
 
-The recursion memoizes over boxes spanned by compressed boundary
-coordinates: at most O(n^4) states with O(n) work per state.
+The recursion caches one state per box spanned by coordinate ranks (indices
+into the sorted distinct boundary values): at most O(n^4) states with O(n)
+work per state.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .core import Box, Instance, ParameterError, Rect, Segment, Solution, _seg_key
+from .core import Instance, ParameterError, Rect, Segment, Solution, _seg_key
 
 
 def is_laminar(inst: Instance) -> bool:
@@ -37,7 +38,7 @@ def is_laminar(inst: Instance) -> bool:
     return True
 
 
-def solve_laminar(inst: Instance, memoize: bool = True) -> Solution:
+def solve_laminar(inst: Instance) -> Solution:
     """Exact optimum for a laminar instance.
 
     For each box, stab the widest contained rectangle W (ties: lowest id)
@@ -45,9 +46,6 @@ def solve_laminar(inst: Instance, memoize: bool = True) -> Solution:
     extent, then solve the four independent sub-boxes.  Candidate stab
     heights are restricted to top edges because any segment can be shifted
     up to the nearest top edge without changing what it stabs.
-
-    ``memoize=False`` recomputes every state recursively (exponential); it
-    exists so tests can confirm memoization does not change the answer.
 
     Raises ParameterError on non-laminar input.
     """
@@ -62,20 +60,21 @@ def solve_laminar(inst: Instance, memoize: bool = True) -> Solution:
     tops = sorted({r.yt for r in rects})
     xi = {v: i for i, v in enumerate(xs)}
     yi = {v: i for i, v in enumerate(ys)}
+    ranks = [(r, xi[r.xl], xi[r.xr], yi[r.yb], yi[r.yt]) for r in rects]
 
     def inside(i: int, j: int, u: int, v: int) -> list[Rect]:
-        box = Box(xs[i], xs[j], ys[u], ys[v])
-        return [r for r in rects if box.contains(r)]
+        # ranks preserve order, so comparing them is comparing coordinates
+        return [r for r, xl, xr, yb, yt in ranks if i <= xl and xr <= j and u <= yb and yt <= v]
 
     # memo: (i, j, u, v) -> (cost, decision); decision is None for <=1 rect
     # boxes or (W, level index of the chosen stab height)
     memo: dict[tuple[int, int, int, int], tuple[Fraction, object]] = {}
 
-    def solve(i: int, j: int, u: int, v: int, remember: bool) -> Fraction:
+    def solve(i: int, j: int, u: int, v: int) -> Fraction:
         if u > v or i >= j:
             return Fraction(0)
         key = (i, j, u, v)
-        if remember and key in memo:
+        if key in memo:
             return memo[key][0]
         group = inside(i, j, u, v)
         if len(group) <= 1:
@@ -85,13 +84,13 @@ def solve_laminar(inst: Instance, memoize: bool = True) -> Solution:
             return cost
         w = min(group, key=lambda r: (-r.width, r.id))
         a, b = xi[w.xl], xi[w.xr]
-        side = solve(i, a, u, v, remember) + solve(b, j, u, v, remember)
+        side = solve(i, a, u, v) + solve(b, j, u, v)
         best = None
         best_t = -1
         for y in tops[bisect_left(tops, w.yb) : bisect_right(tops, w.yt)]:
             t = yi[y]
-            below = solve(a, b, u, t - 1, remember)
-            above = solve(a, b, t + 1, v, remember)
+            below = solve(a, b, u, t - 1)
+            above = solve(a, b, t + 1, v)
             if best is None or below + above < best:
                 best = below + above
                 best_t = t
@@ -100,13 +99,7 @@ def solve_laminar(inst: Instance, memoize: bool = True) -> Solution:
         return cost
 
     root = (0, len(xs) - 1, 0, len(ys) - 1)
-    if memoize:
-        total = solve(*root, True)
-    else:
-        total = solve(*root, False)
-        memo.clear()
-        check = solve(*root, True)
-        assert check == total, "memoized and memoless costs diverged"
+    total = solve(*root)
 
     segments: list[Segment] = []
 

@@ -73,17 +73,7 @@ def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     return kept
 
 
-def _all_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
-    # unreduced variant used to cross-check reduction soundness
-    out = []
-    for seg in sorted(cands, key=_seg_key):
-        mask = _stab_mask(inst, seg)
-        if mask:
-            out.append(Candidate(seg, mask, seg.length))
-    return out
-
-
-def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT, reduce: bool = True) -> Solution:
+def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
     """Minimum-total-length solution via subset DP: dp[mask] = min over
     candidates c covering the lowest set bit of dp[mask \\ c.stab_set] + |c|.
 
@@ -97,8 +87,7 @@ def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT, reduce: bool = True) ->
     if n > limit:
         raise OracleLimitError(f"instance has {n} rects, oracle limit is {limit}")
 
-    pool = candidate_segments(inst)
-    cands = reduce_candidates(inst, pool) if reduce else _all_candidates(inst, pool)
+    cands = reduce_candidates(inst, candidate_segments(inst))
 
     # integer-scaled lengths keep the DP fast while staying exact
     den = 1

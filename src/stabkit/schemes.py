@@ -44,17 +44,16 @@ from .oracle import ORACLE_LIMIT, Candidate, exact_opt, reduce_candidates
 class SchemeParams:
     """Resolved parameters for one scheme run.
 
-    ``depth_bound`` is the recursion depth cap ceil(log2(n/eps)); ``mu`` the
-    per-level decomposition accuracy eps / (17 * (depth_bound + 1)); ``klong``
-    the cap on long segments per guess.  Any of them may be overridden for
-    desk-scale runs; the certified approximation factor then follows the
-    overridden values.
+    ``mu`` is the per-level decomposition accuracy eps / (17 * (d + 1)), where
+    d = ceil(log2(n/eps)) is the number of levels the width scale can halve
+    through; ``klong`` the cap on long segments per guess.  Either may be
+    overridden for desk-scale runs; the certified approximation factor then
+    follows the overridden values.
     """
 
     eps: Fraction
     delta: Fraction | None = None
     mu: Fraction | None = None
-    depth_bound: int | None = None
     klong: int | None = None
     oracle_limit: int = ORACLE_LIMIT
     node_budget: int | None = None
@@ -73,8 +72,8 @@ class SchemeParams:
         eps = as_scalar(eps)
         if not 0 < eps < 1:
             raise ParameterError("eps must lie strictly between 0 and 1")
-        depth_bound = ceil_log2(Fraction(max(n, 1)) / eps)
-        mu = as_scalar(mu) if mu is not None else eps / (17 * (depth_bound + 1))
+        levels = ceil_log2(Fraction(max(n, 1)) / eps)
+        mu = as_scalar(mu) if mu is not None else eps / (17 * (levels + 1))
         if not 0 < mu < 1:
             raise ParameterError("mu must lie strictly between 0 and 1")
         if klong is None:
@@ -85,7 +84,6 @@ class SchemeParams:
             eps=eps,
             delta=as_scalar(delta) if delta is not None else None,
             mu=mu,
-            depth_bound=depth_bound,
             klong=klong,
             oracle_limit=oracle_limit if oracle_limit is not None else ORACLE_LIMIT,
             node_budget=node_budget,
@@ -326,9 +324,9 @@ def qptas(
                 if best is None or total < best[0]:
                     best = (total, guess, sub, sub_split)
             if best is None:
-                # no admissible guess under an overridden klong; the exact
-                # oracle keeps the answer sound (never reached with derived
-                # parameters)
+                # no guess of at most klong long segments stabs every wide
+                # rect, as happens when klong is overridden below what the
+                # chunk needs; the exact oracle keeps the answer sound
                 sol = exact_opt(chunk)
                 base += sol.cost
                 segments.extend(sol.segments)

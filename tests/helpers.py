@@ -38,6 +38,11 @@ def brute_force_opt(inst: Instance) -> Fraction:
     return best
 
 
+def stab_mask(inst: Instance, s: Segment) -> int:
+    """Bitmask of the rect positions s stabs, from the plain predicate."""
+    return sum(1 << i for i, r in enumerate(inst.rects) if stabs(s, r))
+
+
 def canonicalize_segment(inst: Instance, s: Segment) -> Segment | None:
     """Rewrite a segment onto the candidate grid without shrinking its stab-set.
 

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -27,15 +26,8 @@ def i1_file(tmp_path):
     return str(path)
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
-    return subprocess.run(
-        [sys.executable, "-m", "stabkit", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "stabkit", *args], capture_output=True, text=True)
 
 
 class TestSolve:
@@ -166,32 +158,101 @@ class TestBench:
         assert all(r["ratio"] == "1.000000" for r in rows)
 
 
+class TestMalformedInput:
+    """Unreadable or malformed files exit 2 with one stderr line, no traceback."""
+
+    RECT = {"xl": "0", "xr": "4", "yb": "0", "yt": "2"}
+    BAD_INSTANCES = {
+        "invalid-json": "{not json",
+        "not-utf8": b"\xff\xfe",
+        "top-level-list": [I1_JSON],
+        "rects-not-list": {"rects": {"1": RECT}},
+        "rects-string": {"rects": "0 4 0 2"},
+        "rect-not-object": {"rects": [RECT, ["0", "4", "0", "2"]]},
+        "rect-missing-field": {"rects": [{"xl": "0", "xr": "4", "yb": "0"}]},
+        "float-id": {"rects": [dict(RECT, id=1.7)]},
+        "bool-id": {"rects": [dict(RECT, id=True)]},
+        "string-id": {"rects": [dict(RECT, id="1")]},
+        "float-coordinate": {"rects": [dict(RECT, xr=4.5)]},
+    }
+    BAD_SOLUTIONS = {
+        "invalid-json": "[",
+        "segments-not-list": {"segments": {"xl": "0", "xr": "4", "y": "2"}},
+        "segment-not-object": {"segments": [["0", "4", "2"]]},
+    }
+
+    @staticmethod
+    def write(path, content):
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+        return str(path)
+
+    @staticmethod
+    def command(name, inst, sol):
+        if name == "solve":
+            return ["solve", "--algo", "approx8", "-i", inst]
+        if name == "verify":
+            return ["verify", "-i", inst, "-s", sol]
+        return ["decompose", "-i", inst, "--eps", "1/2"]
+
+    def assert_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
+    @pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+    def test_bad_instance(self, command, case, tmp_path, capsys):
+        inst = self.write(tmp_path / "inst.json", self.BAD_INSTANCES[case])
+        sol = self.write(tmp_path / "sol.json", {"segments": []})
+        self.assert_rejected(self.command(command, inst, sol), capsys)
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_unreadable_instance(self, command, case, tmp_path, capsys):
+        inst = str(tmp_path / "absent.json") if case == "missing" else str(tmp_path)
+        sol = self.write(tmp_path / "sol.json", {"segments": []})
+        self.assert_rejected(self.command(command, inst, sol), capsys)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SOLUTIONS))
+    def test_bad_solution(self, case, i1_file, tmp_path, capsys):
+        sol = self.write(tmp_path / "sol.json", self.BAD_SOLUTIONS[case])
+        self.assert_rejected(["verify", "-i", i1_file, "-s", sol], capsys)
+
+    def test_unreadable_solution(self, i1_file, tmp_path, capsys):
+        self.assert_rejected(["verify", "-i", i1_file, "-s", str(tmp_path / "absent.json")], capsys)
+
+    def test_unwritable_output(self, i1_file, tmp_path, capsys):
+        out = str(tmp_path / "no-such-dir" / "sol.json")
+        self.assert_rejected(["solve", "--algo", "approx8", "-i", i1_file, "-o", out], capsys)
+
+    def test_no_traceback_from_the_entry_point(self, tmp_path):
+        res = run_cli("solve", "--algo", "approx8", "-i", str(tmp_path / "absent.json"))
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+
+
 class TestDeterminism:
-    def test_solver_outputs_byte_identical_across_thread_envs(self, i1_file, tmp_path):
+    def test_solver_outputs_byte_identical_across_runs(self, i1_file, tmp_path):
         blobs = set()
-        for threads in ("1", "4"):
-            for attempt in range(2):
-                out = tmp_path / f"sol-{threads}-{attempt}.json"
-                res = run_cli(
-                    "solve", "--algo", "approx8", "-i", i1_file, "-o", str(out),
-                    env_extra={"STABKIT_THREADS": threads},
-                )
-                assert res.returncode == 0, res.stderr
-                blobs.add(out.read_bytes())
+        for attempt in range(2):
+            out = tmp_path / f"sol-{attempt}.json"
+            res = run_cli("solve", "--algo", "approx8", "-i", i1_file, "-o", str(out))
+            assert res.returncode == 0, res.stderr
+            blobs.add(out.read_bytes())
         assert len(blobs) == 1
 
-    def test_bench_rows_stable_across_threads(self, tmp_path):
+    def test_bench_rows_stable_across_runs(self):
         suite = {
             "instances": [{"kind": "uniform", "n": 5, "seeds": [1, 2]}],
             "algos": [{"name": "greedy"}, {"name": "approx8"}],
         }
         outputs = set()
-        for threads in ("1", "4"):
-            os.environ["STABKIT_THREADS"] = threads
-            try:
-                rows, _ = run_bench(suite)
-            finally:
-                del os.environ["STABKIT_THREADS"]
+        for _ in range(2):
+            rows, _summary = run_bench(suite)
             outputs.add(
                 tuple((r["instance_id"], r["algo"], r["cost"], r["ratio"]) for r in rows)
             )

@@ -286,8 +286,10 @@ class TestShrink:
 
 class TestJson:
     def test_instance_round_trip(self, i1):
-        blob = json.dumps(instance_to_json(i1))
-        assert instance_from_json(json.loads(blob)) == i1
+        explicit_ids = Instance(tuple(Rect(7 - r.id, r.xl, r.xr, r.yb, r.yt) for r in i1.rects))
+        for inst in (i1, explicit_ids):
+            blob = json.dumps(instance_to_json(inst))
+            assert instance_from_json(json.loads(blob)) == inst
 
     def test_wire_format_shape(self, i1):
         obj = instance_to_json(i1)

@@ -77,9 +77,3 @@ class TestSolveLaminar:
         assert is_laminar(sub)
         sol = solve_laminar(sub)
         assert sol.cost == exact_opt(sub).cost
-
-    @given(st.integers(0, 30))
-    @settings(max_examples=30)
-    def test_memoization_soundness(self, seed):
-        inst = gen_laminar(seed % 7 + 1, seed)
-        assert solve_laminar(inst, memoize=False).cost == solve_laminar(inst).cost

@@ -29,8 +29,8 @@ from .conftest import make_instance
 class TestSchemeParams:
     def test_derivation(self):
         p = SchemeParams.derive(8, F(1, 2))
-        assert p.depth_bound == ceil_log2(F(16)) == 4
-        assert p.mu == F(1, 2) / (17 * 5)
+        assert ceil_log2(F(8) / F(1, 2)) == 4
+        assert p.mu == F(1, 2) / (17 * (4 + 1))
         assert p.klong == math.ceil(2 * (8 / p.mu**2 + 1 / p.mu))
 
     def test_overrides(self):
@@ -209,3 +209,28 @@ class TestQptas:
         opt = exact_opt(inst)
         assert verify(inst, sol).feasible
         assert sol.cost <= (1 + F(1, 2)) * opt.cost
+
+    def test_exact_fallback_when_no_guess_fits_klong(self, monkeypatch):
+        # with klong = 1 some chunks need two long segments, so no guess is
+        # admissible and the chunk falls back to the exact oracle; that is
+        # the one exact_opt call qptas makes without an explicit limit
+        import stabkit.schemes as schemes
+
+        fallbacks = []
+        real = schemes.exact_opt
+
+        def spy(inst, *args, **kwargs):
+            if not args and not kwargs:
+                fallbacks.append(len(inst.rects))
+            return real(inst, *args, **kwargs)
+
+        monkeypatch.setattr(schemes, "exact_opt", spy)
+        inst = gen_uniform(11, 0)
+        params = SchemeParams.derive(11, F(1, 2), mu=F(1, 2), klong=1, oracle_limit=2)
+        stats = RunStats()
+        sol = qptas(inst, F(1, 2), params=params, stats=stats)
+        assert fallbacks
+        assert verify(inst, sol).feasible
+        # the fallback's cost lands in the split next to paid and guessed parts
+        assert stats.paid_cost > 0 and stats.guess_cost > 0 and stats.max_depth >= 1
+        assert stats.normalized_cost == stats.paid_cost + stats.base_cost + stats.guess_cost
