@@ -25,6 +25,8 @@ from .core import (
     ParameterError,
     Solution,
     TransformError,
+    _json_entries,
+    _json_int,
     as_scalar,
     instance_from_json,
     instance_to_json,
@@ -136,16 +138,19 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _gen_instance(kind, n: int, seed: int, delta) -> Instance:
+    """One seeded instance of a generator kind; shared by `gen` and `bench`."""
+    if kind == "uniform":
+        return gen_uniform(n, seed)
+    if kind == "laminar":
+        return gen_laminar(n, seed)
+    if kind == "bounded":
+        return gen_bounded_ratio(n, as_scalar(delta) if delta is not None else Fraction(1, 2), seed)
+    raise ParameterError(f"unknown generator kind {kind!r}")
+
+
 def cmd_gen(args) -> int:
-    if args.kind == "uniform":
-        inst = gen_uniform(args.n, args.seed)
-    elif args.kind == "laminar":
-        inst = gen_laminar(args.n, args.seed)
-    elif args.kind == "bounded":
-        inst = gen_bounded_ratio(args.n, args.delta if args.delta is not None else Fraction(1, 2), args.seed)
-    else:
-        raise ParameterError(f"unknown generator kind {args.kind!r}")
-    _write_json(args.output, instance_to_json(inst))
+    _write_json(args.output, instance_to_json(_gen_instance(args.kind, args.n, args.seed, args.delta)))
     return 0
 
 
@@ -156,26 +161,14 @@ def cmd_gen(args) -> int:
 CSV_COLUMNS = ["instance_id", "n", "seed", "algo", "params", "cost", "opt", "ratio", "feasible", "millis"]
 
 
-def _gen_instance(entry: dict, seed: int) -> Instance:
-    kind = entry.get("kind", "uniform")
-    n = int(entry["n"])
-    if kind == "uniform":
-        return gen_uniform(n, seed)
-    if kind == "laminar":
-        return gen_laminar(n, seed)
-    if kind == "bounded":
-        return gen_bounded_ratio(n, as_scalar(entry.get("delta", "1/2")), seed)
-    raise ParameterError(f"unknown generator kind {kind!r}")
-
-
-def _algo_opts(algo_entry: dict) -> dict:
+def _algo_opts(algo_entry: dict, what: str) -> dict:
     opts = {}
     for key in ("eps", "delta", "mu"):
         if key in algo_entry:
             opts[key] = as_scalar(algo_entry[key])
     for key in ("klong", "oracle_limit", "node_budget"):
         if key in algo_entry:
-            opts[key] = int(algo_entry[key])
+            opts[key] = _json_int(algo_entry[key], f"{what}: {key}")
     return opts
 
 
@@ -242,16 +235,29 @@ def run_bench(suite: dict) -> tuple[list[dict], str]:
     Any infeasible solver output or declared-bound violation raises, failing
     the bench run: it signals a solver bug, not a bad measurement.
     """
-    oracle_limit = int(suite.get("oracle_limit", 15))
+    # validate the whole suite before running anything
+    algos = []
+    for pos, entry in enumerate(_json_entries(suite, "algos", "bench suite"), start=1):
+        if "name" not in entry:
+            raise ParameterError(f'algo #{pos} has no "name"')
+        algos.append((entry["name"], _algo_opts(entry, f"algo #{pos}")))
+    oracle_limit = _json_int(suite.get("oracle_limit", 15), "oracle_limit")
+    instances = []
+    for pos, entry in enumerate(_json_entries(suite, "instances", "bench suite"), start=1):
+        kind = entry.get("kind", "uniform")
+        n = _json_int(entry.get("n"), f"instance #{pos}: n")
+        seeds = entry.get("seeds", [0])
+        if not isinstance(seeds, list):
+            raise ParameterError(f"instance #{pos}: seeds must be a list, got {seeds!r}")
+        for seed in seeds:
+            seed = _json_int(seed, f"instance #{pos}: seed")
+            inst = _gen_instance(kind, n, seed, entry.get("delta"))
+            instances.append((f"{kind}-n{n}-s{seed}", seed, inst))
+
     rows = []
-    for gen_entry in suite.get("instances", []):
-        for seed in gen_entry.get("seeds", [0]):
-            seed = int(seed)
-            inst = _gen_instance(gen_entry, seed)
-            instance_id = f"{gen_entry.get('kind', 'uniform')}-n{int(gen_entry['n'])}-s{seed}"
-            for algo_entry in suite.get("algos", []):
-                opts = _algo_opts(algo_entry)
-                rows.append(_bench_row(instance_id, seed, algo_entry["name"], opts, inst, oracle_limit))
+    for instance_id, seed, inst in instances:
+        for name, opts in algos:
+            rows.append(_bench_row(instance_id, seed, name, opts, inst, oracle_limit))
     rows.sort(key=lambda r: (r["instance_id"], r["algo"], r["params"]))
 
     by_algo: dict[str, list[float]] = {}

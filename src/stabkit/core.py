@@ -12,6 +12,7 @@ cost comparisons are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,6 +62,21 @@ def as_scalar(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"cannot parse scalar {value!r}") from exc
     raise ParameterError(f"inexact or unsupported scalar type: {type(value).__name__}")
+
+
+def _open_unit(value, name: str) -> Fraction:
+    """``value`` as an exact rational strictly between 0 and 1 (an accuracy such as eps)."""
+    value = as_scalar(value)
+    if not 0 < value < 1:
+        raise ParameterError(f"{name} must lie strictly between 0 and 1")
+    return value
+
+
+def _integer_scale(values) -> tuple[int, dict[Fraction, int]]:
+    """(d, {v: v * d}) for the least common denominator d of the values: every
+    v * d is an integer, and order, sums and differences scale exactly."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, {v: v.numerator * (den // v.denominator) for v in values}
 
 
 def ceil_log2(x: Fraction) -> int:
@@ -404,12 +420,17 @@ def _json_entries(obj, field: str, kind: str) -> list[dict]:
     return obj[field]
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats, booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json(obj: dict) -> Instance:
     rects = []
     for pos, rd in enumerate(_json_entries(obj, "rects", "instance"), start=1):
-        rid = rd.get("id", pos)
-        if isinstance(rid, bool) or not isinstance(rid, int):
-            raise ParameterError(f"rect #{pos}: id must be an integer, got {rid!r}")
+        rid = _json_int(rd.get("id", pos), f"rect #{pos}: id")
         try:
             rects.append(
                 Rect(

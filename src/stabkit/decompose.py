@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx8 import approx8
-from .core import Instance, ParameterError, Rect, Segment, as_scalar, instance_to_json
+from .core import Instance, ParameterError, Rect, Segment, _open_unit, as_scalar, instance_to_json
 
 CUT_FACTOR = 8
 
@@ -80,9 +80,7 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
     The paid cover costs at most 16 * eps * OPT and every strip spans at
     most max_width / eps in x.
     """
-    eps = as_scalar(eps)
-    if not 0 < eps < 1:
-        raise ParameterError("eps must lie strictly between 0 and 1")
+    eps = _open_unit(eps, "eps")
     if not inst.rects:
         return StripPartition((), (), Fraction(0), Fraction(0))
 
@@ -132,9 +130,7 @@ def horizontal_cuts(
     larger instance pass the global one.  ``span`` fixes the cut extent
     (defaults to the strip's bounding x-range).
     """
-    eps = as_scalar(eps)
-    if not 0 < eps < 1:
-        raise ParameterError("eps must lie strictly between 0 and 1")
+    eps = _open_unit(eps, "eps")
     if not strip.rects:
         return CutResult((), (), ())
     w = as_scalar(width) if width is not None else strip.max_width
@@ -183,9 +179,7 @@ def decompose(inst: Instance, eps) -> Decomposition:
     exactly one sub-instance; each sub-instance has optimum at most
     8w/eps^2 + w/eps where w is the instance's max width.
     """
-    eps = as_scalar(eps)
-    if not 0 < eps < 1:
-        raise ParameterError("eps must lie strictly between 0 and 1")
+    eps = _open_unit(eps, "eps")
     if not inst.rects:
         return Decomposition((), (), ())
     parts = strip_partition(inst, eps)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .core import Instance, ParameterError, Rect, Segment, Solution, _seg_key
+from .core import Instance, ParameterError, Segment, Solution, _integer_scale, _seg_key
 
 
 def is_laminar(inst: Instance) -> bool:
@@ -57,45 +57,46 @@ def solve_laminar(inst: Instance) -> Solution:
     rects = inst.rects
     xs = sorted({r.xl for r in rects} | {r.xr for r in rects})
     ys = sorted({r.yb for r in rects} | {r.yt for r in rects})
-    tops = sorted({r.yt for r in rects})
     xi = {v: i for i, v in enumerate(xs)}
     yi = {v: i for i, v in enumerate(ys)}
-    ranks = [(r, xi[r.xl], xi[r.xr], yi[r.yb], yi[r.yt]) for r in rects]
+    tops = sorted({yi[r.yt] for r in rects})
+    # costs are integers over the common denominator of the x coordinates
+    den, x = _integer_scale(xs)
+    # one (-width, id, xl, xr, yb, yt) tuple per rect, coordinates as ranks:
+    # ranks preserve order, and min() picks the widest rect, lowest id first
+    ranks = [(x[r.xl] - x[r.xr], r.id, xi[r.xl], xi[r.xr], yi[r.yb], yi[r.yt]) for r in rects]
 
-    def inside(i: int, j: int, u: int, v: int) -> list[Rect]:
-        # ranks preserve order, so comparing them is comparing coordinates
-        return [r for r, xl, xr, yb, yt in ranks if i <= xl and xr <= j and u <= yb and yt <= v]
+    # memo: (i, j, u, v) -> (cost, stab); stab is None for an empty box, else
+    # the ranks (a, b, t) of the segment stabbing the box's widest rect
+    memo: dict[tuple[int, int, int, int], tuple[int, tuple | None]] = {}
 
-    # memo: (i, j, u, v) -> (cost, decision); decision is None for <=1 rect
-    # boxes or (W, level index of the chosen stab height)
-    memo: dict[tuple[int, int, int, int], tuple[Fraction, object]] = {}
-
-    def solve(i: int, j: int, u: int, v: int) -> Fraction:
+    def solve(i: int, j: int, u: int, v: int) -> int:
         if u > v or i >= j:
-            return Fraction(0)
+            return 0
         key = (i, j, u, v)
         if key in memo:
             return memo[key][0]
-        group = inside(i, j, u, v)
-        if len(group) <= 1:
-            cost = group[0].width if group else Fraction(0)
-            decision = group[0] if group else None
-            memo[key] = (cost, ("base", decision))
-            return cost
-        w = min(group, key=lambda r: (-r.width, r.id))
-        a, b = xi[w.xl], xi[w.xr]
+        # the rects inside the box
+        group = [t for t in ranks if i <= t[2] and t[3] <= j and u <= t[4] and t[5] <= v]
+        if not group:
+            memo[key] = (0, None)
+            return 0
+        neg_width, _, a, b, yb, yt = min(group)
+        if len(group) == 1:
+            # a lone rect is stabbed at its top edge; its sub-boxes stay unsolved
+            memo[key] = (-neg_width, (a, b, yt))
+            return -neg_width
         side = solve(i, a, u, v) + solve(b, j, u, v)
         best = None
         best_t = -1
-        for y in tops[bisect_left(tops, w.yb) : bisect_right(tops, w.yt)]:
-            t = yi[y]
+        for t in tops[bisect_left(tops, yb) : bisect_right(tops, yt)]:
             below = solve(a, b, u, t - 1)
             above = solve(a, b, t + 1, v)
             if best is None or below + above < best:
                 best = below + above
                 best_t = t
-        cost = w.width + side + best
-        memo[key] = (cost, ("split", w, a, b, best_t))
+        cost = -neg_width + side + best
+        memo[key] = (cost, (a, b, best_t))
         return cost
 
     root = (0, len(xs) - 1, 0, len(ys) - 1)
@@ -104,22 +105,21 @@ def solve_laminar(inst: Instance) -> Solution:
     segments: list[Segment] = []
 
     def collect(i: int, j: int, u: int, v: int) -> None:
-        if u > v or i >= j:
+        # a box solve never reached (degenerate, or beside a lone rect) is empty
+        stab = memo.get((i, j, u, v), (0, None))[1]
+        if stab is None:
             return
-        _, decision = memo[(i, j, u, v)]
-        if decision[0] == "base":
-            r = decision[1]
-            if r is not None:
-                segments.append(Segment(r.xl, r.xr, r.yt))
-            return
-        _, w, a, b, t = decision
-        segments.append(Segment(w.xl, w.xr, ys[t]))
+        a, b, t = stab
+        segments.append(Segment(xs[a], xs[b], ys[t]))
         collect(i, a, u, v)
         collect(b, j, u, v)
         collect(a, b, u, t - 1)
         collect(a, b, t + 1, v)
 
     collect(*root)
+    # solve and collect refer to themselves, so the memo would otherwise live
+    # on in that reference cycle until the cyclic collector runs
+    memo.clear()
     sol = Solution(tuple(sorted(segments, key=_seg_key)))
-    assert sol.cost == total, "reconstructed segments disagree with the DP value"
+    assert sol.cost == Fraction(total, den), "reconstructed segments disagree with the DP value"
     return sol

@@ -9,18 +9,16 @@ approximation-ratio test in the suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     Instance,
     OracleLimitError,
     Segment,
     Solution,
+    _integer_scale,
     _seg_key,
     candidate_segments,
-    stabs,
 )
 
 ORACLE_LIMIT = 20  # 2^20 subset-DP states; beyond this callers branch-and-bound
@@ -32,15 +30,6 @@ class Candidate:
 
     segment: Segment
     stab_set: int
-    length: Fraction
-
-
-def _stab_mask(inst: Instance, seg: Segment) -> int:
-    mask = 0
-    for i, r in enumerate(inst.rects):
-        if stabs(seg, r):
-            mask |= 1 << i
-    return mask
 
 
 def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
@@ -51,26 +40,47 @@ def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     equals that over the full list.  Ties resolve to the lexicographically
     smallest segment (by (xl, xr, y)) so the result is deterministic.
     """
-    best: dict[int, Candidate] = {}
-    for seg in sorted(cands, key=_seg_key):
-        mask = _stab_mask(inst, seg)
-        if not mask:
-            continue
-        cur = best.get(mask)
-        if cur is None or seg.length < cur.length:
-            best[mask] = Candidate(seg, mask, seg.length)
-    pool = sorted(best.values(), key=lambda c: _seg_key(c.segment))
-    kept = []
-    for c in pool:
-        dominated = any(
-            d.stab_set != c.stab_set
-            and c.stab_set | d.stab_set == d.stab_set
-            and c.length >= d.length
-            for d in pool
+    def masks(values, test) -> dict:
+        return {v: sum(1 << i for i, r in enumerate(inst.rects) if test(r, v)) for v in values}
+
+    # a segment stabs exactly the rects with xl >= its xl, xr <= its xr and
+    # yb <= its y <= yt: one mask per distinct coordinate, ANDed per segment
+    lefts = masks({s.xl for s in cands}, lambda r, a: r.xl >= a)
+    rights = masks({s.xr for s in cands}, lambda r, b: r.xr <= b)
+    levels = masks({s.y for s in cands}, lambda r, y: r.yb <= y <= r.yt)
+    _, x = _integer_scale(lefts.keys() | rights.keys())
+    _, y = _integer_scale(levels.keys())
+
+    shortest: dict[int, tuple] = {}  # stab set -> (length, (xl, xr, y), segment), scaled
+    for seg in cands:
+        mask = lefts[seg.xl] & rights[seg.xr] & levels[seg.y]
+        if mask:
+            key = (x[seg.xl], x[seg.xr], y[seg.y])
+            entry = (key[1] - key[0], key, seg)
+            if mask not in shortest or entry[:2] < shortest[mask][:2]:
+                shortest[mask] = entry
+    pool = sorted(shortest.items(), key=lambda kv: kv[1][1])
+    return [
+        Candidate(seg, mask)
+        for mask, (length, _, seg) in pool
+        if not any(
+            other != mask and mask | other == other and length >= other_length
+            for other, (other_length, _, _) in pool
         )
-        if not dominated:
-            kept.append(c)
-    return kept
+    ]
+
+
+def _candidate_table(inst: Instance) -> tuple[list[Candidate], list[int], list[list[int]]]:
+    """The reduced candidates of ``inst``, their lengths as integers over one
+    common denominator, and per rect position the indices of the candidates
+    that stab it."""
+    cands = reduce_candidates(inst, candidate_segments(inst))
+    _, scaled = _integer_scale({c.segment.length for c in cands})
+    lengths = [scaled[c.segment.length] for c in cands]
+    covering = [
+        [ci for ci, c in enumerate(cands) if c.stab_set >> i & 1] for i in range(len(inst.rects))
+    ]
+    return cands, lengths, covering
 
 
 def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
@@ -87,35 +97,18 @@ def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
     if n > limit:
         raise OracleLimitError(f"instance has {n} rects, oracle limit is {limit}")
 
-    cands = reduce_candidates(inst, candidate_segments(inst))
-
-    # integer-scaled lengths keep the DP fast while staying exact
-    den = 1
-    for c in cands:
-        den = den * c.length.denominator // math.gcd(den, c.length.denominator)
-    ilen = [int(c.length * den) for c in cands]
-
-    covering: list[list[int]] = [[] for _ in range(n)]
-    for ci, c in enumerate(cands):
-        for i in range(n):
-            if c.stab_set >> i & 1:
-                covering[i].append(ci)
-
+    cands, lengths, covering = _candidate_table(inst)
     size = 1 << n
-    dp: list[int | None] = [None] * size
+    dp = [0] * size
     choice = [-1] * size
-    dp[0] = 0
     for mask in range(1, size):
         low = (mask & -mask).bit_length() - 1
         best = None
-        best_ci = -1
         for ci in covering[low]:
-            sub = mask & ~cands[ci].stab_set
-            val = dp[sub] + ilen[ci]
+            val = dp[mask & ~cands[ci].stab_set] + lengths[ci]
             if best is None or val < best:
-                best, best_ci = val, ci
+                best, choice[mask] = val, ci
         dp[mask] = best
-        choice[mask] = best_ci
 
     segments = []
     mask = size - 1
@@ -133,28 +126,23 @@ def greedy_cover(inst: Instance) -> Solution:
     Ties break toward smaller length, then lexicographic segment order, so
     the output is deterministic.  Guarantees the (1 + ln n) set-cover ratio.
     """
-    n = len(inst.rects)
-    if n == 0:
-        return Solution(())
-    cands = reduce_candidates(inst, candidate_segments(inst))
-    full = (1 << n) - 1
+    cands, lengths, _ = _candidate_table(inst)
+    full = (1 << len(inst.rects)) - 1
     covered = 0
     picked: list[Segment] = []
     while covered != full:
-        best = None  # (newly, length, segment, mask)
-        for c in cands:
+        best = (0, 1, None)  # (newly, length, candidate); ratio 0 loses to any newly > 0
+        for c, length in zip(cands, lengths):
             newly = (c.stab_set & ~covered).bit_count()
             if newly == 0:
                 continue
-            if best is None:
-                best = (newly, c.length, c.segment, c.stab_set)
-                continue
             # newly/length > best ratio, compared by cross-multiplication so
-            # zero lengths order correctly
+            # zero lengths order correctly; candidates come in lexicographic
+            # order, so on equal ratio and length the incumbent stays
             lhs = newly * best[1]
-            rhs = best[0] * c.length
-            if lhs > rhs or (lhs == rhs and (c.length, _seg_key(c.segment)) < (best[1], _seg_key(best[2]))):
-                best = (newly, c.length, c.segment, c.stab_set)
-        covered |= best[3]
-        picked.append(best[2])
+            rhs = best[0] * length
+            if lhs > rhs or (lhs == rhs and length < best[1]):
+                best = (newly, length, c)
+        covered |= best[2].stab_set
+        picked.append(best[2].segment)
     return Solution(tuple(picked))

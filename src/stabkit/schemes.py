@@ -29,6 +29,7 @@ from .core import (
     ParameterError,
     Segment,
     Solution,
+    _open_unit,
     _seg_key,
     as_scalar,
     candidate_segments,
@@ -37,7 +38,7 @@ from .core import (
     normalize,
 )
 from .decompose import decompose
-from .oracle import ORACLE_LIMIT, Candidate, exact_opt, reduce_candidates
+from .oracle import ORACLE_LIMIT, Candidate, _candidate_table, exact_opt, reduce_candidates
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,9 @@ class SchemeParams:
         oracle_limit=None,
         node_budget=None,
     ) -> "SchemeParams":
-        eps = as_scalar(eps)
-        if not 0 < eps < 1:
-            raise ParameterError("eps must lie strictly between 0 and 1")
+        eps = _open_unit(eps, "eps")
         levels = ceil_log2(Fraction(max(n, 1)) / eps)
-        mu = as_scalar(mu) if mu is not None else eps / (17 * (levels + 1))
-        if not 0 < mu < 1:
-            raise ParameterError("mu must lie strictly between 0 and 1")
+        mu = _open_unit(mu if mu is not None else eps / (17 * (levels + 1)), "mu")
         if klong is None:
             klong = math.ceil(2 * (8 / mu**2 + 1 / mu))
         if klong < 1:
@@ -141,25 +138,19 @@ def solve_small(
             return sol
         # optimum needs more than k segments: fall through to the restricted search
 
-    cands = reduce_candidates(inst, candidate_segments(inst))
-    covering: list[list[int]] = [[] for _ in range(n)]
-    for ci, c in enumerate(cands):
-        for i in range(n):
-            if c.stab_set >> i & 1:
-                covering[i].append(ci)
-
+    cands, lengths, covering = _candidate_table(inst)
     budget = _Budget(node_budget)
-    best_cost: Fraction | None = None
+    best_cost: int | None = None
     best_segments: tuple[Segment, ...] | None = None
     from .oracle import greedy_cover
 
     seed = greedy_cover(inst)
     if len(seed.segments) <= k:
-        best_cost, best_segments = seed.cost, seed.segments
+        # greedy picks from the same table, so its cost is a sum of table lengths
+        length_of = {c.segment: length for c, length in zip(cands, lengths)}
+        best_cost, best_segments = sum(map(length_of.get, seed.segments)), seed.segments
 
-    full = (1 << n) - 1
-
-    def descend(uncovered: int, chosen: list[int], cost: Fraction) -> None:
+    def descend(uncovered: int, chosen: list[int], cost: int) -> None:
         nonlocal best_cost, best_segments
         budget.tick()
         if best_cost is not None and cost >= best_cost:
@@ -176,10 +167,10 @@ def solve_small(
         )
         for ci in covering[pivot]:
             chosen.append(ci)
-            descend(uncovered & ~cands[ci].stab_set, chosen, cost + cands[ci].length)
+            descend(uncovered & ~cands[ci].stab_set, chosen, cost + lengths[ci])
             chosen.pop()
 
-    descend(full, [], Fraction(0))
+    descend((1 << n) - 1, [], 0)
     if best_segments is None:
         raise InfeasibleError(f"no feasible solution uses at most {k} segments")
     return Solution(tuple(sorted(best_segments, key=_seg_key)))
@@ -192,10 +183,8 @@ def ptas(inst: Instance, eps, delta) -> Solution:
     within ceil((8/eps^2 + 1/eps)/delta) segments, and maps the union of paid
     and chunk segments back to original coordinates.
     """
-    eps = as_scalar(eps)
+    eps = _open_unit(eps, "eps")
     delta = as_scalar(delta)
-    if not 0 < eps < 1:
-        raise ParameterError("eps must lie strictly between 0 and 1")
     if not 0 < delta <= 1:
         raise ParameterError("delta must lie in (0, 1]")
     if not inst.rects:
@@ -231,7 +220,9 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
     candidates in canonical order).
     """
     min_len = as_scalar(min_len)
-    pool = [c for c in reduce_candidates(inst, candidate_segments(inst)) if c.length >= min_len]
+    pool = [
+        c for c in reduce_candidates(inst, candidate_segments(inst)) if c.segment.length >= min_len
+    ]
     reps: dict[int, tuple[Fraction, int, tuple[Candidate, ...]]] = {}
     order = 0
     for size in range(0, min(k, len(pool)) + 1):
@@ -243,7 +234,7 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
             total = Fraction(0)
             for c in combo:
                 union |= c.stab_set
-                total += c.length
+                total += c.segment.length
             cur = reps.get(union)
             if cur is None or total < cur[0]:
                 reps[union] = (total, order if cur is None else cur[1], combo)
@@ -269,9 +260,7 @@ def qptas(
     Costs are exact rationals throughout: the returned cost equals the sum of
     paid, guessed and exactly-solved parts.
     """
-    eps = as_scalar(eps)
-    if not 0 < eps < 1:
-        raise ParameterError("eps must lie strictly between 0 and 1")
+    eps = _open_unit(eps, "eps")
     if not inst.rects:
         return Solution(())
     if params is None:

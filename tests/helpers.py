@@ -10,6 +10,7 @@ from itertools import combinations
 
 from stabkit import (
     Instance,
+    Rect,
     Segment,
     Solution,
     candidate_segments,
@@ -41,6 +42,25 @@ def brute_force_opt(inst: Instance) -> Fraction:
 def stab_mask(inst: Instance, s: Segment) -> int:
     """Bitmask of the rect positions s stabs, from the plain predicate."""
     return sum(1 << i for i, r in enumerate(inst.rects) if stabs(s, r))
+
+
+def _affine(x: Fraction) -> Fraction:
+    return x / 3 + Fraction(1, 7)
+
+
+def affine_instance(inst: Instance) -> Instance:
+    """The instance under x -> x/3 + 1/7, which puts every x coordinate on a
+    grid whose common denominator has odd factors (3 and 7).
+
+    The map is affine and increasing, so stab sets and every order between
+    coordinates or lengths are kept, and each length shrinks by exactly 3.
+    """
+    return Instance(tuple(Rect(r.id, _affine(r.xl), _affine(r.xr), r.yb, r.yt) for r in inst.rects))
+
+
+def affine_solution(sol: Solution) -> Solution:
+    """The solution under the same x -> x/3 + 1/7 as ``affine_instance``."""
+    return Solution(tuple(Segment(_affine(s.xl), _affine(s.xr), s.y) for s in sol.segments))
 
 
 def canonicalize_segment(inst: Instance, s: Segment) -> Segment | None:

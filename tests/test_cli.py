@@ -175,6 +175,31 @@ class TestMalformedInput:
         "string-id": {"rects": [dict(RECT, id="1")]},
         "float-coordinate": {"rects": [dict(RECT, xr=4.5)]},
     }
+    INSTANCE = {"kind": "uniform", "n": 3, "seeds": [1]}
+    ALGO = {"name": "greedy"}
+    BAD_SUITES = {
+        "suite-not-object": [{"instances": [INSTANCE], "algos": [ALGO]}],
+        "instances-not-list": {"instances": INSTANCE, "algos": [ALGO]},
+        "algos-not-list": {"instances": [INSTANCE], "algos": ALGO},
+        "instance-not-object": {"instances": [7], "algos": [ALGO]},
+        "algo-not-object": {"instances": [INSTANCE], "algos": ["greedy"]},
+        "missing-n": {"instances": [{"kind": "uniform"}], "algos": [ALGO]},
+        "string-n": {"instances": [dict(INSTANCE, n="3")], "algos": [ALGO]},
+        "float-n": {"instances": [dict(INSTANCE, n=3.5)], "algos": [ALGO]},
+        "seeds-not-list": {"instances": [dict(INSTANCE, seeds=3)], "algos": [ALGO]},
+        "bool-seed": {"instances": [dict(INSTANCE, seeds=[True])], "algos": [ALGO]},
+        "algo-without-name": {"instances": [INSTANCE], "algos": [{"eps": "1/2"}]},
+        "float-oracle-limit": {"oracle_limit": 12.5, "instances": [INSTANCE], "algos": [ALGO]},
+        "string-klong": {
+            "instances": [INSTANCE],
+            "algos": [{"name": "qptas", "eps": "1/2", "klong": "4"}],
+        },
+        "bool-node-budget": {
+            "instances": [INSTANCE],
+            "algos": [{"name": "qptas", "eps": "1/2", "node_budget": True}],
+        },
+        "unknown-kind": {"instances": [dict(INSTANCE, kind="spiral")], "algos": [ALGO]},
+    }
     BAD_SOLUTIONS = {
         "invalid-json": "[",
         "segments-not-list": {"segments": {"xl": "0", "xr": "4", "y": "2"}},
@@ -224,6 +249,12 @@ class TestMalformedInput:
 
     def test_unreadable_solution(self, i1_file, tmp_path, capsys):
         self.assert_rejected(["verify", "-i", i1_file, "-s", str(tmp_path / "absent.json")], capsys)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SUITES))
+    def test_bad_bench_suite(self, case, tmp_path, capsys):
+        suite = self.write(tmp_path / "suite.json", self.BAD_SUITES[case])
+        report, summary = str(tmp_path / "report.csv"), str(tmp_path / "summary.md")
+        self.assert_rejected(["bench", "-c", suite, "-o", report, "-m", summary], capsys)
 
     def test_unwritable_output(self, i1_file, tmp_path, capsys):
         out = str(tmp_path / "no-such-dir" / "sol.json")

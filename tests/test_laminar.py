@@ -14,6 +14,7 @@ from stabkit import (
 )
 
 from .conftest import make_instance
+from .helpers import affine_instance, affine_solution
 
 
 class TestIsLaminar:
@@ -60,6 +61,16 @@ class TestSolveLaminar:
         sol = solve_laminar(inst)
         assert verify(inst, sol).feasible
         assert sol.cost == exact_opt(inst).cost
+
+    @given(st.integers(0, 60))
+    def test_affine_map_keeps_segments(self, seed):
+        # x -> x/3 + 1/7 leaves the power-of-two grid of the generator: the
+        # DP's integer costs then sit over a denominator with odd factors
+        inst = gen_laminar(seed % 16 + 1, seed)
+        sol = solve_laminar(inst)
+        mapped = solve_laminar(affine_instance(inst))
+        assert mapped == affine_solution(sol)
+        assert mapped.cost == sol.cost / 3
 
     @given(st.integers(0, 40))
     def test_segments_span_some_rect(self, seed):

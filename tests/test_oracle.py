@@ -17,7 +17,7 @@ from stabkit import (
 )
 
 from .conftest import make_instance
-from .helpers import brute_force_opt, stab_mask
+from .helpers import affine_instance, affine_solution, brute_force_opt, stab_mask
 
 
 class TestReduceCandidates:
@@ -25,7 +25,7 @@ class TestReduceCandidates:
         inst = make_instance([(0, 2, 0, 1), (0, 2, 0, 2)])
         cands = [Segment(-1, 4, 1), Segment(0, 2, 1)]  # both stab both rects
         reduced = reduce_candidates(inst, cands)
-        assert len(reduced) == 1 and reduced[0].length == 2
+        assert len(reduced) == 1 and reduced[0].segment.length == 2
 
     def test_dominated_subset_dropped(self):
         inst = make_instance([(0, 4, 0, 1), (1, 3, 0, 1)])
@@ -36,7 +36,7 @@ class TestReduceCandidates:
 
     def test_i1_reduced_contents(self, i1):
         reduced = reduce_candidates(i1, candidate_segments(i1))
-        by_set = {c.stab_set: c.length for c in reduced}
+        by_set = {c.stab_set: c.segment.length for c in reduced}
         assert by_set[0b011] == 4  # stabs rects 1 and 2
         assert by_set[0b100] == 2  # stabs rect 3
 
@@ -49,13 +49,25 @@ class TestReduceCandidates:
         kept = reduce_candidates(inst, candidate_segments(inst))
         for c in kept:
             assert c.stab_set == stab_mask(inst, c.segment)
-            assert c.length == c.segment.length
         for seg in candidate_segments(inst):
             mask = stab_mask(inst, seg)
             if mask:
                 assert any(
-                    mask | c.stab_set == c.stab_set and c.length <= seg.length for c in kept
+                    mask | c.stab_set == c.stab_set and c.segment.length <= seg.length for c in kept
                 ), seg
+
+
+@pytest.mark.parametrize("solver", [exact_opt, greedy_cover])
+@given(seed=st.integers(0, 60))
+def test_affine_map_keeps_segments(solver, seed):
+    # x -> x/3 + 1/7 leaves the power-of-two grid of the generator: the
+    # integer lengths then sit over a denominator with odd factors, and every
+    # tie-break must still land on the mapped segments
+    inst = gen_uniform(seed % 9 + 1, seed)
+    sol = solver(inst)
+    mapped = solver(affine_instance(inst))
+    assert mapped == affine_solution(sol)
+    assert mapped.cost == sol.cost / 3
 
 
 class TestExactOpt:
@@ -102,6 +114,9 @@ class TestGreedy:
     def test_single_rect(self):
         sol = greedy_cover(make_instance([(0, 4, 0, 2)]))
         assert sol.segments == (Segment(0, 4, 2),)
+
+    def test_empty(self):
+        assert greedy_cover(Instance(())).segments == ()
 
     def test_disjoint_rects_forced_cover(self):
         inst = make_instance([(6 * i, 6 * i + 2, 0, 1) for i in range(5)])
