@@ -80,8 +80,6 @@ def solve_with(algo: str, inst: Instance, opts: dict) -> Solution:
     if algo == "qptas":
         if opts.get("eps") is None:
             raise ParameterError("qptas requires --eps")
-        if not inst.rects:
-            return Solution(())
         params = SchemeParams.derive(
             len(inst.rects),
             opts["eps"],

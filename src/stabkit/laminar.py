@@ -26,15 +26,16 @@ from .core import Instance, ParameterError, Segment, Solution, _integer_scale, _
 def is_laminar(inst: Instance) -> bool:
     """True iff every pair of x-projections is nested or interior-disjoint.
 
-    Shared endpoints count as disjoint.
+    Shared endpoints count as disjoint.  In (left, -right) order each span
+    must end inside the innermost span still open where it starts.
     """
-    spans = sorted({(r.xl, r.xr) for r in inst.rects})
-    for i, (a0, a1) in enumerate(spans):
-        for b0, b1 in spans[i + 1 :]:
-            disjoint = a1 <= b0 or b1 <= a0
-            nested = (a0 <= b0 and b1 <= a1) or (b0 <= a0 and a1 <= b1)
-            if not (disjoint or nested):
-                return False
+    open_ends: list[Fraction] = []
+    for a, b in sorted({(r.xl, r.xr) for r in inst.rects}, key=lambda s: (s[0], -s[1])):
+        while open_ends and open_ends[-1] <= a:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < b:
+            return False
+        open_ends.append(b)
     return True
 
 

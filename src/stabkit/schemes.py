@@ -32,13 +32,12 @@ from .core import (
     _open_unit,
     _seg_key,
     as_scalar,
-    candidate_segments,
     ceil_log2,
     denormalize,
     normalize,
 )
 from .decompose import decompose
-from .oracle import ORACLE_LIMIT, Candidate, _candidate_table, exact_opt, reduce_candidates
+from .oracle import ORACLE_LIMIT, _candidate_table, exact_opt, greedy_cover
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class SchemeParams:
     """
 
     eps: Fraction
-    delta: Fraction | None = None
     mu: Fraction | None = None
     klong: int | None = None
     oracle_limit: int = ORACLE_LIMIT
@@ -64,7 +62,6 @@ class SchemeParams:
         cls,
         n: int,
         eps,
-        delta=None,
         mu=None,
         klong=None,
         oracle_limit=None,
@@ -79,7 +76,6 @@ class SchemeParams:
             raise ParameterError("klong must be at least 1")
         return cls(
             eps=eps,
-            delta=as_scalar(delta) if delta is not None else None,
             mu=mu,
             klong=klong,
             oracle_limit=oracle_limit if oracle_limit is not None else ORACLE_LIMIT,
@@ -106,8 +102,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def tick(self, amount: int = 1) -> None:
-        self.used += amount
+    def tick(self) -> None:
+        self.used += 1
         if self.limit is not None and self.used > self.limit:
             raise BudgetError(f"node budget of {self.limit} exhausted")
 
@@ -142,8 +138,6 @@ def solve_small(
     budget = _Budget(node_budget)
     best_cost: int | None = None
     best_segments: tuple[Segment, ...] | None = None
-    from .oracle import greedy_cover
-
     seed = greedy_cover(inst)
     if len(seed.segments) <= k:
         # greedy picks from the same table, so its cost is a sum of table lengths
@@ -220,28 +214,31 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
     candidates in canonical order).
     """
     min_len = as_scalar(min_len)
-    pool = [
-        c for c in reduce_candidates(inst, candidate_segments(inst)) if c.segment.length >= min_len
-    ]
-    reps: dict[int, tuple[Fraction, int, tuple[Candidate, ...]]] = {}
-    order = 0
+    cands, lengths, _ = _candidate_table(inst)
+    pool = [(c, length) for c, length in zip(cands, lengths) if c.segment.length >= min_len]
+    # union -> (integer total, combo); a dict keeps the slot of a key's first
+    # insertion, so iteration follows the enumeration order of first sightings
+    reps: dict[int, tuple[int, tuple]] = {}
     for size in range(0, min(k, len(pool)) + 1):
         for combo in combinations(pool, size):
             if _budget is not None:
                 _budget.tick()
-            order += 1
             union = 0
-            total = Fraction(0)
-            for c in combo:
+            total = 0
+            for c, length in combo:
                 union |= c.stab_set
-                total += c.segment.length
+                total += length
             cur = reps.get(union)
             if cur is None or total < cur[0]:
-                reps[union] = (total, order if cur is None else cur[1], combo)
-    out = []
-    for union, (total, first_seen, combo) in sorted(reps.items(), key=lambda kv: kv[1][1]):
-        out.append(Guess(tuple(c.segment for c in combo), union, total))
-    return out
+                reps[union] = (total, combo)
+    return [
+        Guess(
+            tuple(c.segment for c, _ in combo),
+            union,
+            sum((c.segment.length for c, _ in combo), Fraction(0)),
+        )
+        for union, (_, combo) in reps.items()
+    ]
 
 
 def qptas(
@@ -272,6 +269,7 @@ def qptas(
     stats.presolved_cost = sum((s.length for s in presolved), Fraction(0))
     budget = _Budget(params.node_budget)
     zero = Fraction(0)
+    limit = max(params.oracle_limit, ORACLE_LIMIT)
 
     # each call returns its solution plus the (paid, base, guess) cost split
     # of that solution only; discarded guess branches leave no trace, so the
@@ -283,40 +281,37 @@ def qptas(
         if not current.rects:
             return Solution(()), (zero, zero, zero)
         if len(current.rects) <= params.oracle_limit:
-            sol = exact_opt(current, limit=max(params.oracle_limit, len(current.rects)))
-            return sol, (zero, sol.cost, zero)
-
-        dec = decompose(current, params.mu)
-        segments = list(dec.paid_segments)
-        paid = sum((s.length for s in dec.paid_segments), zero)
+            # a small node is its own single chunk, solved by the exact leaf
+            chunks, segments = (current,), []
+        else:
+            dec = decompose(current, params.mu)
+            chunks, segments = dec.sub_instances, list(dec.paid_segments)
+        paid = sum((s.length for s in segments), zero)
         base = zero
         guessed = zero
         half = scale / 2
-        for chunk in dec.sub_instances:
-            if len(chunk.rects) <= params.oracle_limit:
-                sol = exact_opt(chunk, limit=max(params.oracle_limit, len(chunk.rects)))
-                base += sol.cost
-                segments.extend(sol.segments)
-                continue
+        for chunk in chunks:
             best: tuple | None = None
-            for guess in guess_long(chunk, half, params.klong, budget):
-                stats.guesses += 1
-                assert len(guess.segments) <= params.klong
-                assert all(s.length >= half for s in guess.segments)
-                residual = Instance(
-                    tuple(r for i, r in enumerate(chunk.rects) if not guess.stab_set >> i & 1)
-                )
-                if any(r.width >= half for r in residual.rects):
-                    continue
-                sub, sub_split = recurse(residual, half, depth + 1)
-                total = guess.length + sub.cost
-                if best is None or total < best[0]:
-                    best = (total, guess, sub, sub_split)
+            if len(chunk.rects) > params.oracle_limit:
+                wide = sum(1 << i for i, r in enumerate(chunk.rects) if r.width >= half)
+                for guess in guess_long(chunk, half, params.klong, budget):
+                    stats.guesses += 1
+                    assert len(guess.segments) <= params.klong
+                    assert all(s.length >= half for s in guess.segments)
+                    if wide & ~guess.stab_set:
+                        continue
+                    residual = Instance(
+                        tuple(r for i, r in enumerate(chunk.rects) if not guess.stab_set >> i & 1)
+                    )
+                    sub, sub_split = recurse(residual, half, depth + 1)
+                    total = guess.length + sub.cost
+                    if best is None or total < best[0]:
+                        best = (total, guess, sub, sub_split)
             if best is None:
-                # no guess of at most klong long segments stabs every wide
-                # rect, as happens when klong is overridden below what the
-                # chunk needs; the exact oracle keeps the answer sound
-                sol = exact_opt(chunk)
+                # the exact leaf: a small chunk, or one where no guess of at
+                # most klong long segments stabs every wide rect, as happens
+                # when klong is overridden below what the chunk needs
+                sol = exact_opt(chunk, limit=limit)
                 base += sol.cost
                 segments.extend(sol.segments)
                 continue

@@ -39,6 +39,19 @@ def brute_force_opt(inst: Instance) -> Fraction:
     return best
 
 
+def is_laminar_pairwise(inst: Instance) -> bool:
+    """Laminarity by testing every pair of distinct x-projections: nested or
+    interior-disjoint (shared endpoints count as disjoint)."""
+    spans = sorted({(r.xl, r.xr) for r in inst.rects})
+    for i, (a0, a1) in enumerate(spans):
+        for b0, b1 in spans[i + 1 :]:
+            disjoint = a1 <= b0 or b1 <= a0
+            nested = (a0 <= b0 and b1 <= a1) or (b0 <= a0 and a1 <= b1)
+            if not (disjoint or nested):
+                return False
+    return True
+
+
 def stab_mask(inst: Instance, s: Segment) -> int:
     """Bitmask of the rect positions s stabs, from the plain predicate."""
     return sum(1 << i for i, r in enumerate(inst.rects) if stabs(s, r))

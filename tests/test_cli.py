@@ -256,6 +256,12 @@ class TestMalformedInput:
         report, summary = str(tmp_path / "report.csv"), str(tmp_path / "summary.md")
         self.assert_rejected(["bench", "-c", suite, "-o", report, "-m", summary], capsys)
 
+    @pytest.mark.parametrize("flags", [["--eps", "2"], ["--eps", "1/2", "--klong", "0"]])
+    def test_bad_qptas_parameters_on_empty_instance(self, flags, tmp_path, capsys):
+        # an empty instance goes through the same parameter checks as any other
+        inst = self.write(tmp_path / "inst.json", {"rects": []})
+        self.assert_rejected(["solve", "--algo", "qptas", "-i", inst, *flags], capsys)
+
     def test_unwritable_output(self, i1_file, tmp_path, capsys):
         out = str(tmp_path / "no-such-dir" / "sol.json")
         self.assert_rejected(["solve", "--algo", "approx8", "-i", i1_file, "-o", out], capsys)

@@ -14,7 +14,7 @@ from stabkit import (
 )
 
 from .conftest import make_instance
-from .helpers import affine_instance, affine_solution
+from .helpers import affine_instance, affine_solution, is_laminar_pairwise
 
 
 class TestIsLaminar:
@@ -29,6 +29,18 @@ class TestIsLaminar:
 
     def test_shared_endpoint_counts_as_disjoint(self):
         assert is_laminar(make_instance([(0, 2, 0, 1), (2, 4, 0, 1)]))
+
+    @given(
+        st.integers(0, 200),
+        st.lists(st.tuples(st.integers(0, 16), st.integers(1, 8)), max_size=3),
+    )
+    @settings(max_examples=200)
+    def test_matches_pairwise_reference(self, seed, extra):
+        # a laminar family on the 0..16 grid plus up to three spans on the
+        # same grid: nesting, shared endpoints and crossings all occur
+        base = [(r.xl, r.xr, 0, 1) for r in gen_laminar(seed % 12 + 1, seed).rects]
+        inst = make_instance(base + [(a, a + w, 0, 1) for a, w in extra])
+        assert is_laminar(inst) == is_laminar_pairwise(inst)
 
 
 class TestSolveLaminar:

@@ -12,6 +12,7 @@ from stabkit import (
     RunStats,
     SchemeParams,
     Segment,
+    Solution,
     ceil_log2,
     exact_opt,
     gen_bounded_ratio,
@@ -24,6 +25,7 @@ from stabkit import (
 )
 
 from .conftest import make_instance
+from .helpers import affine_instance, affine_solution
 
 
 class TestSchemeParams:
@@ -105,6 +107,21 @@ class TestGuessLong:
         for g in guesses:
             assert g.stab_set not in by_union
             by_union[g.stab_set] = g.length
+
+    @given(st.integers(0, 60))
+    def test_affine_map_keeps_guesses(self, seed):
+        # x -> x/3 + 1/7 puts the lengths over a denominator with odd factors;
+        # the threshold is a rect width, so lengths equal to it occur
+        inst = gen_uniform(seed % 7 + 2, seed)
+        widths = sorted(r.width for r in inst.rects)
+        min_len = widths[seed % len(widths)]
+        guesses = guess_long(inst, min_len, 3)
+        mapped = guess_long(affine_instance(inst), min_len / 3, 3)
+        assert [g.stab_set for g in mapped] == [g.stab_set for g in guesses]
+        assert [Solution(g.segments) for g in mapped] == [
+            affine_solution(Solution(g.segments)) for g in guesses
+        ]
+        assert [g.length for g in mapped] == [g.length / 3 for g in guesses]
 
 
 class TestPtas:
@@ -199,6 +216,29 @@ class TestQptas:
         # exact rational accounting: no drift between buckets and the output
         assert stats.normalized_cost == stats.paid_cost + stats.base_cost + stats.guess_cost
 
+    @given(st.integers(0, 25))
+    @settings(max_examples=25)
+    def test_recursion_only_on_narrow_residuals(self, seed):
+        # guess_long gets half the level's scale; below the root every rect
+        # left for a level must be narrower than that level's scale
+        import stabkit.schemes as schemes
+
+        n = seed % 5 + 4
+        inst = gen_uniform(n, seed)
+        params = SchemeParams.derive(n, F(1, 2), mu=F(1, 2), klong=8, oracle_limit=0, node_budget=10**6)
+        calls = []
+        real = schemes.guess_long
+
+        def spy(chunk, min_len, *args):
+            calls.append((max(r.width for r in chunk.rects), min_len))
+            return real(chunk, min_len, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schemes, "guess_long", spy)
+            qptas(inst, F(1, 2), params=params)
+        root = calls[0][1]
+        assert all(width < 2 * min_len for width, min_len in calls if min_len < root)
+
     @given(st.integers(0, 30))
     @settings(max_examples=30)
     def test_guarantee_with_oracle_base(self, seed):
@@ -212,21 +252,21 @@ class TestQptas:
 
     def test_exact_fallback_when_no_guess_fits_klong(self, monkeypatch):
         # with klong = 1 some chunks need two long segments, so no guess is
-        # admissible and the chunk falls back to the exact oracle; that is
-        # the one exact_opt call qptas makes without an explicit limit
+        # admissible and the chunk falls back to the exact oracle; only such
+        # a fallback hands the oracle a chunk above oracle_limit
         import stabkit.schemes as schemes
 
+        params = SchemeParams.derive(11, F(1, 2), mu=F(1, 2), klong=1, oracle_limit=2)
         fallbacks = []
         real = schemes.exact_opt
 
         def spy(inst, *args, **kwargs):
-            if not args and not kwargs:
+            if len(inst.rects) > params.oracle_limit:
                 fallbacks.append(len(inst.rects))
             return real(inst, *args, **kwargs)
 
         monkeypatch.setattr(schemes, "exact_opt", spy)
         inst = gen_uniform(11, 0)
-        params = SchemeParams.derive(11, F(1, 2), mu=F(1, 2), klong=1, oracle_limit=2)
         stats = RunStats()
         sol = qptas(inst, F(1, 2), params=params, stats=stats)
         assert fallbacks
