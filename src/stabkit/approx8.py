@@ -42,7 +42,5 @@ def approx8(inst: Instance) -> Solution:
 
     Output is feasible for the input and costs at most 8 times its optimum.
     """
-    if not inst.rects:
-        return Solution(())
     inner = solve_laminar(to_laminar(inst))
     return Solution(tuple(stretch_segment(s) for s in inner.segments))

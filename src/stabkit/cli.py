@@ -66,7 +66,8 @@ def _write_json(path: str | None, obj: dict) -> None:
 def solve_with(algo: str, inst: Instance, opts: dict) -> Solution:
     """Dispatch one solver run; shared by `solve` and `bench`."""
     if algo == "exact":
-        return exact_opt(inst, limit=opts.get("oracle_limit") or ORACLE_LIMIT)
+        limit = opts.get("oracle_limit")
+        return exact_opt(inst, limit=ORACLE_LIMIT if limit is None else limit)
     if algo == "greedy":
         return greedy_cover(inst)
     if algo == "laminar-dp":

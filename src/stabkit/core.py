@@ -58,6 +58,11 @@ def as_scalar(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # a decimal exponent beyond Python's default int-string digit limit
+            # would expand into a huge integer before any other check
+            _, e, exponent = value.lower().partition("e")
+            if e and abs(int(exponent)) > 4300:
+                raise ValueError("decimal exponent out of range")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"cannot parse scalar {value!r}") from exc

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx8 import approx8
-from .core import Instance, ParameterError, Rect, Segment, _open_unit, as_scalar, instance_to_json
+from .core import Instance, ParameterError, Rect, Segment, Solution, _open_unit, as_scalar, instance_to_json
 
 CUT_FACTOR = 8
 
@@ -76,9 +76,9 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
 
     Shifts run over all multiples of max_width * eps / n below the spacing
     max_width / eps (n/eps^2 of them); the cover for the crossed rectangles
-    is the 8-approximation.  Ties between shifts go to the smallest one.
-    The paid cover costs at most 16 * eps * OPT and every strip spans at
-    most max_width / eps in x.
+    is the 8-approximation, priced once per distinct crossed set.  Ties
+    between shifts go to the smallest one.  The paid cover costs at most
+    16 * eps * OPT and every strip spans at most max_width / eps in x.
     """
     eps = _open_unit(eps, "eps")
     if not inst.rects:
@@ -87,16 +87,15 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
     w = inst.max_width
     spacing = w / eps
     step = w * eps / len(inst.rects)
-    best = None  # (cost, z, cover solution, crossed ids)
-    k = 0
-    while (z := k * step) < spacing:
-        crossed = crossing_rects(inst, z, spacing)
-        cover = approx8(Instance(tuple(crossed)))
-        if best is None or cover.cost < best[0]:
-            best = (cover.cost, z, cover, {r.id for r in crossed})
-        k += 1
+    covers: dict[frozenset[int], tuple[Solution, Fraction]] = {}
+    for k in range(math.ceil(spacing / step)):
+        crossed = crossing_rects(inst, k * step, spacing)
+        ids = frozenset(r.id for r in crossed)
+        if ids not in covers:
+            covers[ids] = (approx8(Instance(tuple(crossed))), k * step)
+    # min keeps the first of equal costs, so ties go to the smallest shift
+    crossed_ids, (cover, z_star) = min(covers.items(), key=lambda item: item[1][0].cost)
 
-    _, z_star, cover, crossed_ids = best
     groups: dict[int, list[Rect]] = {}
     for r in inst.rects:
         if r.id in crossed_ids:
@@ -118,13 +117,14 @@ def horizontal_cuts(
 ) -> CutResult:
     """Sweep cut heights bottom-up and slice the strip into cheap chunks.
 
-    At each distinct y level z the sweep prices the rectangles lying entirely
-    below z (by the 8-approximation); once that exceeds CUT_FACTOR * w / eps^2
-    it emits a cut segment across the whole strip at z, removes everything
-    the cut stabs, closes the chunk of rectangles strictly below z, and
-    continues above.  The recorded cost per chunk is the trigger value (the
-    plain 8-approx cost for the final chunk), an upper bound on the chunk's
-    optimum.  Total cut length is at most eps * OPT of the strip.
+    At each distinct top edge z the sweep prices the rectangles lying entirely
+    below z (by the 8-approximation; that set changes only at top edges); once
+    that exceeds CUT_FACTOR * w / eps^2 it emits a cut segment across the whole
+    strip at z, removes everything the cut stabs, closes the chunk of
+    rectangles strictly below z, and continues above.  The recorded cost per
+    chunk is the trigger value (the plain 8-approx cost for the final chunk),
+    an upper bound on the chunk's optimum.  Total cut length is at most
+    eps * OPT of the strip.
 
     ``width`` defaults to the strip's own max width; callers decomposing a
     larger instance pass the global one.  ``span`` fixes the cut extent
@@ -150,19 +150,15 @@ def horizontal_cuts(
     chunks: list[Instance] = []
     costs: list[Fraction] = []
     while remaining:
-        trigger = None
-        for z in sorted({r.yb for r in remaining} | {r.yt for r in remaining}):
-            below = [r for r in remaining if r.yt <= z]
-            cost = approx8(Instance(tuple(below))).cost
+        for z in sorted({r.yt for r in remaining}):
+            cost = approx8(Instance(tuple(r for r in remaining if r.yt <= z))).cost
             if cost > threshold:
-                trigger = (z, cost)
                 break
-        if trigger is None:
-            chunk = Instance(tuple(remaining))
-            chunks.append(chunk)
-            costs.append(approx8(chunk).cost)
+        else:
+            # the last step priced every remaining rect
+            chunks.append(Instance(tuple(remaining)))
+            costs.append(cost)
             break
-        z, cost = trigger
         cuts.append(Segment(x0, x1, z))
         closed = [r for r in remaining if r.yt < z]
         if closed:
@@ -180,8 +176,6 @@ def decompose(inst: Instance, eps) -> Decomposition:
     8w/eps^2 + w/eps where w is the instance's max width.
     """
     eps = _open_unit(eps, "eps")
-    if not inst.rects:
-        return Decomposition((), (), ())
     parts = strip_partition(inst, eps)
     paid = list(parts.segments)
     subs: list[Instance] = []

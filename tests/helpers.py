@@ -9,15 +9,18 @@ from fractions import Fraction
 from itertools import combinations
 
 from stabkit import (
+    CutResult,
     Instance,
     Rect,
     Segment,
     Solution,
+    approx8,
     candidate_segments,
     ceil_log2,
     pow2,
     stabs,
 )
+from stabkit.decompose import CUT_FACTOR
 
 
 def brute_force_opt(inst: Instance) -> Fraction:
@@ -50,6 +53,41 @@ def is_laminar_pairwise(inst: Instance) -> bool:
             if not (disjoint or nested):
                 return False
     return True
+
+
+def horizontal_cuts_all_levels(strip: Instance, eps: Fraction) -> CutResult:
+    """The horizontal-cut sweep that prices the rects below every distinct y
+    level, bottom edges included, and prices the final chunk once more.
+
+    Reference for ``horizontal_cuts`` with its default width and span (the
+    strip's own); the pricing is the same ``approx8``.
+    """
+    threshold = CUT_FACTOR * strip.max_width / eps**2
+    x0 = min(r.xl for r in strip.rects)
+    x1 = max(r.xr for r in strip.rects)
+    remaining = list(strip.rects)
+    cuts, chunks, costs = [], [], []
+    while remaining:
+        trigger = None
+        for z in sorted({r.yb for r in remaining} | {r.yt for r in remaining}):
+            below = [r for r in remaining if r.yt <= z]
+            cost = approx8(Instance(tuple(below))).cost
+            if cost > threshold:
+                trigger = (z, cost)
+                break
+        if trigger is None:
+            chunk = Instance(tuple(remaining))
+            chunks.append(chunk)
+            costs.append(approx8(chunk).cost)
+            break
+        z, cost = trigger
+        cuts.append(Segment(x0, x1, z))
+        closed = [r for r in remaining if r.yt < z]
+        if closed:
+            chunks.append(Instance(tuple(closed)))
+            costs.append(cost)
+        remaining = [r for r in remaining if r.yb > z]
+    return CutResult(tuple(cuts), tuple(chunks), tuple(costs))
 
 
 def stab_mask(inst: Instance, s: Segment) -> int:

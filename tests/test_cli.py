@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stabkit import instance_to_json, solution_from_json
+from stabkit import OracleLimitError, instance_to_json, solution_from_json
 from stabkit.cli import main, run_bench
 
 from .conftest import make_instance
@@ -54,6 +54,11 @@ class TestSolve:
         assert main(["solve", "--algo", "approx8", "-i", i1_file, "-o", out, "--shrink"]) == 0
         sol = solution_from_json(json.loads(open(out).read()))
         assert sol.cost <= 12
+
+    @pytest.mark.parametrize("limit,code", [("0", 2), ("2", 2), ("3", 0)])
+    def test_exact_oracle_limit(self, i1_file, limit, code):
+        # i1 has 3 rects; a limit of 0 is a limit like any other, not "unset"
+        assert main(["solve", "--algo", "exact", "-i", i1_file, "--oracle-limit", limit]) == code
 
     def test_missing_scheme_params(self, i1_file, capsys):
         assert main(["solve", "--algo", "ptas", "-i", i1_file]) == 2
@@ -148,6 +153,14 @@ class TestBench:
         assert max(a8) <= 8
         assert "| approx8 |" in summary
 
+    def test_exact_oracle_limit_zero(self):
+        suite = {
+            "instances": [{"kind": "uniform", "n": 3, "seeds": [1]}],
+            "algos": [{"name": "exact", "oracle_limit": 0}],
+        }
+        with pytest.raises(OracleLimitError):
+            run_bench(suite)
+
     def test_laminar_dp_ratio_exactly_one(self):
         suite = {
             "oracle_limit": 15,
@@ -174,6 +187,11 @@ class TestMalformedInput:
         "bool-id": {"rects": [dict(RECT, id=True)]},
         "string-id": {"rects": [dict(RECT, id="1")]},
         "float-coordinate": {"rects": [dict(RECT, xr=4.5)]},
+        # a decimal exponent past Python's int-string digit limit is rejected
+        # before the literal is expanded
+        "exponent-4301": {"rects": [dict(RECT, xl="1e4301", xr="2e4301")]},
+        "exponent-minus-4301": {"rects": [dict(RECT, xl="1e-4301", xr="2e-4301")]},
+        "exponent-1e9": {"rects": [dict(RECT, xl="1e1000000000", xr="2e1000000000")]},
     }
     INSTANCE = {"kind": "uniform", "n": 3, "seeds": [1]}
     ALGO = {"name": "greedy"}

@@ -19,6 +19,7 @@ from stabkit import (
 )
 
 from .conftest import make_instance
+from .helpers import horizontal_cuts_all_levels
 
 
 def stacked_units(count, x0=0):
@@ -61,6 +62,9 @@ class TestStripPartition:
         spacing = w / eps
         step = w * eps / len(inst.rects)
         chosen_cost = sum((s.length for s in parts.segments), F(0))
+        # the paid cover is the 8-approximation of the rects the chosen grid crosses
+        crossed = Instance(tuple(crossing_rects(inst, parts.offset, parts.spacing)))
+        assert parts.segments == approx8(crossed).segments
         k = 0
         while (z := k * step) < spacing:
             cost = approx8(Instance(tuple(crossing_rects(inst, z, spacing)))).cost
@@ -69,6 +73,14 @@ class TestStripPartition:
                 # ties go to the smallest offset
                 assert parts.offset <= z
             k += 1
+
+    def test_tie_between_crossed_sets_goes_to_smallest_shift(self):
+        # every shift crosses one or two of these y-separated unit rects, and
+        # the three singleton sets cost the same; shift 0 crosses only rect 3
+        inst = make_instance([(0, 1, 0, 1), (F(2, 3), F(5, 3), 2, 3), (F(4, 3), F(7, 3), 4, 5)])
+        parts = strip_partition(inst, F(1, 2))
+        assert parts.offset == 0
+        assert [r.id for s in parts.strips for r in s.instance.rects] == [1, 2]
 
     @given(st.integers(0, 40))
     def test_cover_and_strip_invariants(self, seed):
@@ -137,6 +149,16 @@ class TestHorizontalCuts:
         threshold = 8 * inst.max_width / eps**2
         for observed in cut.observed_costs[:-1]:
             assert observed > threshold
+
+    @given(st.integers(8, 24), st.integers(0, 10**6))
+    def test_matches_all_levels_sweep(self, n, seed):
+        # C4's generator on a tall strip; at these sizes most examples get cuts
+        cfg = GenConfig(
+            x_range=(F(0), F(3, 4)), y_range=(F(0), F(64)),
+            w_min=F(9, 8), w_max=F(9, 8), h_max=F(1, 2), resolution=8,
+        )
+        inst = gen_uniform(n, seed, cfg)
+        assert horizontal_cuts(inst, F(1, 2)) == horizontal_cuts_all_levels(inst, F(1, 2))
 
 
 class TestDecompose:
