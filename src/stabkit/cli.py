@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from .approx8 import approx8
@@ -63,6 +64,17 @@ def _write_json(path: str | None, obj: dict) -> None:
             fh.write(text)
 
 
+def _render(build, *args):
+    """``build(*args)``: the JSON of a result, or a part of it.  A number
+    longer than Python's int-to-string digit limit is a parameter error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParameterError(
+            f"the result holds a number of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+
+
 def solve_with(algo: str, inst: Instance, opts: dict) -> Solution:
     """Dispatch one solver run; shared by `solve` and `bench`."""
     if algo == "exact":
@@ -107,14 +119,13 @@ def cmd_solve(args) -> int:
     if args.shrink:
         sol = shrink_solution(inst, sol)
     report = verify(inst, sol)
-    _write_json(args.output, solution_to_json(sol))
+    _write_json(args.output, _render(solution_to_json, sol))
     if not report.feasible:
         print(f"solver produced an infeasible solution, unstabbed: {report.unstabbed_ids}", file=sys.stderr)
         return 1
-    print(
-        f"{args.algo}: {len(sol.segments)} segments, cost {sol.cost} ({float(sol.cost):.6f})",
-        file=sys.stderr,
-    )
+    # Decimal, unlike float, has room for any cost that prints
+    approx = Decimal(sol.cost.numerator) / sol.cost.denominator
+    print(f"{args.algo}: {len(sol.segments)} segments, cost {sol.cost} ({approx:.6f})", file=sys.stderr)
     return 0
 
 
@@ -125,7 +136,7 @@ def cmd_verify(args) -> int:
     _write_json(None, {
         "feasible": report.feasible,
         "unstabbed_ids": list(report.unstabbed_ids),
-        "cost": str(report.recomputed_cost),
+        "cost": _render(str, report.recomputed_cost),
     })
     return 0 if report.feasible else 1
 
@@ -133,7 +144,7 @@ def cmd_verify(args) -> int:
 def cmd_decompose(args) -> int:
     inst = instance_from_json(_read_json(args.input))
     dec = decompose(inst, args.eps)
-    _write_json(args.output, decomposition_to_json(dec))
+    _write_json(args.output, _render(decomposition_to_json, dec))
     return 0
 
 

@@ -9,6 +9,7 @@ approximation-ratio test in the suite.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
@@ -18,7 +19,6 @@ from .core import (
     Solution,
     _integer_scale,
     _seg_key,
-    candidate_segments,
 )
 
 ORACLE_LIMIT = 20  # 2^20 subset-DP states; beyond this callers branch-and-bound
@@ -32,6 +32,51 @@ class Candidate:
     stab_set: int
 
 
+def _reduce(inst: Instance, lefts, rights, levels, triples) -> tuple[list[Candidate], list[int]]:
+    """The reduced candidates among the segments ``[lefts[i], rights[j]] x
+    levels[k]`` for the rank triples ``(i, j, k)``, and their lengths as
+    integers over one common denominator.
+
+    ``lefts``, ``rights`` and ``levels`` are sorted and distinct, so rank
+    order is coordinate order and ties resolve to the smallest (xl, xr, y).
+    """
+    rects = inst.rects
+    # a segment stabs exactly the rects with xl >= its xl, xr <= its xr and
+    # yb <= its y <= yt: one mask per distinct coordinate, ANDed per triple
+    _, x = _integer_scale({*lefts, *rights, *(r.xl for r in rects), *(r.xr for r in rects)})
+    _, y = _integer_scale({*levels, *(r.yb for r in rects), *(r.yt for r in rects)})
+    xl = [x[a] for a in lefts]
+    xr = [x[b] for b in rights]
+    ys = [y[v] for v in levels]
+    edges = [(1 << p, x[r.xl], x[r.xr], y[r.yb], y[r.yt]) for p, r in enumerate(rects)]
+    lm = [sum(bit for bit, rl, _, _, _ in edges if rl >= a) for a in xl]
+    rm = [sum(bit for bit, _, rr, _, _ in edges if rr <= b) for b in xr]
+    ym = [sum(bit for bit, _, _, rb, rt in edges if rb <= v <= rt) for v in ys]
+
+    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, (i, j, k))
+    for t in triples:
+        i, j, k = t
+        mask = lm[i] & rm[j] & ym[k]
+        if mask:
+            entry = (xr[j] - xl[i], t)
+            old = shortest.get(mask)
+            if old is None or entry < old:
+                shortest[mask] = entry
+    # a strict superset has a higher popcount, and domination is transitive,
+    # so every dominated set has a kept dominator visited before it
+    kept = []
+    for mask in sorted(shortest, key=int.bit_count, reverse=True):
+        length = shortest[mask][0]
+        for other, other_length in kept:
+            if mask | other == other and length >= other_length:
+                break
+        else:
+            kept.append((mask, length))
+    rows = sorted((shortest[mask][1], mask, length) for mask, length in kept)
+    cands = [Candidate(Segment(lefts[i], rights[j], levels[k]), mask) for (i, j, k), mask, _ in rows]
+    return cands, [length for _, _, length in rows]
+
+
 def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     """Keep one minimum-length candidate per distinct stab-set, drop dominated ones.
 
@@ -40,43 +85,32 @@ def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     equals that over the full list.  Ties resolve to the lexicographically
     smallest segment (by (xl, xr, y)) so the result is deterministic.
     """
-    def masks(values, test) -> dict:
-        return {v: sum(1 << i for i, r in enumerate(inst.rects) if test(r, v)) for v in values}
-
-    # a segment stabs exactly the rects with xl >= its xl, xr <= its xr and
-    # yb <= its y <= yt: one mask per distinct coordinate, ANDed per segment
-    lefts = masks({s.xl for s in cands}, lambda r, a: r.xl >= a)
-    rights = masks({s.xr for s in cands}, lambda r, b: r.xr <= b)
-    levels = masks({s.y for s in cands}, lambda r, y: r.yb <= y <= r.yt)
-    _, x = _integer_scale(lefts.keys() | rights.keys())
-    _, y = _integer_scale(levels.keys())
-
-    shortest: dict[int, tuple] = {}  # stab set -> (length, (xl, xr, y), segment), scaled
-    for seg in cands:
-        mask = lefts[seg.xl] & rights[seg.xr] & levels[seg.y]
-        if mask:
-            key = (x[seg.xl], x[seg.xr], y[seg.y])
-            entry = (key[1] - key[0], key, seg)
-            if mask not in shortest or entry[:2] < shortest[mask][:2]:
-                shortest[mask] = entry
-    pool = sorted(shortest.items(), key=lambda kv: kv[1][1])
-    return [
-        Candidate(seg, mask)
-        for mask, (length, _, seg) in pool
-        if not any(
-            other != mask and mask | other == other and length >= other_length
-            for other, (other_length, _, _) in pool
-        )
-    ]
+    lefts = sorted({s.xl for s in cands})
+    rights = sorted({s.xr for s in cands})
+    levels = sorted({s.y for s in cands})
+    left, right, level = ({v: r for r, v in enumerate(vs)} for vs in (lefts, rights, levels))
+    triples = [(left[s.xl], right[s.xr], level[s.y]) for s in cands]
+    return _reduce(inst, lefts, rights, levels, triples)[0]
 
 
 def _candidate_table(inst: Instance) -> tuple[list[Candidate], list[int], list[list[int]]]:
     """The reduced candidates of ``inst``, their lengths as integers over one
     common denominator, and per rect position the indices of the candidates
-    that stab it."""
-    cands = reduce_candidates(inst, candidate_segments(inst))
-    _, scaled = _integer_scale({c.segment.length for c in cands})
-    lengths = [scaled[c.segment.length] for c in cands]
+    that stab it.
+
+    The candidates are those of ``candidate_segments``, fed to the reduction
+    as rank triples: no segment is built for a candidate that is dropped.
+    """
+    lefts = sorted({r.xl for r in inst.rects})
+    rights = sorted({r.xr for r in inst.rects})
+    tops = sorted({r.yt for r in inst.rects})
+    triples = (
+        (i, j, k)
+        for i, a in enumerate(lefts)
+        for j in range(bisect_left(rights, a), len(rights))
+        for k in range(len(tops))
+    )
+    cands, lengths = _reduce(inst, lefts, rights, tops, triples)
     covering = [
         [ci for ci, c in enumerate(cands) if c.stab_set >> i & 1] for i in range(len(inst.rects))
     ]

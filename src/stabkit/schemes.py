@@ -74,6 +74,10 @@ class SchemeParams:
             klong = math.ceil(2 * (8 / mu**2 + 1 / mu))
         if klong < 1:
             raise ParameterError("klong must be at least 1")
+        if oracle_limit is not None and oracle_limit < 0:
+            raise ParameterError("oracle_limit must not be negative")
+        if node_budget is not None and node_budget < 0:
+            raise ParameterError("node_budget must not be negative")
         return cls(
             eps=eps,
             mu=mu,

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from stabkit import (
+    Candidate,
     CutResult,
     Instance,
     Rect,
@@ -53,6 +54,30 @@ def is_laminar_pairwise(inst: Instance) -> bool:
             if not (disjoint or nested):
                 return False
     return True
+
+
+def reduce_candidates_pairwise(inst: Instance, cands: list[Segment]) -> list[Candidate]:
+    """The reduced candidates by the definition: per distinct stab set the
+    smallest (length, xl, xr, y), then every set dropped that another set
+    contains at no greater length, tested against every other set.
+
+    Reference for ``reduce_candidates`` and ``oracle._candidate_table``.
+    """
+    shortest: dict[int, tuple] = {}  # stab set -> (length, xl, xr, y)
+    for s in cands:
+        mask = stab_mask(inst, s)
+        entry = (s.length, s.xl, s.xr, s.y)
+        if mask and (mask not in shortest or entry < shortest[mask]):
+            shortest[mask] = entry
+    pool = sorted(shortest.items(), key=lambda kv: kv[1][1:])
+    return [
+        Candidate(Segment(*entry[1:]), mask)
+        for mask, entry in pool
+        if not any(
+            other != mask and mask | other == other and entry[0] >= other_entry[0]
+            for other, other_entry in pool
+        )
+    ]
 
 
 def horizontal_cuts_all_levels(strip: Instance, eps: Fraction) -> CutResult:

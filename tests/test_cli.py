@@ -60,6 +60,18 @@ class TestSolve:
         # i1 has 3 rects; a limit of 0 is a limit like any other, not "unset"
         assert main(["solve", "--algo", "exact", "-i", i1_file, "--oracle-limit", limit]) == code
 
+    def test_cost_beyond_float_range(self, tmp_path, capsys):
+        # approx8 rounds the span outward to a power of two above 2^1024, the
+        # float limit; the summary line still carries the exact cost
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"rects": [{"xl": "1e308", "xr": "2e308", "yb": 0, "yt": 1}]}))
+        out = str(tmp_path / "sol.json")
+        assert main(["solve", "--algo", "approx8", "-i", str(path), "-o", out]) == 0
+        cost = json.loads(open(out).read())["cost"]
+        assert F(cost) > 2**1024
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"approx8: 1 segments, cost {cost} (3595386269724631")
+
     def test_missing_scheme_params(self, i1_file, capsys):
         assert main(["solve", "--algo", "ptas", "-i", i1_file]) == 2
 
@@ -279,6 +291,18 @@ class TestMalformedInput:
         # an empty instance goes through the same parameter checks as any other
         inst = self.write(tmp_path / "inst.json", {"rects": []})
         self.assert_rejected(["solve", "--algo", "qptas", "-i", inst, *flags], capsys)
+
+    @pytest.mark.parametrize("flags", [["--node-budget", "-1"], ["--oracle-limit", "-3"]])
+    def test_negative_qptas_limits(self, flags, i1_file, capsys):
+        self.assert_rejected(["solve", "--algo", "qptas", "-i", i1_file, "--eps", "1/2", *flags], capsys)
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
+    def test_output_past_the_digit_limit(self, command, tmp_path, capsys):
+        # 1e4300 loads, but 2e4300 - 1e4300 and the coordinates themselves
+        # print as more digits than Python converts an int to a string
+        inst = self.write(tmp_path / "inst.json", {"rects": [dict(self.RECT, xl="1e4300", xr="2e4300")]})
+        sol = self.write(tmp_path / "sol.json", {"segments": [{"xl": "1e4300", "xr": "2e4300", "y": "1"}]})
+        self.assert_rejected(self.command(command, inst, sol), capsys)
 
     def test_unwritable_output(self, i1_file, tmp_path, capsys):
         out = str(tmp_path / "no-such-dir" / "sol.json")

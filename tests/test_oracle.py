@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from stabkit import (
     Segment,
     candidate_segments,
     exact_opt,
+    gen_bounded_ratio,
+    gen_laminar,
     gen_uniform,
     greedy_cover,
     reduce_candidates,
@@ -16,8 +19,40 @@ from stabkit import (
     verify,
 )
 
+from stabkit.oracle import _candidate_table
+
 from .conftest import make_instance
-from .helpers import affine_instance, affine_solution, brute_force_opt, stab_mask
+from .helpers import (
+    affine_instance,
+    affine_solution,
+    brute_force_opt,
+    reduce_candidates_pairwise,
+    stab_mask,
+)
+
+GENERATORS = {
+    "uniform": gen_uniform,
+    "bounded": lambda n, seed: gen_bounded_ratio(n, Fraction(1, 2), seed),
+    "laminar": gen_laminar,
+}
+
+
+@st.composite
+def generated(draw):
+    gen = GENERATORS[draw(st.sampled_from(sorted(GENERATORS)))]
+    inst = gen(draw(st.integers(0, 12)), draw(st.integers(0, 99)))
+    return affine_instance(inst) if draw(st.booleans()) else inst
+
+
+@st.composite
+def tie_heavy(draw):
+    # a tiny integer grid: duplicate spans, flat rects (yb == yt) and
+    # identical rects under different ids are all common
+    rects = []
+    for _ in range(draw(st.integers(0, 9))):
+        xl, yb = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+        rects.append((xl, xl + draw(st.integers(1, 3)), yb, yb + draw(st.integers(0, 2))))
+    return make_instance(rects)
 
 
 class TestReduceCandidates:
@@ -40,6 +75,16 @@ class TestReduceCandidates:
         assert by_set[0b011] == 4  # stabs rects 1 and 2
         assert by_set[0b100] == 2  # stabs rect 3
 
+    @given(st.one_of(generated(), tie_heavy()), st.randoms(use_true_random=False))
+    def test_shuffled_off_grid_list_matches_reference(self, inst, rng):
+        # off-grid segments reach past rect edges or sit between levels; the
+        # kept rows must not depend on the order of the list
+        half = Fraction(1, 2)
+        cands = candidate_segments(inst)
+        cands += [Segment(s.xl - half, s.xr + half, s.y - half) for s in cands[::3]]
+        rng.shuffle(cands)
+        assert reduce_candidates(inst, cands) == reduce_candidates_pairwise(inst, cands)
+
     @given(st.integers(0, 60))
     def test_every_candidate_dominated_by_a_kept_one(self, seed):
         # the reduction is sound when each useful candidate is matched by a
@@ -55,6 +100,19 @@ class TestReduceCandidates:
                 assert any(
                     mask | c.stab_set == c.stab_set and c.segment.length <= seg.length for c in kept
                 ), seg
+
+
+@given(st.one_of(generated(), tie_heavy()))
+def test_candidate_table_matches_reference(inst):
+    cands, lengths, covering = _candidate_table(inst)
+    ref = reduce_candidates_pairwise(inst, candidate_segments(inst))
+    assert cands == ref
+    # integer lengths over one common denominator: one scale for every row
+    assert all(isinstance(length, int) for length in lengths)
+    assert len({Fraction(length) / c.segment.length for c, length in zip(ref, lengths)}) <= 1
+    assert covering == [
+        [ci for ci, c in enumerate(ref) if c.stab_set >> i & 1] for i in range(len(inst.rects))
+    ]
 
 
 @pytest.mark.parametrize("solver", [exact_opt, greedy_cover])

@@ -45,6 +45,15 @@ class TestSchemeParams:
         with pytest.raises(ParameterError):
             SchemeParams.derive(8, F(1, 2), mu=F(2))
 
+    @pytest.mark.parametrize("limits", [{"oracle_limit": -3}, {"node_budget": -1}])
+    def test_negative_limits_rejected(self, limits):
+        with pytest.raises(ParameterError):
+            SchemeParams.derive(8, F(1, 2), **limits)
+
+    def test_zero_limits_kept(self):
+        p = SchemeParams.derive(8, F(1, 2), oracle_limit=0, node_budget=0)
+        assert (p.oracle_limit, p.node_budget) == (0, 0)
+
 
 class TestSolveSmall:
     def test_i1_two_segments(self, i1):
