@@ -1,6 +1,6 @@
 """stabkit: stab axis-aligned rectangles with horizontal segments of minimum total length.
 
-Solvers: an exact subset-DP oracle for small instances, an exact dynamic
+Solvers: an exact branch-and-bound oracle for small instances, an exact dynamic
 program for laminar instances, an 8-approximation by rounding to a laminar
 instance, a PTAS for bounded width ratio, and a recursive QPTAS.  All
 arithmetic is exact rational.

@@ -1,18 +1,21 @@
 """Exact ground-truth solver and the classical greedy cover baseline.
 
 The exact solver treats the problem as weighted set cover: rectangles are
-elements, candidate segments are sets, and a subset dynamic program over
-rectangle bitmasks finds the minimum total length.  It is intentionally
-capped at small instance sizes and serves as the oracle for every
-approximation-ratio test in the suite.
+elements, candidate segments are sets, and a depth-first branch-and-bound,
+pruned by an LP-dual lower bound, finds the minimum total length.  The same
+search with a cap on the number of segments is the PTAS chunk solver.  The
+oracle is capped at small instance sizes and serves as the ground truth for
+every approximation-ratio test in the suite.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
+    BudgetError,
     Instance,
     OracleLimitError,
     Segment,
@@ -21,7 +24,7 @@ from .core import (
     _seg_key,
 )
 
-ORACLE_LIMIT = 20  # 2^20 subset-DP states; beyond this callers branch-and-bound
+ORACLE_LIMIT = 20  # exact_opt's default rect cap; qptas's exact leaf never runs with a lower one
 
 
 @dataclass(frozen=True)
@@ -117,40 +120,113 @@ def _candidate_table(inst: Instance) -> tuple[list[Candidate], list[int], list[l
     return cands, lengths, covering
 
 
+class _Budget:
+    def __init__(self, limit: int | None):
+        self.limit = limit
+        self.used = 0
+
+    def tick(self) -> None:
+        self.used += 1
+        if self.limit is not None and self.used > self.limit:
+            raise BudgetError(f"node budget of {self.limit} exhausted")
+
+
+def _dual_bound(uncovered: int, order, covering, lengths) -> int:
+    """A lower bound, on the table's integer scale, on the cost of stabbing
+    the rects in ``uncovered``: one dual-fitting pass for the set-cover LP
+    that raises each uncovered rect's dual, in ``order``, to the least slack
+    left among its candidates.  Weak duality makes it a bound in any order.
+    """
+    slack = lengths[:]
+    total = 0
+    for i in order:
+        if uncovered >> i & 1:
+            row = covering[i]
+            y = min([slack[ci] for ci in row])
+            if y:
+                total += y
+                for ci in row:
+                    slack[ci] -= y
+    return total
+
+
+def _greedy(cands: list[Candidate], lengths: list[int], full: int) -> list[int]:
+    """The indices greedy picks, in pick order: each time the candidate with
+    the most newly stabbed rects per unit length."""
+    covered = 0
+    picked: list[int] = []
+    while covered != full:
+        best = (0, 1, -1)  # (newly, length, index); ratio 0 loses to any newly > 0
+        for ci, (c, length) in enumerate(zip(cands, lengths)):
+            newly = (c.stab_set & ~covered).bit_count()
+            if newly == 0:
+                continue
+            # newly/length > best ratio, compared by cross-multiplication so
+            # zero lengths order correctly; candidates come in lexicographic
+            # order, so on equal ratio and length the incumbent stays
+            lhs = newly * best[1]
+            rhs = best[0] * length
+            if lhs > rhs or (lhs == rhs and length < best[1]):
+                best = (newly, length, ci)
+        covered |= cands[best[2]].stab_set
+        picked.append(best[2])
+    return picked
+
+
+def _branch_and_bound(
+    inst: Instance, cap: int | None = None, node_budget: int | None = None
+) -> Solution | None:
+    """The cheapest solution of at most ``cap`` segments (any number when
+    None), or None when there is none; BudgetError after ``node_budget`` nodes.
+
+    Depth-first over the candidate table: branch on the lowest unstabbed
+    rect, try its candidates in table order, prune when cost plus
+    ``_dual_bound`` reaches the incumbent.  That starts one above greedy's
+    cost (if greedy fits the cap) and yields only to strict improvements, so
+    the answer is the first optimal choice sequence: the one the subset DP
+    over rect bitmasks reconstructs.
+    """
+    cands, lengths, covering = _candidate_table(inst)
+    order = sorted(range(len(covering)), key=lambda i: (len(covering[i]), i))
+    seed = _greedy(cands, lengths, (1 << len(covering)) - 1)
+    fits = cap is None or len(seed) <= cap
+    best_cost = sum(lengths[ci] for ci in seed) + 1 if fits else math.inf
+    best = None
+    chosen: list[int] = []
+    budget = _Budget(node_budget)
+
+    def descend(uncovered: int, cost: int) -> None:
+        nonlocal best, best_cost
+        budget.tick()
+        if not uncovered:
+            if cost < best_cost:
+                best, best_cost = chosen[:], cost
+            return
+        if len(chosen) == cap or cost + _dual_bound(uncovered, order, covering, lengths) >= best_cost:
+            return
+        for ci in covering[(uncovered & -uncovered).bit_length() - 1]:
+            chosen.append(ci)
+            descend(uncovered & ~cands[ci].stab_set, cost + lengths[ci])
+            chosen.pop()
+
+    descend((1 << len(covering)) - 1, 0)
+    if best is None:
+        return None
+    return Solution(tuple(sorted((cands[ci].segment for ci in best), key=_seg_key)))
+
+
 def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
-    """Minimum-total-length solution via subset DP: dp[mask] = min over
-    candidates c covering the lowest set bit of dp[mask \\ c.stab_set] + |c|.
+    """Minimum-total-length solution, by ``_branch_and_bound`` without a cap.
 
     Raises OracleLimitError when the instance has more than `limit` rects.
-    Deterministic: candidates are scanned in canonical order and only strict
-    improvements replace the incumbent.
+    Deterministic: ties go to the optimum the subset DP would reconstruct.
     """
     n = len(inst.rects)
     if n == 0:
         return Solution(())
     if n > limit:
         raise OracleLimitError(f"instance has {n} rects, oracle limit is {limit}")
-
-    cands, lengths, covering = _candidate_table(inst)
-    size = 1 << n
-    dp = [0] * size
-    choice = [-1] * size
-    for mask in range(1, size):
-        low = (mask & -mask).bit_length() - 1
-        best = None
-        for ci in covering[low]:
-            val = dp[mask & ~cands[ci].stab_set] + lengths[ci]
-            if best is None or val < best:
-                best, choice[mask] = val, ci
-        dp[mask] = best
-
-    segments = []
-    mask = size - 1
-    while mask:
-        c = cands[choice[mask]]
-        segments.append(c.segment)
-        mask &= ~c.stab_set
-    return Solution(tuple(sorted(segments, key=_seg_key)))
+    return _branch_and_bound(inst)
 
 
 def greedy_cover(inst: Instance) -> Solution:
@@ -161,22 +237,5 @@ def greedy_cover(inst: Instance) -> Solution:
     the output is deterministic.  Guarantees the (1 + ln n) set-cover ratio.
     """
     cands, lengths, _ = _candidate_table(inst)
-    full = (1 << len(inst.rects)) - 1
-    covered = 0
-    picked: list[Segment] = []
-    while covered != full:
-        best = (0, 1, None)  # (newly, length, candidate); ratio 0 loses to any newly > 0
-        for c, length in zip(cands, lengths):
-            newly = (c.stab_set & ~covered).bit_count()
-            if newly == 0:
-                continue
-            # newly/length > best ratio, compared by cross-multiplication so
-            # zero lengths order correctly; candidates come in lexicographic
-            # order, so on equal ratio and length the incumbent stays
-            lhs = newly * best[1]
-            rhs = best[0] * length
-            if lhs > rhs or (lhs == rhs and length < best[1]):
-                best = (newly, length, c)
-        covered |= best[2].stab_set
-        picked.append(best[2].segment)
-    return Solution(tuple(picked))
+    picked = _greedy(cands, lengths, (1 << len(inst.rects)) - 1)
+    return Solution(tuple(cands[ci].segment for ci in picked))

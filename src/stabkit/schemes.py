@@ -23,21 +23,19 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import (
-    BudgetError,
     Instance,
     InfeasibleError,
     ParameterError,
     Segment,
     Solution,
     _open_unit,
-    _seg_key,
     as_scalar,
     ceil_log2,
     denormalize,
     normalize,
 )
 from .decompose import decompose
-from .oracle import ORACLE_LIMIT, _candidate_table, exact_opt, greedy_cover
+from .oracle import ORACLE_LIMIT, _branch_and_bound, _Budget, _candidate_table, exact_opt
 
 
 @dataclass(frozen=True)
@@ -101,77 +99,19 @@ class RunStats:
     normalized_cost: Fraction = field(default_factory=lambda: Fraction(0))
 
 
-class _Budget:
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self) -> None:
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            raise BudgetError(f"node budget of {self.limit} exhausted")
-
-
-def solve_small(
-    inst: Instance,
-    k: int,
-    node_budget: int | None = None,
-    oracle_limit: int = ORACLE_LIMIT,
-) -> Solution:
+def solve_small(inst: Instance, k: int, node_budget: int | None = None) -> Solution:
     """Exact optimum among solutions using at most k candidate segments.
 
-    Small instances delegate to the exact oracle; if its unrestricted optimum
-    fits in k segments it is also the k-restricted optimum.  Otherwise a
-    complete branch-and-bound runs: branch on the unstabbed rect with the
-    fewest covering candidates, prune on cost against the incumbent and on
-    depth k.  Never returns a silently suboptimal answer; an exhausted budget
+    The exact oracle's branch-and-bound with a cap of k segments: complete,
+    so it never returns a silently suboptimal answer; an exhausted budget
     raises BudgetError and an empty k-segment space raises InfeasibleError.
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
-    n = len(inst.rects)
-    if n == 0:
-        return Solution(())
-    if n <= oracle_limit:
-        sol = exact_opt(inst, limit=oracle_limit)
-        if len(sol.segments) <= k:
-            return sol
-        # optimum needs more than k segments: fall through to the restricted search
-
-    cands, lengths, covering = _candidate_table(inst)
-    budget = _Budget(node_budget)
-    best_cost: int | None = None
-    best_segments: tuple[Segment, ...] | None = None
-    seed = greedy_cover(inst)
-    if len(seed.segments) <= k:
-        # greedy picks from the same table, so its cost is a sum of table lengths
-        length_of = {c.segment: length for c, length in zip(cands, lengths)}
-        best_cost, best_segments = sum(map(length_of.get, seed.segments)), seed.segments
-
-    def descend(uncovered: int, chosen: list[int], cost: int) -> None:
-        nonlocal best_cost, best_segments
-        budget.tick()
-        if best_cost is not None and cost >= best_cost:
-            return
-        if uncovered == 0:
-            best_cost = cost
-            best_segments = tuple(cands[ci].segment for ci in chosen)
-            return
-        if len(chosen) >= k:
-            return
-        pivot = min(
-            (i for i in range(n) if uncovered >> i & 1),
-            key=lambda i: (len(covering[i]), i),
-        )
-        for ci in covering[pivot]:
-            chosen.append(ci)
-            descend(uncovered & ~cands[ci].stab_set, chosen, cost + lengths[ci])
-            chosen.pop()
-
-    descend((1 << n) - 1, [], 0)
-    if best_segments is None:
+    sol = _branch_and_bound(inst, k, node_budget)
+    if sol is None:
         raise InfeasibleError(f"no feasible solution uses at most {k} segments")
-    return Solution(tuple(sorted(best_segments, key=_seg_key)))
+    return sol
 
 
 def ptas(inst: Instance, eps, delta) -> Solution:

@@ -1,7 +1,8 @@
 """Independent reference implementations used as oracles by the tests.
 
 Nothing here shares code paths with the solvers under test beyond the plain
-data types and the stabbing predicate.
+data types and the stabbing predicate, except that the subset DP reads the
+candidate table, which the tests check against ``reduce_candidates_pairwise``.
 """
 
 import math
@@ -22,10 +23,12 @@ from stabkit import (
     stabs,
 )
 from stabkit.decompose import CUT_FACTOR
+from stabkit.oracle import _candidate_table
 
 
-def brute_force_opt(inst: Instance) -> Fraction:
-    """Minimum cover cost by exhaustive enumeration of candidate subsets.
+def brute_force_opt(inst: Instance, k: int | None = None) -> Fraction | None:
+    """Minimum cover cost by exhaustive enumeration of candidate subsets of
+    at most k segments (any number when k is None); None when there is none.
 
     A minimal optimal solution uses at most one segment per rectangle, so
     subsets up to size n suffice.  Exponential; keep n tiny.
@@ -34,13 +37,46 @@ def brute_force_opt(inst: Instance) -> Fraction:
         return Fraction(0)
     cands = candidate_segments(inst)
     best = None
-    for k in range(0, len(inst.rects) + 1):
-        for sub in combinations(cands, k):
-            if all(any(stabs(s, r) for s in sub) for r in inst.rects):
-                cost = sum((s.length for s in sub), Fraction(0))
+    size = len(inst.rects) if k is None else min(k, len(inst.rects))
+    for s in range(0, size + 1):
+        for sub in combinations(cands, s):
+            if all(any(stabs(seg, r) for seg in sub) for r in inst.rects):
+                cost = sum((seg.length for seg in sub), Fraction(0))
                 if best is None or cost < best:
                     best = cost
     return best
+
+
+def exact_opt_subset_dp(inst: Instance) -> Solution:
+    """Minimum-total-length solution by subset DP over rect bitmasks:
+    dp[mask] = min over candidates c stabbing the lowest set bit of
+    dp[mask \\ c.stab_set] + |c|, first strict improvement kept.
+
+    Reference for ``exact_opt``, which must return this very solution.  It
+    reads the candidate table the solvers use; 2^n states, so keep n small.
+    """
+    n = len(inst.rects)
+    if n == 0:
+        return Solution(())
+    cands, lengths, covering = _candidate_table(inst)
+    size = 1 << n
+    dp = [0] * size
+    choice = [-1] * size
+    for mask in range(1, size):
+        low = (mask & -mask).bit_length() - 1
+        best = None
+        for ci in covering[low]:
+            val = dp[mask & ~cands[ci].stab_set] + lengths[ci]
+            if best is None or val < best:
+                best, choice[mask] = val, ci
+        dp[mask] = best
+    segments = []
+    mask = size - 1
+    while mask:
+        c = cands[choice[mask]]
+        segments.append(c.segment)
+        mask &= ~c.stab_set
+    return Solution(tuple(sorted(segments, key=lambda s: (s.xl, s.xr, s.y))))
 
 
 def is_laminar_pairwise(inst: Instance) -> bool:

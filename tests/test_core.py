@@ -2,7 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stabkit import (
     Instance,
@@ -310,3 +310,49 @@ class TestJson:
             instance_from_json({"rects": [{"xl": "0", "xr": "1", "yb": "0"}]})
         with pytest.raises(ParameterError):
             solution_from_json({})
+
+
+# arbitrary JSON values, plus documents shaped like the wire formats whose
+# fields hold arbitrary values, so that the per-field checks are reached
+SCALAR_TEXT = st.sampled_from(["1/2", "0.75", "-3", "1/0", "1e4301", "nan", "inf", "2e-5", "", "e"])
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8), SCALAR_TEXT
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def wire_document(field, keys):
+    value = st.one_of(st.integers(-2, 4), SCALAR_TEXT, JSON_VALUES)
+    entry = st.one_of(
+        st.fixed_dictionaries({k: value for k in keys[1:]}, optional={keys[0]: value}),
+        st.dictionaries(st.sampled_from(keys), value, max_size=len(keys)),
+    )
+    return st.one_of(
+        JSON_VALUES,
+        st.fixed_dictionaries({field: st.one_of(JSON_VALUES, st.lists(entry, max_size=4))}),
+    )
+
+
+@settings(max_examples=200)
+@given(wire_document("rects", ["id", "xl", "xr", "yb", "yt"]))
+def test_instance_loader_returns_or_raises_parameter_error(obj):
+    try:
+        inst = instance_from_json(obj)
+    except ParameterError:
+        return
+    assert isinstance(inst, Instance)
+
+
+@settings(max_examples=200)
+@given(wire_document("segments", ["cost", "xl", "xr", "y"]))
+def test_solution_loader_returns_or_raises_parameter_error(obj):
+    try:
+        sol = solution_from_json(obj)
+    except ParameterError:
+        return
+    assert isinstance(sol, Solution)

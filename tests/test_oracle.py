@@ -8,6 +8,7 @@ from stabkit import (
     Instance,
     OracleLimitError,
     Segment,
+    approx8,
     candidate_segments,
     exact_opt,
     gen_bounded_ratio,
@@ -19,13 +20,14 @@ from stabkit import (
     verify,
 )
 
-from stabkit.oracle import _candidate_table
+from stabkit.oracle import _candidate_table, _dual_bound
 
 from .conftest import make_instance
 from .helpers import (
     affine_instance,
     affine_solution,
     brute_force_opt,
+    exact_opt_subset_dp,
     reduce_candidates_pairwise,
     stab_mask,
 )
@@ -38,9 +40,9 @@ GENERATORS = {
 
 
 @st.composite
-def generated(draw):
+def generated(draw, max_n=12):
     gen = GENERATORS[draw(st.sampled_from(sorted(GENERATORS)))]
-    inst = gen(draw(st.integers(0, 12)), draw(st.integers(0, 99)))
+    inst = gen(draw(st.integers(0, max_n)), draw(st.integers(0, 99)))
     return affine_instance(inst) if draw(st.booleans()) else inst
 
 
@@ -154,6 +156,12 @@ class TestExactOpt:
         inst = gen_uniform(seed % 3 + 1, seed)
         assert exact_opt(inst).cost == brute_force_opt(inst)
 
+    @given(st.one_of(generated(max_n=14), tie_heavy()))
+    def test_matches_subset_dp(self, inst):
+        # the whole solution, not just its cost: the search must land on the
+        # optimum the DP reconstructs, ties included
+        assert exact_opt(inst) == exact_opt_subset_dp(inst)
+
     def test_deterministic_bytes(self, i1):
         a = solution_to_json(exact_opt(i1))
         b = solution_to_json(exact_opt(i1))
@@ -190,3 +198,43 @@ class TestGreedy:
         assert opt.cost <= greedy.cost
         if opt.cost > 0:
             assert float(greedy.cost / opt.cost) <= 1 + math.log(n) + 1e-9
+
+
+def table_scale(cands, lengths) -> Fraction:
+    """The factor from segment lengths to the table's integer lengths."""
+    return next((Fraction(n) / c.segment.length for c, n in zip(cands, lengths) if n), Fraction(0))
+
+
+class TestDualBound:
+    def test_empty_uncovered_set(self, i1):
+        _, lengths, covering = _candidate_table(i1)
+        assert _dual_bound(0, range(3), covering, lengths) == 0
+
+    def test_i1_reaches_the_optimum(self, i1):
+        cands, lengths, covering = _candidate_table(i1)
+        assert _dual_bound(0b111, range(3), covering, lengths) == 6 * table_scale(cands, lengths)
+
+    @given(st.one_of(generated(), tie_heavy()))
+    def test_below_every_cover_of_the_instance(self, inst):
+        cands, lengths, covering = _candidate_table(inst)
+        n = len(inst.rects)
+        order = sorted(range(n), key=lambda i: (len(covering[i]), i))
+        bound = _dual_bound((1 << n) - 1, order, covering, lengths)
+        scale = table_scale(cands, lengths)
+        assert isinstance(bound, int)
+        assert bound <= exact_opt_subset_dp(inst).cost * scale
+        assert bound <= greedy_cover(inst).cost * scale
+        assert bound <= approx8(inst).cost * scale
+
+    @given(st.one_of(generated(), tie_heavy()), st.randoms(use_true_random=False))
+    def test_any_order_and_subset(self, inst, rng):
+        # the bound on a subset of rects holds for every visiting order, and
+        # the table covers any subset as cheaply as the subset's own table
+        cands, lengths, covering = _candidate_table(inst)
+        n = len(inst.rects)
+        order = list(range(n))
+        rng.shuffle(order)
+        uncovered = rng.getrandbits(n) if n else 0
+        part = Instance(tuple(r for i, r in enumerate(inst.rects) if uncovered >> i & 1))
+        bound = _dual_bound(uncovered, order, covering, lengths)
+        assert bound <= exact_opt_subset_dp(part).cost * table_scale(cands, lengths)

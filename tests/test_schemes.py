@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stabkit import (
     BudgetError,
@@ -25,7 +25,7 @@ from stabkit import (
 )
 
 from .conftest import make_instance
-from .helpers import affine_instance, affine_solution
+from .helpers import affine_instance, affine_solution, brute_force_opt
 
 
 class TestSchemeParams:
@@ -68,7 +68,7 @@ class TestSolveSmall:
     def test_infeasible_within_k(self):
         inst = make_instance([(0, 2, 0, 1), (4, 6, 5, 6)])  # y-disjoint: no single stab
         with pytest.raises(InfeasibleError):
-            solve_small(inst, 1, oracle_limit=0)
+            solve_small(inst, 1)
 
     def test_single_rect(self):
         inst = make_instance([(0, 4, 0, 2)])
@@ -80,15 +80,38 @@ class TestSolveSmall:
 
     def test_budget_error(self, i1):
         with pytest.raises(BudgetError):
-            solve_small(i1, 3, node_budget=1, oracle_limit=0)
+            solve_small(i1, 3, node_budget=1)
 
     @given(st.integers(0, 40))
     @settings(max_examples=40)
     def test_branch_and_bound_matches_oracle(self, seed):
         inst = gen_uniform(seed % 6 + 1, seed)
-        opt = exact_opt(inst)
-        sol = solve_small(inst, len(inst.rects), oracle_limit=0)
-        assert sol.cost == opt.cost
+        # a cover never needs more segments than rects, so the cap of n
+        # leaves the oracle's own optimum in reach
+        assert solve_small(inst, len(inst.rects)) == exact_opt(inst)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(1, 3), st.integers(0, 3), st.integers(0, 2)),
+            min_size=2,
+            max_size=5,
+        ),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=40)
+    def test_cap_below_the_optimum_matches_brute_force(self, rows, k):
+        # spread in x on a few y levels: one or two long segments often stab
+        # everything (or cannot), while the optimum uses more short ones
+        inst = make_instance([(x, x + w, y, y + h) for x, w, y, h in rows])
+        assume(len(exact_opt(inst).segments) > k)
+        want = brute_force_opt(inst, k)
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                solve_small(inst, k)
+        else:
+            sol = solve_small(inst, k)
+            assert len(sol.segments) <= k and verify(inst, sol).feasible
+            assert sol.cost == want
 
 
 class TestGuessLong:
