@@ -42,7 +42,25 @@ from .laminar import solve_laminar
 from .oracle import ORACLE_LIMIT, exact_opt, greedy_cover
 from .schemes import SchemeParams, ptas, qptas
 
-ALGOS = ("exact", "greedy", "laminar-dp", "approx8", "ptas", "qptas")
+# The one list of solver options: algorithm -> {option: (type, required)}.  A
+# type is Fraction (an exact scalar) or int.  `solve` takes an option as a flag
+# (--oracle-limit) and a bench algo entry as a key (oracle_limit); any option
+# an algorithm does not read is a parameter error.
+ALGO_OPTIONS: dict[str, dict[str, tuple[type, bool]]] = {
+    "exact": {"oracle_limit": (int, False)},
+    "greedy": {},
+    "laminar-dp": {},
+    "approx8": {},
+    "ptas": {"eps": (Fraction, True), "delta": (Fraction, True)},
+    "qptas": {
+        "eps": (Fraction, True),
+        "mu": (Fraction, False),
+        "klong": (int, False),
+        "oracle_limit": (int, False),
+        "node_budget": (int, False),
+    },
+}
+OPTION_TYPES = {name: kind for reads in ALGO_OPTIONS.values() for name, (kind, _) in reads.items()}
 
 
 def _read_json(path: str) -> dict:
@@ -75,11 +93,25 @@ def _render(build, *args):
         ) from exc
 
 
+def _check_options(algo, given) -> None:
+    """Reject an unknown algorithm, an option it does not read, or a missing
+    required one."""
+    if not isinstance(algo, str) or algo not in ALGO_OPTIONS:
+        raise ParameterError(f"unknown algorithm {algo!r}")
+    reads = ALGO_OPTIONS[algo]
+    for name in given:
+        if name not in reads:
+            raise ParameterError(f"{algo} does not read option {name!r}")
+    for name, (_, required) in reads.items():
+        if required and name not in given:
+            raise ParameterError(f"{algo} requires option {name!r}")
+
+
 def solve_with(algo: str, inst: Instance, opts: dict) -> Solution:
-    """Dispatch one solver run; shared by `solve` and `bench`."""
+    """Dispatch one solver run on the options given; shared by `solve` and `bench`."""
+    _check_options(algo, opts)
     if algo == "exact":
-        limit = opts.get("oracle_limit")
-        return exact_opt(inst, limit=ORACLE_LIMIT if limit is None else limit)
+        return exact_opt(inst, limit=opts.get("oracle_limit", ORACLE_LIMIT))
     if algo == "greedy":
         return greedy_cover(inst)
     if algo == "laminar-dp":
@@ -87,34 +119,13 @@ def solve_with(algo: str, inst: Instance, opts: dict) -> Solution:
     if algo == "approx8":
         return approx8(inst)
     if algo == "ptas":
-        if opts.get("eps") is None or opts.get("delta") is None:
-            raise ParameterError("ptas requires --eps and --delta")
-        return ptas(inst, opts["eps"], opts["delta"])
-    if algo == "qptas":
-        if opts.get("eps") is None:
-            raise ParameterError("qptas requires --eps")
-        params = SchemeParams.derive(
-            len(inst.rects),
-            opts["eps"],
-            mu=opts.get("mu"),
-            klong=opts.get("klong"),
-            oracle_limit=opts.get("oracle_limit"),
-            node_budget=opts.get("node_budget"),
-        )
-        return qptas(inst, opts["eps"], params=params)
-    raise ParameterError(f"unknown algorithm {algo!r}")
+        return ptas(inst, **opts)
+    return qptas(inst, opts["eps"], params=SchemeParams.derive(len(inst.rects), **opts))
 
 
 def cmd_solve(args) -> int:
     inst = instance_from_json(_read_json(args.input))
-    opts = {
-        "eps": args.eps,
-        "delta": args.delta,
-        "mu": args.mu,
-        "klong": args.klong,
-        "oracle_limit": args.oracle_limit,
-        "node_budget": args.node_budget,
-    }
+    opts = {name: getattr(args, name) for name in OPTION_TYPES if getattr(args, name) is not None}
     sol = solve_with(args.algo, inst, opts)
     if args.shrink:
         sol = shrink_solution(inst, sol)
@@ -148,18 +159,21 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+KINDS = ("uniform", "laminar", "bounded")
+
+
 def _gen_instance(kind, n: int, seed: int, delta) -> Instance:
-    """One seeded instance of a generator kind; shared by `gen` and `bench`."""
+    """One seeded instance of a generator kind from KINDS; shared by `gen` and `bench`."""
     if kind == "uniform":
         return gen_uniform(n, seed)
     if kind == "laminar":
         return gen_laminar(n, seed)
-    if kind == "bounded":
-        return gen_bounded_ratio(n, as_scalar(delta) if delta is not None else Fraction(1, 2), seed)
-    raise ParameterError(f"unknown generator kind {kind!r}")
+    return gen_bounded_ratio(n, as_scalar(delta) if delta is not None else Fraction(1, 2), seed)
 
 
 def cmd_gen(args) -> int:
+    if args.delta is not None and args.kind != "bounded":
+        raise ParameterError("--delta applies only to --kind bounded")
     _write_json(args.output, instance_to_json(_gen_instance(args.kind, args.n, args.seed, args.delta)))
     return 0
 
@@ -171,18 +185,29 @@ def cmd_gen(args) -> int:
 CSV_COLUMNS = ["instance_id", "n", "seed", "algo", "params", "cost", "opt", "ratio", "feasible", "millis"]
 
 
-def _algo_opts(algo_entry: dict, what: str) -> dict:
+def _known_keys(entry: dict, keys, what: str) -> None:
+    for key in entry:
+        if key not in keys:
+            raise ParameterError(f"{what} has no key {key!r}")
+
+
+def _algo_opts(algo_entry: dict, what: str) -> tuple[str, dict]:
+    """(name, options) of a bench algo entry, checked and parsed."""
+    if "name" not in algo_entry:
+        raise ParameterError(f'{what} has no "name"')
+    algo = algo_entry["name"]
+    given = {key: value for key, value in algo_entry.items() if key != "name"}
+    _check_options(algo, given)
     opts = {}
-    for key in ("eps", "delta", "mu"):
-        if key in algo_entry:
-            opts[key] = as_scalar(algo_entry[key])
-    for key in ("klong", "oracle_limit", "node_budget"):
-        if key in algo_entry:
-            opts[key] = _json_int(algo_entry[key], f"{what}: {key}")
-    return opts
+    for key, value in given.items():
+        if ALGO_OPTIONS[algo][key][0] is int:
+            opts[key] = _json_int(value, f"{what}: {key}")
+        else:
+            opts[key] = as_scalar(value)
+    return algo, opts
 
 
-def _declared_bound(algo: str, opts: dict, n: int) -> Fraction | float | None:
+def _declared_bound(algo: str, opts: dict, n: int) -> Fraction | float:
     """Worst-case cost/opt ratio the bench enforces per algorithm."""
     if algo in ("exact", "laminar-dp"):
         return Fraction(1)
@@ -192,9 +217,7 @@ def _declared_bound(algo: str, opts: dict, n: int) -> Fraction | float | None:
         return 1 + math.log(n) if n >= 1 else 1.0
     if algo == "ptas":
         return 1 + 17 * opts["eps"]
-    if algo == "qptas":
-        return 1 + opts["eps"]
-    return None
+    return 1 + opts["eps"]  # qptas
 
 
 def _bench_row(
@@ -228,12 +251,11 @@ def _bench_row(
         ratio = sol.cost / opt
         row["ratio"] = f"{float(ratio):.6f}"
         bound = _declared_bound(algo, opts, n)
-        if bound is not None:
-            exceeded = float(ratio) > float(bound) + 1e-9 if isinstance(bound, float) else ratio > bound
-            if exceeded:
-                raise InfeasibleError(
-                    f"{algo} ratio {float(ratio):.6f} exceeds declared bound {float(bound):.6f} on {instance_id}"
-                )
+        exceeded = float(ratio) > float(bound) + 1e-9 if isinstance(bound, float) else ratio > bound
+        if exceeded:
+            raise InfeasibleError(
+                f"{algo} ratio {float(ratio):.6f} exceeds declared bound {float(bound):.6f} on {instance_id}"
+            )
     elif opt is not None and opt == 0:
         row["ratio"] = "1.000000" if sol.cost == 0 else ""
     return row
@@ -246,15 +268,19 @@ def run_bench(suite: dict) -> tuple[list[dict], str]:
     the bench run: it signals a solver bug, not a bad measurement.
     """
     # validate the whole suite before running anything
-    algos = []
-    for pos, entry in enumerate(_json_entries(suite, "algos", "bench suite"), start=1):
-        if "name" not in entry:
-            raise ParameterError(f'algo #{pos} has no "name"')
-        algos.append((entry["name"], _algo_opts(entry, f"algo #{pos}")))
+    algos = [
+        _algo_opts(entry, f"algo #{pos}")
+        for pos, entry in enumerate(_json_entries(suite, "algos", "bench suite"), start=1)
+    ]
+    _known_keys(suite, ("oracle_limit", "instances", "algos"), "bench suite")
     oracle_limit = _json_int(suite.get("oracle_limit", 15), "oracle_limit")
     instances = []
     for pos, entry in enumerate(_json_entries(suite, "instances", "bench suite"), start=1):
         kind = entry.get("kind", "uniform")
+        if kind not in KINDS:
+            raise ParameterError(f"instance #{pos}: unknown generator kind {kind!r}")
+        keys = ("kind", "n", "seeds", "delta") if kind == "bounded" else ("kind", "n", "seeds")
+        _known_keys(entry, keys, f"instance #{pos}")
         n = _json_int(entry.get("n"), f"instance #{pos}: n")
         seeds = entry.get("seeds", [0])
         if not isinstance(seeds, list):
@@ -319,15 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
-    p_solve.add_argument("--algo", required=True, choices=ALGOS)
+    p_solve.add_argument("--algo", required=True, choices=tuple(ALGO_OPTIONS))
     p_solve.add_argument("-i", "--input", required=True)
     p_solve.add_argument("-o", "--output", default=None)
-    p_solve.add_argument("--eps", type=_scalar_arg, default=None)
-    p_solve.add_argument("--delta", type=_scalar_arg, default=None)
-    p_solve.add_argument("--mu", type=_scalar_arg, default=None)
-    p_solve.add_argument("--klong", type=int, default=None)
-    p_solve.add_argument("--oracle-limit", type=int, default=None)
-    p_solve.add_argument("--node-budget", type=int, default=None)
+    for name, kind in OPTION_TYPES.items():
+        p_solve.add_argument("--" + name.replace("_", "-"), type=_scalar_arg if kind is Fraction else int)
     p_solve.add_argument("--shrink", action="store_true", help="shrink segments onto their assigned rects")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -343,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decompose)
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance")
-    p_gen.add_argument("--kind", required=True, choices=("uniform", "laminar", "bounded"))
+    p_gen.add_argument("--kind", required=True, choices=KINDS)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--delta", type=_scalar_arg, default=None)

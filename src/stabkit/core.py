@@ -31,11 +31,6 @@ class OracleLimitError(RuntimeError):
 class BudgetError(RuntimeError):
     """Search budget exhausted before the run could be certified."""
 
-    def __init__(self, message: str, best_so_far=None):
-        super().__init__(message)
-        self.best_so_far = best_so_far
-        self.certified = False
-
 
 class InfeasibleError(RuntimeError):
     """No feasible solution exists within the requested search space."""

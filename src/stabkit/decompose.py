@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx8 import approx8
-from .core import Instance, ParameterError, Rect, Segment, Solution, _open_unit, as_scalar, instance_to_json
+from .core import Instance, ParameterError, Rect, Segment, Solution, _open_unit, as_scalar
+from .core import instance_to_json, solution_to_json
 
 CUT_FACTOR = 8
 
@@ -63,12 +64,9 @@ def crossing_rects(inst: Instance, z: Fraction, spacing: Fraction) -> list[Rect]
     A rect touching a line only at its boundary is not crossed; it belongs
     wholly to one strip.
     """
-    hit = []
-    for r in inst.rects:
-        first = math.floor((r.xl - z) / spacing) + 1  # lowest i with line > xl
-        if z + first * spacing < r.xr:
-            hit.append(r)
-    return hit
+    # the first line right of xl lies (z - xl) mod spacing past it, or a full
+    # spacing past it when a line runs along xl
+    return [r for r in inst.rects if ((z - r.xl) % spacing or spacing) < r.width]
 
 
 def strip_partition(inst: Instance, eps) -> StripPartition:
@@ -109,12 +107,7 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
     return StripPartition(tuple(cover.segments), strips, z_star, spacing)
 
 
-def horizontal_cuts(
-    strip: Instance,
-    eps,
-    width=None,
-    span: tuple[Fraction, Fraction] | None = None,
-) -> CutResult:
+def horizontal_cuts(strip: Instance, eps, width, span: tuple[Fraction, Fraction]) -> CutResult:
     """Sweep cut heights bottom-up and slice the strip into cheap chunks.
 
     At each distinct top edge z the sweep prices the rectangles lying entirely
@@ -126,20 +119,15 @@ def horizontal_cuts(
     an upper bound on the chunk's optimum.  Total cut length is at most
     eps * OPT of the strip.
 
-    ``width`` defaults to the strip's own max width; callers decomposing a
-    larger instance pass the global one.  ``span`` fixes the cut extent
-    (defaults to the strip's bounding x-range).
+    ``width`` is the max width w of the instance being decomposed and
+    ``span`` the x-range every cut spans; it must contain the strip.
     """
     eps = _open_unit(eps, "eps")
     if not strip.rects:
         return CutResult((), (), ())
-    w = as_scalar(width) if width is not None else strip.max_width
-    lo = min(r.xl for r in strip.rects)
-    hi = max(r.xr for r in strip.rects)
-    if span is None:
-        span = (lo, hi)
+    w = as_scalar(width)
     x0, x1 = span
-    if x0 > lo or hi > x1:
+    if x0 > min(r.xl for r in strip.rects) or max(r.xr for r in strip.rects) > x1:
         raise ParameterError("span does not contain the strip")
     if x1 - x0 > w / eps:
         raise ParameterError("strip exceeds the allowed width max_width/eps")
@@ -181,9 +169,7 @@ def decompose(inst: Instance, eps) -> Decomposition:
     subs: list[Instance] = []
     bounds: list[Fraction] = []
     for strip in parts.strips:
-        cut = horizontal_cuts(
-            strip.instance, eps, width=inst.max_width, span=(strip.x0, strip.x1)
-        )
+        cut = horizontal_cuts(strip.instance, eps, inst.max_width, (strip.x0, strip.x1))
         paid.extend(cut.segments)
         subs.extend(cut.chunks)
         bounds.extend(cut.observed_costs)
@@ -191,12 +177,10 @@ def decompose(inst: Instance, eps) -> Decomposition:
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
+    paid = solution_to_json(Solution(dec.paid_segments))
     return {
-        "paid_segments": [
-            {"xl": str(s.xl), "xr": str(s.xr), "y": str(s.y)}
-            for s in dec.paid_segments
-        ],
-        "paid_cost": str(sum((s.length for s in dec.paid_segments), Fraction(0))),
+        "paid_segments": paid["segments"],
+        "paid_cost": paid["cost"],
         "sub_instances": [instance_to_json(sub) for sub in dec.sub_instances],
         "opt_upper_bounds": [str(b) for b in dec.opt_upper_bounds],
     }

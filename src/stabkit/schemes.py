@@ -40,20 +40,19 @@ from .oracle import ORACLE_LIMIT, _branch_and_bound, _Budget, _candidate_table, 
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Resolved parameters for one scheme run.
+    """Resolved parameters for one scheme run; ``derive`` sets every default.
 
     ``mu`` is the per-level decomposition accuracy eps / (17 * (d + 1)), where
     d = ceil(log2(n/eps)) is the number of levels the width scale can halve
     through; ``klong`` the cap on long segments per guess.  Either may be
     overridden for desk-scale runs; the certified approximation factor then
-    follows the overridden values.
+    follows the overridden values.  ``node_budget`` None means no budget.
     """
 
-    eps: Fraction
-    mu: Fraction | None = None
-    klong: int | None = None
-    oracle_limit: int = ORACLE_LIMIT
-    node_budget: int | None = None
+    mu: Fraction
+    klong: int
+    oracle_limit: int
+    node_budget: int | None
 
     @classmethod
     def derive(
@@ -72,17 +71,13 @@ class SchemeParams:
             klong = math.ceil(2 * (8 / mu**2 + 1 / mu))
         if klong < 1:
             raise ParameterError("klong must be at least 1")
-        if oracle_limit is not None and oracle_limit < 0:
+        if oracle_limit is None:
+            oracle_limit = ORACLE_LIMIT
+        if oracle_limit < 0:
             raise ParameterError("oracle_limit must not be negative")
         if node_budget is not None and node_budget < 0:
             raise ParameterError("node_budget must not be negative")
-        return cls(
-            eps=eps,
-            mu=mu,
-            klong=klong,
-            oracle_limit=oracle_limit if oracle_limit is not None else ORACLE_LIMIT,
-            node_budget=node_budget,
-        )
+        return cls(mu=mu, klong=klong, oracle_limit=oracle_limit, node_budget=node_budget)
 
 
 @dataclass

@@ -120,8 +120,9 @@ def horizontal_cuts_all_levels(strip: Instance, eps: Fraction) -> CutResult:
     """The horizontal-cut sweep that prices the rects below every distinct y
     level, bottom edges included, and prices the final chunk once more.
 
-    Reference for ``horizontal_cuts`` with its default width and span (the
-    strip's own); the pricing is the same ``approx8``.
+    Reference for ``horizontal_cuts`` given the strip's own max width and
+    x-range (``strip_span``) as its width and span; the pricing is the same
+    ``approx8``.
     """
     threshold = CUT_FACTOR * strip.max_width / eps**2
     x0 = min(r.xl for r in strip.rects)
@@ -149,6 +150,25 @@ def horizontal_cuts_all_levels(strip: Instance, eps: Fraction) -> CutResult:
             costs.append(cost)
         remaining = [r for r in remaining if r.yb > z]
     return CutResult(tuple(cuts), tuple(chunks), tuple(costs))
+
+
+def strip_span(strip: Instance) -> tuple[Fraction, Fraction]:
+    """The x-range from the leftmost to the rightmost edge of the strip."""
+    return min(r.xl for r in strip.rects), max(r.xr for r in strip.rects)
+
+
+def crossing_rects_floor(inst: Instance, z: Fraction, spacing: Fraction) -> list[Rect]:
+    """Rects crossed by some line x = z + i * spacing, found by locating the
+    lowest line right of each left edge with a floor division.
+
+    Reference for ``crossing_rects``, which uses one residue test instead.
+    """
+    hit = []
+    for r in inst.rects:
+        first = math.floor((r.xl - z) / spacing) + 1  # lowest i with line > xl
+        if z + first * spacing < r.xr:
+            hit.append(r)
+    return hit
 
 
 def stab_mask(inst: Instance, s: Segment) -> int:

@@ -42,6 +42,8 @@ from stabkit import (
     verify,
 )
 
+from .helpers import strip_span
+
 
 def report(criterion: str, detail: str) -> None:
     print(f"PASS  {criterion}: {detail}")
@@ -141,7 +143,7 @@ def test_c4_horizontal_cuts_bound():
     for seed in range(50):
         n = 8 + seed % 3
         inst = gen_uniform(n, seed, cfg)
-        cut = horizontal_cuts(inst, eps)
+        cut = horizontal_cuts(inst, eps, inst.max_width, strip_span(inst))
         total = sum((s.length for s in cut.segments), F(0))
         opt = exact_opt(inst).cost
         assert total <= eps * opt, f"seed {seed}: cuts {total} above eps*opt"

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from stabkit import OracleLimitError, instance_to_json, solution_from_json
-from stabkit.cli import main, run_bench
+from stabkit import OracleLimitError, ParameterError, instance_to_json, solution_from_json
+from stabkit.cli import ALGO_OPTIONS, OPTION_TYPES, main, run_bench
 
 from .conftest import make_instance
 
@@ -92,6 +92,76 @@ class TestSolve:
             "--eps", "1/2", "--mu", "1/2", "--oracle-limit", "0", "--node-budget", "2",
         ])
         assert code == 3
+
+
+# every (algorithm, option) pair the option table does not list
+UNREAD = [(algo, name) for algo, reads in ALGO_OPTIONS.items() for name in OPTION_TYPES if name not in reads]
+# a well-formed value per option: exact scalars below 1, integers
+VALUES = {name: "1/2" if kind is F else 3 for name, kind in OPTION_TYPES.items()}
+
+
+def required(algo):
+    return {name: VALUES[name] for name, (_, req) in ALGO_OPTIONS[algo].items() if req}
+
+
+class TestOptionTable:
+    """An option an algorithm does not read exits 2, naming the option."""
+
+    def test_table_leaves_28_pairs_unread(self):
+        assert len(UNREAD) == 28
+
+    @pytest.mark.parametrize("algo,name", UNREAD)
+    def test_unread_option_through_solve(self, algo, name, i1_file, tmp_path, capsys):
+        flags = [
+            arg
+            for key, value in {**required(algo), name: VALUES[name]}.items()
+            for arg in ("--" + key.replace("_", "-"), str(value))
+        ]
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--algo", algo, "-i", i1_file, "-o", str(out), *flags]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert repr(name) in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo,name", UNREAD)
+    def test_unread_option_in_bench_algo(self, algo, name, tmp_path, capsys):
+        suite = {
+            "instances": [{"kind": "uniform", "n": 3, "seeds": [1]}],
+            "algos": [{"name": "greedy"}, {"name": algo, **required(algo), name: VALUES[name]}],
+        }
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps(suite))
+        out = tmp_path / "report.csv"
+        assert main(["bench", "-c", str(cfg), "-o", str(out), "-m", str(tmp_path / "s.md")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert repr(name) in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            {"instances": [{"kind": "uniform", "n": 5, "seed": [3, 4]}], "algos": [{"name": "greedy"}]},
+            {"instances": [{"kind": "uniform", "n": 5}], "algos": [{"name": "qptas", "eps": "1/2", "klng": 4}]},
+            {"oracl_limit": 4, "instances": [{"kind": "uniform", "n": 5}], "algos": [{"name": "greedy"}]},
+            {"instances": [{"kind": "uniform", "n": 5, "delta": "1/2"}], "algos": [{"name": "greedy"}]},
+            {"instances": [{"kind": "uniform", "n": 5}], "algos": [{"name": "greedy"}, {"name": "simplex"}]},
+            {"instances": [{"kind": "uniform", "n": 5}], "algos": [{"name": "greedy"}, {"name": "ptas", "eps": "1/2"}]},
+        ],
+        ids=["seed", "klng", "oracl_limit", "uniform-delta", "unknown-algo", "ptas-without-delta"],
+    )
+    def test_bad_suite_runs_nothing(self, suite, monkeypatch):
+        import stabkit.cli
+
+        ran = []
+        monkeypatch.setattr(stabkit.cli, "solve_with", lambda *args: ran.append(args))
+        with pytest.raises(ParameterError):
+            run_bench(suite)
+        assert ran == []
+
+    def test_gen_delta_only_for_bounded(self, capsys):
+        assert main(["gen", "--kind", "laminar", "--n", "4", "--seed", "1", "--delta", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
 
 
 class TestVerify:
@@ -229,6 +299,8 @@ class TestMalformedInput:
             "algos": [{"name": "qptas", "eps": "1/2", "node_budget": True}],
         },
         "unknown-kind": {"instances": [dict(INSTANCE, kind="spiral")], "algos": [ALGO]},
+        # an entry that generates nothing is still checked
+        "unknown-kind-no-seeds": {"instances": [dict(INSTANCE, kind="spiral", seeds=[])], "algos": [ALGO]},
     }
     BAD_SOLUTIONS = {
         "invalid-json": "[",

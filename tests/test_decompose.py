@@ -19,7 +19,7 @@ from stabkit import (
 )
 
 from .conftest import make_instance
-from .helpers import horizontal_cuts_all_levels
+from .helpers import crossing_rects_floor, horizontal_cuts_all_levels, strip_span
 
 
 def stacked_units(count, x0=0):
@@ -74,6 +74,18 @@ class TestStripPartition:
                 assert parts.offset <= z
             k += 1
 
+    @given(
+        st.fractions(-8, 8, max_denominator=4),
+        st.fractions(F(1, 4), 8, max_denominator=4),
+        st.fractions(F(1, 4), 8, max_denominator=4),
+        st.fractions(-8, 8, max_denominator=4),
+    )
+    def test_crossing_residue_matches_floor_reference(self, xl, width, spacing, z):
+        # any shift and any positive spacing, also one below the rect's width;
+        # a coarse grid makes lines on the rect's edges common
+        inst = make_instance([(xl, xl + width, 0, 1)])
+        assert crossing_rects(inst, z, spacing) == crossing_rects_floor(inst, z, spacing)
+
     def test_tie_between_crossed_sets_goes_to_smallest_shift(self):
         # every shift crosses one or two of these y-separated unit rects, and
         # the three singleton sets cost the same; shift 0 crosses only rect 3
@@ -103,7 +115,7 @@ class TestStripPartition:
 
 class TestHorizontalCuts:
     def test_cheap_strip_single_chunk(self, i1, half):
-        cut = horizontal_cuts(i1, half)
+        cut = horizontal_cuts(i1, half, i1.max_width, strip_span(i1))
         assert cut.segments == ()
         assert cut.chunks == (i1,)
         assert cut.observed_costs == (approx8(i1).cost,)
@@ -112,7 +124,7 @@ class TestHorizontalCuts:
         # 18 stacked unit rects, threshold 8*1/(1/2)^2 = 32: the sweep prices
         # 2 per rect, triggers at the 17th top edge with value 34
         inst = stacked_units(18)
-        cut = horizontal_cuts(inst, F(1, 2))
+        cut = horizontal_cuts(inst, F(1, 2), inst.max_width, strip_span(inst))
         assert len(cut.segments) == 1
         assert cut.segments[0].y == 33
         assert [len(c.rects) for c in cut.chunks] == [16, 1]
@@ -121,16 +133,16 @@ class TestHorizontalCuts:
 
     def test_cut_spans_given_range(self):
         inst = stacked_units(18)
-        cut = horizontal_cuts(inst, F(1, 2), span=(F(0), F(2)))
+        cut = horizontal_cuts(inst, F(1, 2), inst.max_width, (F(0), F(2)))
         assert cut.segments[0].xl == 0 and cut.segments[0].xr == 2
 
     def test_precondition_extent(self):
         inst = make_instance([(0, 1, 0, 1), (10, 11, 0, 1)])
         with pytest.raises(ParameterError):
-            horizontal_cuts(inst, F(1, 2))  # extent 11 > w/eps = 2
+            horizontal_cuts(inst, F(1, 2), inst.max_width, strip_span(inst))  # extent 11 > w/eps = 2
 
     def test_empty(self):
-        cut = horizontal_cuts(Instance(()), F(1, 2))
+        cut = horizontal_cuts(Instance(()), F(1, 2), F(1), (F(0), F(1)))
         assert cut.segments == () and cut.chunks == ()
 
     @given(st.integers(0, 30))
@@ -143,7 +155,7 @@ class TestHorizontalCuts:
                       w_min=F(9, 8), w_max=F(9, 8), h_max=F(1, 2), resolution=8),
         )
         eps = F(1, 2)
-        cut = horizontal_cuts(inst, eps)
+        cut = horizontal_cuts(inst, eps, inst.max_width, strip_span(inst))
         total = sum((s.length for s in cut.segments), F(0))
         assert total <= eps * exact_opt(inst).cost
         threshold = 8 * inst.max_width / eps**2
@@ -158,7 +170,8 @@ class TestHorizontalCuts:
             w_min=F(9, 8), w_max=F(9, 8), h_max=F(1, 2), resolution=8,
         )
         inst = gen_uniform(n, seed, cfg)
-        assert horizontal_cuts(inst, F(1, 2)) == horizontal_cuts_all_levels(inst, F(1, 2))
+        cut = horizontal_cuts(inst, F(1, 2), inst.max_width, strip_span(inst))
+        assert cut == horizontal_cuts_all_levels(inst, F(1, 2))
 
 
 class TestDecompose:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -49,6 +50,14 @@ class TestSchemeParams:
     def test_negative_limits_rejected(self, limits):
         with pytest.raises(ParameterError):
             SchemeParams.derive(8, F(1, 2), **limits)
+
+    def test_four_fields_without_defaults(self):
+        # derive is the one place that sets defaults; qptas's eps is the only eps
+        assert [f.name for f in dataclasses.fields(SchemeParams)] == ["mu", "klong", "oracle_limit", "node_budget"]
+        with pytest.raises(TypeError):
+            SchemeParams(F(1, 2))
+        p = SchemeParams.derive(8, F(1, 2), mu=F(1, 2))
+        assert p.klong == math.ceil(2 * (8 / F(1, 2) ** 2 + 2)) and p.node_budget is None
 
     def test_zero_limits_kept(self):
         p = SchemeParams.derive(8, F(1, 2), oracle_limit=0, node_budget=0)
