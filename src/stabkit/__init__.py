@@ -18,7 +18,6 @@ from .core import (
     Segment,
     Solution,
     Transform,
-    TransformError,
     VerifyReport,
     as_scalar,
     candidate_segments,
@@ -74,7 +73,6 @@ __all__ = [
     "Strip",
     "StripPartition",
     "Transform",
-    "TransformError",
     "VerifyReport",
     "approx8",
     "as_scalar",

@@ -25,7 +25,6 @@ from .core import (
     OracleLimitError,
     ParameterError,
     Solution,
-    TransformError,
     _json_entries,
     _json_int,
     as_scalar,
@@ -274,6 +273,8 @@ def run_bench(suite: dict) -> tuple[list[dict], str]:
     ]
     _known_keys(suite, ("oracle_limit", "instances", "algos"), "bench suite")
     oracle_limit = _json_int(suite.get("oracle_limit", 15), "oracle_limit")
+    if oracle_limit < 0:
+        raise ParameterError(f"oracle_limit must not be negative, got {oracle_limit}")
     instances = []
     for pos, entry in enumerate(_json_entries(suite, "instances", "bench suite"), start=1):
         kind = entry.get("kind", "uniform")
@@ -388,7 +389,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
-    except (OracleLimitError, TransformError) as exc:
+    except OracleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # an output file that cannot be written

@@ -13,6 +13,7 @@ cost comparisons are exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,10 +35,6 @@ class BudgetError(RuntimeError):
 
 class InfeasibleError(RuntimeError):
     """No feasible solution exists within the requested search space."""
-
-
-class TransformError(RuntimeError):
-    """A solution refers to coordinates the transform never produced."""
 
 
 def as_scalar(value) -> Fraction:
@@ -197,15 +194,13 @@ class Solution:
 class Transform:
     """Record of instance normalization, sufficient to map a solution back.
 
-    Forward map: x' = (x - x_shift) * x_scale, y' = compressed level per
-    ``y_map`` (pairs of (original, compressed), strictly increasing in both).
+    Forward map: x' = (x - x_shift) * x_scale; y is left as it is.
     ``presolved`` holds (rect id, segment) pairs for rectangles stabbed
     greedily during normalization, in normalized coordinates.
     """
 
     x_scale: Fraction
     x_shift: Fraction
-    y_map: tuple[tuple[Fraction, Fraction], ...]
     presolved: tuple[tuple[int, Segment], ...]
 
     def __post_init__(self):
@@ -214,7 +209,7 @@ class Transform:
 
     @classmethod
     def identity(cls) -> "Transform":
-        return cls(Fraction(1), Fraction(0), (), ())
+        return cls(Fraction(1), Fraction(0), ())
 
 
 @dataclass(frozen=True)
@@ -246,6 +241,25 @@ def verify(inst: Instance, sol: Solution) -> VerifyReport:
     return VerifyReport(feasible=not unstabbed, unstabbed_ids=unstabbed, recomputed_cost=cost)
 
 
+def _candidate_grid(inst: Instance):
+    """(lefts, rights, tops, triples): the sorted distinct left edges, right
+    edges and top edges of ``inst``, and a lazy iterator over the rank triples
+    ``(i, j, k)`` with ``lefts[i] <= rights[j]``, in lexicographic order.
+
+    Each triple names the candidate segment ``[lefts[i], rights[j]] x tops[k]``.
+    """
+    lefts = sorted({r.xl for r in inst.rects})
+    rights = sorted({r.xr for r in inst.rects})
+    tops = sorted({r.yt for r in inst.rects})
+    triples = (
+        (i, j, k)
+        for i, a in enumerate(lefts)
+        for j in range(bisect_left(rights, a), len(rights))
+        for k in range(len(tops))
+    )
+    return lefts, rights, tops, triples
+
+
 def candidate_segments(inst: Instance) -> list[Segment]:
     """All segments [xl_i, xr_j] x yt_k over rect boundary coordinates.
 
@@ -253,15 +267,8 @@ def candidate_segments(inst: Instance) -> list[Segment]:
     segment onto the extreme left/right edges it must reach, then shift it up
     to the nearest top edge.  At most n^3 segments; duplicates are removed.
     """
-    lefts = sorted({r.xl for r in inst.rects})
-    rights = sorted({r.xr for r in inst.rects})
-    tops = sorted({r.yt for r in inst.rects})
-    out = []
-    for a in lefts:
-        for b in rights:
-            if a <= b:
-                out.extend(Segment(a, b, y) for y in tops)
-    return out
+    lefts, rights, tops, triples = _candidate_grid(inst)
+    return [Segment(lefts[i], rights[j], tops[k]) for i, j, k in triples]
 
 
 # ---------------------------------------------------------------------------
@@ -269,67 +276,47 @@ def candidate_segments(inst: Instance) -> list[Segment]:
 # ---------------------------------------------------------------------------
 
 
-def normalize(inst: Instance, eps) -> tuple[Instance, list[Segment], Transform]:
-    """Rescale to max width 1, compress y to an even integer grid, presolve slivers.
+def normalize(inst: Instance, eps) -> tuple[Instance, Transform]:
+    """Rescale x to max width 1 and presolve slivers; y is left as it is.
 
     * x is translated so the leftmost edge sits at 0 and scaled so the widest
       rectangle has width exactly 1.
-    * every distinct y value is replaced by twice its rank among the sorted
-      distinct y values (0, 2, 4, ...), leaving integer room between levels.
     * every rectangle of scaled width <= eps/n is removed and covered by a
-      segment exactly spanning it at its compressed top edge; those segments
-      are returned and recorded in the transform.
+      segment exactly spanning it at its top edge; those segments are
+      recorded in ``transform.presolved``.
 
-    Returns (normalized instance, presolved segments, transform).
+    Every solver reads y only through its order, so no y map is needed.
+    Returns (normalized instance, transform).
     """
     eps = as_scalar(eps)
     if eps <= 0:
         raise ParameterError("eps must be positive")
     if not inst.rects:
-        return inst, [], Transform.identity()
+        return inst, Transform.identity()
 
-    n = len(inst.rects)
-    y_values = sorted({r.yb for r in inst.rects} | {r.yt for r in inst.rects})
-    compress = {y: Fraction(2 * i) for i, y in enumerate(y_values)}
-    y_map = tuple((y, compress[y]) for y in y_values)
     x_shift = min(r.xl for r in inst.rects)
     x_scale = Fraction(1) / inst.max_width
 
-    threshold = eps / n
+    threshold = eps / len(inst.rects)
     kept: list[Rect] = []
     presolved: list[tuple[int, Segment]] = []
     for r in inst.rects:
-        mapped = Rect(
-            r.id,
-            (r.xl - x_shift) * x_scale,
-            (r.xr - x_shift) * x_scale,
-            compress[r.yb],
-            compress[r.yt],
-        )
+        mapped = Rect(r.id, (r.xl - x_shift) * x_scale, (r.xr - x_shift) * x_scale, r.yb, r.yt)
         if mapped.width <= threshold:
             presolved.append((r.id, Segment(mapped.xl, mapped.xr, mapped.yt)))
         else:
             kept.append(mapped)
-
-    transform = Transform(x_scale, x_shift, y_map, tuple(presolved))
-    return Instance(tuple(kept)), [s for _, s in presolved], transform
+    return Instance(tuple(kept)), Transform(x_scale, x_shift, tuple(presolved))
 
 
 def denormalize(sol: Solution, t: Transform) -> Solution:
     """Map a solution on the normalized instance back to original coordinates.
 
-    Presolved segments are appended; the cost is recomputed exactly.  A
-    compressed y level the transform never produced raises TransformError.
+    Presolved segments are appended; the cost is recomputed exactly.
     """
-    expand = {c: y for y, c in t.y_map}
 
     def back(seg: Segment) -> Segment:
-        y = seg.y
-        if t.y_map:
-            if y not in expand:
-                raise TransformError(f"compressed level {y} not present in the transform")
-            y = expand[y]
-        return Segment(seg.xl / t.x_scale + t.x_shift, seg.xr / t.x_scale + t.x_shift, y)
+        return Segment(seg.xl / t.x_scale + t.x_shift, seg.xr / t.x_scale + t.x_shift, seg.y)
 
     segments = [back(s) for s in sol.segments]
     segments.extend(back(s) for _, s in t.presolved)

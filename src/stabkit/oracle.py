@@ -11,15 +11,16 @@ every approximation-ratio test in the suite.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
     BudgetError,
     Instance,
     OracleLimitError,
+    ParameterError,
     Segment,
     Solution,
+    _candidate_grid,
     _integer_scale,
     _seg_key,
 )
@@ -102,18 +103,10 @@ def _candidate_table(inst: Instance) -> tuple[list[Candidate], list[int], list[l
     that stab it.
 
     The candidates are those of ``candidate_segments``, fed to the reduction
-    as rank triples: no segment is built for a candidate that is dropped.
+    as the rank triples of ``_candidate_grid``: no segment is built for a
+    candidate that is dropped.
     """
-    lefts = sorted({r.xl for r in inst.rects})
-    rights = sorted({r.xr for r in inst.rects})
-    tops = sorted({r.yt for r in inst.rects})
-    triples = (
-        (i, j, k)
-        for i, a in enumerate(lefts)
-        for j in range(bisect_left(rights, a), len(rights))
-        for k in range(len(tops))
-    )
-    cands, lengths = _reduce(inst, lefts, rights, tops, triples)
+    cands, lengths = _reduce(inst, *_candidate_grid(inst))
     covering = [
         [ci for ci, c in enumerate(cands) if c.stab_set >> i & 1] for i in range(len(inst.rects))
     ]
@@ -218,9 +211,12 @@ def _branch_and_bound(
 def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
     """Minimum-total-length solution, by ``_branch_and_bound`` without a cap.
 
-    Raises OracleLimitError when the instance has more than `limit` rects.
-    Deterministic: ties go to the optimum the subset DP would reconstruct.
+    Raises OracleLimitError when the instance has more than `limit` rects,
+    ParameterError for a negative `limit`.  Deterministic: ties go to the
+    optimum the subset DP would reconstruct.
     """
+    if limit < 0:
+        raise ParameterError(f"oracle limit must not be negative, got {limit}")
     n = len(inst.rects)
     if n == 0:
         return Solution(())

@@ -90,7 +90,6 @@ class RunStats:
     paid_cost: Fraction = field(default_factory=lambda: Fraction(0))
     guess_cost: Fraction = field(default_factory=lambda: Fraction(0))
     base_cost: Fraction = field(default_factory=lambda: Fraction(0))
-    presolved_cost: Fraction = field(default_factory=lambda: Fraction(0))
     normalized_cost: Fraction = field(default_factory=lambda: Fraction(0))
 
 
@@ -123,7 +122,7 @@ def ptas(inst: Instance, eps, delta) -> Solution:
     if not inst.rects:
         return Solution(())
 
-    norm, _, transform = normalize(inst, eps)
+    norm, transform = normalize(inst, eps)
     if any(r.width < delta for r in norm.rects):
         raise ParameterError("instance violates the minimum width delta after normalization")
 
@@ -204,8 +203,7 @@ def qptas(
     if stats is None:
         stats = RunStats()
 
-    norm, presolved, transform = normalize(inst, eps)
-    stats.presolved_cost = sum((s.length for s in presolved), Fraction(0))
+    norm, transform = normalize(inst, eps)
     budget = _Budget(params.node_budget)
     zero = Fraction(0)
     limit = max(params.oracle_limit, ORACLE_LIMIT)

@@ -199,7 +199,7 @@ def test_c7_oracle_self_consistency():
         opt = exact_opt(inst).cost
         recombined = sum((exact_opt(part).cost for part in split_independent(inst)), F(0))
         assert recombined == opt, f"seed {seed}: components do not add up"
-        norm, _, transform = normalize(inst, F(1, 1000))
+        norm, transform = normalize(inst, F(1, 1000))
         back = denormalize(exact_opt(norm), transform)
         assert verify(inst, back).feasible, f"seed {seed}: round trip infeasible"
         assert back.cost == opt, f"seed {seed}: round trip changed opt"

@@ -368,6 +368,23 @@ class TestMalformedInput:
     def test_negative_qptas_limits(self, flags, i1_file, capsys):
         self.assert_rejected(["solve", "--algo", "qptas", "-i", i1_file, "--eps", "1/2", *flags], capsys)
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_negative_oracle_limit(self, command, tmp_path, capsys, monkeypatch):
+        # a parameter error even where no oracle call would be made: on an
+        # empty instance, and before any bench row runs
+        if command == "solve":
+            inst = self.write(tmp_path / "inst.json", {"rects": []})
+            argv = ["solve", "--algo", "exact", "-i", inst, "--oracle-limit", "-3"]
+        else:
+            suite = {"oracle_limit": -1, "instances": [self.INSTANCE], "algos": [self.ALGO]}
+            argv = ["bench", "-c", self.write(tmp_path / "suite.json", suite)]
+        ran = []
+        monkeypatch.setattr("stabkit.cli._bench_row", lambda *args: ran.append(args))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("parameter error: ") and len(err.splitlines()) == 1
+        assert ran == []
+
     @pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
     def test_output_past_the_digit_limit(self, command, tmp_path, capsys):
         # 1e4300 loads, but 2e4300 - 1e4300 and the coordinates themselves

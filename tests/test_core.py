@@ -11,7 +11,6 @@ from stabkit import (
     Segment,
     Solution,
     Transform,
-    TransformError,
     as_scalar,
     candidate_segments,
     ceil_log2,
@@ -174,27 +173,25 @@ class TestCandidates:
 
 class TestNormalize:
     def test_i1_scaling(self, i1, half):
-        norm, presolved, t = normalize(i1, half)
+        norm, t = normalize(i1, half)
         assert sorted(r.width for r in norm.rects) == [F(1, 2), F(1, 2), F(1)]
-        assert presolved == []  # eps/n = 1/6 is below every width
+        assert t.presolved == ()  # eps/n = 1/6 is below every width
         assert min(r.xl for r in norm.rects) == 0
         assert t.x_scale == F(1, 4)
 
-    def test_even_rank_compression(self, i1, half):
-        norm, _, t = normalize(i1, half)
-        # distinct original levels 0,1,2,3,5 map to 0,2,4,6,8
-        assert [c for _, c in t.y_map] == [0, 2, 4, 6, 8]
+    def test_y_left_as_is(self, i1, half):
+        norm, _ = normalize(i1, half)
+        assert [(r.yb, r.yt) for r in norm.rects] == [(r.yb, r.yt) for r in i1.rects]
 
     def test_sliver_presolved(self):
         inst = make_instance([(0, 10, 0, 1), (0, F(1, 10), 2, 3)])  # width max/100
-        norm, presolved, t = normalize(inst, F(1, 2))
+        norm, t = normalize(inst, F(1, 2))
         assert len(norm.rects) == 1
-        assert len(presolved) == 1
-        assert presolved[0].length == F(1, 100)  # spans exactly the scaled sliver
+        assert [(rect_id, s) for rect_id, s in t.presolved] == [(2, Segment(0, F(1, 100), 3))]
 
     def test_empty_instance(self):
-        norm, presolved, t = normalize(Instance(()), F(1, 2))
-        assert norm.rects == () and presolved == [] and t == Transform.identity()
+        norm, t = normalize(Instance(()), F(1, 2))
+        assert norm.rects == () and t == Transform.identity()
 
     def test_eps_validation(self, i1):
         with pytest.raises(ParameterError):
@@ -202,19 +199,14 @@ class TestNormalize:
 
     @given(instance_st(max_n=4), st.sampled_from([F(1, 1000), F(1, 4), F(3, 4)]))
     def test_preserves_stab_sets(self, inst, eps):
-        # the image of any candidate segment stabs exactly what the original
+        # the x image of any candidate segment stabs exactly what the original
         # stabbed, minus the presolved rects
         if not inst.rects:
             return
-        norm, _, t = normalize(inst, eps)
+        norm, t = normalize(inst, eps)
         presolved_ids = {rect_id for rect_id, _ in t.presolved}
-        compress = {y: c for y, c in t.y_map}
         for seg in candidate_segments(inst):
-            image = Segment(
-                (seg.xl - t.x_shift) * t.x_scale,
-                (seg.xr - t.x_shift) * t.x_scale,
-                compress[seg.y],
-            )
+            image = Segment((seg.xl - t.x_shift) * t.x_scale, (seg.xr - t.x_shift) * t.x_scale, seg.y)
             before = {r.id for r in inst.rects if stabs(seg, r)} - presolved_ids
             after = {r.id for r in norm.rects if stabs(image, r)}
             assert before == after
@@ -226,17 +218,12 @@ class TestDenormalize:
         assert denormalize(sol, Transform.identity()) == sol
 
     def test_inverse_scale(self):
-        t = Transform(F(1, 4), F(0), (), ())
+        t = Transform(F(1, 4), F(0), ())
         out = denormalize(Solution((Segment(0, 1, 0),)), t)
         assert out.segments[0].length == 4
 
-    def test_unknown_level_is_corruption(self, i1, half):
-        _, _, t = normalize(i1, half)
-        with pytest.raises(TransformError):
-            denormalize(Solution((Segment(0, 1, F(99)),)), t)
-
     def test_round_trip_feasible(self, i1, half):
-        norm, _, t = normalize(i1, half)
+        norm, t = normalize(i1, half)
         back = denormalize(exact_opt(norm), t)
         assert verify(i1, back).feasible
         assert back.cost == 6
@@ -245,7 +232,7 @@ class TestDenormalize:
     def test_any_feasible_normalized_solution_maps_back_feasible(self, inst):
         if not inst.rects:
             return
-        norm, _, t = normalize(inst, F(1, 3))
+        norm, t = normalize(inst, F(1, 3))
         sol = per_rect_solution(norm)  # feasible for the normalized instance
         back = denormalize(sol, t)
         assert verify(inst, back).feasible

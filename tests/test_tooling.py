@@ -1,28 +1,37 @@
-"""The benchmark's tracer names stabkit functions; every name must resolve.
+"""The benchmark harness must keep working against the library.
 
 The tier-1 suite does not collect ``perfbench/``, so a change that removes a
-traced function would pass here and still break ``perfbench/run.py --trace 1``.
+traced function, or changes what the harness's jobs call, would pass here and
+still break ``perfbench/run.py``.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import stabkit
 import stabkit.cli  # noqa: F401  (the tracer wraps stabkit.cli.run_bench)
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def load(name: str):
+    """Load ``perfbench/<name>.py`` by path.  It is registered in sys.modules
+    first, because dataclasses look their module up there."""
+    module_name = f"perfbench_{name}"
+    if module_name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[module_name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[module_name]
 
 
 def test_every_traced_function_resolves():
-    spans = load_spans()
+    spans = load("spans")
     assert spans.TRACED
     for span, (home, functions, _) in spans.TRACED.items():
         module = importlib.import_module(f"stabkit.{home}")
@@ -30,3 +39,19 @@ def test_every_traced_function_resolves():
             assert callable(getattr(module, name, None)), f"{span}: no stabkit.{home}.{name}"
     # the tracer resolves the same names when it is built
     assert spans.Tracer(stabkit)._patches
+
+
+def workload_jobs():
+    wl = load("workloads")
+    mixes = {(algo, kind) for _, mix in wl.WORKLOADS.values() for algo, kind, _ in mix}
+    return [wl.Job(algo, kind, 6, 1) for algo, kind in sorted(mixes)]
+
+
+@pytest.mark.parametrize("job", workload_jobs(), ids=lambda job: f"{job.algo}-{job.kind}")
+def test_every_workload_job_runs_and_checks(job):
+    wl = load("workloads")
+    inst = wl.generate(stabkit, job)
+    output, stats = wl.execute(stabkit, job, inst)
+    ref = wl.reference(stabkit, job, inst)
+    reason, _ = wl.check(stabkit, job, inst, output, stats, ref)
+    assert reason is None
