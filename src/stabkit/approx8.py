@@ -11,6 +11,7 @@ exact laminar optimum stays within a factor 8 of the true optimum.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .core import Instance, Rect, Segment, Solution, ceil_log2, pow2
 from .laminar import solve_laminar
@@ -37,10 +38,23 @@ def stretch_segment(s: Segment) -> Segment:
     return Segment(s.xl, 2 * s.xr - s.xl, s.y)
 
 
+def _approx8_rounded(rounded: Instance) -> tuple[Fraction, Solution]:
+    """approx8 up to the stretch, on rects already rounded by ``to_laminar``:
+    (the approx8 cost, the laminar optimum of ``rounded``).
+
+    approx8 stretches every segment of that optimum to double length, so its
+    cost is exactly twice the optimum's.  Rounding is per rect, so the rounded
+    rects of a subset are that subset of the rounded instance: a caller that
+    prices many subsets rounds once.
+    """
+    inner = solve_laminar(rounded)
+    return 2 * inner.cost, inner
+
+
 def approx8(inst: Instance) -> Solution:
     """Round, solve the laminar instance exactly, stretch every segment.
 
     Output is feasible for the input and costs at most 8 times its optimum.
     """
-    inner = solve_laminar(to_laminar(inst))
+    _, inner = _approx8_rounded(to_laminar(inst))
     return Solution(tuple(stretch_segment(s) for s in inner.segments))

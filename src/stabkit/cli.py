@@ -38,8 +38,8 @@ from .core import (
 from .decompose import decompose, decomposition_to_json
 from .gen import gen_bounded_ratio, gen_laminar, gen_uniform
 from .laminar import solve_laminar
-from .oracle import ORACLE_LIMIT, exact_opt, greedy_cover
-from .schemes import SchemeParams, ptas, qptas
+from .oracle import ORACLE_LIMIT, _oracle_limit, exact_opt, greedy_cover
+from .schemes import SchemeParams, _ptas_accuracy, ptas, qptas
 
 # The one list of solver options: algorithm -> {option: (type, required)}.  A
 # type is Fraction (an exact scalar) or int.  `solve` takes an option as a flag
@@ -203,6 +203,13 @@ def _algo_opts(algo_entry: dict, what: str) -> tuple[str, dict]:
             opts[key] = _json_int(value, f"{what}: {key}")
         else:
             opts[key] = as_scalar(value)
+    # the solvers' own range checks, so that a bad value fails before any row runs
+    if algo == "exact" and "oracle_limit" in opts:
+        _oracle_limit(opts["oracle_limit"])
+    elif algo == "ptas":
+        _ptas_accuracy(opts["eps"], opts["delta"])
+    elif algo == "qptas":
+        SchemeParams.derive(0, **opts)
     return algo, opts
 
 
@@ -272,9 +279,7 @@ def run_bench(suite: dict) -> tuple[list[dict], str]:
         for pos, entry in enumerate(_json_entries(suite, "algos", "bench suite"), start=1)
     ]
     _known_keys(suite, ("oracle_limit", "instances", "algos"), "bench suite")
-    oracle_limit = _json_int(suite.get("oracle_limit", 15), "oracle_limit")
-    if oracle_limit < 0:
-        raise ParameterError(f"oracle_limit must not be negative, got {oracle_limit}")
+    oracle_limit = _oracle_limit(_json_int(suite.get("oracle_limit", 15), "oracle_limit"))
     instances = []
     for pos, entry in enumerate(_json_entries(suite, "instances", "bench suite"), start=1):
         kind = entry.get("kind", "uniform")

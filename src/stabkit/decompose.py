@@ -3,8 +3,9 @@
 Two stages:
 
 * ``strip_partition`` lays a family of vertical lines spaced max_width/eps
-  apart, tries every grid shift, pays to stab the rectangles crossed by the
-  cheapest family, and groups the untouched rectangles into vertical strips.
+  apart, finds every distinct set of rectangles some grid shift crosses by an
+  integer sweep over the shifts where that set changes, pays to stab the
+  cheapest set, and groups the untouched rectangles into vertical strips.
 * ``horizontal_cuts`` sweeps a strip bottom-up and inserts a full-width
   horizontal cut whenever the 8-approximation cost of the rectangles already
   passed exceeds CUT_FACTOR * w / eps^2 (CUT_FACTOR = 8), yielding y-separated
@@ -20,9 +21,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approx8 import approx8
+from .approx8 import _approx8_rounded, approx8, to_laminar
 from .core import Instance, ParameterError, Rect, Segment, Solution, _open_unit, as_scalar
-from .core import instance_to_json, solution_to_json
+from .core import _integer_scale, instance_to_json, solution_to_json
 
 CUT_FACTOR = 8
 
@@ -74,9 +75,13 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
 
     Shifts run over all multiples of max_width * eps / n below the spacing
     max_width / eps (n/eps^2 of them); the cover for the crossed rectangles
-    is the 8-approximation, priced once per distinct crossed set.  Ties
-    between shifts go to the smallest one.  The paid cover costs at most
-    16 * eps * OPT and every strip spans at most max_width / eps in x.
+    is the 8-approximation.  The crossed set changes only at the shifts where
+    a line enters or leaves a rect, so an exact integer sweep over those event
+    shifts meets every distinct crossed set at its smallest shift.  That is
+    at most 4n + 1 sets, each priced once on rects rounded once; only the
+    winner's cover is built.  Ties between shifts go to the smallest one.
+    The paid cover costs at most 16 * eps * OPT and every strip spans at most
+    max_width / eps in x.
     """
     eps = _open_unit(eps, "eps")
     if not inst.rects:
@@ -85,14 +90,48 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
     w = inst.max_width
     spacing = w / eps
     step = w * eps / len(inst.rects)
-    covers: dict[frozenset[int], tuple[Solution, Fraction]] = {}
-    for k in range(math.ceil(spacing / step)):
-        crossed = crossing_rects(inst, k * step, spacing)
-        ids = frozenset(r.id for r in crossed)
-        if ids not in covers:
-            covers[ids] = (approx8(Instance(tuple(crossed))), k * step)
-    # min keeps the first of equal costs, so ties go to the smallest shift
-    crossed_ids, (cover, z_star) = min(covers.items(), key=lambda item: item[1][0].cost)
+    # on one common denominator, shift k sits at k * t in [0, s), and rect i
+    # is crossed exactly while k * t lies in the open arc (a, a + width) of
+    # the circle [0, s), a = xl mod s; width < s, so the arc is one k-run or,
+    # when it wraps past s, two
+    edges = {r.xl for r in inst.rects} | {r.xr for r in inst.rects}
+    _, scaled = _integer_scale(edges | {spacing, step})
+    s, t = scaled[spacing], scaled[step]
+    shifts = (s - 1) // t + 1  # ceil(s / t)
+    toggles = {0: 0}  # shift k -> the rect bits whose crossing flips at k
+    for i, r in enumerate(inst.rects):
+        a = scaled[r.xl] % s
+        b = a + scaled[r.xr] - scaled[r.xl]
+        runs = [(a // t + 1, (min(b, s) - 1) // t)]
+        if b > s:
+            runs.append((0, (b - s - 1) // t))
+        for lo, hi in runs:
+            if lo <= hi:
+                toggles[lo] = toggles.get(lo, 0) ^ 1 << i
+                toggles[hi + 1] = toggles.get(hi + 1, 0) ^ 1 << i
+    first: dict[int, int] = {}  # crossed mask -> its smallest shift
+    crossed_mask = 0
+    for k in sorted(toggles):
+        if k >= shifts:
+            break
+        crossed_mask ^= toggles[k]
+        first.setdefault(crossed_mask, k)
+
+    rounded = to_laminar(inst).rects
+    best = None
+    # masks come in order of their smallest shift and only a strictly cheaper
+    # set replaces the best, so ties go to the smallest shift
+    for mask, k in first.items():
+        cost, _ = _approx8_rounded(Instance(tuple(q for i, q in enumerate(rounded) if mask >> i & 1)))
+        if best is None or cost < best[0]:
+            best = (cost, mask, k)
+    _, mask, k_star = best
+    z_star = k_star * step
+    crossed = crossing_rects(inst, z_star, spacing)
+    crossed_ids = {r.id for r in crossed}
+    assert crossed_ids == {r.id for i, r in enumerate(inst.rects) if mask >> i & 1}, (
+        "the sweep disagrees with the crossing test"
+    )
 
     groups: dict[int, list[Rect]] = {}
     for r in inst.rects:
@@ -104,7 +143,7 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
         Strip(Instance(tuple(groups[i])), z_star + i * spacing, z_star + (i + 1) * spacing)
         for i in sorted(groups)
     )
-    return StripPartition(tuple(cover.segments), strips, z_star, spacing)
+    return StripPartition(approx8(Instance(tuple(crossed))).segments, strips, z_star, spacing)
 
 
 def horizontal_cuts(strip: Instance, eps, width, span: tuple[Fraction, Fraction]) -> CutResult:
@@ -133,26 +172,27 @@ def horizontal_cuts(strip: Instance, eps, width, span: tuple[Fraction, Fraction]
         raise ParameterError("strip exceeds the allowed width max_width/eps")
 
     threshold = CUT_FACTOR * w / eps**2
-    remaining = list(strip.rects)
+    # (rect, rounded rect) pairs: every price is approx8's, on rects rounded once
+    remaining = list(zip(strip.rects, to_laminar(strip).rects))
     cuts: list[Segment] = []
     chunks: list[Instance] = []
     costs: list[Fraction] = []
     while remaining:
-        for z in sorted({r.yt for r in remaining}):
-            cost = approx8(Instance(tuple(r for r in remaining if r.yt <= z))).cost
+        for z in sorted({r.yt for r, _ in remaining}):
+            cost, _ = _approx8_rounded(Instance(tuple(q for r, q in remaining if r.yt <= z)))
             if cost > threshold:
                 break
         else:
             # the last step priced every remaining rect
-            chunks.append(Instance(tuple(remaining)))
+            chunks.append(Instance(tuple(r for r, _ in remaining)))
             costs.append(cost)
             break
         cuts.append(Segment(x0, x1, z))
-        closed = [r for r in remaining if r.yt < z]
+        closed = [r for r, _ in remaining if r.yt < z]
         if closed:
             chunks.append(Instance(tuple(closed)))
             costs.append(cost)
-        remaining = [r for r in remaining if r.yb > z]
+        remaining = [(r, q) for r, q in remaining if r.yb > z]
     return CutResult(tuple(cuts), tuple(chunks), tuple(costs))
 
 

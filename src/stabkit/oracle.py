@@ -208,6 +208,14 @@ def _branch_and_bound(
     return Solution(tuple(sorted((cands[ci].segment for ci in best), key=_seg_key)))
 
 
+def _oracle_limit(limit: int) -> int:
+    """``limit`` as a size limit of the exact oracle; a negative one is a
+    parameter error, wherever it is given."""
+    if limit < 0:
+        raise ParameterError(f"oracle_limit must not be negative, got {limit}")
+    return limit
+
+
 def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
     """Minimum-total-length solution, by ``_branch_and_bound`` without a cap.
 
@@ -215,8 +223,7 @@ def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
     ParameterError for a negative `limit`.  Deterministic: ties go to the
     optimum the subset DP would reconstruct.
     """
-    if limit < 0:
-        raise ParameterError(f"oracle limit must not be negative, got {limit}")
+    _oracle_limit(limit)
     n = len(inst.rects)
     if n == 0:
         return Solution(())

@@ -35,7 +35,7 @@ from .core import (
     normalize,
 )
 from .decompose import decompose
-from .oracle import ORACLE_LIMIT, _branch_and_bound, _Budget, _candidate_table, exact_opt
+from .oracle import ORACLE_LIMIT, _branch_and_bound, _Budget, _candidate_table, _oracle_limit, exact_opt
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,7 @@ class SchemeParams:
             klong = math.ceil(2 * (8 / mu**2 + 1 / mu))
         if klong < 1:
             raise ParameterError("klong must be at least 1")
-        if oracle_limit is None:
-            oracle_limit = ORACLE_LIMIT
-        if oracle_limit < 0:
-            raise ParameterError("oracle_limit must not be negative")
+        oracle_limit = _oracle_limit(ORACLE_LIMIT if oracle_limit is None else oracle_limit)
         if node_budget is not None and node_budget < 0:
             raise ParameterError("node_budget must not be negative")
         return cls(mu=mu, klong=klong, oracle_limit=oracle_limit, node_budget=node_budget)
@@ -108,6 +105,16 @@ def solve_small(inst: Instance, k: int, node_budget: int | None = None) -> Solut
     return sol
 
 
+def _ptas_accuracy(eps, delta) -> tuple[Fraction, Fraction]:
+    """(eps, delta) of a ``ptas`` run as exact rationals, eps in (0, 1) and
+    delta in (0, 1]; anything else is a parameter error."""
+    eps = _open_unit(eps, "eps")
+    delta = as_scalar(delta)
+    if not 0 < delta <= 1:
+        raise ParameterError("delta must lie in (0, 1]")
+    return eps, delta
+
+
 def ptas(inst: Instance, eps, delta) -> Solution:
     """(1 + 17 eps)-approximation when all normalized widths lie in [delta, 1].
 
@@ -115,10 +122,7 @@ def ptas(inst: Instance, eps, delta) -> Solution:
     within ceil((8/eps^2 + 1/eps)/delta) segments, and maps the union of paid
     and chunk segments back to original coordinates.
     """
-    eps = _open_unit(eps, "eps")
-    delta = as_scalar(delta)
-    if not 0 < delta <= 1:
-        raise ParameterError("delta must lie in (0, 1]")
+    eps, delta = _ptas_accuracy(eps, delta)
     if not inst.rects:
         return Solution(())
 

@@ -2,7 +2,9 @@
 
 Nothing here shares code paths with the solvers under test beyond the plain
 data types and the stabbing predicate, except that the subset DP reads the
-candidate table, which the tests check against ``reduce_candidates_pairwise``.
+candidate table, which the tests check against ``reduce_candidates_pairwise``,
+and the decomposition references price with ``approx8`` and find crossed rects
+with ``crossing_rects``, each tested on its own.
 """
 
 import math
@@ -16,9 +18,12 @@ from stabkit import (
     Rect,
     Segment,
     Solution,
+    Strip,
+    StripPartition,
     approx8,
     candidate_segments,
     ceil_log2,
+    crossing_rects,
     pow2,
     stabs,
 )
@@ -224,3 +229,34 @@ def round_segment_pow2(s: Segment) -> Segment:
 def per_rect_solution(inst: Instance) -> Solution:
     """The trivially feasible solution spanning every rect at its own top edge."""
     return Solution(tuple(Segment(r.xl, r.xr, r.yt) for r in inst.rects))
+
+
+def strip_partition_all_shifts(inst: Instance, eps: Fraction) -> StripPartition:
+    """The strip partition that tests every grid shift k * max_width * eps / n
+    below the spacing max_width / eps with ``crossing_rects``, prices each
+    distinct crossed set by ``approx8`` and keeps the first of equal costs.
+
+    Reference for ``strip_partition``, which visits only the shifts where the
+    crossed set changes; n/eps^2 shifts, so keep n and 1/eps small.
+    """
+    if not inst.rects:
+        return StripPartition((), (), Fraction(0), Fraction(0))
+    w = inst.max_width
+    spacing = w / eps
+    step = w * eps / len(inst.rects)
+    covers: dict[frozenset[int], tuple[Solution, Fraction]] = {}
+    for k in range(math.ceil(spacing / step)):
+        crossed = crossing_rects(inst, k * step, spacing)
+        ids = frozenset(r.id for r in crossed)
+        if ids not in covers:
+            covers[ids] = (approx8(Instance(tuple(crossed))), k * step)
+    crossed_ids, (cover, z_star) = min(covers.items(), key=lambda item: item[1][0].cost)
+    groups: dict[int, list[Rect]] = {}
+    for r in inst.rects:
+        if r.id not in crossed_ids:
+            groups.setdefault(math.floor((r.xl - z_star) / spacing), []).append(r)
+    strips = tuple(
+        Strip(Instance(tuple(groups[i])), z_star + i * spacing, z_star + (i + 1) * spacing)
+        for i in sorted(groups)
+    )
+    return StripPartition(cover.segments, strips, z_star, spacing)

@@ -385,6 +385,29 @@ class TestMalformedInput:
         assert out == "" and err.startswith("parameter error: ") and len(err.splitlines()) == 1
         assert ran == []
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "qptas", "eps": "2"},
+            {"name": "qptas", "eps": "1/2", "mu": "1"},
+            {"name": "qptas", "eps": "1/2", "klong": 0},
+            {"name": "qptas", "eps": "1/2", "oracle_limit": -2},
+            {"name": "qptas", "eps": "1/2", "node_budget": -1},
+            {"name": "exact", "oracle_limit": -1},
+            {"name": "ptas", "eps": "1/2", "delta": "3"},
+            {"name": "ptas", "eps": "0", "delta": "1/2"},
+        ],
+        ids=lambda entry: ";".join(f"{k}={v}" for k, v in entry.items()),
+    )
+    def test_out_of_range_option_runs_no_row(self, entry, tmp_path, capsys, monkeypatch):
+        # option ranges are checked with the rest of the suite, so the greedy
+        # row ahead of the bad entry never runs
+        suite = {"instances": [self.INSTANCE], "algos": [self.ALGO, entry]}
+        ran = []
+        monkeypatch.setattr("stabkit.cli._bench_row", lambda *args: ran.append(args))
+        self.assert_rejected(["bench", "-c", self.write(tmp_path / "suite.json", suite)], capsys)
+        assert ran == []
+
     @pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
     def test_output_past_the_digit_limit(self, command, tmp_path, capsys):
         # 1e4300 loads, but 2e4300 - 1e4300 and the coordinates themselves

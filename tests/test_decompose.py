@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -7,19 +8,43 @@ from stabkit import (
     GenConfig,
     Instance,
     ParameterError,
+    SchemeParams,
     Solution,
     approx8,
     crossing_rects,
     decompose,
     exact_opt,
+    gen_bounded_ratio,
+    gen_laminar,
     gen_uniform,
     horizontal_cuts,
+    normalize,
     stabs,
     strip_partition,
 )
 
 from .conftest import make_instance
-from .helpers import crossing_rects_floor, horizontal_cuts_all_levels, strip_span
+from .helpers import (
+    affine_instance,
+    crossing_rects_floor,
+    horizontal_cuts_all_levels,
+    strip_partition_all_shifts,
+    strip_span,
+)
+
+# the submodule; the package's name ``decompose`` is the function
+DECOMPOSE = importlib.import_module("stabkit.decompose")
+SWEEP_EPS = [F(1, 2), F(1, 3), F(1, 5), F(2, 3)]
+
+
+def generated(kind, n, seed):
+    if kind == "uniform":
+        return gen_uniform(n, seed)
+    if kind == "bounded":
+        return gen_bounded_ratio(n, F(1, 2), seed)
+    if kind == "laminar":
+        return gen_laminar(n, seed)
+    return affine_instance(gen_uniform(n, seed))  # odd denominators 3 and 7
 
 
 def stacked_units(count, x0=0):
@@ -85,6 +110,70 @@ class TestStripPartition:
         # a coarse grid makes lines on the rect's edges common
         inst = make_instance([(xl, xl + width, 0, 1)])
         assert crossing_rects(inst, z, spacing) == crossing_rects_floor(inst, z, spacing)
+
+    @given(
+        st.sampled_from(["uniform", "bounded", "laminar", "affine"]),
+        st.integers(1, 12),
+        st.integers(0, 10**6),
+        st.sampled_from(SWEEP_EPS),
+    )
+    @settings(max_examples=150)
+    def test_sweep_matches_every_shift(self, kind, n, seed, eps):
+        inst = generated(kind, n, seed)
+        assert strip_partition(inst, eps) == strip_partition_all_shifts(inst, eps)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 16), st.integers(1, 6), st.integers(0, 6), st.integers(0, 2)),
+            min_size=1,
+            max_size=10,
+        ),
+        st.sampled_from(SWEEP_EPS),
+    )
+    @settings(max_examples=150)
+    def test_sweep_matches_every_shift_on_half_integer_grid(self, draws, eps):
+        # edges and widths on halves: grid lines run along rect edges at many
+        # shifts, and many crossed sets cost the same
+        inst = make_instance(
+            [(F(x, 2), F(x + wd, 2), y, y + h) for x, wd, y, h in draws]
+        )
+        assert strip_partition(inst, eps) == strip_partition_all_shifts(inst, eps)
+
+    @pytest.mark.parametrize("n", [21, 30])
+    def test_derived_mu_prices_at_most_4n_plus_1_sets(self, n, monkeypatch):
+        # mu = 1/238 here: n/mu^2 is over a million grid shifts, so a partition
+        # that tests shift by shift fails at crossing test 4n + 2 instead of
+        # running for minutes
+        inst, _ = normalize(gen_uniform(n, 1), F(1, 2))
+        mu = SchemeParams.derive(n, F(1, 2)).mu
+        priced, crossed, inside = [], [], []
+        partition = DECOMPOSE.strip_partition
+        price = DECOMPOSE._approx8_rounded
+        crossing = DECOMPOSE.crossing_rects
+
+        def counted_partition(*args):
+            inside.append(True)
+            try:
+                return partition(*args)
+            finally:
+                inside.pop()
+
+        def counted_price(rounded):
+            if inside:
+                priced.append(rounded)
+            return price(rounded)
+
+        def counted_crossing(*args):
+            crossed.append(args)
+            assert len(crossed) <= 4 * n + 1, "strip_partition tests shift by shift"
+            return crossing(*args)
+
+        monkeypatch.setattr(DECOMPOSE, "strip_partition", counted_partition)
+        monkeypatch.setattr(DECOMPOSE, "_approx8_rounded", counted_price)
+        monkeypatch.setattr(DECOMPOSE, "crossing_rects", counted_crossing)
+        dec = decompose(inst, mu)
+        assert 0 < len(priced) <= 4 * n + 1
+        assert sum(len(sub.rects) for sub in dec.sub_instances) <= n
 
     def test_tie_between_crossed_sets_goes_to_smallest_shift(self):
         # every shift crosses one or two of these y-separated unit rects, and

@@ -8,6 +8,7 @@ still break ``perfbench/run.py``.
 import importlib
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,19 @@ def test_every_workload_job_runs_and_checks(job):
     ref = wl.reference(stabkit, job, inst)
     reason, _ = wl.check(stabkit, job, inst, output, stats, ref)
     assert reason is None
+
+
+def test_strip_partition_calls_the_crossing_test_binding(monkeypatch):
+    # perfbench counts grid shifts as the crossing_rects calls the tracer sees
+    # under strip_partition, and its self-test needs that count above zero
+    module = importlib.import_module("stabkit.decompose")
+    original = module.crossing_rects
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, "crossing_rects", counted)
+    module.strip_partition(stabkit.gen_uniform(5, 1), Fraction(1, 2))
+    assert calls
