@@ -6,15 +6,21 @@ hence laminar.  Any solution of the rounded instance, stretched to double
 length to the right, is feasible for the original instance; conversely any
 original solution rounds to a laminar-feasible one at a factor of 4, so the
 exact laminar optimum stays within a factor 8 of the true optimum.
+
+The decomposition prices many subsets of one instance by approx8's cost
+alone; ``_approx8_prices`` serves those prices from one rounding and one
+ranking, and is the one place that reads the cost as twice the laminar
+optimum.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
 
 from .core import Instance, Rect, Segment, Solution, ceil_log2, pow2
-from .laminar import solve_laminar
+from .laminar import _box_dp, _rank, solve_laminar
 
 
 def round_rect(r: Rect) -> Rect:
@@ -38,17 +44,26 @@ def stretch_segment(s: Segment) -> Segment:
     return Segment(s.xl, 2 * s.xr - s.xl, s.y)
 
 
-def _approx8_rounded(rounded: Instance) -> tuple[Fraction, Solution]:
-    """approx8 up to the stretch, on rects already rounded by ``to_laminar``:
-    (the approx8 cost, the laminar optimum of ``rounded``).
+def _approx8_prices(inst: Instance) -> Callable[[int], Fraction]:
+    """approx8's cost on subsets of ``inst``, as a function of the subset's
+    bit mask over ``inst.rects`` (bit i set: rect i is in).
 
-    approx8 stretches every segment of that optimum to double length, so its
-    cost is exactly twice the optimum's.  Rounding is per rect, so the rounded
-    rects of a subset are that subset of the rounded instance: a caller that
-    prices many subsets rounds once.
+    approx8 stretches every segment of the rounded subset's laminar optimum
+    to double length, so its cost is exactly twice that optimum.  Rounding is
+    per rect, so the rounded rects of a subset are that subset of the rounded
+    instance, and a subset of a laminar family is laminar: ``inst`` is
+    rounded, checked and ranked once, and each price runs only the box DP.
     """
-    inner = solve_laminar(rounded)
-    return 2 * inner.cost, inner
+    xs, ys, den, ranks = _rank(to_laminar(inst))
+    root = (0, len(xs) - 1, 0, len(ys) - 1)
+
+    def price(mask: int) -> Fraction:
+        solve, memo = _box_dp([t for i, t in enumerate(ranks) if mask >> i & 1])
+        total = solve(*root)
+        memo.clear()
+        return Fraction(2 * total, den)
+
+    return price
 
 
 def approx8(inst: Instance) -> Solution:
@@ -56,5 +71,4 @@ def approx8(inst: Instance) -> Solution:
 
     Output is feasible for the input and costs at most 8 times its optimum.
     """
-    _, inner = _approx8_rounded(to_laminar(inst))
-    return Solution(tuple(stretch_segment(s) for s in inner.segments))
+    return Solution(tuple(stretch_segment(s) for s in solve_laminar(to_laminar(inst)).segments))

@@ -11,6 +11,10 @@ Two stages:
   passed exceeds CUT_FACTOR * w / eps^2 (CUT_FACTOR = 8), yielding y-separated
   chunks of bounded optimum.
 
+Both stages price rect subsets by the 8-approximation's cost alone, through
+``approx8._approx8_prices``: the rects are rounded and ranked once per stage
+call, and each price is one laminar box DP on integer ranks.
+
 Composed by ``decompose``, the paid segments cost O(eps) times the optimum
 while every remaining chunk has optimum at most 8w/eps^2 + w/eps.
 """
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approx8 import _approx8_rounded, approx8, to_laminar
+from .approx8 import _approx8_prices, approx8
 from .core import Instance, ParameterError, Rect, Segment, Solution, _open_unit, as_scalar
 from .core import _integer_scale, instance_to_json, solution_to_json
 
@@ -78,10 +82,10 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
     is the 8-approximation.  The crossed set changes only at the shifts where
     a line enters or leaves a rect, so an exact integer sweep over those event
     shifts meets every distinct crossed set at its smallest shift.  That is
-    at most 4n + 1 sets, each priced once on rects rounded once; only the
-    winner's cover is built.  Ties between shifts go to the smallest one.
-    The paid cover costs at most 16 * eps * OPT and every strip spans at most
-    max_width / eps in x.
+    at most 4n + 1 sets, each priced once on rects rounded and ranked once;
+    only the winner's cover is built.  Ties between shifts go to the smallest
+    one.  The paid cover costs at most 16 * eps * OPT and every strip spans at
+    most max_width / eps in x.
     """
     eps = _open_unit(eps, "eps")
     if not inst.rects:
@@ -117,12 +121,12 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
         crossed_mask ^= toggles[k]
         first.setdefault(crossed_mask, k)
 
-    rounded = to_laminar(inst).rects
+    price = _approx8_prices(inst)
     best = None
     # masks come in order of their smallest shift and only a strictly cheaper
     # set replaces the best, so ties go to the smallest shift
     for mask, k in first.items():
-        cost, _ = _approx8_rounded(Instance(tuple(q for i, q in enumerate(rounded) if mask >> i & 1)))
+        cost = price(mask)
         if best is None or cost < best[0]:
             best = (cost, mask, k)
     _, mask, k_star = best
@@ -149,9 +153,10 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
 def horizontal_cuts(strip: Instance, eps, width, span: tuple[Fraction, Fraction]) -> CutResult:
     """Sweep cut heights bottom-up and slice the strip into cheap chunks.
 
-    At each distinct top edge z the sweep prices the rectangles lying entirely
-    below z (by the 8-approximation; that set changes only at top edges); once
-    that exceeds CUT_FACTOR * w / eps^2 it emits a cut segment across the whole
+    One pass over the strip's distinct top edges z prices the remaining
+    rectangles with top edge at most z (by the 8-approximation, on rects
+    rounded and ranked once; that set changes only at top edges); once that
+    exceeds CUT_FACTOR * w / eps^2 it emits a cut segment across the whole
     strip at z, removes everything the cut stabs, closes the chunk of
     rectangles strictly below z, and continues above.  The recorded cost per
     chunk is the trigger value (the plain 8-approx cost for the final chunk),
@@ -172,27 +177,28 @@ def horizontal_cuts(strip: Instance, eps, width, span: tuple[Fraction, Fraction]
         raise ParameterError("strip exceeds the allowed width max_width/eps")
 
     threshold = CUT_FACTOR * w / eps**2
-    # (rect, rounded rect) pairs: every price is approx8's, on rects rounded once
-    remaining = list(zip(strip.rects, to_laminar(strip).rects))
+    price = _approx8_prices(strip)
+    bits = [(1 << i, r) for i, r in enumerate(strip.rects)]
+    remaining = (1 << len(bits)) - 1
     cuts: list[Segment] = []
     chunks: list[Instance] = []
     costs: list[Fraction] = []
-    while remaining:
-        for z in sorted({r.yt for r, _ in remaining}):
-            cost, _ = _approx8_rounded(Instance(tuple(q for r, q in remaining if r.yt <= z)))
-            if cost > threshold:
-                break
-        else:
-            # the last step priced every remaining rect
-            chunks.append(Instance(tuple(r for r, _ in remaining)))
-            costs.append(cost)
-            break
-        cuts.append(Segment(x0, x1, z))
-        closed = [r for r, _ in remaining if r.yt < z]
-        if closed:
-            chunks.append(Instance(tuple(closed)))
-            costs.append(cost)
-        remaining = [(r, q) for r, q in remaining if r.yb > z]
+    # past a cut every remaining rect lies above it, so a top edge of a rect
+    # no longer remaining prices the empty set or a set priced (and not cut)
+    # before: it cuts nowhere
+    for z in sorted({r.yt for r in strip.rects}):
+        cost = price(sum(b for b, r in bits if remaining & b and r.yt <= z))
+        if cost > threshold:
+            cuts.append(Segment(x0, x1, z))
+            closed = [r for b, r in bits if remaining & b and r.yt < z]
+            if closed:
+                chunks.append(Instance(tuple(closed)))
+                costs.append(cost)
+            remaining = sum(b for b, r in bits if remaining & b and r.yb > z)
+    if remaining:
+        # the last top edge priced every remaining rect
+        chunks.append(Instance(tuple(r for b, r in bits if remaining & b)))
+        costs.append(cost)
     return CutResult(tuple(cuts), tuple(chunks), tuple(costs))
 
 

@@ -18,6 +18,7 @@ work per state.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from fractions import Fraction
 
 from .core import Instance, ParameterError, Segment, Solution, _integer_scale, _seg_key
@@ -39,36 +40,48 @@ def is_laminar(inst: Instance) -> bool:
     return True
 
 
-def solve_laminar(inst: Instance) -> Solution:
-    """Exact optimum for a laminar instance.
+def _rank(inst: Instance) -> tuple[list[Fraction], list[Fraction], int, list[tuple]]:
+    """The DP's input: (xs, ys, den, ranks) for a laminar instance.
 
-    For each box, stab the widest contained rectangle W (ties: lowest id)
-    with a segment [W.xl, W.xr] at some top-edge level inside W's vertical
-    extent, then solve the four independent sub-boxes.  Candidate stab
-    heights are restricted to top edges because any segment can be shifted
-    up to the nearest top edge without changing what it stabs.
+    xs and ys are the sorted distinct x and y boundaries, den the common
+    denominator of xs, and ranks one (-width * den, id, xl, xr, yb, yt) tuple
+    per rect with coordinates as ranks into xs and ys: ranks preserve order,
+    and min() picks the widest rect, lowest id first.  The tuples of a subset
+    of the rects are valid DP input on their own, since a subset of a laminar
+    family is laminar.
 
     Raises ParameterError on non-laminar input.
     """
-    if not inst.rects:
-        return Solution(())
     if not is_laminar(inst):
         raise ParameterError("instance is not laminar")
-
     rects = inst.rects
     xs = sorted({r.xl for r in rects} | {r.xr for r in rects})
     ys = sorted({r.yb for r in rects} | {r.yt for r in rects})
     xi = {v: i for i, v in enumerate(xs)}
     yi = {v: i for i, v in enumerate(ys)}
-    tops = sorted({yi[r.yt] for r in rects})
     # costs are integers over the common denominator of the x coordinates
     den, x = _integer_scale(xs)
-    # one (-width, id, xl, xr, yb, yt) tuple per rect, coordinates as ranks:
-    # ranks preserve order, and min() picks the widest rect, lowest id first
     ranks = [(x[r.xl] - x[r.xr], r.id, xi[r.xl], xi[r.xr], yi[r.yb], yi[r.yt]) for r in rects]
+    return xs, ys, den, ranks
 
-    # memo: (i, j, u, v) -> (cost, stab); stab is None for an empty box, else
-    # the ranks (a, b, t) of the segment stabbing the box's widest rect
+
+def _box_dp(ranks: list[tuple]) -> tuple[Callable[[int, int, int, int], int], dict]:
+    """The box recursion over rank tuples from ``_rank``: (solve, memo).
+
+    solve(i, j, u, v) is the least cost, in units of 1/den, of stabbing the
+    rects whose ranks lie in the box [i, j] x [u, v].  For each box, stab the
+    widest contained rectangle W (ties: lowest id) with a segment [W.xl, W.xr]
+    at some top-edge level inside W's vertical extent, then solve the four
+    independent sub-boxes.  Candidate stab heights are restricted to top
+    edges because any segment can be shifted up to the nearest top edge
+    without changing what it stabs.
+
+    memo maps each solved box to (cost, stab); stab is None for an empty box,
+    else the ranks (a, b, t) of the segment stabbing the box's widest rect.
+    solve refers to itself, so a caller clears memo when done rather than
+    leave it to the cyclic collector.
+    """
+    tops = sorted({t[5] for t in ranks})
     memo: dict[tuple[int, int, int, int], tuple[int, tuple | None]] = {}
 
     def solve(i: int, j: int, u: int, v: int) -> int:
@@ -100,6 +113,17 @@ def solve_laminar(inst: Instance) -> Solution:
         memo[key] = (cost, (a, b, best_t))
         return cost
 
+    return solve, memo
+
+
+def solve_laminar(inst: Instance) -> Solution:
+    """Exact optimum for a laminar instance: rank, run the box DP
+    (``_box_dp``) on the whole rank range, read the stabs back from its memo.
+
+    Raises ParameterError on non-laminar input.
+    """
+    xs, ys, den, ranks = _rank(inst)
+    solve, memo = _box_dp(ranks)
     root = (0, len(xs) - 1, 0, len(ys) - 1)
     total = solve(*root)
 
@@ -118,8 +142,6 @@ def solve_laminar(inst: Instance) -> Solution:
         collect(a, b, t + 1, v)
 
     collect(*root)
-    # solve and collect refer to themselves, so the memo would otherwise live
-    # on in that reference cycle until the cyclic collector runs
     memo.clear()
     sol = Solution(tuple(sorted(segments, key=_seg_key)))
     assert sol.cost == Fraction(total, den), "reconstructed segments disagree with the DP value"

@@ -24,6 +24,9 @@ from stabkit import (
     candidate_segments,
     ceil_log2,
     crossing_rects,
+    gen_bounded_ratio,
+    gen_laminar,
+    gen_uniform,
     pow2,
     stabs,
 )
@@ -193,6 +196,21 @@ def affine_instance(inst: Instance) -> Instance:
     coordinates or lengths are kept, and each length shrinks by exactly 3.
     """
     return Instance(tuple(Rect(r.id, _affine(r.xl), _affine(r.xr), r.yb, r.yt) for r in inst.rects))
+
+
+GENERATED_KINDS = ["uniform", "bounded", "laminar", "affine"]
+
+
+def generated_instance(kind: str, n: int, seed: int) -> Instance:
+    """A seeded instance of one of GENERATED_KINDS; "affine" is a uniform one
+    under ``affine_instance``."""
+    if kind == "uniform":
+        return gen_uniform(n, seed)
+    if kind == "bounded":
+        return gen_bounded_ratio(n, Fraction(1, 2), seed)
+    if kind == "laminar":
+        return gen_laminar(n, seed)
+    return affine_instance(gen_uniform(n, seed))
 
 
 def affine_solution(sol: Solution) -> Solution:

@@ -20,8 +20,10 @@ from stabkit import (
     verify,
 )
 
+from stabkit.approx8 import _approx8_prices
+
 from .conftest import make_instance
-from .helpers import per_rect_solution, round_segment_pow2
+from .helpers import GENERATED_KINDS, generated_instance, per_rect_solution, round_segment_pow2
 
 
 def frac_rect_st(den=8, max_coord=32):
@@ -129,3 +131,34 @@ class TestApprox8:
             rounded = Solution(tuple(round_segment_pow2(s) for s in sol.segments))
             assert verify(lam, rounded).feasible
             assert rounded.cost <= 4 * sol.cost
+
+
+class TestApprox8Prices:
+    @staticmethod
+    def assert_prices_match(inst, data):
+        # the empty and the full mask, then random ones
+        price = _approx8_prices(inst)
+        full = (1 << len(inst.rects)) - 1
+        for mask in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=6))]:
+            subset = Instance(tuple(r for i, r in enumerate(inst.rects) if mask >> i & 1))
+            assert price(mask) == approx8(subset).cost
+
+    @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 14), st.integers(0, 10**6), st.data())
+    @settings(max_examples=100)
+    def test_price_is_the_subset_approx8_cost(self, kind, n, seed, data):
+        self.assert_prices_match(generated_instance(kind, n, seed), data)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 16), st.integers(1, 6), st.integers(0, 6), st.integers(0, 2)),
+            min_size=1,
+            max_size=10,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_price_is_the_subset_approx8_cost_on_half_integer_grid(self, draws, data):
+        # edges and widths on halves: rounded rects share edges and nest,
+        # and many rects share top edges
+        inst = make_instance([(F(x, 2), F(x + wd, 2), y, y + h) for x, wd, y, h in draws])
+        self.assert_prices_match(inst, data)

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -251,6 +252,25 @@ class TestBench:
         }
         rows, _ = run_bench(suite)
         assert all(r["ratio"] == "1.000000" for r in rows)
+
+    def test_overridden_qptas_parameters_declare_no_bound(self, tmp_path):
+        # mu and klong overridden: the 1 + eps factor is no longer certified,
+        # and this row's ratio exceeds it without any fault in the solver
+        suite = {
+            "oracle_limit": 14,
+            "instances": [{"kind": "uniform", "n": 14, "seeds": [58]}],
+            "algos": [
+                {"name": "greedy"},
+                {"name": "qptas", "eps": "1/2", "mu": "1/2", "klong": 2, "oracle_limit": 3},
+            ],
+        }
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps(suite))
+        out = tmp_path / "report.csv"
+        assert main(["bench", "-c", str(cfg), "-o", str(out), "-m", str(tmp_path / "s.md")]) == 0
+        with out.open(newline="") as f:
+            rows = {row["algo"]: row for row in csv.DictReader(f)}
+        assert rows["qptas"]["ratio"] == "1.582418"
 
 
 class TestMalformedInput:

@@ -14,8 +14,6 @@ from stabkit import (
     crossing_rects,
     decompose,
     exact_opt,
-    gen_bounded_ratio,
-    gen_laminar,
     gen_uniform,
     horizontal_cuts,
     normalize,
@@ -25,8 +23,9 @@ from stabkit import (
 
 from .conftest import make_instance
 from .helpers import (
-    affine_instance,
+    GENERATED_KINDS,
     crossing_rects_floor,
+    generated_instance,
     horizontal_cuts_all_levels,
     strip_partition_all_shifts,
     strip_span,
@@ -35,16 +34,6 @@ from .helpers import (
 # the submodule; the package's name ``decompose`` is the function
 DECOMPOSE = importlib.import_module("stabkit.decompose")
 SWEEP_EPS = [F(1, 2), F(1, 3), F(1, 5), F(2, 3)]
-
-
-def generated(kind, n, seed):
-    if kind == "uniform":
-        return gen_uniform(n, seed)
-    if kind == "bounded":
-        return gen_bounded_ratio(n, F(1, 2), seed)
-    if kind == "laminar":
-        return gen_laminar(n, seed)
-    return affine_instance(gen_uniform(n, seed))  # odd denominators 3 and 7
 
 
 def stacked_units(count, x0=0):
@@ -112,14 +101,14 @@ class TestStripPartition:
         assert crossing_rects(inst, z, spacing) == crossing_rects_floor(inst, z, spacing)
 
     @given(
-        st.sampled_from(["uniform", "bounded", "laminar", "affine"]),
+        st.sampled_from(GENERATED_KINDS),
         st.integers(1, 12),
         st.integers(0, 10**6),
         st.sampled_from(SWEEP_EPS),
     )
     @settings(max_examples=150)
     def test_sweep_matches_every_shift(self, kind, n, seed, eps):
-        inst = generated(kind, n, seed)
+        inst = generated_instance(kind, n, seed)
         assert strip_partition(inst, eps) == strip_partition_all_shifts(inst, eps)
 
     @given(
@@ -148,7 +137,7 @@ class TestStripPartition:
         mu = SchemeParams.derive(n, F(1, 2)).mu
         priced, crossed, inside = [], [], []
         partition = DECOMPOSE.strip_partition
-        price = DECOMPOSE._approx8_rounded
+        prices = DECOMPOSE._approx8_prices
         crossing = DECOMPOSE.crossing_rects
 
         def counted_partition(*args):
@@ -158,10 +147,15 @@ class TestStripPartition:
             finally:
                 inside.pop()
 
-        def counted_price(rounded):
-            if inside:
-                priced.append(rounded)
-            return price(rounded)
+        def counted_prices(sub):
+            price = prices(sub)
+
+            def counted_price(mask):
+                if inside:
+                    priced.append(mask)
+                return price(mask)
+
+            return counted_price
 
         def counted_crossing(*args):
             crossed.append(args)
@@ -169,7 +163,7 @@ class TestStripPartition:
             return crossing(*args)
 
         monkeypatch.setattr(DECOMPOSE, "strip_partition", counted_partition)
-        monkeypatch.setattr(DECOMPOSE, "_approx8_rounded", counted_price)
+        monkeypatch.setattr(DECOMPOSE, "_approx8_prices", counted_prices)
         monkeypatch.setattr(DECOMPOSE, "crossing_rects", counted_crossing)
         dec = decompose(inst, mu)
         assert 0 < len(priced) <= 4 * n + 1

@@ -72,3 +72,20 @@ def test_strip_partition_calls_the_crossing_test_binding(monkeypatch):
     monkeypatch.setattr(module, "crossing_rects", counted)
     module.strip_partition(stabkit.gen_uniform(5, 1), Fraction(1, 2))
     assert calls
+
+
+def test_tracer_restores_every_binding():
+    # perfbench times approx8, greedy_cover and exact_opt through the names
+    # decompose, oracle and cli bind; a binding dropped or shadowed by a local
+    # definition would escape its spans
+    spans = load("spans")
+    modules = {name: importlib.import_module(f"stabkit.{name}") for name in ("decompose", "oracle", "cli")}
+
+    def bindings():
+        return (modules["decompose"].approx8, modules["oracle"].greedy_cover, modules["cli"].exact_opt)
+
+    before = bindings()
+    assert before == (stabkit.approx8, stabkit.greedy_cover, stabkit.exact_opt)
+    with spans.Tracer(stabkit):
+        assert all(now is not then for now, then in zip(bindings(), before))
+    assert bindings() == before
