@@ -25,8 +25,8 @@ from .core import (
     OracleLimitError,
     ParameterError,
     Solution,
+    _as_int,
     _json_entries,
-    _json_int,
     as_scalar,
     instance_from_json,
     instance_to_json,
@@ -200,7 +200,7 @@ def _algo_opts(algo_entry: dict, what: str) -> tuple[str, dict]:
     opts = {}
     for key, value in given.items():
         if ALGO_OPTIONS[algo][key][0] is int:
-            opts[key] = _json_int(value, f"{what}: {key}")
+            opts[key] = _as_int(value, f"{what}: {key}")
         else:
             opts[key] = as_scalar(value)
     # the solvers' own range checks, so that a bad value fails before any row runs
@@ -281,7 +281,7 @@ def run_bench(suite: dict) -> tuple[list[dict], str]:
         for pos, entry in enumerate(_json_entries(suite, "algos", "bench suite"), start=1)
     ]
     _known_keys(suite, ("oracle_limit", "instances", "algos"), "bench suite")
-    oracle_limit = _oracle_limit(_json_int(suite.get("oracle_limit", 15), "oracle_limit"))
+    oracle_limit = _oracle_limit(suite.get("oracle_limit", 15))
     instances = []
     for pos, entry in enumerate(_json_entries(suite, "instances", "bench suite"), start=1):
         kind = entry.get("kind", "uniform")
@@ -289,12 +289,12 @@ def run_bench(suite: dict) -> tuple[list[dict], str]:
             raise ParameterError(f"instance #{pos}: unknown generator kind {kind!r}")
         keys = ("kind", "n", "seeds", "delta") if kind == "bounded" else ("kind", "n", "seeds")
         _known_keys(entry, keys, f"instance #{pos}")
-        n = _json_int(entry.get("n"), f"instance #{pos}: n")
+        n = _as_int(entry.get("n"), f"instance #{pos}: n")
         seeds = entry.get("seeds", [0])
         if not isinstance(seeds, list):
             raise ParameterError(f"instance #{pos}: seeds must be a list, got {seeds!r}")
         for seed in seeds:
-            seed = _json_int(seed, f"instance #{pos}: seed")
+            seed = _as_int(seed, f"instance #{pos}: seed")
             inst = _gen_instance(kind, n, seed, entry.get("delta"))
             instances.append((f"{kind}-n{n}-s{seed}", seed, inst))
 

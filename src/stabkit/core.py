@@ -407,8 +407,9 @@ def _json_entries(obj, field: str, kind: str) -> list[dict]:
     return obj[field]
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; floats, booleans and strings are rejected."""
+def _as_int(value, what: str) -> int:
+    """An integer parameter or JSON integer; floats, booleans, strings and
+    every other type are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
     return value
@@ -417,7 +418,7 @@ def _json_int(value, what: str) -> int:
 def instance_from_json(obj: dict) -> Instance:
     rects = []
     for pos, rd in enumerate(_json_entries(obj, "rects", "instance"), start=1):
-        rid = _json_int(rd.get("id", pos), f"rect #{pos}: id")
+        rid = _as_int(rd.get("id", pos), f"rect #{pos}: id")
         try:
             rects.append(
                 Rect(

@@ -12,8 +12,10 @@ Two stages:
   chunks of bounded optimum.
 
 Both stages price rect subsets by the 8-approximation's cost alone, through
-``approx8._approx8_prices``: the rects are rounded and ranked once per stage
-call, and each price is one laminar box DP on integer ranks.
+``approx8._approx8_prices``: ``decompose`` rounds and ranks the instance's
+rects once and hands that one pricer to both stages, which price their
+subsets as bit masks over the instance; each price is one laminar box DP on
+integer ranks.  Called on its own, a stage builds its own pricer.
 
 Composed by ``decompose``, the paid segments cost O(eps) times the optimum
 while every remaining chunk has optimum at most 8w/eps^2 + w/eps.
@@ -22,6 +24,7 @@ while every remaining chunk has optimum at most 8w/eps^2 + w/eps.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,7 +77,9 @@ def crossing_rects(inst: Instance, z: Fraction, spacing: Fraction) -> list[Rect]
     return [r for r in inst.rects if ((z - r.xl) % spacing or spacing) < r.width]
 
 
-def strip_partition(inst: Instance, eps) -> StripPartition:
+def strip_partition(
+    inst: Instance, eps, *, _price: Callable[[int], Fraction] | None = None
+) -> StripPartition:
     """Choose the cheapest grid shift, pay for the crossed rects, strip the rest.
 
     Shifts run over all multiples of max_width * eps / n below the spacing
@@ -86,6 +91,8 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
     only the winner's cover is built.  Ties between shifts go to the smallest
     one.  The paid cover costs at most 16 * eps * OPT and every strip spans at
     most max_width / eps in x.
+
+    ``_price`` is ``_approx8_prices(inst)`` when the caller has built it.
     """
     eps = _open_unit(eps, "eps")
     if not inst.rects:
@@ -121,7 +128,7 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
         crossed_mask ^= toggles[k]
         first.setdefault(crossed_mask, k)
 
-    price = _approx8_prices(inst)
+    price = _approx8_prices(inst) if _price is None else _price
     best = None
     # masks come in order of their smallest shift and only a strictly cheaper
     # set replaces the best, so ties go to the smallest shift
@@ -150,7 +157,14 @@ def strip_partition(inst: Instance, eps) -> StripPartition:
     return StripPartition(approx8(Instance(tuple(crossed))).segments, strips, z_star, spacing)
 
 
-def horizontal_cuts(strip: Instance, eps, width, span: tuple[Fraction, Fraction]) -> CutResult:
+def horizontal_cuts(
+    strip: Instance,
+    eps,
+    width,
+    span: tuple[Fraction, Fraction],
+    *,
+    _priced: tuple[Callable[[int], Fraction], list[int]] | None = None,
+) -> CutResult:
     """Sweep cut heights bottom-up and slice the strip into cheap chunks.
 
     One pass over the strip's distinct top edges z prices the remaining
@@ -165,6 +179,10 @@ def horizontal_cuts(strip: Instance, eps, width, span: tuple[Fraction, Fraction]
 
     ``width`` is the max width w of the instance being decomposed and
     ``span`` the x-range every cut spans; it must contain the strip.
+    ``_priced`` is (``_approx8_prices(inst)``, the position in ``inst.rects``
+    of each strip rect) when the strip is a subset of an instance ``inst``
+    the caller has built a pricer for; a strip subset is then priced as its
+    mask over ``inst``, at the same price.
     """
     eps = _open_unit(eps, "eps")
     if not strip.rects:
@@ -177,9 +195,12 @@ def horizontal_cuts(strip: Instance, eps, width, span: tuple[Fraction, Fraction]
         raise ParameterError("strip exceeds the allowed width max_width/eps")
 
     threshold = CUT_FACTOR * w / eps**2
-    price = _approx8_prices(strip)
-    bits = [(1 << i, r) for i, r in enumerate(strip.rects)]
-    remaining = (1 << len(bits)) - 1
+    if _priced is None:
+        price, positions = _approx8_prices(strip), range(len(strip.rects))
+    else:
+        price, positions = _priced
+    bits = [(1 << i, r) for i, r in zip(positions, strip.rects)]
+    remaining = sum(b for b, _ in bits)
     cuts: list[Segment] = []
     chunks: list[Instance] = []
     costs: list[Fraction] = []
@@ -207,15 +228,21 @@ def decompose(inst: Instance, eps) -> Decomposition:
 
     Every input rect is either stabbed by the paid segments or lies in
     exactly one sub-instance; each sub-instance has optimum at most
-    8w/eps^2 + w/eps where w is the instance's max width.
+    8w/eps^2 + w/eps where w is the instance's max width.  The instance is
+    rounded and ranked once, for both stages.
     """
     eps = _open_unit(eps, "eps")
-    parts = strip_partition(inst, eps)
+    price = _approx8_prices(inst)
+    parts = strip_partition(inst, eps, _price=price)
+    position = {r.id: i for i, r in enumerate(inst.rects)}
     paid = list(parts.segments)
     subs: list[Instance] = []
     bounds: list[Fraction] = []
     for strip in parts.strips:
-        cut = horizontal_cuts(strip.instance, eps, inst.max_width, (strip.x0, strip.x1))
+        positions = [position[r.id] for r in strip.instance.rects]
+        cut = horizontal_cuts(
+            strip.instance, eps, inst.max_width, (strip.x0, strip.x1), _priced=(price, positions)
+        )
         paid.extend(cut.segments)
         subs.extend(cut.chunks)
         bounds.extend(cut.observed_costs)

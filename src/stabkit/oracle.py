@@ -20,6 +20,7 @@ from .core import (
     ParameterError,
     Segment,
     Solution,
+    _as_int,
     _candidate_grid,
     _integer_scale,
     _seg_key,
@@ -209,8 +210,9 @@ def _branch_and_bound(
 
 
 def _oracle_limit(limit: int) -> int:
-    """``limit`` as a size limit of the exact oracle; a negative one is a
-    parameter error, wherever it is given."""
+    """``limit`` as a size limit of the exact oracle; a non-integer or
+    negative one is a parameter error, wherever it is given."""
+    limit = _as_int(limit, "oracle_limit")
     if limit < 0:
         raise ParameterError(f"oracle_limit must not be negative, got {limit}")
     return limit

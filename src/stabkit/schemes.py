@@ -28,6 +28,7 @@ from .core import (
     ParameterError,
     Segment,
     Solution,
+    _as_int,
     _open_unit,
     as_scalar,
     ceil_log2,
@@ -69,17 +70,28 @@ class SchemeParams:
         mu = _open_unit(mu if mu is not None else eps / (17 * (levels + 1)), "mu")
         if klong is None:
             klong = math.ceil(2 * (8 / mu**2 + 1 / mu))
-        if klong < 1:
+        if _as_int(klong, "klong") < 1:
             raise ParameterError("klong must be at least 1")
         oracle_limit = _oracle_limit(ORACLE_LIMIT if oracle_limit is None else oracle_limit)
-        if node_budget is not None and node_budget < 0:
-            raise ParameterError("node_budget must not be negative")
-        return cls(mu=mu, klong=klong, oracle_limit=oracle_limit, node_budget=node_budget)
+        return cls(mu=mu, klong=klong, oracle_limit=oracle_limit, node_budget=_node_budget(node_budget))
+
+
+def _node_budget(budget: int | None) -> int | None:
+    """``budget`` as a search node budget, None for none; a non-integer or
+    negative one is a parameter error."""
+    if budget is not None and _as_int(budget, "node_budget") < 0:
+        raise ParameterError("node_budget must not be negative")
+    return budget
 
 
 @dataclass
 class RunStats:
-    """Mutable accounting filled in by a scheme run when the caller asks."""
+    """Mutable accounting filled in by a scheme run when the caller asks.
+
+    ``nodes`` counts recursion nodes, ``guesses`` the guesses recursed on
+    (every one ``guess_long`` returns), and the four costs split the output
+    exactly: normalized = paid + base + guess.
+    """
 
     max_depth: int = 0
     nodes: int = 0
@@ -97,9 +109,9 @@ def solve_small(inst: Instance, k: int, node_budget: int | None = None) -> Solut
     so it never returns a silently suboptimal answer; an exhausted budget
     raises BudgetError and an empty k-segment space raises InfeasibleError.
     """
-    if k < 1:
+    if _as_int(k, "k") < 1:
         raise ParameterError("k must be at least 1")
-    sol = _branch_and_bound(inst, k, node_budget)
+    sol = _branch_and_bound(inst, k, _node_budget(node_budget))
     if sol is None:
         raise InfeasibleError(f"no feasible solution uses at most {k} segments")
     return sol
@@ -148,14 +160,20 @@ class Guess:
 
 
 def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) -> list[Guess]:
-    """All subsets of at most k reduced candidates of length >= min_len.
+    """The subsets of at most k reduced candidates of length >= min_len whose
+    union stabs every rect of width >= min_len.
 
-    Includes the empty set.  Guesses with the same union of stab-sets are
-    interchangeable up to total length, so only the cheapest per union is
-    kept; the output order follows the subset enumeration (sizes ascending,
-    candidates in canonical order).
+    The empty set counts, and qualifies when no rect is that wide.  Guesses
+    with the same union of stab-sets are interchangeable up to total length,
+    so only the cheapest per union is kept; the output order follows the
+    subset enumeration (sizes ascending, candidates in canonical order) to
+    each union's first sighting.  Every subset is enumerated, and ticks
+    ``_budget``; only the kept unions are built into guesses.
     """
     min_len = as_scalar(min_len)
+    k = _as_int(k, "k")
+    if k < 0:
+        raise ParameterError("k must not be negative")
     cands, lengths, _ = _candidate_table(inst)
     pool = [(c, length) for c, length in zip(cands, lengths) if c.segment.length >= min_len]
     # union -> (integer total, combo); a dict keeps the slot of a key's first
@@ -173,6 +191,7 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
             cur = reps.get(union)
             if cur is None or total < cur[0]:
                 reps[union] = (total, combo)
+    wide = sum(1 << i for i, r in enumerate(inst.rects) if r.width >= min_len)
     return [
         Guess(
             tuple(c.segment for c, _ in combo),
@@ -180,6 +199,7 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
             sum((c.segment.length for c, _ in combo), Fraction(0)),
         )
         for union, (_, combo) in reps.items()
+        if not wide & ~union
     ]
 
 
@@ -194,8 +214,10 @@ def qptas(
     Each level decomposes with accuracy mu, then per chunk either solves
     exactly (small chunks) or guesses the optimum's long segments: subsets of
     at most klong candidates of length >= half the level's width scale.  A
-    correct guess stabs every wide rectangle, so only residuals with all
-    widths below half the scale are recursed on, with the scale halved.
+    correct guess stabs every wide rectangle (width >= half the scale), and
+    ``guess_long`` returns only such guesses, so every guess leaves a
+    residual with all widths below half the scale, recursed on with the
+    scale halved.
     Costs are exact rationals throughout: the returned cost equals the sum of
     paid, guessed and exactly-solved parts.
     """
@@ -234,13 +256,10 @@ def qptas(
         for chunk in chunks:
             best: tuple | None = None
             if len(chunk.rects) > params.oracle_limit:
-                wide = sum(1 << i for i, r in enumerate(chunk.rects) if r.width >= half)
                 for guess in guess_long(chunk, half, params.klong, budget):
                     stats.guesses += 1
                     assert len(guess.segments) <= params.klong
                     assert all(s.length >= half for s in guess.segments)
-                    if wide & ~guess.stab_set:
-                        continue
                     residual = Instance(
                         tuple(r for i, r in enumerate(chunk.rects) if not guess.stab_set >> i & 1)
                     )

@@ -14,6 +14,7 @@ from itertools import combinations
 from stabkit import (
     Candidate,
     CutResult,
+    Guess,
     Instance,
     Rect,
     Segment,
@@ -85,6 +86,36 @@ def exact_opt_subset_dp(inst: Instance) -> Solution:
         segments.append(c.segment)
         mask &= ~c.stab_set
     return Solution(tuple(sorted(segments, key=lambda s: (s.xl, s.xr, s.y))))
+
+
+def guess_long_all(inst: Instance, min_len: Fraction, k: int) -> list[Guess]:
+    """Every union of stab sets of at most k reduced candidates of length >=
+    min_len, with the cheapest subset per union, in the order of each
+    union's first sighting over the subsets (sizes ascending, candidates in
+    table order); the empty set included.
+
+    Reference for ``guess_long``, which keeps only the unions stabbing every
+    rect of width >= min_len.
+    """
+    cands, lengths, _ = _candidate_table(inst)
+    pool = [(c, length) for c, length in zip(cands, lengths) if c.segment.length >= min_len]
+    reps: dict[int, tuple[int, tuple]] = {}
+    for size in range(min(k, len(pool)) + 1):
+        for combo in combinations(pool, size):
+            union = 0
+            for c, _ in combo:
+                union |= c.stab_set
+            total = sum(length for _, length in combo)
+            if union not in reps or total < reps[union][0]:
+                reps[union] = (total, combo)
+    return [
+        Guess(
+            tuple(c.segment for c, _ in combo),
+            union,
+            sum((c.segment.length for c, _ in combo), Fraction(0)),
+        )
+        for union, (_, combo) in reps.items()
+    ]
 
 
 def is_laminar_pairwise(inst: Instance) -> bool:

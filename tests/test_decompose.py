@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabkit import (
+    Decomposition,
     GenConfig,
     Instance,
     ParameterError,
@@ -140,10 +141,10 @@ class TestStripPartition:
         prices = DECOMPOSE._approx8_prices
         crossing = DECOMPOSE.crossing_rects
 
-        def counted_partition(*args):
+        def counted_partition(*args, **kwargs):
             inside.append(True)
             try:
-                return partition(*args)
+                return partition(*args, **kwargs)
             finally:
                 inside.pop()
 
@@ -257,6 +258,19 @@ class TestHorizontalCuts:
         assert cut == horizontal_cuts_all_levels(inst, F(1, 2))
 
 
+def composed_stages(inst, eps):
+    """decompose as its two standalone stages, each stage call building its
+    own pricer."""
+    parts = strip_partition(inst, eps)
+    paid, subs, bounds = list(parts.segments), [], []
+    for strip in parts.strips:
+        cut = horizontal_cuts(strip.instance, eps, inst.max_width, (strip.x0, strip.x1))
+        paid.extend(cut.segments)
+        subs.extend(cut.chunks)
+        bounds.extend(cut.observed_costs)
+    return Decomposition(tuple(paid), tuple(subs), tuple(bounds))
+
+
 class TestDecompose:
     def test_i1(self, i1):
         dec = decompose(i1, F(1, 4))
@@ -292,3 +306,55 @@ class TestDecompose:
         # recorded upper bounds really bound each chunk's optimum
         for sub, bound in zip(dec.sub_instances, dec.opt_upper_bounds):
             assert exact_opt(sub).cost <= bound
+
+    @given(
+        st.sampled_from(GENERATED_KINDS),
+        st.integers(1, 14),
+        st.integers(0, 10**6),
+        st.sampled_from(SWEEP_EPS),
+    )
+    @settings(max_examples=100)
+    def test_one_pricer_matches_the_standalone_stages(self, kind, n, seed, eps):
+        # the shared pricer prices a strip subset as a mask over the whole
+        # instance; the prices, and so every cut and bound, are the same
+        inst = generated_instance(kind, n, seed)
+        assert decompose(inst, eps) == composed_stages(inst, eps)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 16), st.integers(1, 6), st.integers(0, 12), st.integers(0, 2)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from(SWEEP_EPS),
+    )
+    @settings(max_examples=100)
+    def test_one_pricer_matches_the_standalone_stages_on_half_integer_grid(self, draws, eps):
+        inst = make_instance([(F(x, 2), F(x + wd, 2), y, y + h) for x, wd, y, h in draws])
+        assert decompose(inst, eps) == composed_stages(inst, eps)
+
+    @pytest.mark.parametrize("n", [12, 21])
+    def test_one_pricer_matches_the_standalone_stages_with_derived_mu(self, n):
+        inst, _ = normalize(gen_uniform(n, 1), F(1, 2))
+        mu = SchemeParams.derive(n, F(1, 2)).mu
+        assert decompose(inst, mu) == composed_stages(inst, mu)
+
+    def test_one_pricer_set_up_per_call(self, monkeypatch):
+        # enough stacked unit rects in two strips that both strips get cut
+        inst = make_instance(
+            [(0, 1, 2 * i, 2 * i + 1) for i in range(18)] + [(5, 6, 2 * i, 2 * i + 1) for i in range(18)]
+        )
+        eps = F(1, 2)
+        parts = strip_partition(inst, eps)
+        assert len(parts.strips) == 2
+        set_up = []
+        prices = DECOMPOSE._approx8_prices
+
+        def counted(sub):
+            set_up.append(sub)
+            return prices(sub)
+
+        monkeypatch.setattr(DECOMPOSE, "_approx8_prices", counted)
+        dec = decompose(inst, eps)
+        assert set_up == [inst]
+        assert len(dec.paid_segments) > len(parts.segments)  # horizontal cuts were priced

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stabkit import (
     Instance,
     OracleLimitError,
+    ParameterError,
     Segment,
     approx8,
     candidate_segments,
@@ -146,6 +147,11 @@ class TestExactOpt:
         inst = gen_uniform(6, 1)
         with pytest.raises(OracleLimitError):
             exact_opt(inst, limit=5)
+
+    @pytest.mark.parametrize("limit", [-1, 12.5, True, Fraction(12), "12"])
+    def test_limit_must_be_a_non_negative_integer(self, i1, limit):
+        with pytest.raises(ParameterError):
+            exact_opt(i1, limit=limit)
 
     def test_matches_brute_force(self, i1):
         assert exact_opt(i1).cost == brute_force_opt(i1)

@@ -26,7 +26,11 @@ from stabkit import (
 )
 
 from .conftest import make_instance
-from .helpers import affine_instance, affine_solution, brute_force_opt
+from .helpers import affine_instance, affine_solution, brute_force_opt, generated_instance, guess_long_all
+
+# three y-separated pairs of narrow rects [0,1] and [3,4]; the one long
+# candidate per pair is [0,4] at the pair's top edge
+NARROW_PAIRS = [(x, x + 1, y, y + 1) for y in (0, 10, 20) for x in (0, 3)]
 
 
 class TestSchemeParams:
@@ -50,6 +54,24 @@ class TestSchemeParams:
     def test_negative_limits_rejected(self, limits):
         with pytest.raises(ParameterError):
             SchemeParams.derive(8, F(1, 2), **limits)
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            {"klong": 2.5},
+            {"klong": True},
+            {"klong": F(4)},
+            {"oracle_limit": 4.5},
+            {"oracle_limit": "4"},
+            {"node_budget": 2.5},
+            {"node_budget": False},
+        ],
+    )
+    def test_non_integer_counts_rejected(self, given):
+        # a float klong used to pass here and fail later inside qptas's
+        # subset enumeration with a TypeError
+        with pytest.raises(ParameterError):
+            SchemeParams.derive(12, F(1, 2), mu=F(1, 2), **given)
 
     def test_four_fields_without_defaults(self):
         # derive is the one place that sets defaults; qptas's eps is the only eps
@@ -86,6 +108,17 @@ class TestSolveSmall:
     def test_k_validation(self, i1):
         with pytest.raises(ParameterError):
             solve_small(i1, 0)
+
+    @pytest.mark.parametrize("k", [2.5, True, F(2), "2"])
+    def test_non_integer_k_rejected(self, i1, k):
+        with pytest.raises(ParameterError):
+            solve_small(i1, k)
+
+    @pytest.mark.parametrize("node_budget", [2.5, True, -1])
+    def test_bad_node_budget_rejected(self, i1, node_budget):
+        # these used to run as a budget of 2.5, 1 or -1 nodes and end in BudgetError
+        with pytest.raises(ParameterError):
+            solve_small(i1, 3, node_budget=node_budget)
 
     def test_budget_error(self, i1):
         with pytest.raises(BudgetError):
@@ -130,9 +163,72 @@ class TestGuessLong:
         assert len(guesses) == 1 and guesses[0].segments == ()
 
     def test_binomial_count_with_distinct_unions(self):
-        inst = make_instance([(0, 4, 0, 1), (0, 4, 10, 11), (0, 4, 20, 21)])
+        # no rect is as wide as min_len, so every union stabs all wide rects:
+        # 1 + 3 + 3 guesses, all unions distinct, none left out
+        inst = make_instance(NARROW_PAIRS)
         guesses = guess_long(inst, F(2), 2)
-        assert len(guesses) == 7  # 1 + 3 + 3, all unions distinct
+        assert len(guesses) == 7
+        assert [len(g.segments) for g in guesses] == [0, 1, 1, 1, 2, 2, 2]
+        assert guesses == guess_long_all(inst, F(2), 2)
+
+    def test_only_unions_stabbing_every_wide_rect(self):
+        # a wide rect [0,4] on the top pair: only the guesses holding that
+        # pair's segment stab it, and they keep their enumeration order
+        inst = make_instance(NARROW_PAIRS + [(0, 4, 20, 21)])
+        top = Segment(0, 4, 21)
+        guesses = guess_long(inst, F(2), 2)
+        assert [g.segments for g in guesses] == [
+            (top,),
+            (Segment(0, 4, 1), top),
+            (Segment(0, 4, 11), top),
+        ]
+        assert len(guess_long_all(inst, F(2), 2)) == 7
+
+    @pytest.mark.parametrize("k", [-1, 2.5, True, F(2)])
+    def test_k_validation(self, k):
+        # k = -1 used to yield no guess at all, not even the empty one
+        with pytest.raises(ParameterError):
+            guess_long(make_instance(NARROW_PAIRS), F(2), k)
+
+    def test_zero_k_yields_the_empty_guess_when_nothing_is_wide(self):
+        guesses = guess_long(make_instance(NARROW_PAIRS), F(2), 0)
+        assert [g.segments for g in guesses] == [()]
+
+    @given(
+        st.sampled_from(["uniform", "bounded", "affine"]),
+        st.integers(1, 7),
+        st.integers(0, 10**6),
+        st.integers(0, 3),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=80)
+    def test_filters_the_full_enumeration_in_order(self, kind, n, seed, k, pick):
+        inst = generated_instance(kind, n, seed)
+        self.check_filtered(inst, sorted(r.width for r in inst.rects)[pick % n], k)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(1, 6), st.integers(0, 4), st.integers(0, 2)),
+            min_size=1,
+            max_size=7,
+        ),
+        st.integers(0, 3),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=80)
+    def test_filters_the_full_enumeration_on_half_integer_grid(self, draws, k, pick):
+        # edges and widths on halves: many rects share a width with min_len,
+        # and many subsets share a union and a total
+        inst = make_instance([(F(x, 2), F(x + wd, 2), y, y + h) for x, wd, y, h in draws])
+        self.check_filtered(inst, sorted(r.width for r in inst.rects)[pick % len(draws)], k)
+
+    @staticmethod
+    def check_filtered(inst, min_len, k):
+        wide = sum(1 << i for i, r in enumerate(inst.rects) if r.width >= min_len)
+        assert wide  # min_len is a rect width
+        assert guess_long(inst, min_len, k) == [
+            g for g in guess_long_all(inst, min_len, k) if not wide & ~g.stab_set
+        ]
 
     def test_i1_contains_covering_pair(self, i1):
         guesses = guess_long(i1, F(2), 2)

@@ -74,6 +74,46 @@ def test_strip_partition_calls_the_crossing_test_binding(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize(
+    "home, names, run",
+    [
+        (
+            "decompose",
+            ("strip_partition", "horizontal_cuts"),
+            lambda: stabkit.decompose(stabkit.gen_uniform(8, 1), Fraction(1, 2)),
+        ),
+        (
+            "schemes",
+            ("guess_long",),
+            lambda: stabkit.qptas(
+                stabkit.gen_uniform(6, 3),
+                Fraction(1, 2),
+                stabkit.SchemeParams.derive(6, Fraction(1, 2), mu=Fraction(1, 2), klong=4, oracle_limit=0),
+            ),
+        ),
+    ],
+    ids=["decompose", "qptas"],
+)
+def test_schemes_call_the_traced_stage_bindings(monkeypatch, home, names, run):
+    # perfbench spans decompose's two stages and qptas's guessing through
+    # these module bindings; a call that bypassed them, say through a private
+    # helper, would leave those spans at zero
+    module = importlib.import_module(f"stabkit.{home}")
+    calls = {name: 0 for name in names}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    run()
+    assert all(calls.values()), calls
+
+
 def test_tracer_restores_every_binding():
     # perfbench times approx8, greedy_cover and exact_opt through the names
     # decompose, oracle and cli bind; a binding dropped or shadowed by a local
