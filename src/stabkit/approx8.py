@@ -58,10 +58,8 @@ def _approx8_prices(inst: Instance) -> Callable[[int], Fraction]:
     root = (0, len(xs) - 1, 0, len(ys) - 1)
 
     def price(mask: int) -> Fraction:
-        solve, memo = _box_dp([t for i, t in enumerate(ranks) if mask >> i & 1])
-        total = solve(*root)
-        memo.clear()
-        return Fraction(2 * total, den)
+        solve, _ = _box_dp([t for i, t in enumerate(ranks) if mask >> i & 1])
+        return Fraction(2 * solve(*root), den)
 
     return price
 

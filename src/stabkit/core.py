@@ -69,11 +69,19 @@ def _open_unit(value, name: str) -> Fraction:
     return value
 
 
-def _integer_scale(values) -> tuple[int, dict[Fraction, int]]:
-    """(d, {v: v * d}) for the least common denominator d of the values: every
-    v * d is an integer, and order, sums and differences scale exactly."""
+def _scaled(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(d, [v * d for v in values]) for the least common denominator d of the
+    values: every v * d is an integer, order, sums and differences scale
+    exactly, and integers compare and hash far faster than Fractions."""
     den = math.lcm(*(v.denominator for v in values))
-    return den, {v: v.numerator * (den // v.denominator) for v in values}
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _integer_scale(values) -> tuple[int, dict[Fraction, int]]:
+    """``_scaled`` as a map (d, {v: v * d})."""
+    values = list(values)
+    den, scaled = _scaled(values)
+    return den, dict(zip(values, scaled))
 
 
 def ceil_log2(x: Fraction) -> int:

@@ -10,34 +10,50 @@ interiors.  Laminarity buys three facts the solver exploits:
 * stabbing it splits the box into four independent sub-boxes (left, right,
   strictly below the stab height, strictly above it).
 
-The recursion caches one state per box spanned by coordinate ranks (indices
-into the sorted distinct boundary values): at most O(n^4) states with O(n)
-work per state.
+The DP caches one state per box spanned by coordinate ranks (indices into
+the sorted distinct boundary values): at most O(n^4) states.  A box's rects
+are found among those of the box that encloses it, so each state's work is
+linear in the enclosing box's rects and in the stab heights it tries.
+Ranking scales both axes to integers once, so no layer below it compares
+Fractions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
-from .core import Instance, ParameterError, Segment, Solution, _integer_scale, _seg_key
+from .core import Instance, ParameterError, Segment, Solution, _scaled, _seg_key
+
+_EMPTY = (0, None)  # the memo entry of a box no rect lies in
+
+
+def _nested(spans: Iterable[tuple[int, int]]) -> bool:
+    """True iff every two (left, right) spans are nested or have disjoint
+    interiors; shared endpoints count as disjoint.
+
+    In (left, -right) order each span must end inside the innermost span
+    still open where it starts.
+    """
+    open_ends: list[int] = []
+    for a, neg_b in sorted({(a, -b) for a, b in spans}):
+        while open_ends and open_ends[-1] <= a:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < -neg_b:
+            return False
+        open_ends.append(-neg_b)
+    return True
 
 
 def is_laminar(inst: Instance) -> bool:
     """True iff every pair of x-projections is nested or interior-disjoint.
 
-    Shared endpoints count as disjoint.  In (left, -right) order each span
-    must end inside the innermost span still open where it starts.
+    Shared endpoints count as disjoint.
     """
-    open_ends: list[Fraction] = []
-    for a, b in sorted({(r.xl, r.xr) for r in inst.rects}, key=lambda s: (s[0], -s[1])):
-        while open_ends and open_ends[-1] <= a:
-            open_ends.pop()
-        if open_ends and open_ends[-1] < b:
-            return False
-        open_ends.append(b)
-    return True
+    n = len(inst.rects)
+    _, x = _scaled([r.xl for r in inst.rects] + [r.xr for r in inst.rects])
+    return _nested(zip(x[:n], x[n:]))
 
 
 def _rank(inst: Instance) -> tuple[list[Fraction], list[Fraction], int, list[tuple]]:
@@ -50,23 +66,34 @@ def _rank(inst: Instance) -> tuple[list[Fraction], list[Fraction], int, list[tup
     of the rects are valid DP input on their own, since a subset of a laminar
     family is laminar.
 
+    Each axis is scaled to integers once; the laminarity check, the sorts and
+    the rank lookups run on those, and xs and ys hold the input's own values.
+
     Raises ParameterError on non-laminar input.
     """
-    if not is_laminar(inst):
-        raise ParameterError("instance is not laminar")
     rects = inst.rects
-    xs = sorted({r.xl for r in rects} | {r.xr for r in rects})
-    ys = sorted({r.yb for r in rects} | {r.yt for r in rects})
-    xi = {v: i for i, v in enumerate(xs)}
-    yi = {v: i for i, v in enumerate(ys)}
-    # costs are integers over the common denominator of the x coordinates
-    den, x = _integer_scale(xs)
-    ranks = [(x[r.xl] - x[r.xr], r.id, xi[r.xl], xi[r.xr], yi[r.yb], yi[r.yt]) for r in rects]
-    return xs, ys, den, ranks
+    n = len(rects)
+    x_coords = [r.xl for r in rects] + [r.xr for r in rects]
+    y_coords = [r.yb for r in rects] + [r.yt for r in rects]
+    den, x = _scaled(x_coords)
+    _, y = _scaled(y_coords)
+    if not _nested(zip(x[:n], x[n:])):
+        raise ParameterError("instance is not laminar")
+    x_sorted = sorted(set(x))
+    y_sorted = sorted(set(y))
+    xi = {v: k for k, v in enumerate(x_sorted)}
+    yi = {v: k for k, v in enumerate(y_sorted)}
+    ranks = [
+        (a - b, r.id, xi[a], xi[b], yi[c], yi[d])
+        for r, a, b, c, d in zip(rects, x[:n], x[n:], y[:n], y[n:])
+    ]
+    x_own = dict(zip(x, x_coords))
+    y_own = dict(zip(y, y_coords))
+    return [x_own[v] for v in x_sorted], [y_own[v] for v in y_sorted], den, ranks
 
 
 def _box_dp(ranks: list[tuple]) -> tuple[Callable[[int, int, int, int], int], dict]:
-    """The box recursion over rank tuples from ``_rank``: (solve, memo).
+    """The box DP over rank tuples from ``_rank``: (solve, memo).
 
     solve(i, j, u, v) is the least cost, in units of 1/den, of stabbing the
     rects whose ranks lie in the box [i, j] x [u, v].  For each box, stab the
@@ -76,42 +103,65 @@ def _box_dp(ranks: list[tuple]) -> tuple[Callable[[int, int, int, int], int], di
     edges because any segment can be shifted up to the nearest top edge
     without changing what it stabs.
 
+    A sub-box lies inside its box, so its rects are found by scanning only
+    the box's own rects.  solve walks the boxes with an explicit stack, so a
+    chain of n sub-boxes, such as n x-disjoint rects, needs no recursion.
+
     memo maps each solved box to (cost, stab); stab is None for an empty box,
     else the ranks (a, b, t) of the segment stabbing the box's widest rect.
-    solve refers to itself, so a caller clears memo when done rather than
-    leave it to the cyclic collector.
     """
     tops = sorted({t[5] for t in ranks})
     memo: dict[tuple[int, int, int, int], tuple[int, tuple | None]] = {}
+    # frames (box, its rects, None) wait to be expanded, and frames
+    # (box, None, plan) to be finished once every sub-box is solved
+    todo: list[tuple] = []
+
+    def enter(boxes: list[tuple[int, int, int, int]], outer: list[tuple]) -> None:
+        # solve each unsolved box holding at most one rect, queue the others;
+        # every box lies inside the box whose rects are outer
+        for box in boxes:
+            i, j, u, v = box
+            if u > v or i >= j or box in memo:
+                continue
+            group = [t for t in outer if i <= t[2] and t[3] <= j and u <= t[4] and t[5] <= v]
+            if len(group) > 1:
+                todo.append((box, group, None))
+            elif group:
+                # a lone rect is stabbed at its top edge; its sub-boxes stay unsolved
+                neg_width, _, a, b, _, yt = group[0]
+                memo[box] = (-neg_width, (a, b, yt))
+            else:
+                memo[box] = _EMPTY
 
     def solve(i: int, j: int, u: int, v: int) -> int:
-        if u > v or i >= j:
-            return 0
-        key = (i, j, u, v)
-        if key in memo:
-            return memo[key][0]
-        # the rects inside the box
-        group = [t for t in ranks if i <= t[2] and t[3] <= j and u <= t[4] and t[5] <= v]
-        if not group:
-            memo[key] = (0, None)
-            return 0
-        neg_width, _, a, b, yb, yt = min(group)
-        if len(group) == 1:
-            # a lone rect is stabbed at its top edge; its sub-boxes stay unsolved
-            memo[key] = (-neg_width, (a, b, yt))
-            return -neg_width
-        side = solve(i, a, u, v) + solve(b, j, u, v)
-        best = None
-        best_t = -1
-        for t in tops[bisect_left(tops, yb) : bisect_right(tops, yt)]:
-            below = solve(a, b, u, t - 1)
-            above = solve(a, b, t + 1, v)
-            if best is None or below + above < best:
-                best = below + above
-                best_t = t
-        cost = -neg_width + side + best
-        memo[key] = (cost, (a, b, best_t))
-        return cost
+        root = (i, j, u, v)
+        enter([root], ranks)
+        get = memo.get
+        while todo:
+            box, group, plan = todo.pop()
+            if plan is not None:
+                width, a, b, levels, subs = plan
+                side = get(subs[0], _EMPTY)[0] + get(subs[1], _EMPTY)[0]
+                best = None
+                best_t = -1
+                halves = iter(subs[2:])
+                for t, below, above in zip(levels, halves, halves):
+                    cost = get(below, _EMPTY)[0] + get(above, _EMPTY)[0]
+                    if best is None or cost < best:
+                        best = cost
+                        best_t = t
+                memo[box] = (width + side + best, (a, b, best_t))
+            elif box not in memo:  # else solved meanwhile inside another box
+                i, j, u, v = box
+                neg_width, _, a, b, yb, yt = min(group)
+                levels = tops[bisect_left(tops, yb) : bisect_right(tops, yt)]
+                subs = [(i, a, u, v), (b, j, u, v)]
+                for t in levels:
+                    subs.append((a, b, u, t - 1))
+                    subs.append((a, b, t + 1, v))
+                todo.append((box, None, (-neg_width, a, b, levels, subs)))
+                enter(subs, group)
+        return get(root, _EMPTY)[0]
 
     return solve, memo
 
@@ -128,21 +178,16 @@ def solve_laminar(inst: Instance) -> Solution:
     total = solve(*root)
 
     segments: list[Segment] = []
-
-    def collect(i: int, j: int, u: int, v: int) -> None:
+    todo = [root]
+    while todo:
+        i, j, u, v = box = todo.pop()
         # a box solve never reached (degenerate, or beside a lone rect) is empty
-        stab = memo.get((i, j, u, v), (0, None))[1]
+        stab = memo.get(box, _EMPTY)[1]
         if stab is None:
-            return
+            continue
         a, b, t = stab
         segments.append(Segment(xs[a], xs[b], ys[t]))
-        collect(i, a, u, v)
-        collect(b, j, u, v)
-        collect(a, b, u, t - 1)
-        collect(a, b, t + 1, v)
-
-    collect(*root)
-    memo.clear()
+        todo += [(i, a, u, v), (b, j, u, v), (a, b, u, t - 1), (a, b, t + 1, v)]
     sol = Solution(tuple(sorted(segments, key=_seg_key)))
     assert sol.cost == Fraction(total, den), "reconstructed segments disagree with the DP value"
     return sol

@@ -45,7 +45,8 @@ class SchemeParams:
 
     ``mu`` is the per-level decomposition accuracy eps / (17 * (d + 1)), where
     d = ceil(log2(n/eps)) is the number of levels the width scale can halve
-    through; ``klong`` the cap on long segments per guess.  Either may be
+    through, for the rect count n (an integer; 0 derives as 1, negative is a
+    parameter error); ``klong`` the cap on long segments per guess.  Either may be
     overridden for desk-scale runs; the certified approximation factor then
     follows the overridden values.  ``node_budget`` None means no budget.
     """
@@ -65,6 +66,8 @@ class SchemeParams:
         oracle_limit=None,
         node_budget=None,
     ) -> "SchemeParams":
+        if _as_int(n, "n") < 0:
+            raise ParameterError("n must not be negative")
         eps = _open_unit(eps, "eps")
         levels = ceil_log2(Fraction(max(n, 1)) / eps)
         mu = _open_unit(mu if mu is not None else eps / (17 * (levels + 1)), "mu")

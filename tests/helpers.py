@@ -8,6 +8,7 @@ with ``crossing_rects``, each tested on its own.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from stabkit import (
     CutResult,
     Guess,
     Instance,
+    ParameterError,
     Rect,
     Segment,
     Solution,
@@ -129,6 +131,62 @@ def is_laminar_pairwise(inst: Instance) -> bool:
             if not (disjoint or nested):
                 return False
     return True
+
+
+def solve_laminar_full_scan(inst: Instance) -> Solution:
+    """The laminar box DP with ranks on Fractions, in which every box scans
+    all n rank tuples for the rects inside it.
+
+    Reference for ``solve_laminar``, which must return this very solution.
+    It recurses once per nested box, so keep n far below the recursion limit.
+    """
+    if not is_laminar_pairwise(inst):
+        raise ParameterError("instance is not laminar")
+    rects = inst.rects
+    xs = sorted({r.xl for r in rects} | {r.xr for r in rects})
+    ys = sorted({r.yb for r in rects} | {r.yt for r in rects})
+    xi = {v: i for i, v in enumerate(xs)}
+    yi = {v: i for i, v in enumerate(ys)}
+    den = math.lcm(*(v.denominator for v in xs))
+    # (-width * den, id, xl, xr, yb, yt): min() picks the widest, lowest id
+    ranks = [(int((r.xl - r.xr) * den), r.id, xi[r.xl], xi[r.xr], yi[r.yb], yi[r.yt]) for r in rects]
+    tops = sorted({t[5] for t in ranks})
+    memo: dict[tuple, tuple] = {}
+
+    def solve(i, j, u, v):
+        if u > v or i >= j:
+            return 0
+        if (i, j, u, v) not in memo:
+            group = [t for t in ranks if i <= t[2] and t[3] <= j and u <= t[4] and t[5] <= v]
+            if not group:
+                memo[i, j, u, v] = (0, None)
+            elif len(group) == 1:
+                neg_width, _, a, b, _, yt = group[0]
+                memo[i, j, u, v] = (-neg_width, (a, b, yt))
+            else:
+                neg_width, _, a, b, yb, yt = min(group)
+                best = None
+                for t in tops[bisect_left(tops, yb) : bisect_right(tops, yt)]:
+                    cost = solve(a, b, u, t - 1) + solve(a, b, t + 1, v)
+                    if best is None or cost < best[0]:
+                        best = (cost, t)
+                cost = -neg_width + solve(i, a, u, v) + solve(b, j, u, v) + best[0]
+                memo[i, j, u, v] = (cost, (a, b, best[1]))
+        return memo[i, j, u, v][0]
+
+    def collect(i, j, u, v):
+        stab = memo.get((i, j, u, v), (0, None))[1]
+        if stab is not None:
+            a, b, t = stab
+            yield Segment(xs[a], xs[b], ys[t])
+            for box in ((i, a, u, v), (b, j, u, v), (a, b, u, t - 1), (a, b, t + 1, v)):
+                yield from collect(*box)
+
+    root = (0, len(xs) - 1, 0, len(ys) - 1)
+    total = solve(*root)
+    sol = Solution(tuple(sorted(collect(*root), key=lambda s: (s.xl, s.xr, s.y))))
+    assert sol.cost == Fraction(total, den)
+    return sol
 
 
 def reduce_candidates_pairwise(inst: Instance, cands: list[Segment]) -> list[Candidate]:

@@ -14,6 +14,7 @@ from stabkit import (
     is_laminar,
     round_rect,
     solution_to_json,
+    solve_laminar,
     stabs,
     stretch_segment,
     to_laminar,
@@ -23,7 +24,13 @@ from stabkit import (
 from stabkit.approx8 import _approx8_prices
 
 from .conftest import make_instance
-from .helpers import GENERATED_KINDS, generated_instance, per_rect_solution, round_segment_pow2
+from .helpers import (
+    GENERATED_KINDS,
+    generated_instance,
+    per_rect_solution,
+    round_segment_pow2,
+    solve_laminar_full_scan,
+)
 
 
 def frac_rect_st(den=8, max_coord=32):
@@ -147,6 +154,18 @@ class TestApprox8Prices:
     @settings(max_examples=100)
     def test_price_is_the_subset_approx8_cost(self, kind, n, seed, data):
         self.assert_prices_match(generated_instance(kind, n, seed), data)
+
+    @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 40), st.integers(0, 10**6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_price_is_twice_the_rounded_subset_optimum(self, kind, n, seed, data):
+        # a price runs the box DP on a subset of ranks built once; the rounded
+        # subset solved on its own, and by the full-scan reference, must agree
+        inst = generated_instance(kind, n, seed)
+        price = _approx8_prices(inst)
+        full = (1 << n) - 1
+        for mask in data.draw(st.lists(st.integers(0, full), min_size=1, max_size=4)):
+            rounded = to_laminar(Instance(tuple(r for i, r in enumerate(inst.rects) if mask >> i & 1)))
+            assert price(mask) == 2 * solve_laminar(rounded).cost == 2 * solve_laminar_full_scan(rounded).cost
 
     @given(
         st.lists(

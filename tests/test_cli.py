@@ -73,6 +73,17 @@ class TestSolve:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"approx8: 1 segments, cost {cost} (3595386269724631")
 
+    @pytest.mark.parametrize("algo,cost", [("laminar-dp", "1000"), ("approx8", "2000")])
+    def test_long_x_chain_solves(self, tmp_path, algo, cost):
+        # 1,000 x-disjoint unit rects used to end in a RecursionError
+        # traceback and exit 1, the code for an infeasible instance
+        path = tmp_path / "chain.json"
+        rects = [{"xl": 2 * i, "xr": 2 * i + 1, "yb": 0, "yt": 1} for i in range(1000)]
+        path.write_text(json.dumps({"rects": rects}))
+        out = str(tmp_path / "sol.json")
+        assert main(["solve", "--algo", algo, "-i", str(path), "-o", out]) == 0
+        assert json.loads(open(out).read())["cost"] == cost
+
     def test_missing_scheme_params(self, i1_file, capsys):
         assert main(["solve", "--algo", "ptas", "-i", i1_file]) == 2
 

@@ -1,3 +1,4 @@
+from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
@@ -6,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 from stabkit import (
     Instance,
     ParameterError,
+    approx8,
     exact_opt,
     gen_laminar,
+    gen_uniform,
     is_laminar,
     solve_laminar,
+    to_laminar,
     verify,
 )
 
 from .conftest import make_instance
-from .helpers import affine_instance, affine_solution, is_laminar_pairwise
+from .helpers import affine_instance, affine_solution, is_laminar_pairwise, solve_laminar_full_scan
 
 
 class TestIsLaminar:
@@ -33,14 +37,30 @@ class TestIsLaminar:
     @given(
         st.integers(0, 200),
         st.lists(st.tuples(st.integers(0, 16), st.integers(1, 8)), max_size=3),
+        st.booleans(),
     )
     @settings(max_examples=200)
-    def test_matches_pairwise_reference(self, seed, extra):
+    def test_matches_pairwise_reference(self, seed, extra, mapped):
         # a laminar family on the 0..16 grid plus up to three spans on the
-        # same grid: nesting, shared endpoints and crossings all occur
+        # same grid: nesting, shared endpoints and crossings all occur; the
+        # affine map puts them over a denominator with odd factors
         base = [(r.xl, r.xr, 0, 1) for r in gen_laminar(seed % 12 + 1, seed).rects]
         inst = make_instance(base + [(a, a + w, 0, 1) for a, w in extra])
+        if mapped:
+            inst = affine_instance(inst)
         assert is_laminar(inst) == is_laminar_pairwise(inst)
+
+    def test_shared_fractional_endpoint_and_crossing_across_denominators(self):
+        # [0, 1/3] and [1/3, 5/7] share an endpoint; [1/2, 3/4] crosses the
+        # second of them: the spans sit over denominators 3, 7, 2 and 4
+        touching = [(0, F(1, 3), 0, 1), (F(1, 3), F(5, 7), 0, 1)]
+        assert is_laminar(make_instance(touching))
+        assert is_laminar(make_instance(touching + [(F(2, 5), F(3, 5), 0, 1)]))
+        crossing = make_instance(touching + [(F(1, 2), F(3, 4), 0, 1)])
+        assert not is_laminar(crossing)
+        assert not is_laminar_pairwise(crossing)
+        with pytest.raises(ParameterError):
+            solve_laminar(crossing)
 
 
 class TestSolveLaminar:
@@ -65,6 +85,45 @@ class TestSolveLaminar:
     def test_rejects_non_laminar(self):
         with pytest.raises(ParameterError):
             solve_laminar(make_instance([(0, 4, 0, 1), (2, 6, 0, 1)]))
+
+    @pytest.mark.parametrize(
+        "rect_of",
+        [
+            # 2,000 x-disjoint unit rects: each box's right side is the next
+            # box of the chain
+            lambda i: (2 * i, 2 * i + 1, 0, 1),
+            # 2,000 unit rects stacked in y: each box's upper side is the next
+            lambda i: (0, 1, 2 * i, 2 * i + 1),
+        ],
+        ids=["x-chain", "y-chain"],
+    )
+    def test_long_chain_needs_no_recursion(self, rect_of):
+        # both chains used to raise RecursionError from n = 1,000 on
+        n = 2000
+        inst = make_instance([rect_of(i) for i in range(n)])
+        assert solve_laminar(inst).cost == n
+        assert approx8(inst).cost == 2 * n
+
+    @given(
+        st.sampled_from(["laminar", "rounded", "affine laminar", "affine rounded"]),
+        st.integers(1, 56),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_scan_reference(self, kind, n, seed):
+        # the box DP scans only the enclosing box's rects and ranks in
+        # integers; the reference scans every rect per box over Fraction ranks
+        if kind.endswith("laminar"):
+            inst = gen_laminar(n, seed)
+        else:
+            inst = to_laminar(gen_uniform(n, seed))
+        if kind.startswith("affine"):
+            inst = affine_instance(inst)
+        sol = solve_laminar(inst)
+        ref = solve_laminar_full_scan(inst)
+        assert sol == ref
+        assert sol.segments == ref.segments
+        assert sol.cost == ref.cost
 
     @given(st.integers(0, 80))
     @settings(max_examples=80)

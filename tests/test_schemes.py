@@ -55,6 +55,17 @@ class TestSchemeParams:
         with pytest.raises(ParameterError):
             SchemeParams.derive(8, F(1, 2), **limits)
 
+    @pytest.mark.parametrize("n", [2.5, -3, True, F(4)])
+    def test_bad_rect_count_rejected(self, n):
+        # a float n used to derive mu = 1/136, and a negative one the
+        # parameters of n = 1
+        with pytest.raises(ParameterError):
+            SchemeParams.derive(n, "1/2")
+
+    def test_zero_rects_derive_like_one(self):
+        # the command line checks scheme options with n = 0 before any input
+        assert SchemeParams.derive(0, "1/2") == SchemeParams.derive(1, "1/2")
+
     @pytest.mark.parametrize(
         "given",
         [

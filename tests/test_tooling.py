@@ -58,6 +58,19 @@ def test_every_workload_job_runs_and_checks(job):
     assert reason is None
 
 
+@pytest.mark.parametrize("algo, kind", [("laminar-dp", "laminar"), ("approx8", "uniform")])
+def test_largest_laminar_workload_jobs_run_and_check(algo, kind):
+    # the laminar workload's jobs reach n = 56; the jobs above stop at n = 6
+    wl = load("workloads")
+    job = wl.Job(algo, kind, 56, 1)
+    assert (algo, kind, 56) in wl.WORKLOADS["laminar"][1]
+    inst = wl.generate(stabkit, job)
+    output, stats = wl.execute(stabkit, job, inst)
+    ref = wl.reference(stabkit, job, inst)
+    reason, _ = wl.check(stabkit, job, inst, output, stats, ref)
+    assert reason is None
+
+
 def test_strip_partition_calls_the_crossing_test_binding(monkeypatch):
     # perfbench counts grid shifts as the crossing_rects calls the tracer sees
     # under strip_partition, and its self-test needs that count above zero
