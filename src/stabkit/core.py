@@ -13,10 +13,11 @@ cost comparisons are exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 Scalar = Fraction
 
@@ -241,42 +242,56 @@ def stabs(s: Segment, r: Rect) -> bool:
 
 
 def verify(inst: Instance, sol: Solution) -> VerifyReport:
-    """Check feasibility of a solution against an instance, from scratch."""
-    unstabbed = tuple(
-        sorted(r.id for r in inst.rects if not any(stabs(s, r) for s in sol.segments))
-    )
-    cost = sum((s.length for s in sol.segments), Fraction(0))
+    """Check feasibility of a solution against an instance, from scratch.
+
+    Coordinates are scaled to integers once.  Per distinct segment height,
+    the segments are sorted by left end with a running maximum of right
+    ends, so a rect asks each height inside ``[yb, yt]`` one ``bisect`` for
+    the farthest reach of the segments starting at or before its left edge.
+    """
+    rects, segs = inst.rects, sol.segments
+    den, xs = _scaled([v for o in (*rects, *segs) for v in (o.xl, o.xr)])
+    _, ys = _scaled([v for r in rects for v in (r.yb, r.yt)] + [s.y for s in segs])
+    n = 2 * len(rects)  # rect p's (xl, xr) and (yb, yt) sit at 2p and 2p + 1
+    rows: dict[int, list[tuple[int, int]]] = {}  # height -> (xl, xr) of its segments
+    for a, b, h in zip(xs[n::2], xs[n + 1 :: 2], ys[n:]):
+        rows.setdefault(h, []).append((a, b))
+    heights = sorted(rows)
+    lefts, reach = [], []  # per height: sorted left ends, running max of right ends
+    for h in heights:
+        row = sorted(rows[h])
+        lefts.append([a for a, _ in row])
+        reach.append(list(accumulate((b for _, b in row), max)))
+
+    def stabbed(p: int) -> bool:
+        for h in range(bisect_left(heights, ys[p]), bisect_right(heights, ys[p + 1])):
+            i = bisect_right(lefts[h], xs[p])
+            if i and reach[h][i - 1] >= xs[p + 1]:
+                return True
+        return False
+
+    unstabbed = tuple(sorted(r.id for p, r in zip(range(0, n, 2), rects) if not stabbed(p)))
+    cost = Fraction(sum(xs[n + 1 :: 2]) - sum(xs[n::2]), den)
     return VerifyReport(feasible=not unstabbed, unstabbed_ids=unstabbed, recomputed_cost=cost)
 
 
-def _candidate_grid(inst: Instance):
-    """(lefts, rights, tops, triples): the sorted distinct left edges, right
-    edges and top edges of ``inst``, and a lazy iterator over the rank triples
-    ``(i, j, k)`` with ``lefts[i] <= rights[j]``, in lexicographic order.
-
-    Each triple names the candidate segment ``[lefts[i], rights[j]] x tops[k]``.
-    """
-    lefts = sorted({r.xl for r in inst.rects})
-    rights = sorted({r.xr for r in inst.rects})
-    tops = sorted({r.yt for r in inst.rects})
-    triples = (
-        (i, j, k)
-        for i, a in enumerate(lefts)
-        for j in range(bisect_left(rights, a), len(rights))
-        for k in range(len(tops))
-    )
-    return lefts, rights, tops, triples
-
-
 def candidate_segments(inst: Instance) -> list[Segment]:
-    """All segments [xl_i, xr_j] x yt_k over rect boundary coordinates.
+    """All segments [xl_i, xr_j] x yt_k over rect boundary coordinates, in
+    lexicographic (xl, xr, y) order.
 
     Any feasible solution can be rearranged to use only these: shrink each
     segment onto the extreme left/right edges it must reach, then shift it up
     to the nearest top edge.  At most n^3 segments; duplicates are removed.
     """
-    lefts, rights, tops, triples = _candidate_grid(inst)
-    return [Segment(lefts[i], rights[j], tops[k]) for i, j, k in triples]
+    lefts = sorted({r.xl for r in inst.rects})
+    rights = sorted({r.xr for r in inst.rects})
+    tops = sorted({r.yt for r in inst.rects})
+    return [
+        Segment(a, b, y)
+        for a in lefts
+        for b in rights[bisect_left(rights, a) :]
+        for y in tops
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from .core import (
     Segment,
     Solution,
     _as_int,
-    _candidate_grid,
     _integer_scale,
+    _scaled,
     _seg_key,
 )
 
@@ -37,36 +37,10 @@ class Candidate:
     stab_set: int
 
 
-def _reduce(inst: Instance, lefts, rights, levels, triples) -> tuple[list[Candidate], list[int]]:
-    """The reduced candidates among the segments ``[lefts[i], rights[j]] x
-    levels[k]`` for the rank triples ``(i, j, k)``, and their lengths as
-    integers over one common denominator.
-
-    ``lefts``, ``rights`` and ``levels`` are sorted and distinct, so rank
-    order is coordinate order and ties resolve to the smallest (xl, xr, y).
-    """
-    rects = inst.rects
-    # a segment stabs exactly the rects with xl >= its xl, xr <= its xr and
-    # yb <= its y <= yt: one mask per distinct coordinate, ANDed per triple
-    _, x = _integer_scale({*lefts, *rights, *(r.xl for r in rects), *(r.xr for r in rects)})
-    _, y = _integer_scale({*levels, *(r.yb for r in rects), *(r.yt for r in rects)})
-    xl = [x[a] for a in lefts]
-    xr = [x[b] for b in rights]
-    ys = [y[v] for v in levels]
-    edges = [(1 << p, x[r.xl], x[r.xr], y[r.yb], y[r.yt]) for p, r in enumerate(rects)]
-    lm = [sum(bit for bit, rl, _, _, _ in edges if rl >= a) for a in xl]
-    rm = [sum(bit for bit, _, rr, _, _ in edges if rr <= b) for b in xr]
-    ym = [sum(bit for bit, _, _, rb, rt in edges if rb <= v <= rt) for v in ys]
-
-    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, (i, j, k))
-    for t in triples:
-        i, j, k = t
-        mask = lm[i] & rm[j] & ym[k]
-        if mask:
-            entry = (xr[j] - xl[i], t)
-            old = shortest.get(mask)
-            if old is None or entry < old:
-                shortest[mask] = entry
+def _kept_rows(shortest: dict[int, tuple]) -> list[tuple]:
+    """The rows ``(key, mask, length)``, sorted by key, of the stab sets in
+    ``shortest`` (mask -> ``(length, *key)``, the least such entry per set)
+    that no other set contains at no greater length."""
     # a strict superset has a higher popcount, and domination is transitive,
     # so every dominated set has a kept dominator visited before it
     kept = []
@@ -77,9 +51,7 @@ def _reduce(inst: Instance, lefts, rights, levels, triples) -> tuple[list[Candid
                 break
         else:
             kept.append((mask, length))
-    rows = sorted((shortest[mask][1], mask, length) for mask, length in kept)
-    cands = [Candidate(Segment(lefts[i], rights[j], levels[k]), mask) for (i, j, k), mask, _ in rows]
-    return cands, [length for _, _, length in rows]
+    return sorted((shortest[mask][1:], mask, length) for mask, length in kept)
 
 
 def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
@@ -90,12 +62,28 @@ def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     equals that over the full list.  Ties resolve to the lexicographically
     smallest segment (by (xl, xr, y)) so the result is deterministic.
     """
+    rects = inst.rects
     lefts = sorted({s.xl for s in cands})
     rights = sorted({s.xr for s in cands})
     levels = sorted({s.y for s in cands})
-    left, right, level = ({v: r for r, v in enumerate(vs)} for vs in (lefts, rights, levels))
-    triples = [(left[s.xl], right[s.xr], level[s.y]) for s in cands]
-    return _reduce(inst, lefts, rights, levels, triples)[0]
+    # a segment stabs exactly the rects with xl >= its xl, xr <= its xr and
+    # yb <= its y <= yt: one mask per distinct coordinate, ANDed per segment
+    _, x = _integer_scale({*lefts, *rights, *(r.xl for r in rects), *(r.xr for r in rects)})
+    _, y = _integer_scale({*levels, *(r.yb for r in rects), *(r.yt for r in rects)})
+    edges = [(1 << p, x[r.xl], x[r.xr], y[r.yb], y[r.yt]) for p, r in enumerate(rects)]
+    lm = {a: sum(bit for bit, rl, _, _, _ in edges if rl >= x[a]) for a in lefts}
+    rm = {b: sum(bit for bit, _, rr, _, _ in edges if rr <= x[b]) for b in rights}
+    ym = {v: sum(bit for bit, _, _, rb, rt in edges if rb <= y[v] <= rt) for v in levels}
+
+    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y)
+    for s in cands:
+        mask = lm[s.xl] & rm[s.xr] & ym[s.y]
+        if mask:
+            entry = (x[s.xr] - x[s.xl], s.xl, s.xr, s.y)
+            old = shortest.get(mask)
+            if old is None or entry < old:
+                shortest[mask] = entry
+    return [Candidate(Segment(*key), mask) for key, mask, _ in _kept_rows(shortest)]
 
 
 def _candidate_table(inst: Instance) -> tuple[list[Candidate], list[int], list[list[int]]]:
@@ -103,14 +91,53 @@ def _candidate_table(inst: Instance) -> tuple[list[Candidate], list[int], list[l
     common denominator, and per rect position the indices of the candidates
     that stab it.
 
-    The candidates are those of ``candidate_segments``, fed to the reduction
-    as the rank triples of ``_candidate_grid``: no segment is built for a
-    candidate that is dropped.
+    The rows are those ``reduce_candidates`` keeps of ``candidate_segments``,
+    found by a sweep that visits only *tight* segments: at each top edge y,
+    ``[a, b] x y`` for a left edge a and a right edge b of the rects alive at
+    y (``yb <= y <= yt``).  Any grid segment with stab set S at y contains
+    ``[min xl(S), max xr(S)] x y``, which stabs exactly S and is strictly
+    shorter unless it is that same segment; so the least (length, xl, xr, y)
+    per stab set is a tight one.  Coordinates are scaled to integers once
+    (x over the rects' xl and xr, the grid's own denominator) and mapped back
+    to the rects' Fractions only for the kept rows.
     """
-    cands, lengths = _reduce(inst, *_candidate_grid(inst))
-    covering = [
-        [ci for ci, c in enumerate(cands) if c.stab_set >> i & 1] for i in range(len(inst.rects))
-    ]
+    rects = inst.rects
+    n = len(rects)
+    x_values = [r.xl for r in rects] + [r.xr for r in rects]
+    y_values = [r.yb for r in rects] + [r.yt for r in rects]
+    _, xs = _scaled(x_values)
+    _, ys = _scaled(y_values)
+    by_right = sorted(range(n), key=xs[n:].__getitem__)
+
+    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y)
+    for y in sorted(set(ys[n:])):
+        alive = [(xs[p], xs[n + p], 1 << p) for p in by_right if ys[p] <= y <= ys[n + p]]
+        starts = {left for left, _, _ in alive}
+        alive.append((math.inf, math.inf, 0))  # past every right edge: flushes the last mask
+        for a in starts:
+            # [a, b] x y stabs the alive rects with xl >= a and xr <= b; a
+            # mask is recorded only once every rect ending at b is in it
+            mask = 0
+            for left, right, bit in alive:
+                if left >= a:
+                    if mask and right != b:
+                        entry = (b - a, a, b, y)
+                        old = shortest.get(mask)
+                        if old is None or entry < old:
+                            shortest[mask] = entry
+                    mask |= bit
+                    b = right
+
+    x_of, y_of = dict(zip(xs, x_values)), dict(zip(ys, y_values))
+    cands, lengths = [], []
+    covering: list[list[int]] = [[] for _ in range(n)]
+    for ci, ((a, b, y), mask, length) in enumerate(_kept_rows(shortest)):
+        cands.append(Candidate(Segment(x_of[a], x_of[b], y_of[y]), mask))
+        lengths.append(length)
+        while mask:
+            low = mask & -mask
+            covering[low.bit_length() - 1].append(ci)
+            mask ^= low
     return cands, lengths, covering
 
 

@@ -23,6 +23,7 @@ from stabkit import (
     Solution,
     Strip,
     StripPartition,
+    VerifyReport,
     approx8,
     candidate_segments,
     ceil_log2,
@@ -266,6 +267,19 @@ def crossing_rects_floor(inst: Instance, z: Fraction, spacing: Fraction) -> list
         if z + first * spacing < r.xr:
             hit.append(r)
     return hit
+
+
+def verify_pairwise(inst: Instance, sol: Solution) -> VerifyReport:
+    """Feasibility by testing every rect against every segment with the
+    plain predicate, and the cost as a sum of Fraction lengths.
+
+    Reference for ``verify``.
+    """
+    unstabbed = tuple(
+        sorted(r.id for r in inst.rects if not any(stabs(s, r) for s in sol.segments))
+    )
+    cost = sum((s.length for s in sol.segments), Fraction(0))
+    return VerifyReport(feasible=not unstabbed, unstabbed_ids=unstabbed, recomputed_cost=cost)
 
 
 def stab_mask(inst: Instance, s: Segment) -> int:

@@ -11,6 +11,7 @@ from stabkit import (
     Segment,
     Solution,
     Transform,
+    VerifyReport,
     as_scalar,
     candidate_segments,
     ceil_log2,
@@ -29,7 +30,7 @@ from stabkit import (
 )
 
 from .conftest import make_instance
-from .helpers import canonicalize_segment, per_rect_solution
+from .helpers import canonicalize_segment, per_rect_solution, verify_pairwise
 
 
 def rect_st(max_coord=12, den=4):
@@ -43,6 +44,22 @@ def rect_st(max_coord=12, den=4):
 
 def instance_st(max_n=5):
     return st.lists(rect_st(), min_size=0, max_size=max_n).map(make_instance)
+
+
+@st.composite
+def touching_solution(draw, max_n=6):
+    # segments on the rects' own coordinates, or half a grid step off them:
+    # ends on edges and corners, zero-length segments, and empty solutions
+    inst = draw(instance_st(max_n))
+    xs = sorted({v for r in inst.rects for v in (r.xl, r.xr)} | {F(0)})
+    ys = sorted({v for r in inst.rects for v in (r.yb, r.yt)} | {F(0)})
+    off = st.sampled_from([F(0), F(0), F(1, 8), F(-1, 8)])
+    segments = []
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.sampled_from(xs)) + draw(off)
+        b = a if draw(st.booleans()) else max(a, draw(st.sampled_from(xs)) + draw(off))
+        segments.append(Segment(a, b, draw(st.sampled_from(ys)) + draw(off)))
+    return inst, Solution(tuple(segments))
 
 
 class TestScalar:
@@ -128,6 +145,39 @@ class TestVerify:
     def test_empty_instance(self):
         report = verify(Instance(()), Solution(()))
         assert report.feasible and report.recomputed_cost == 0
+
+    def test_edge_and_corner_touches_count(self):
+        inst = make_instance([(0, 2, 0, 1), (2, 4, 1, 3), (4, 6, 3, 3)])
+        # ends on the rects' sides, heights on their bottom and top edges
+        sol = Solution((Segment(0, 4, 1), Segment(4, 6, 3), Segment(5, 5, 3)))
+        report = verify(inst, sol)
+        assert report.feasible and report.recomputed_cost == 6
+        short = Solution((Segment(0, F(7, 2), 1), Segment(4, 6, F(5, 2))))
+        assert verify(inst, short).unstabbed_ids == (2, 3)
+
+    def test_zero_length_segments_stab_nothing(self, i1):
+        sol = Solution(tuple(Segment(r.xl, r.xl, r.yt) for r in i1.rects))
+        report = verify(i1, sol)
+        assert report.unstabbed_ids == (1, 2, 3) and report.recomputed_cost == 0
+
+    @given(touching_solution())
+    def test_matches_pairwise_reference(self, case):
+        inst, sol = case
+        report = verify(inst, sol)
+        assert report == verify_pairwise(inst, sol)
+        assert isinstance(report.recomputed_cost, F)
+
+    @pytest.mark.parametrize("gap", [0, 1])
+    def test_thousand_x_disjoint_rects(self, gap):
+        # one height holds every segment, the case a per-pair scan made
+        # quadratic; the rects touch (gap 0) or stand apart, and dropping
+        # every other segment leaves those rects unstabbed
+        n = 1000
+        inst = Instance(tuple(Rect(i, 2 * i, 2 * i + 2 - gap, 0, 1) for i in range(n)))
+        segments = [Segment(2 * i, 2 * i + 2 - gap, 1) for i in range(n)]
+        assert verify(inst, Solution(tuple(segments))) == VerifyReport(True, (), F(n * (2 - gap)))
+        half = verify(inst, Solution(tuple(segments[::2])))
+        assert half == VerifyReport(False, tuple(range(1, n, 2)), F(n // 2 * (2 - gap)))
 
 
 class TestCandidates:

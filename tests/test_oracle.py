@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabkit import (
+    Candidate,
     Instance,
     OracleLimitError,
     ParameterError,
@@ -58,6 +59,21 @@ def tie_heavy(draw):
     return make_instance(rects)
 
 
+@st.composite
+def shared_edges(draw):
+    # a few x values and one height, 0, that every rect reaches: the rects
+    # alive there share left and right edges in many combinations, some end
+    # where others start, and flat ones (yb == yt == 0) sit on a shared top
+    xs = sorted(draw(st.sets(st.integers(0, 6), min_size=2, max_size=4)))
+    rects = []
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(0, len(xs) - 2))
+        j = draw(st.integers(i + 1, len(xs) - 1))
+        rects.append((xs[i], xs[j], -draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+    inst = make_instance(rects)
+    return affine_instance(inst) if draw(st.booleans()) else inst
+
+
 class TestReduceCandidates:
     def test_same_set_keeps_shorter(self):
         inst = make_instance([(0, 2, 0, 1), (0, 2, 0, 2)])
@@ -105,17 +121,74 @@ class TestReduceCandidates:
                 ), seg
 
 
-@given(st.one_of(generated(), tie_heavy()))
-def test_candidate_table_matches_reference(inst):
+def assert_table_is_reference(inst):
     cands, lengths, covering = _candidate_table(inst)
     ref = reduce_candidates_pairwise(inst, candidate_segments(inst))
     assert cands == ref
-    # integer lengths over one common denominator: one scale for every row
+    # integer lengths over the least common denominator of the rects' x
+    # coordinates: equal to the lengths the grid kernel computed, not
+    # merely proportional to them
+    den = math.lcm(*(v.denominator for r in inst.rects for v in (r.xl, r.xr)))
     assert all(isinstance(length, int) for length in lengths)
-    assert len({Fraction(length) / c.segment.length for c, length in zip(ref, lengths)}) <= 1
+    assert lengths == [c.segment.length * den for c in ref]
     assert covering == [
         [ci for ci, c in enumerate(ref) if c.stab_set >> i & 1] for i in range(len(inst.rects))
     ]
+    return cands
+
+
+@given(st.one_of(generated(), tie_heavy(), shared_edges()))
+def test_candidate_table_matches_reference(inst):
+    assert_table_is_reference(inst)
+
+
+class TestCandidateTableSweep:
+    def test_shared_right_edge_recorded_whole(self):
+        # at y = 2 three alive rects, one of them flat, end at x = 4, so
+        # [0, 4] x 2 stabs all three
+        inst = make_instance([(0, 4, 0, 2), (2, 4, 1, 3), (3, 4, 2, 2), (1, 6, 0, 2)])
+        cands = assert_table_is_reference(inst)
+        assert Candidate(Segment(0, 4, 2), 0b0111) in cands
+
+    def test_flat_rects_on_a_shared_top(self):
+        inst = make_instance([(0, 2, 1, 1), (1, 3, 1, 1), (2, 4, 0, 1), (0, 4, 1, 1)])
+        cands = assert_table_is_reference(inst)
+        assert [(c.segment, c.stab_set) for c in cands] == [
+            (Segment(0, 2, 1), 0b0001),
+            (Segment(0, 3, 1), 0b0011),
+            (Segment(0, 4, 1), 0b1111),
+            (Segment(1, 3, 1), 0b0010),
+            (Segment(1, 4, 1), 0b0110),
+            (Segment(2, 4, 1), 0b0100),
+        ]
+
+    def test_rects_touching_at_an_x_endpoint(self):
+        inst = make_instance([(0, 2, 0, 1), (2, 4, 0, 1), (4, 6, 1, 2)])
+        # closed boundaries: [0, 4] x 1 stabs both rects that meet at x = 2,
+        # and [2, 6] x 1 the second and the third, which meet at its y = 1
+        cands = assert_table_is_reference(inst)
+        assert [(c.segment, c.stab_set) for c in cands] == [
+            (Segment(0, 2, 1), 0b001),
+            (Segment(0, 4, 1), 0b011),
+            (Segment(0, 6, 1), 0b111),
+            (Segment(2, 4, 1), 0b010),
+            (Segment(2, 6, 1), 0b110),
+            (Segment(4, 6, 1), 0b100),
+        ]
+
+    def test_one_rect(self):
+        third, five_halves, seventh = Fraction(1, 3), Fraction(5, 2), Fraction(1, 7)
+        inst = make_instance([(third, five_halves, 0, seventh)])
+        assert _candidate_table(inst) == ([Candidate(Segment(third, five_halves, seventh), 1)], [13], [[0]])
+
+    def test_no_rects(self):
+        assert _candidate_table(Instance(())) == ([], [], [])
+
+    def test_level_that_keeps_no_row(self):
+        # at y = 5 only the tall rect is alive, and [0, 4] x 2 stabs it too
+        inst = make_instance([(0, 4, 0, 2), (0, 4, 0, 5)])
+        cands = assert_table_is_reference(inst)
+        assert cands == [Candidate(Segment(0, 4, 2), 0b11)]
 
 
 @pytest.mark.parametrize("solver", [exact_opt, greedy_cover])

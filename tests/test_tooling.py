@@ -5,6 +5,7 @@ traced function, or changes what the harness's jobs call, would pass here and
 still break ``perfbench/run.py``.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import sys
@@ -69,6 +70,27 @@ def test_largest_laminar_workload_jobs_run_and_check(algo, kind):
     ref = wl.reference(stabkit, job, inst)
     reason, _ = wl.check(stabkit, job, inst, output, stats, ref)
     assert reason is None
+
+
+# sha256 of the canonical outputs, one a line, of each workload's first
+# sub-seed at seed 1; a change that claims outputs byte-identical must not
+# move any of them
+FIRST_SUBSEED_SHA256 = {
+    "cli-bench": "7eadce45a209932e3d6546be5b12c214ce3d7f04118c883cb5e84fef2ad7ccbb",
+    "laminar": "61fd7a83ff89a1c623abb5a3bf8e332e217cc0e75d47cfb3dcdd69f1533506af",
+    "schemes": "a513e108389a7e91b52109fdbd2da45070c6415695195d592cbee680e666e12c",
+    "setcover": "b2547c9467cbd5d13811228a26d7af8f3c182885c7a0e26798586d7c10b6995b",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(FIRST_SUBSEED_SHA256))
+def test_first_subseed_outputs_are_byte_identical(workload):
+    wl = load("workloads")
+    assert sorted(wl.WORKLOADS) == sorted(FIRST_SUBSEED_SHA256)
+    jobs = wl.jobs_for(workload, 1, subseeds=1)
+    insts = wl.load_instances(stabkit, jobs)
+    outputs = [wl.canonical(stabkit, job, wl.execute(stabkit, job, insts[job.key])[0]) for job in jobs]
+    assert hashlib.sha256("\n".join(outputs).encode()).hexdigest() == FIRST_SUBSEED_SHA256[workload]
 
 
 def test_strip_partition_calls_the_crossing_test_binding(monkeypatch):
