@@ -14,7 +14,6 @@ from .core import (
     OracleLimitError,
     ParameterError,
     Rect,
-    Scalar,
     Segment,
     Solution,
     Transform,
@@ -65,7 +64,6 @@ __all__ = [
     "ParameterError",
     "Rect",
     "RunStats",
-    "Scalar",
     "SchemeParams",
     "Segment",
     "Solution",

@@ -44,21 +44,22 @@ def stretch_segment(s: Segment) -> Segment:
     return Segment(s.xl, 2 * s.xr - s.xl, s.y)
 
 
-def _approx8_prices(inst: Instance) -> Callable[[int], Fraction]:
-    """approx8's cost on subsets of ``inst``, as a function of the subset's
-    bit mask over ``inst.rects`` (bit i set: rect i is in).
+def _approx8_prices(inst: Instance) -> Callable[[list[Rect]], Fraction]:
+    """approx8's cost of any rects of ``inst``, as a function of those rects.
 
     approx8 stretches every segment of the rounded subset's laminar optimum
     to double length, so its cost is exactly twice that optimum.  Rounding is
     per rect, so the rounded rects of a subset are that subset of the rounded
     instance, and a subset of a laminar family is laminar: ``inst`` is
-    rounded, checked and ranked once, and each price runs only the box DP.
+    rounded, checked and ranked once, and each price runs only the box DP on
+    the priced rects' rank tuples, found by id.
     """
     xs, ys, den, ranks = _rank(to_laminar(inst))
+    by_id = {t[1]: t for t in ranks}
     root = (0, len(xs) - 1, 0, len(ys) - 1)
 
-    def price(mask: int) -> Fraction:
-        solve, _ = _box_dp([t for i, t in enumerate(ranks) if mask >> i & 1])
+    def price(rects: list[Rect]) -> Fraction:
+        solve, _ = _box_dp([by_id[r.id] for r in rects])
         return Fraction(2 * solve(*root), den)
 
     return price

@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-Scalar = Fraction
-
 
 class ParameterError(ValueError):
     """Invalid parameter or malformed input data."""
@@ -179,9 +177,6 @@ class Instance:
     @cached_property
     def max_width(self) -> Fraction:
         return max((r.width for r in self.rects), default=Fraction(0))
-
-    def __len__(self) -> int:
-        return len(self.rects)
 
 
 @dataclass(frozen=True)
@@ -378,20 +373,26 @@ def shrink_solution(inst: Instance, sol: Solution) -> Solution:
     it; each segment is then shrunk to the minimal x-span covering its
     assigned rects, and segments with no assignment are dropped.  Feasibility
     is preserved and the cost never increases.
+
+    Coordinates are scaled to integers once and the rects sorted by left
+    edge, so a segment [a, b] scans only the rects with a <= xl <= b.
     """
-    assigned: dict[int, list[Rect]] = {}
+    rects, segs = inst.rects, sol.segments
+    n = 2 * len(rects)  # rect p's (xl, xr) and (yb, yt) sit at 2p and 2p + 1
+    _, xs = _scaled([v for o in (*rects, *segs) for v in (o.xl, o.xr)])
+    _, ys = _scaled([v for r in rects for v in (r.yb, r.yt)] + [s.y for s in segs])
+    order = sorted(range(0, n, 2), key=xs.__getitem__)
+    lefts = [xs[p] for p in order]
     taken: set[int] = set()
-    for i, s in enumerate(sol.segments):
-        for r in inst.rects:
-            if r.id not in taken and stabs(s, r):
-                assigned.setdefault(i, []).append(r)
-                taken.add(r.id)
     out = []
-    for i, s in enumerate(sol.segments):
-        group = assigned.get(i)
-        if not group:
-            continue
-        out.append(Segment(min(r.xl for r in group), max(r.xr for r in group), s.y))
+    for a, b, y, s in zip(xs[n::2], xs[n + 1 :: 2], ys[n:], segs):
+        window = order[bisect_left(lefts, a) : bisect_right(lefts, b)]
+        # the rects this segment takes, by ascending left edge
+        group = [p for p in window if p not in taken and xs[p + 1] <= b and ys[p] <= y <= ys[p + 1]]
+        if group:
+            taken.update(group)
+            right = max(group, key=lambda p: xs[p + 1])
+            out.append(Segment(rects[group[0] // 2].xl, rects[right // 2].xr, s.y))
     return Solution(tuple(out))
 
 

@@ -13,9 +13,9 @@ Two stages:
 
 Both stages price rect subsets by the 8-approximation's cost alone, through
 ``approx8._approx8_prices``: ``decompose`` rounds and ranks the instance's
-rects once and hands that one pricer to both stages, which price their
-subsets as bit masks over the instance; each price is one laminar box DP on
-integer ranks.  Called on its own, a stage builds its own pricer.
+rects once and hands that one pricer to both stages, which pass it the
+rects of each subset; each price is one laminar box DP on the integer ranks
+of those rects.  Called on its own, a stage builds its own pricer.
 
 Composed by ``decompose``, the paid segments cost O(eps) times the optimum
 while every remaining chunk has optimum at most 8w/eps^2 + w/eps.
@@ -23,16 +23,24 @@ while every remaining chunk has optimum at most 8w/eps^2 + w/eps.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx8 import _approx8_prices, approx8
-from .core import Instance, ParameterError, Rect, Segment, Solution, _open_unit, as_scalar
-from .core import _integer_scale, instance_to_json, solution_to_json
+from .core import Instance, ParameterError, Rect, Segment, Solution, _open_unit, _scaled, as_scalar
+from .core import instance_to_json, solution_to_json
 
 CUT_FACTOR = 8
+
+# approx8's cost of a list of rects, built once by ``_approx8_prices``
+_Pricer = Callable[[list[Rect]], Fraction]
+
+
+def _chunk_bound(eps: Fraction) -> Fraction:
+    """CUT_FACTOR / eps^2 + 1 / eps: the optimum bound of every ``decompose``
+    chunk, in units of the max width."""
+    return CUT_FACTOR / eps**2 + 1 / eps
 
 
 @dataclass(frozen=True)
@@ -77,9 +85,7 @@ def crossing_rects(inst: Instance, z: Fraction, spacing: Fraction) -> list[Rect]
     return [r for r in inst.rects if ((z - r.xl) % spacing or spacing) < r.width]
 
 
-def strip_partition(
-    inst: Instance, eps, *, _price: Callable[[int], Fraction] | None = None
-) -> StripPartition:
+def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> StripPartition:
     """Choose the cheapest grid shift, pay for the crossed rects, strip the rest.
 
     Shifts run over all multiples of max_width * eps / n below the spacing
@@ -92,27 +98,28 @@ def strip_partition(
     one.  The paid cover costs at most 16 * eps * OPT and every strip spans at
     most max_width / eps in x.
 
-    ``_price`` is ``_approx8_prices(inst)`` when the caller has built it.
+    ``_price`` is ``_approx8_prices`` of ``inst`` or of an instance holding
+    its rects, when the caller has built it.
     """
     eps = _open_unit(eps, "eps")
     if not inst.rects:
         return StripPartition((), (), Fraction(0), Fraction(0))
 
+    rects, n = inst.rects, len(inst.rects)
     w = inst.max_width
     spacing = w / eps
-    step = w * eps / len(inst.rects)
+    step = w * eps / n
     # on one common denominator, shift k sits at k * t in [0, s), and rect i
     # is crossed exactly while k * t lies in the open arc (a, a + width) of
     # the circle [0, s), a = xl mod s; width < s, so the arc is one k-run or,
     # when it wraps past s, two
-    edges = {r.xl for r in inst.rects} | {r.xr for r in inst.rects}
-    _, scaled = _integer_scale(edges | {spacing, step})
-    s, t = scaled[spacing], scaled[step]
+    _, x = _scaled([r.xl for r in rects] + [r.xr for r in rects] + [spacing, step])
+    s, t = x[-2:]
     shifts = (s - 1) // t + 1  # ceil(s / t)
-    toggles = {0: 0}  # shift k -> the rect bits whose crossing flips at k
-    for i, r in enumerate(inst.rects):
-        a = scaled[r.xl] % s
-        b = a + scaled[r.xr] - scaled[r.xl]
+    toggles = {0: 0}  # shift k -> mask of the rects whose crossing flips at k
+    for i in range(n):
+        a = x[i] % s
+        b = a + x[n + i] - x[i]
         runs = [(a // t + 1, (min(b, s) - 1) // t)]
         if b > s:
             runs.append((0, (b - s - 1) // t))
@@ -133,23 +140,21 @@ def strip_partition(
     # masks come in order of their smallest shift and only a strictly cheaper
     # set replaces the best, so ties go to the smallest shift
     for mask, k in first.items():
-        cost = price(mask)
+        cost = price([r for i, r in enumerate(rects) if mask >> i & 1])
         if best is None or cost < best[0]:
             best = (cost, mask, k)
     _, mask, k_star = best
     z_star = k_star * step
     crossed = crossing_rects(inst, z_star, spacing)
-    crossed_ids = {r.id for r in crossed}
-    assert crossed_ids == {r.id for i, r in enumerate(inst.rects) if mask >> i & 1}, (
+    assert crossed == [r for i, r in enumerate(rects) if mask >> i & 1], (
         "the sweep disagrees with the crossing test"
     )
 
+    # rect i lies in strip floor((xl - z*) / spacing), on the same integers
     groups: dict[int, list[Rect]] = {}
-    for r in inst.rects:
-        if r.id in crossed_ids:
-            continue
-        i = math.floor((r.xl - z_star) / spacing)
-        groups.setdefault(i, []).append(r)
+    for i, r in enumerate(rects):
+        if not mask >> i & 1:
+            groups.setdefault((x[i] - k_star * t) // s, []).append(r)
     strips = tuple(
         Strip(Instance(tuple(groups[i])), z_star + i * spacing, z_star + (i + 1) * spacing)
         for i in sorted(groups)
@@ -158,12 +163,7 @@ def strip_partition(
 
 
 def horizontal_cuts(
-    strip: Instance,
-    eps,
-    width,
-    span: tuple[Fraction, Fraction],
-    *,
-    _priced: tuple[Callable[[int], Fraction], list[int]] | None = None,
+    strip: Instance, eps, width, span: tuple[Fraction, Fraction], *, _price: _Pricer | None = None
 ) -> CutResult:
     """Sweep cut heights bottom-up and slice the strip into cheap chunks.
 
@@ -179,10 +179,8 @@ def horizontal_cuts(
 
     ``width`` is the max width w of the instance being decomposed and
     ``span`` the x-range every cut spans; it must contain the strip.
-    ``_priced`` is (``_approx8_prices(inst)``, the position in ``inst.rects``
-    of each strip rect) when the strip is a subset of an instance ``inst``
-    the caller has built a pricer for; a strip subset is then priced as its
-    mask over ``inst``, at the same price.
+    ``_price`` is ``_approx8_prices`` of the strip or of an instance holding
+    its rects, when the caller has built it; the prices are the same.
     """
     eps = _open_unit(eps, "eps")
     if not strip.rects:
@@ -195,12 +193,8 @@ def horizontal_cuts(
         raise ParameterError("strip exceeds the allowed width max_width/eps")
 
     threshold = CUT_FACTOR * w / eps**2
-    if _priced is None:
-        price, positions = _approx8_prices(strip), range(len(strip.rects))
-    else:
-        price, positions = _priced
-    bits = [(1 << i, r) for i, r in zip(positions, strip.rects)]
-    remaining = sum(b for b, _ in bits)
+    price = _approx8_prices(strip) if _price is None else _price
+    remaining = list(strip.rects)
     cuts: list[Segment] = []
     chunks: list[Instance] = []
     costs: list[Fraction] = []
@@ -208,17 +202,17 @@ def horizontal_cuts(
     # no longer remaining prices the empty set or a set priced (and not cut)
     # before: it cuts nowhere
     for z in sorted({r.yt for r in strip.rects}):
-        cost = price(sum(b for b, r in bits if remaining & b and r.yt <= z))
+        cost = price([r for r in remaining if r.yt <= z])
         if cost > threshold:
             cuts.append(Segment(x0, x1, z))
-            closed = [r for b, r in bits if remaining & b and r.yt < z]
+            closed = [r for r in remaining if r.yt < z]
             if closed:
                 chunks.append(Instance(tuple(closed)))
                 costs.append(cost)
-            remaining = sum(b for b, r in bits if remaining & b and r.yb > z)
+            remaining = [r for r in remaining if r.yb > z]
     if remaining:
         # the last top edge priced every remaining rect
-        chunks.append(Instance(tuple(r for b, r in bits if remaining & b)))
+        chunks.append(Instance(tuple(remaining)))
         costs.append(cost)
     return CutResult(tuple(cuts), tuple(chunks), tuple(costs))
 
@@ -234,15 +228,11 @@ def decompose(inst: Instance, eps) -> Decomposition:
     eps = _open_unit(eps, "eps")
     price = _approx8_prices(inst)
     parts = strip_partition(inst, eps, _price=price)
-    position = {r.id: i for i, r in enumerate(inst.rects)}
     paid = list(parts.segments)
     subs: list[Instance] = []
     bounds: list[Fraction] = []
     for strip in parts.strips:
-        positions = [position[r.id] for r in strip.instance.rects]
-        cut = horizontal_cuts(
-            strip.instance, eps, inst.max_width, (strip.x0, strip.x1), _priced=(price, positions)
-        )
+        cut = horizontal_cuts(strip.instance, eps, inst.max_width, (strip.x0, strip.x1), _price=price)
         paid.extend(cut.segments)
         subs.extend(cut.chunks)
         bounds.extend(cut.observed_costs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, ParameterError, Rect, as_scalar
+from .core import Instance, ParameterError, Rect, _as_int, as_scalar
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -70,6 +70,13 @@ class GenConfig:
         object.__setattr__(self, "y_range", tuple(as_scalar(v) for v in self.y_range))
 
 
+def _size_and_seed(n, seed) -> None:
+    """Integer rect count n >= 0 and integer seed, else a parameter error."""
+    if _as_int(n, "n") < 0:
+        raise ParameterError("n must be non-negative")
+    _as_int(seed, "seed")
+
+
 def _grid_draw(rng: SplitMix64, lo: Fraction, hi: Fraction, resolution: int) -> Fraction:
     # uniform over {lo, lo + 1/res, ...} up to hi
     span = hi - lo
@@ -82,8 +89,7 @@ def gen_uniform(n: int, seed: int, cfg: GenConfig = GenConfig()) -> Instance:
 
     Per-rect draw order: xl, width, yb, height.
     """
-    if n < 0:
-        raise ParameterError("n must be non-negative")
+    _size_and_seed(n, seed)
     if not cfg.w_min <= cfg.w_max:
         raise ParameterError("requires w_min <= w_max")
     if cfg.w_min <= 0:
@@ -110,8 +116,7 @@ def gen_laminar(n: int, seed: int) -> Instance:
     from the root interval; y is an integer range inside [0, 2n].
     Per-rect draw order: depth, one half-choice per level, yb, height.
     """
-    if n < 0:
-        raise ParameterError("n must be non-negative")
+    _size_and_seed(n, seed)
     rng = SplitMix64(seed)
     k = max(3, n.bit_length() + 1)
     rects = []
@@ -135,11 +140,10 @@ def gen_bounded_ratio(n: int, delta, seed: int) -> Instance:
     Suitable fixture for the bounded-width-ratio scheme.  Per-rect draw
     order: xl, width index, yb, height.
     """
+    _size_and_seed(n, seed)
     delta = as_scalar(delta)
     if not 0 < delta <= 1:
         raise ParameterError("delta must lie in (0, 1]")
-    if n < 0:
-        raise ParameterError("n must be non-negative")
     rng = SplitMix64(seed)
     rects = []
     for i in range(1, n + 1):

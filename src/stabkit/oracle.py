@@ -205,7 +205,8 @@ def _branch_and_bound(
     ``_dual_bound`` reaches the incumbent.  That starts one above greedy's
     cost (if greedy fits the cap) and yields only to strict improvements, so
     the answer is the first optimal choice sequence: the one the subset DP
-    over rect bitmasks reconstructs.
+    over rect bitmasks, ``tests/helpers.py::exact_opt_subset_dp``,
+    reconstructs.
     """
     cands, lengths, covering = _candidate_table(inst)
     order = sorted(range(len(covering)), key=lambda i: (len(covering[i]), i))
@@ -250,7 +251,8 @@ def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
 
     Raises OracleLimitError when the instance has more than `limit` rects,
     ParameterError for a negative `limit`.  Deterministic: ties go to the
-    optimum the subset DP would reconstruct.
+    optimum the subset DP ``tests/helpers.py::exact_opt_subset_dp`` would
+    reconstruct.
     """
     _oracle_limit(limit)
     n = len(inst.rects)

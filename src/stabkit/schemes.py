@@ -35,7 +35,7 @@ from .core import (
     denormalize,
     normalize,
 )
-from .decompose import decompose
+from .decompose import _chunk_bound, decompose
 from .oracle import ORACLE_LIMIT, _branch_and_bound, _Budget, _candidate_table, _oracle_limit, exact_opt
 
 
@@ -72,7 +72,7 @@ class SchemeParams:
         levels = ceil_log2(Fraction(max(n, 1)) / eps)
         mu = _open_unit(mu if mu is not None else eps / (17 * (levels + 1)), "mu")
         if klong is None:
-            klong = math.ceil(2 * (8 / mu**2 + 1 / mu))
+            klong = math.ceil(2 * _chunk_bound(mu))
         if _as_int(klong, "klong") < 1:
             raise ParameterError("klong must be at least 1")
         oracle_limit = _oracle_limit(ORACLE_LIMIT if oracle_limit is None else oracle_limit)
@@ -145,7 +145,7 @@ def ptas(inst: Instance, eps, delta) -> Solution:
     if any(r.width < delta for r in norm.rects):
         raise ParameterError("instance violates the minimum width delta after normalization")
 
-    k = math.ceil((8 / eps**2 + 1 / eps) / delta)
+    k = math.ceil(_chunk_bound(eps) / delta)
     dec = decompose(norm, eps)
     segments = list(dec.paid_segments)
     for chunk in dec.sub_instances:

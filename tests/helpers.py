@@ -282,6 +282,29 @@ def verify_pairwise(inst: Instance, sol: Solution) -> VerifyReport:
     return VerifyReport(feasible=not unstabbed, unstabbed_ids=unstabbed, recomputed_cost=cost)
 
 
+def shrink_solution_pairwise(inst: Instance, sol: Solution) -> Solution:
+    """Each rect to the first segment that stabs it, found by testing every
+    segment against every rect with the plain predicate; each segment then
+    spans its rects' Fraction extremes, and unassigned ones are dropped.
+
+    Reference for ``shrink_solution``.
+    """
+    assigned: dict[int, list[Rect]] = {}
+    taken: set[int] = set()
+    for i, s in enumerate(sol.segments):
+        for r in inst.rects:
+            if r.id not in taken and stabs(s, r):
+                assigned.setdefault(i, []).append(r)
+                taken.add(r.id)
+    out = []
+    for i, s in enumerate(sol.segments):
+        group = assigned.get(i)
+        if not group:
+            continue
+        out.append(Segment(min(r.xl for r in group), max(r.xr for r in group), s.y))
+    return Solution(tuple(out))
+
+
 def stab_mask(inst: Instance, s: Segment) -> int:
     """Bitmask of the rect positions s stabs, from the plain predicate."""
     return sum(1 << i for i, r in enumerate(inst.rects) if stabs(s, r))

@@ -148,7 +148,7 @@ class TestApprox8Prices:
         full = (1 << len(inst.rects)) - 1
         for mask in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=6))]:
             subset = Instance(tuple(r for i, r in enumerate(inst.rects) if mask >> i & 1))
-            assert price(mask) == approx8(subset).cost
+            assert price(list(subset.rects)) == approx8(subset).cost
 
     @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 14), st.integers(0, 10**6), st.data())
     @settings(max_examples=100)
@@ -164,8 +164,9 @@ class TestApprox8Prices:
         price = _approx8_prices(inst)
         full = (1 << n) - 1
         for mask in data.draw(st.lists(st.integers(0, full), min_size=1, max_size=4)):
-            rounded = to_laminar(Instance(tuple(r for i, r in enumerate(inst.rects) if mask >> i & 1)))
-            assert price(mask) == 2 * solve_laminar(rounded).cost == 2 * solve_laminar_full_scan(rounded).cost
+            subset = [r for i, r in enumerate(inst.rects) if mask >> i & 1]
+            rounded = to_laminar(Instance(tuple(subset)))
+            assert price(subset) == 2 * solve_laminar(rounded).cost == 2 * solve_laminar_full_scan(rounded).cost
 
     @given(
         st.lists(

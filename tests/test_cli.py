@@ -56,6 +56,17 @@ class TestSolve:
         sol = solution_from_json(json.loads(open(out).read()))
         assert sol.cost <= 12
 
+    def test_shrink_on_two_thousand_x_disjoint_rects(self, tmp_path):
+        # one segment per rect at one height, the case a per-pair scan made
+        # quadratic; shrinking keeps every segment as it is
+        n = 2000
+        path = tmp_path / "row.json"
+        path.write_text(json.dumps(instance_to_json(make_instance([(i, i + 1, 0, 1) for i in range(n)]))))
+        out = str(tmp_path / "sol.json")
+        assert main(["solve", "--algo", "laminar-dp", "-i", str(path), "-o", out, "--shrink"]) == 0
+        sol = solution_from_json(json.loads(open(out).read()))
+        assert len(sol.segments) == n and sol.cost == n
+
     @pytest.mark.parametrize("limit,code", [("0", 2), ("2", 2), ("3", 0)])
     def test_exact_oracle_limit(self, i1_file, limit, code):
         # i1 has 3 rects; a limit of 0 is a limit like any other, not "unset"

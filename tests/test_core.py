@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,11 +13,14 @@ from stabkit import (
     Solution,
     Transform,
     VerifyReport,
+    approx8,
     as_scalar,
     candidate_segments,
     ceil_log2,
     denormalize,
     exact_opt,
+    gen_uniform,
+    greedy_cover,
     instance_from_json,
     instance_to_json,
     normalize,
@@ -30,7 +34,7 @@ from stabkit import (
 )
 
 from .conftest import make_instance
-from .helpers import canonicalize_segment, per_rect_solution, verify_pairwise
+from .helpers import canonicalize_segment, per_rect_solution, shrink_solution_pairwise, verify_pairwise
 
 
 def rect_st(max_coord=12, den=4):
@@ -319,6 +323,34 @@ class TestShrink:
         shrunk = shrink_solution(inst, widened)
         assert verify(inst, shrunk).feasible or not inst.rects
         assert shrunk.cost <= widened.cost
+
+    @given(touching_solution(), st.data())
+    def test_matches_pairwise_reference(self, case, data):
+        # segments on edges and corners, zero-length ones, and repeats of
+        # earlier segments, which must come out empty and be dropped
+        inst, sol = case
+        repeats = data.draw(st.lists(st.sampled_from(sol.segments), max_size=3)) if sol.segments else []
+        sol = Solution(data.draw(st.permutations(sol.segments + tuple(repeats))))
+        assert shrink_solution(inst, sol) == shrink_solution_pairwise(inst, sol)
+
+    @pytest.mark.parametrize("solver", [greedy_cover, approx8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_pairwise_reference_on_solver_output(self, solver, seed):
+        rng = random.Random(seed)
+        for n in range(1, 13):
+            inst = gen_uniform(n, seed)
+            segments = list(solver(inst).segments)
+            rng.shuffle(segments)
+            sol = Solution(tuple(segments))
+            assert shrink_solution(inst, sol) == shrink_solution_pairwise(inst, sol)
+
+    def test_first_stabbing_segment_takes_the_rect(self):
+        # the first two segments stab both rects, ending on or past their
+        # outer edges; the first takes both and shrinks onto them, and the
+        # second, the repeat and the zero-length one are dropped
+        inst = make_instance([(0, 1, 0, 1), (1, 2, 1, 2)])
+        sol = Solution((Segment(-1, 3, 1), Segment(0, 2, 1), Segment(-1, 3, 1), Segment(1, 1, 1)))
+        assert shrink_solution(inst, sol) == Solution((Segment(0, 2, 1),))
 
 
 class TestJson:

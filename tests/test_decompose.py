@@ -151,10 +151,10 @@ class TestStripPartition:
         def counted_prices(sub):
             price = prices(sub)
 
-            def counted_price(mask):
+            def counted_price(rects):
                 if inside:
-                    priced.append(mask)
-                return price(mask)
+                    priced.append(rects)
+                return price(rects)
 
             return counted_price
 
@@ -315,8 +315,9 @@ class TestDecompose:
     )
     @settings(max_examples=100)
     def test_one_pricer_matches_the_standalone_stages(self, kind, n, seed, eps):
-        # the shared pricer prices a strip subset as a mask over the whole
-        # instance; the prices, and so every cut and bound, are the same
+        # the shared pricer ranks the whole instance and prices a strip
+        # subset by its rects' ids; the prices, and so every cut and bound,
+        # are the same
         inst = generated_instance(kind, n, seed)
         assert decompose(inst, eps) == composed_stages(inst, eps)
 

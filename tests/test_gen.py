@@ -102,3 +102,20 @@ class TestGenBoundedRatio:
             gen_bounded_ratio(5, F(0), 1)
         with pytest.raises(ParameterError):
             gen_bounded_ratio(5, F(3, 2), 1)
+
+
+GENERATORS = {
+    "uniform": gen_uniform,
+    "laminar": gen_laminar,
+    "bounded": lambda n, seed: gen_bounded_ratio(n, F(1, 2), seed),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize(
+    "n, seed",
+    [(2.5, 1), (F(3), 1), ("3", 1), (True, 1), (None, 1), (-1, 1), (3, 1.5), (3, "1"), (3, False), (3, None)],
+)
+def test_rect_count_and_seed_must_be_integers(kind, n, seed):
+    with pytest.raises(ParameterError):
+        GENERATORS[kind](n, seed)

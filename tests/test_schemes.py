@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 from fractions import Fraction as F
 
@@ -91,6 +92,22 @@ class TestSchemeParams:
             SchemeParams(F(1, 2))
         p = SchemeParams.derive(8, F(1, 2), mu=F(1, 2))
         assert p.klong == math.ceil(2 * (8 / F(1, 2) ** 2 + 2)) and p.node_budget is None
+
+    def test_klong_and_ptas_cap_follow_the_cut_factor(self, monkeypatch):
+        # both read the chunk bound CUT_FACTOR / eps^2 + 1 / eps from the
+        # decomposition, so a changed factor moves them too
+        monkeypatch.setattr(importlib.import_module("stabkit.decompose"), "CUT_FACTOR", 4)
+        p = SchemeParams.derive(8, F(1, 2), mu=F(1, 2))
+        assert p.klong == math.ceil(2 * (4 / F(1, 2) ** 2 + 2)) == 36
+        caps = []
+
+        def capped(chunk, k, node_budget=None):
+            caps.append(k)
+            return exact_opt(chunk)
+
+        monkeypatch.setattr(importlib.import_module("stabkit.schemes"), "solve_small", capped)
+        ptas(make_instance(NARROW_PAIRS), F(1, 2), F(1, 2))
+        assert caps and set(caps) == {math.ceil((4 / F(1, 2) ** 2 + 2) / F(1, 2))}
 
     def test_zero_limits_kept(self):
         p = SchemeParams.derive(8, F(1, 2), oracle_limit=0, node_budget=0)

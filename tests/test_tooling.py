@@ -164,3 +164,20 @@ def test_tracer_restores_every_binding():
     with spans.Tracer(stabkit):
         assert all(now is not then for now, then in zip(bindings(), before))
     assert bindings() == before
+
+
+def test_strip_partition_keeps_the_traced_crossing_test_and_paid_cover():
+    # perfbench spans the crossing test and the paid cover's approx8 call
+    # under strip_partition; a partition that dropped either, or reached it
+    # other than through the module's own bindings, would leave them at zero
+    spans = load("spans")
+    module = importlib.import_module("stabkit.decompose")
+    assert module.approx8 is stabkit.approx8
+    tracer = spans.Tracer(stabkit)
+    with tracer:
+        stabkit.decompose(stabkit.gen_uniform(8, 1), Fraction(1, 2))
+    parents = {}
+    for name, _, _, _, parent, _ in tracer.spans:
+        parents.setdefault(name, set()).add(None if parent is None else tracer.spans[parent][0])
+    assert parents["decompose.crossing_rects"] == {"decompose.strip_partition"}
+    assert parents["approx8.approx8"] == {"decompose.strip_partition"}
