@@ -30,7 +30,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = _as_int(seed, "seed") & _MASK
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK
@@ -68,6 +68,8 @@ class GenConfig:
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
         object.__setattr__(self, "x_range", tuple(as_scalar(v) for v in self.x_range))
         object.__setattr__(self, "y_range", tuple(as_scalar(v) for v in self.y_range))
+        if _as_int(self.resolution, "resolution") < 1:
+            raise ParameterError(f"resolution must be at least 1, got {self.resolution}")
 
 
 def _size_and_seed(n, seed) -> None:

@@ -1,15 +1,21 @@
 """Exact ground-truth solver and the classical greedy cover baseline.
 
 The exact solver treats the problem as weighted set cover: rectangles are
-elements, candidate segments are sets, and a depth-first branch-and-bound,
-pruned by an LP-dual lower bound, finds the minimum total length.  The same
-search with a cap on the number of segments is the PTAS chunk solver.  The
-oracle is capped at small instance sizes and serves as the ground truth for
-every approximation-ratio test in the suite.
+elements, candidate segments are sets, and a depth-first branch-and-bound
+finds the minimum total length.  It prunes a state already entered at no
+higher cost (a memo on the uncovered mask) and one whose LP-dual lower bound
+reaches the incumbent (a dual-fitting pass that stops once it does).  The
+same search with a cap on the number of segments is the PTAS chunk solver.
+The greedy baseline, which also seeds the search's incumbent, is the lazy
+(Minoux) greedy over one heap per last known newly-stabbed count.  Both run
+on the candidate table's integer rows and build a ``Segment`` only for the
+rows of their answer.  The oracle is capped at small instance sizes and
+serves as the ground truth for every approximation-ratio test in the suite.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -23,7 +29,6 @@ from .core import (
     _as_int,
     _integer_scale,
     _scaled,
-    _seg_key,
 )
 
 ORACLE_LIMIT = 20  # exact_opt's default rect cap; qptas's exact leaf never runs with a lower one
@@ -86,10 +91,11 @@ def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     return [Candidate(Segment(*key), mask) for key, mask, _ in _kept_rows(shortest)]
 
 
-def _candidate_table(inst: Instance) -> tuple[list[Candidate], list[int], list[list[int]]]:
-    """The reduced candidates of ``inst``, their lengths as integers over one
-    common denominator, and per rect position the indices of the candidates
-    that stab it.
+def _candidate_table(inst: Instance) -> tuple[list[tuple], list[int], list[int], list[list[int]]]:
+    """The reduced candidates of ``inst`` as four parallel lists: their
+    ``(xl, xr, y)`` Fraction triples, their stab sets as rect-position bit
+    masks, their lengths as integers over one common denominator, and per
+    rect position the indices of the candidates that stab it.
 
     The rows are those ``reduce_candidates`` keeps of ``candidate_segments``,
     found by a sweep that visits only *tight* segments: at each top edge y,
@@ -99,7 +105,8 @@ def _candidate_table(inst: Instance) -> tuple[list[Candidate], list[int], list[l
     shorter unless it is that same segment; so the least (length, xl, xr, y)
     per stab set is a tight one.  Coordinates are scaled to integers once
     (x over the rects' xl and xr, the grid's own denominator) and mapped back
-    to the rects' Fractions only for the kept rows.
+    to the rects' Fractions only for the kept rows.  No ``Segment`` is built:
+    the solvers build one only for each row of their answer.
     """
     rects = inst.rects
     n = len(rects)
@@ -129,16 +136,17 @@ def _candidate_table(inst: Instance) -> tuple[list[Candidate], list[int], list[l
                     b = right
 
     x_of, y_of = dict(zip(xs, x_values)), dict(zip(ys, y_values))
-    cands, lengths = [], []
+    keys, masks, lengths = [], [], []
     covering: list[list[int]] = [[] for _ in range(n)]
     for ci, ((a, b, y), mask, length) in enumerate(_kept_rows(shortest)):
-        cands.append(Candidate(Segment(x_of[a], x_of[b], y_of[y]), mask))
+        keys.append((x_of[a], x_of[b], y_of[y]))
+        masks.append(mask)
         lengths.append(length)
         while mask:
             low = mask & -mask
             covering[low.bit_length() - 1].append(ci)
             mask ^= low
-    return cands, lengths, covering
+    return keys, masks, lengths, covering
 
 
 class _Budget:
@@ -152,45 +160,74 @@ class _Budget:
             raise BudgetError(f"node budget of {self.limit} exhausted")
 
 
-def _dual_bound(uncovered: int, order, covering, lengths) -> int:
+def _dual_bound(uncovered: int, order, covering, lengths, gap) -> int:
     """A lower bound, on the table's integer scale, on the cost of stabbing
     the rects in ``uncovered``: one dual-fitting pass for the set-cover LP
     that raises each uncovered rect's dual, in ``order``, to the least slack
     left among its candidates.  Weak duality makes it a bound in any order.
+
+    The pass stops as soon as its running sum reaches ``gap``, so the result
+    is the full bound when that is below ``gap`` and at least ``gap``
+    otherwise; pass ``math.inf`` for the full bound.
     """
     slack = lengths[:]
     total = 0
     for i in order:
         if uncovered >> i & 1:
             row = covering[i]
-            y = min([slack[ci] for ci in row])
+            y = min(map(slack.__getitem__, row))
             if y:
                 total += y
+                if total >= gap:
+                    return total
                 for ci in row:
                     slack[ci] -= y
     return total
 
 
-def _greedy(cands: list[Candidate], lengths: list[int], full: int) -> list[int]:
+def _greedy(masks: list[int], lengths: list[int], full: int) -> list[int]:
     """The indices greedy picks, in pick order: each time the candidate with
-    the most newly stabbed rects per unit length."""
+    the most newly stabbed rects per unit length, ties to the shorter, then
+    to the lower index.
+
+    Lazy (Minoux): a candidate's newly stabbed count only falls as rects get
+    covered, so each sits in the heap of ``(length, index)`` of its last
+    known count.  A pick compares the heap tops only, whose order within a
+    heap is the tie order, and re-counts the winner: it is picked if its
+    count held (every other candidate's real ratio is at most its stored
+    one), and otherwise moves to the heap of its new count.  Every length is
+    at least 1 (a rect has xl < xr), so ratios compare by integer
+    cross-multiplication.
+    """
+    heaps: dict[int, list[tuple[int, int]]] = {}
+    for ci, (mask, length) in enumerate(zip(masks, lengths)):
+        heaps.setdefault(mask.bit_count(), []).append((length, ci))
+    for heap in heaps.values():
+        heapq.heapify(heap)
     covered = 0
     picked: list[int] = []
     while covered != full:
-        best = (0, 1, -1)  # (newly, length, index); ratio 0 loses to any newly > 0
-        for ci, (c, length) in enumerate(zip(cands, lengths)):
-            newly = (c.stab_set & ~covered).bit_count()
-            if newly == 0:
-                continue
-            # newly/length > best ratio, compared by cross-multiplication so
-            # zero lengths order correctly; candidates come in lexicographic
-            # order, so on equal ratio and length the incumbent stays
-            lhs = newly * best[1]
-            rhs = best[0] * length
-            if lhs > rhs or (lhs == rhs and length < best[1]):
-                best = (newly, length, ci)
-        covered |= cands[best[2]].stab_set
-        picked.append(best[2])
+        count = 0
+        for newly, heap in heaps.items():
+            if count:
+                # keep the incumbent top unless newly/length beats its ratio,
+                # or ties it at a shorter length (an equal ratio at an equal
+                # length is an equal count: the same heap)
+                lhs, rhs = newly * top[0], count * heap[0][0]
+                if lhs < rhs or lhs == rhs and heap[0][0] > top[0]:
+                    continue
+            count, top = newly, heap[0]
+        heap = heaps[count]
+        heapq.heappop(heap)
+        if not heap:
+            del heaps[count]
+        ci = top[1]
+        newly = (masks[ci] & ~covered).bit_count()
+        if newly == count:
+            covered |= masks[ci]
+            picked.append(ci)
+        elif newly:
+            heapq.heappush(heaps.setdefault(newly, []), top)
     return picked
 
 
@@ -201,20 +238,26 @@ def _branch_and_bound(
     None), or None when there is none; BudgetError after ``node_budget`` nodes.
 
     Depth-first over the candidate table: branch on the lowest unstabbed
-    rect, try its candidates in table order, prune when cost plus
-    ``_dual_bound`` reaches the incumbent.  That starts one above greedy's
-    cost (if greedy fits the cap) and yields only to strict improvements, so
-    the answer is the first optimal choice sequence: the one the subset DP
-    over rect bitmasks, ``tests/helpers.py::exact_opt_subset_dp``,
-    reconstructs.
+    rect, try its candidates in table order.  A state is pruned when it was
+    entered before at no higher cost (the state is the uncovered mask, with
+    the number of segments chosen when capped), or when cost plus
+    ``_dual_bound``, stopped at the gap to the incumbent, reaches the
+    incumbent.  The incumbent starts one above greedy's cost (if greedy fits
+    the cap) and yields only to strict improvements.  An earlier entry of a
+    state searched the same subtree from no higher cost, with no fewer
+    segments left, against an incumbent no lower, so the memo drops no
+    first optimal leaf; the answer is the first optimal choice sequence: the
+    one the subset DP over rect bitmasks,
+    ``tests/helpers.py::exact_opt_subset_dp``, reconstructs.
     """
-    cands, lengths, covering = _candidate_table(inst)
+    keys, masks, lengths, covering = _candidate_table(inst)
     order = sorted(range(len(covering)), key=lambda i: (len(covering[i]), i))
-    seed = _greedy(cands, lengths, (1 << len(covering)) - 1)
+    seed = _greedy(masks, lengths, (1 << len(covering)) - 1)
     fits = cap is None or len(seed) <= cap
     best_cost = sum(lengths[ci] for ci in seed) + 1 if fits else math.inf
     best = None
     chosen: list[int] = []
+    seen: dict = {}  # state -> least cost it was entered at
     budget = _Budget(node_budget)
 
     def descend(uncovered: int, cost: int) -> None:
@@ -224,17 +267,24 @@ def _branch_and_bound(
             if cost < best_cost:
                 best, best_cost = chosen[:], cost
             return
-        if len(chosen) == cap or cost + _dual_bound(uncovered, order, covering, lengths) >= best_cost:
+        if len(chosen) == cap:
+            return
+        key = uncovered if cap is None else (uncovered, len(chosen))
+        if seen.get(key, math.inf) <= cost:
+            return
+        seen[key] = cost
+        gap = best_cost - cost
+        if _dual_bound(uncovered, order, covering, lengths, gap) >= gap:
             return
         for ci in covering[(uncovered & -uncovered).bit_length() - 1]:
             chosen.append(ci)
-            descend(uncovered & ~cands[ci].stab_set, cost + lengths[ci])
+            descend(uncovered & ~masks[ci], cost + lengths[ci])
             chosen.pop()
 
     descend((1 << len(covering)) - 1, 0)
     if best is None:
         return None
-    return Solution(tuple(sorted((cands[ci].segment for ci in best), key=_seg_key)))
+    return Solution(tuple(Segment(*keys[ci]) for ci in sorted(best, key=keys.__getitem__)))
 
 
 def _oracle_limit(limit: int) -> int:
@@ -270,6 +320,6 @@ def greedy_cover(inst: Instance) -> Solution:
     Ties break toward smaller length, then lexicographic segment order, so
     the output is deterministic.  Guarantees the (1 + ln n) set-cover ratio.
     """
-    cands, lengths, _ = _candidate_table(inst)
-    picked = _greedy(cands, lengths, (1 << len(inst.rects)) - 1)
-    return Solution(tuple(cands[ci].segment for ci in picked))
+    keys, masks, lengths, _ = _candidate_table(inst)
+    picked = _greedy(masks, lengths, (1 << len(inst.rects)) - 1)
+    return Solution(tuple(Segment(*keys[ci]) for ci in picked))

@@ -177,8 +177,10 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
     k = _as_int(k, "k")
     if k < 0:
         raise ParameterError("k must not be negative")
-    cands, lengths, _ = _candidate_table(inst)
-    pool = [(c, length) for c, length in zip(cands, lengths) if c.segment.length >= min_len]
+    keys, masks, lengths, _ = _candidate_table(inst)
+    pool = [
+        (key, mask, length) for key, mask, length in zip(keys, masks, lengths) if key[1] - key[0] >= min_len
+    ]
     # union -> (integer total, combo); a dict keeps the slot of a key's first
     # insertion, so iteration follows the enumeration order of first sightings
     reps: dict[int, tuple[int, tuple]] = {}
@@ -188,8 +190,8 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
                 _budget.tick()
             union = 0
             total = 0
-            for c, length in combo:
-                union |= c.stab_set
+            for _, mask, length in combo:
+                union |= mask
                 total += length
             cur = reps.get(union)
             if cur is None or total < cur[0]:
@@ -197,9 +199,9 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
     wide = sum(1 << i for i, r in enumerate(inst.rects) if r.width >= min_len)
     return [
         Guess(
-            tuple(c.segment for c, _ in combo),
+            tuple(Segment(*key) for key, _, _ in combo),
             union,
-            sum((c.segment.length for c, _ in combo), Fraction(0)),
+            sum((xr - xl for (xl, xr, _), _, _ in combo), Fraction(0)),
         )
         for union, (_, combo) in reps.items()
         if not wide & ~union

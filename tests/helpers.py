@@ -1,10 +1,11 @@
 """Independent reference implementations used as oracles by the tests.
 
 Nothing here shares code paths with the solvers under test beyond the plain
-data types and the stabbing predicate, except that the subset DP reads the
-candidate table, which the tests check against ``reduce_candidates_pairwise``,
-and the decomposition references price with ``approx8`` and find crossed rects
-with ``crossing_rects``, each tested on its own.
+data types and the stabbing predicate, except that the subset DP, the
+unmemoized search and the greedy scan read the candidate table, which the
+tests check against ``reduce_candidates_pairwise``, and the decomposition
+references price with ``approx8`` and find crossed rects with
+``crossing_rects``, each tested on its own.
 """
 
 import math
@@ -70,7 +71,7 @@ def exact_opt_subset_dp(inst: Instance) -> Solution:
     n = len(inst.rects)
     if n == 0:
         return Solution(())
-    cands, lengths, covering = _candidate_table(inst)
+    keys, masks, lengths, covering = _candidate_table(inst)
     size = 1 << n
     dp = [0] * size
     choice = [-1] * size
@@ -78,17 +79,99 @@ def exact_opt_subset_dp(inst: Instance) -> Solution:
         low = (mask & -mask).bit_length() - 1
         best = None
         for ci in covering[low]:
-            val = dp[mask & ~cands[ci].stab_set] + lengths[ci]
+            val = dp[mask & ~masks[ci]] + lengths[ci]
             if best is None or val < best:
                 best, choice[mask] = val, ci
         dp[mask] = best
     segments = []
     mask = size - 1
     while mask:
-        c = cands[choice[mask]]
-        segments.append(c.segment)
-        mask &= ~c.stab_set
+        ci = choice[mask]
+        segments.append(Segment(*keys[ci]))
+        mask &= ~masks[ci]
     return Solution(tuple(sorted(segments, key=lambda s: (s.xl, s.xr, s.y))))
+
+
+def greedy_scan(inst: Instance) -> Solution:
+    """Greedy set cover by a full scan per pick: every candidate's newly
+    stabbed count is recomputed, and the best ratio wins, ties to the shorter
+    length, then to the earlier row of the candidate table.
+
+    Reference for ``greedy_cover``, which must return this very solution.
+    """
+    keys, masks, lengths, _ = _candidate_table(inst)
+    return Solution(tuple(Segment(*keys[ci]) for ci in _greedy_scan_picks(masks, lengths, len(inst.rects))))
+
+
+def _greedy_scan_picks(masks: list[int], lengths: list[int], n: int) -> list[int]:
+    covered = 0
+    picked: list[int] = []
+    while covered != (1 << n) - 1:
+        best = (0, 1, -1)  # (newly, length, index); ratio 0 loses to any newly > 0
+        for ci, (mask, length) in enumerate(zip(masks, lengths)):
+            newly = (mask & ~covered).bit_count()
+            if newly == 0:
+                continue
+            lhs = newly * best[1]
+            rhs = best[0] * length
+            if lhs > rhs or (lhs == rhs and length < best[1]):
+                best = (newly, length, ci)
+        covered |= masks[best[2]]
+        picked.append(best[2])
+    return picked
+
+
+def branch_and_bound_unmemoized(inst: Instance, cap: int | None = None) -> Solution | None:
+    """The cheapest solution of at most ``cap`` segments (any number when
+    None), or None when there is none, by the depth-first search over the
+    candidate table with no memo and the full dual bound at every node.
+
+    It branches on the lowest unstabbed rect over its covering row in table
+    order, prunes when cost plus the full one-pass dual bound reaches the
+    incumbent, starts the incumbent one above ``greedy_scan``'s cost when
+    that fits the cap and keeps only strict improvements.  Reference for
+    ``exact_opt`` and ``solve_small``, which must return this very solution.
+    Exponential without the memo; keep n small.
+    """
+    keys, masks, lengths, covering = _candidate_table(inst)
+    n = len(covering)
+    order = sorted(range(n), key=lambda i: (len(covering[i]), i))
+
+    def full_bound(uncovered: int) -> int:
+        slack = lengths[:]
+        total = 0
+        for i in order:
+            if uncovered >> i & 1:
+                row = covering[i]
+                y = min(slack[ci] for ci in row)
+                total += y
+                for ci in row:
+                    slack[ci] -= y
+        return total
+
+    seed = _greedy_scan_picks(masks, lengths, n)
+    fits = cap is None or len(seed) <= cap
+    best_cost = sum(lengths[ci] for ci in seed) + 1 if fits else math.inf
+    best = None
+    chosen: list[int] = []
+
+    def descend(uncovered: int, cost: int) -> None:
+        nonlocal best, best_cost
+        if not uncovered:
+            if cost < best_cost:
+                best, best_cost = chosen[:], cost
+            return
+        if len(chosen) == cap or cost + full_bound(uncovered) >= best_cost:
+            return
+        for ci in covering[(uncovered & -uncovered).bit_length() - 1]:
+            chosen.append(ci)
+            descend(uncovered & ~masks[ci], cost + lengths[ci])
+            chosen.pop()
+
+    descend((1 << n) - 1, 0)
+    if best is None:
+        return None
+    return Solution(tuple(sorted((Segment(*keys[ci]) for ci in best), key=lambda s: (s.xl, s.xr, s.y))))
 
 
 def guess_long_all(inst: Instance, min_len: Fraction, k: int) -> list[Guess]:
@@ -100,7 +183,8 @@ def guess_long_all(inst: Instance, min_len: Fraction, k: int) -> list[Guess]:
     Reference for ``guess_long``, which keeps only the unions stabbing every
     rect of width >= min_len.
     """
-    cands, lengths, _ = _candidate_table(inst)
+    keys, masks, lengths, _ = _candidate_table(inst)
+    cands = [Candidate(Segment(*key), mask) for key, mask in zip(keys, masks)]
     pool = [(c, length) for c, length in zip(cands, lengths) if c.segment.length >= min_len]
     reps: dict[int, tuple[int, tuple]] = {}
     for size in range(min(k, len(pool)) + 1):

@@ -119,3 +119,27 @@ GENERATORS = {
 def test_rect_count_and_seed_must_be_integers(kind, n, seed):
     with pytest.raises(ParameterError):
         GENERATORS[kind](n, seed)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GenConfig(resolution=2.5),
+        lambda: GenConfig(resolution=0),
+        lambda: GenConfig(resolution=-4),
+        lambda: GenConfig(resolution=True),
+        lambda: GenConfig(resolution=F(4)),
+        lambda: GenConfig(resolution="4"),
+        lambda: SplitMix64(1.5),
+        lambda: SplitMix64(True),
+        lambda: SplitMix64("1"),
+        lambda: SplitMix64(None),
+    ],
+    ids=["res-2.5", "res-0", "res-neg", "res-True", "res-Fraction", "res-str",
+         "seed-1.5", "seed-True", "seed-str", "seed-None"],
+)
+def test_resolution_and_stream_seed_must_be_integers(make):
+    # resolution=2.5 raised TypeError from Fraction, 0 ZeroDivisionError and
+    # True ran as 1; a float seed raised TypeError from the mask
+    with pytest.raises(ParameterError):
+        make()

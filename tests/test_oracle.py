@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stabkit import (
     Candidate,
+    InfeasibleError,
     Instance,
     OracleLimitError,
     ParameterError,
@@ -19,6 +20,7 @@ from stabkit import (
     greedy_cover,
     reduce_candidates,
     solution_to_json,
+    solve_small,
     verify,
 )
 
@@ -28,8 +30,10 @@ from .conftest import make_instance
 from .helpers import (
     affine_instance,
     affine_solution,
+    branch_and_bound_unmemoized,
     brute_force_opt,
     exact_opt_subset_dp,
+    greedy_scan,
     reduce_candidates_pairwise,
     stab_mask,
 )
@@ -122,8 +126,10 @@ class TestReduceCandidates:
 
 
 def assert_table_is_reference(inst):
-    cands, lengths, covering = _candidate_table(inst)
+    keys, masks, lengths, covering = _candidate_table(inst)
     ref = reduce_candidates_pairwise(inst, candidate_segments(inst))
+    assert all(isinstance(v, Fraction) for key in keys for v in key)
+    cands = [Candidate(Segment(*key), mask) for key, mask in zip(keys, masks)]
     assert cands == ref
     # integer lengths over the least common denominator of the rects' x
     # coordinates: equal to the lengths the grid kernel computed, not
@@ -179,10 +185,10 @@ class TestCandidateTableSweep:
     def test_one_rect(self):
         third, five_halves, seventh = Fraction(1, 3), Fraction(5, 2), Fraction(1, 7)
         inst = make_instance([(third, five_halves, 0, seventh)])
-        assert _candidate_table(inst) == ([Candidate(Segment(third, five_halves, seventh), 1)], [13], [[0]])
+        assert _candidate_table(inst) == ([(third, five_halves, seventh)], [1], [13], [[0]])
 
     def test_no_rects(self):
-        assert _candidate_table(Instance(())) == ([], [], [])
+        assert _candidate_table(Instance(())) == ([], [], [], [])
 
     def test_level_that_keeps_no_row(self):
         # at y = 5 only the tall rect is alive, and [0, 4] x 2 stabs it too
@@ -279,27 +285,27 @@ class TestGreedy:
             assert float(greedy.cost / opt.cost) <= 1 + math.log(n) + 1e-9
 
 
-def table_scale(cands, lengths) -> Fraction:
+def table_scale(keys, lengths) -> Fraction:
     """The factor from segment lengths to the table's integer lengths."""
-    return next((Fraction(n) / c.segment.length for c, n in zip(cands, lengths) if n), Fraction(0))
+    return next((Fraction(n) / (xr - xl) for (xl, xr, _), n in zip(keys, lengths) if n), Fraction(0))
 
 
 class TestDualBound:
     def test_empty_uncovered_set(self, i1):
-        _, lengths, covering = _candidate_table(i1)
-        assert _dual_bound(0, range(3), covering, lengths) == 0
+        _, _, lengths, covering = _candidate_table(i1)
+        assert _dual_bound(0, range(3), covering, lengths, math.inf) == 0
 
     def test_i1_reaches_the_optimum(self, i1):
-        cands, lengths, covering = _candidate_table(i1)
-        assert _dual_bound(0b111, range(3), covering, lengths) == 6 * table_scale(cands, lengths)
+        keys, _, lengths, covering = _candidate_table(i1)
+        assert _dual_bound(0b111, range(3), covering, lengths, math.inf) == 6 * table_scale(keys, lengths)
 
     @given(st.one_of(generated(), tie_heavy()))
     def test_below_every_cover_of_the_instance(self, inst):
-        cands, lengths, covering = _candidate_table(inst)
+        keys, _, lengths, covering = _candidate_table(inst)
         n = len(inst.rects)
         order = sorted(range(n), key=lambda i: (len(covering[i]), i))
-        bound = _dual_bound((1 << n) - 1, order, covering, lengths)
-        scale = table_scale(cands, lengths)
+        bound = _dual_bound((1 << n) - 1, order, covering, lengths, math.inf)
+        scale = table_scale(keys, lengths)
         assert isinstance(bound, int)
         assert bound <= exact_opt_subset_dp(inst).cost * scale
         assert bound <= greedy_cover(inst).cost * scale
@@ -309,11 +315,53 @@ class TestDualBound:
     def test_any_order_and_subset(self, inst, rng):
         # the bound on a subset of rects holds for every visiting order, and
         # the table covers any subset as cheaply as the subset's own table
-        cands, lengths, covering = _candidate_table(inst)
+        keys, _, lengths, covering = _candidate_table(inst)
         n = len(inst.rects)
         order = list(range(n))
         rng.shuffle(order)
         uncovered = rng.getrandbits(n) if n else 0
         part = Instance(tuple(r for i, r in enumerate(inst.rects) if uncovered >> i & 1))
-        bound = _dual_bound(uncovered, order, covering, lengths)
-        assert bound <= exact_opt_subset_dp(part).cost * table_scale(cands, lengths)
+        bound = _dual_bound(uncovered, order, covering, lengths, math.inf)
+        assert bound <= exact_opt_subset_dp(part).cost * table_scale(keys, lengths)
+
+    @given(st.one_of(generated(), tie_heavy(), shared_edges()), st.randoms(use_true_random=False))
+    def test_early_exit_decides_as_the_full_bound(self, inst, rng):
+        # the search prunes when the bound reaches the gap to the incumbent:
+        # the early exit must reach it exactly when the full pass does, and
+        # below it return the full pass itself
+        _, _, lengths, covering = _candidate_table(inst)
+        n = len(inst.rects)
+        order = sorted(range(n), key=lambda i: (len(covering[i]), i))
+        for _ in range(8):
+            uncovered = rng.getrandbits(n) if n else 0
+            full = _dual_bound(uncovered, order, covering, lengths, math.inf)
+            for gap in {0, 1, full - 1, full, full + 1, rng.randint(0, 2 * full + 2)}:
+                bound = _dual_bound(uncovered, order, covering, lengths, gap)
+                assert (bound >= gap) == (full >= gap)
+                if full < gap:
+                    assert bound == full
+                else:
+                    assert gap <= bound <= full
+
+
+class TestAgainstUnmemoizedSearch:
+    """The memoized search with its early-exit bound, and the lazy greedy,
+    land on the very solutions of the plain search and the full scan."""
+
+    @given(st.one_of(generated(), tie_heavy(), shared_edges()))
+    def test_exact_opt(self, inst):
+        assert exact_opt(inst) == branch_and_bound_unmemoized(inst)
+
+    @given(st.one_of(generated(), tie_heavy(), shared_edges()))
+    def test_solve_small_at_every_cap(self, inst):
+        for cap in range(1, len(inst.rects) + 1):
+            want = branch_and_bound_unmemoized(inst, cap)
+            if want is None:
+                with pytest.raises(InfeasibleError):
+                    solve_small(inst, cap)
+            else:
+                assert solve_small(inst, cap) == want
+
+    @given(st.one_of(generated(), tie_heavy(), shared_edges()))
+    def test_greedy_cover(self, inst):
+        assert greedy_cover(inst) == greedy_scan(inst)

