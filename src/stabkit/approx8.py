@@ -59,8 +59,8 @@ def _approx8_prices(inst: Instance) -> Callable[[list[Rect]], Fraction]:
     root = (0, len(xs) - 1, 0, len(ys) - 1)
 
     def price(rects: list[Rect]) -> Fraction:
-        solve, _ = _box_dp([by_id[r.id] for r in rects])
-        return Fraction(2 * solve(*root), den)
+        cost, _ = _box_dp([by_id[r.id] for r in rects], root)
+        return Fraction(2 * cost, den)
 
     return price
 

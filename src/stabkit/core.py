@@ -76,13 +76,6 @@ def _scaled(values: list[Fraction]) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def _integer_scale(values) -> tuple[int, dict[Fraction, int]]:
-    """``_scaled`` as a map (d, {v: v * d})."""
-    values = list(values)
-    den, scaled = _scaled(values)
-    return den, dict(zip(values, scaled))
-
-
 def ceil_log2(x: Fraction) -> int:
     """Smallest integer t with x <= 2**t, for x > 0.  t may be negative."""
     if x <= 0:

@@ -74,12 +74,17 @@ class Decomposition:
     opt_upper_bounds: tuple[Fraction, ...]
 
 
-def crossing_rects(inst: Instance, z: Fraction, spacing: Fraction) -> list[Rect]:
+def crossing_rects(inst: Instance, z, spacing) -> list[Rect]:
     """Rects whose interior is crossed by some line x = z + i * spacing.
 
     A rect touching a line only at its boundary is not crossed; it belongs
-    wholly to one strip.
+    wholly to one strip.  z and spacing are exact scalars, spacing positive;
+    anything else is a parameter error.
     """
+    z = as_scalar(z)
+    spacing = as_scalar(spacing)
+    if spacing <= 0:
+        raise ParameterError("spacing must be positive")
     # the first line right of xl lies (z - xl) mod spacing past it, or a full
     # spacing past it when a line runs along xl
     return [r for r in inst.rects if ((z - r.xl) % spacing or spacing) < r.width]

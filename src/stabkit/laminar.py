@@ -21,7 +21,7 @@ Fractions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .core import Instance, ParameterError, Segment, Solution, _scaled, _seg_key
@@ -92,19 +92,19 @@ def _rank(inst: Instance) -> tuple[list[Fraction], list[Fraction], int, list[tup
     return [x_own[v] for v in x_sorted], [y_own[v] for v in y_sorted], den, ranks
 
 
-def _box_dp(ranks: list[tuple]) -> tuple[Callable[[int, int, int, int], int], dict]:
-    """The box DP over rank tuples from ``_rank``: (solve, memo).
+def _box_dp(ranks: list[tuple], root: tuple[int, int, int, int]) -> tuple[int, dict]:
+    """The box DP over rank tuples from ``_rank``: (cost, memo).
 
-    solve(i, j, u, v) is the least cost, in units of 1/den, of stabbing the
-    rects whose ranks lie in the box [i, j] x [u, v].  For each box, stab the
-    widest contained rectangle W (ties: lowest id) with a segment [W.xl, W.xr]
-    at some top-edge level inside W's vertical extent, then solve the four
-    independent sub-boxes.  Candidate stab heights are restricted to top
-    edges because any segment can be shifted up to the nearest top edge
-    without changing what it stabs.
+    cost is the least cost, in units of 1/den, of stabbing the rects whose
+    ranks lie in the box ``root`` = (i, j, u, v), that is [i, j] x [u, v].
+    For each box, stab the widest contained rectangle W (ties: lowest id)
+    with a segment [W.xl, W.xr] at some top-edge level inside W's vertical
+    extent, then solve the four independent sub-boxes.  Candidate stab
+    heights are restricted to top edges because any segment can be shifted
+    up to the nearest top edge without changing what it stabs.
 
     A sub-box lies inside its box, so its rects are found by scanning only
-    the box's own rects.  solve walks the boxes with an explicit stack, so a
+    the box's own rects.  The DP walks the boxes with an explicit stack, so a
     chain of n sub-boxes, such as n x-disjoint rects, needs no recursion.
 
     memo maps each solved box to (cost, stab); stab is None for an empty box,
@@ -133,37 +133,33 @@ def _box_dp(ranks: list[tuple]) -> tuple[Callable[[int, int, int, int], int], di
             else:
                 memo[box] = _EMPTY
 
-    def solve(i: int, j: int, u: int, v: int) -> int:
-        root = (i, j, u, v)
-        enter([root], ranks)
-        get = memo.get
-        while todo:
-            box, group, plan = todo.pop()
-            if plan is not None:
-                width, a, b, levels, subs = plan
-                side = get(subs[0], _EMPTY)[0] + get(subs[1], _EMPTY)[0]
-                best = None
-                best_t = -1
-                halves = iter(subs[2:])
-                for t, below, above in zip(levels, halves, halves):
-                    cost = get(below, _EMPTY)[0] + get(above, _EMPTY)[0]
-                    if best is None or cost < best:
-                        best = cost
-                        best_t = t
-                memo[box] = (width + side + best, (a, b, best_t))
-            elif box not in memo:  # else solved meanwhile inside another box
-                i, j, u, v = box
-                neg_width, _, a, b, yb, yt = min(group)
-                levels = tops[bisect_left(tops, yb) : bisect_right(tops, yt)]
-                subs = [(i, a, u, v), (b, j, u, v)]
-                for t in levels:
-                    subs.append((a, b, u, t - 1))
-                    subs.append((a, b, t + 1, v))
-                todo.append((box, None, (-neg_width, a, b, levels, subs)))
-                enter(subs, group)
-        return get(root, _EMPTY)[0]
-
-    return solve, memo
+    enter([root], ranks)
+    get = memo.get
+    while todo:
+        box, group, plan = todo.pop()
+        if plan is not None:
+            width, a, b, levels, subs = plan
+            side = get(subs[0], _EMPTY)[0] + get(subs[1], _EMPTY)[0]
+            best = None
+            best_t = -1
+            halves = iter(subs[2:])
+            for t, below, above in zip(levels, halves, halves):
+                cost = get(below, _EMPTY)[0] + get(above, _EMPTY)[0]
+                if best is None or cost < best:
+                    best = cost
+                    best_t = t
+            memo[box] = (width + side + best, (a, b, best_t))
+        elif box not in memo:  # else solved meanwhile inside another box
+            i, j, u, v = box
+            neg_width, _, a, b, yb, yt = min(group)
+            levels = tops[bisect_left(tops, yb) : bisect_right(tops, yt)]
+            subs = [(i, a, u, v), (b, j, u, v)]
+            for t in levels:
+                subs.append((a, b, u, t - 1))
+                subs.append((a, b, t + 1, v))
+            todo.append((box, None, (-neg_width, a, b, levels, subs)))
+            enter(subs, group)
+    return get(root, _EMPTY)[0], memo
 
 
 def solve_laminar(inst: Instance) -> Solution:
@@ -173,9 +169,8 @@ def solve_laminar(inst: Instance) -> Solution:
     Raises ParameterError on non-laminar input.
     """
     xs, ys, den, ranks = _rank(inst)
-    solve, memo = _box_dp(ranks)
     root = (0, len(xs) - 1, 0, len(ys) - 1)
-    total = solve(*root)
+    total, memo = _box_dp(ranks, root)
 
     segments: list[Segment] = []
     todo = [root]

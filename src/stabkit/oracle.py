@@ -27,7 +27,6 @@ from .core import (
     Segment,
     Solution,
     _as_int,
-    _integer_scale,
     _scaled,
 )
 
@@ -71,10 +70,13 @@ def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     lefts = sorted({s.xl for s in cands})
     rights = sorted({s.xr for s in cands})
     levels = sorted({s.y for s in cands})
+    x_values = list({*lefts, *rights, *(r.xl for r in rects), *(r.xr for r in rects)})
+    y_values = list({*levels, *(r.yb for r in rects), *(r.yt for r in rects)})
+    _, xs = _scaled(x_values)
+    _, ys = _scaled(y_values)
+    x, y = dict(zip(x_values, xs)), dict(zip(y_values, ys))
     # a segment stabs exactly the rects with xl >= its xl, xr <= its xr and
     # yb <= its y <= yt: one mask per distinct coordinate, ANDed per segment
-    _, x = _integer_scale({*lefts, *rights, *(r.xl for r in rects), *(r.xr for r in rects)})
-    _, y = _integer_scale({*levels, *(r.yb for r in rects), *(r.yt for r in rects)})
     edges = [(1 << p, x[r.xl], x[r.xr], y[r.yb], y[r.yt]) for p, r in enumerate(rects)]
     lm = {a: sum(bit for bit, rl, _, _, _ in edges if rl >= x[a]) for a in lefts}
     rm = {b: sum(bit for bit, _, rr, _, _ in edges if rr <= x[b]) for b in rights}

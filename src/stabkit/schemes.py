@@ -92,8 +92,8 @@ class RunStats:
     """Mutable accounting filled in by a scheme run when the caller asks.
 
     ``nodes`` counts recursion nodes, ``guesses`` the guesses recursed on
-    (every one ``guess_long`` returns), and the four costs split the output
-    exactly: normalized = paid + base + guess.
+    (every one ``guess_long`` returns); the costs sum the normalized output's
+    segments by the part each is tagged with: normalized = paid + base + guess.
     """
 
     max_depth: int = 0
@@ -223,8 +223,8 @@ def qptas(
     ``guess_long`` returns only such guesses, so every guess leaves a
     residual with all widths below half the scale, recursed on with the
     scale halved.
-    Costs are exact rationals throughout: the returned cost equals the sum of
-    paid, guessed and exactly-solved parts.
+    ``stats`` splits the cost exactly, summing the output's segments by the
+    part that paid for each: the decomposition, a guess or an exact leaf.
     """
     eps = _open_unit(eps, "eps")
     if not inst.rects:
@@ -236,29 +236,22 @@ def qptas(
 
     norm, transform = normalize(inst, eps)
     budget = _Budget(params.node_budget)
-    zero = Fraction(0)
     limit = max(params.oracle_limit, ORACLE_LIMIT)
 
-    # each call returns its solution plus the (paid, base, guess) cost split
-    # of that solution only; discarded guess branches leave no trace, so the
-    # root split accounts for the output exactly
-    def recurse(current: Instance, scale: Fraction, depth: int):
+    # each call returns its output as (part, segment) pairs in output order,
+    # part "paid", "guess" or "base"; a discarded guess branch leaves nothing
+    # in the output, so the root's tags split the output cost exactly
+    def recurse(current: Instance, scale: Fraction, depth: int) -> list[tuple[str, Segment]]:
         budget.tick()
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
-        if not current.rects:
-            return Solution(()), (zero, zero, zero)
         if len(current.rects) <= params.oracle_limit:
-            # a small node is its own single chunk, solved by the exact leaf
-            chunks, segments = (current,), []
-        else:
-            dec = decompose(current, params.mu)
-            chunks, segments = dec.sub_instances, list(dec.paid_segments)
-        paid = sum((s.length for s in segments), zero)
-        base = zero
-        guessed = zero
+            # a small node, an empty residual too, is solved by the exact leaf
+            return [("base", s) for s in exact_opt(current, limit=limit).segments]
+        dec = decompose(current, params.mu)
+        tagged = [("paid", s) for s in dec.paid_segments]
         half = scale / 2
-        for chunk in chunks:
+        for chunk in dec.sub_instances:
             best: tuple | None = None
             if len(chunk.rects) > params.oracle_limit:
                 for guess in guess_long(chunk, half, params.klong, budget):
@@ -268,31 +261,23 @@ def qptas(
                     residual = Instance(
                         tuple(r for i, r in enumerate(chunk.rects) if not guess.stab_set >> i & 1)
                     )
-                    sub, sub_split = recurse(residual, half, depth + 1)
-                    total = guess.length + sub.cost
+                    branch = [("guess", s) for s in guess.segments] + recurse(residual, half, depth + 1)
+                    total = sum(s.length for _, s in branch)
                     if best is None or total < best[0]:
-                        best = (total, guess, sub, sub_split)
+                        best = (total, branch)
             if best is None:
                 # the exact leaf: a small chunk, or one where no guess of at
                 # most klong long segments stabs every wide rect, as happens
                 # when klong is overridden below what the chunk needs
-                sol = exact_opt(chunk, limit=limit)
-                base += sol.cost
-                segments.extend(sol.segments)
-                continue
-            _, guess, sub, sub_split = best
-            paid += sub_split[0]
-            base += sub_split[1]
-            guessed += sub_split[2] + guess.length
-            segments.extend(guess.segments)
-            segments.extend(sub.segments)
-        return Solution(tuple(segments)), (paid, base, guessed)
+                tagged.extend(("base", s) for s in exact_opt(chunk, limit=limit).segments)
+            else:
+                tagged.extend(best[1])
+        return tagged
 
-    if norm.rects:
-        solved, (stats.paid_cost, stats.base_cost, stats.guess_cost) = recurse(
-            norm, norm.max_width, 0
-        )
-    else:
-        solved = Solution(())
+    tagged = recurse(norm, norm.max_width, 0) if norm.rects else []
+    solved = Solution(tuple(s for _, s in tagged))
+    stats.paid_cost, stats.guess_cost, stats.base_cost = (
+        sum((s.length for p, s in tagged if p == part), Fraction(0)) for part in ("paid", "guess", "base")
+    )
     stats.normalized_cost = solved.cost
     return denormalize(solved, transform)

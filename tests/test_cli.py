@@ -266,6 +266,13 @@ class TestBench:
         with pytest.raises(OracleLimitError):
             run_bench(suite)
 
+    @pytest.mark.parametrize("n, opt", [(15, "31"), (16, "")])
+    def test_suite_oracle_limit_defaults_to_15(self, n, opt):
+        # the suite's own default, below exact's 20: rows above it get no opt
+        suite = {"instances": [{"kind": "uniform", "n": n, "seeds": [1]}], "algos": [{"name": "greedy"}]}
+        rows, _ = run_bench(suite)
+        assert [row["opt"] for row in rows] == [opt]
+
     def test_laminar_dp_ratio_exactly_one(self):
         suite = {
             "oracle_limit": 15,

@@ -101,6 +101,21 @@ class TestStripPartition:
         inst = make_instance([(xl, xl + width, 0, 1)])
         assert crossing_rects(inst, z, spacing) == crossing_rects_floor(inst, z, spacing)
 
+    @pytest.mark.parametrize(
+        "z, spacing", [(0, 0), (0, -100), (0, F(-1, 2)), (0, "0"), (0.0, 100), (0, 100.0), (0, "x"), (0, True)]
+    )
+    def test_crossing_rejects_nonpositive_spacing_and_inexact_scalars(self, z, spacing):
+        # a zero spacing would divide by zero, a negative one would cross rects
+        # that the same positive spacing misses, and floats compare inexactly
+        with pytest.raises(ParameterError):
+            crossing_rects(gen_uniform(5, 1), z, spacing)
+
+    @pytest.mark.parametrize("z, spacing", [(0, 100), ("1/4", "10"), (F(1, 4), 10), ("0.25", 2)])
+    def test_crossing_coerces_exact_scalars(self, z, spacing):
+        inst = gen_uniform(5, 1)
+        exact = crossing_rects_floor(inst, F(z), F(spacing))
+        assert crossing_rects(inst, z, spacing) == exact
+
     @given(
         st.sampled_from(GENERATED_KINDS),
         st.integers(1, 12),

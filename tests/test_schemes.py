@@ -448,3 +448,24 @@ class TestQptas:
         # the fallback's cost lands in the split next to paid and guessed parts
         assert stats.paid_cost > 0 and stats.guess_cost > 0 and stats.max_depth >= 1
         assert stats.normalized_cost == stats.paid_cost + stats.base_cost + stats.guess_cost
+
+    @pytest.mark.parametrize(
+        "n, seed, overrides, expected",
+        # RunStats(max_depth, nodes, guesses, paid, guess, base, normalized)
+        [
+            (11, 0, dict(klong=1, oracle_limit=2), RunStats(1, 2, 1, F(5, 2), F(25, 16), F(27, 8), F(119, 16))),
+            (16, 1, dict(klong=4, oracle_limit=6), RunStats(1, 5, 4, F(2), F(103, 16), F(21, 16), F(39, 4))),
+            # perfbench's QPTAS_OVERRIDES, on an instance of its schemes size
+            (20, 1000, dict(klong=4, oracle_limit=6), RunStats(1, 13, 12, F(4), F(4, 3), F(82, 15), F(54, 5))),
+        ],
+    )
+    def test_cost_split_pins_all_three_parts(self, n, seed, overrides, expected):
+        # a segment charged to the wrong part still adds up to the output
+        # cost; these runs have paid, guessed and exact-leaf segments, so
+        # only pinned values catch it
+        stats = RunStats()
+        inst = gen_uniform(n, seed)
+        params = SchemeParams.derive(n, F(1, 2), mu=F(1, 2), **overrides)
+        sol = qptas(inst, F(1, 2), params=params, stats=stats)
+        assert stats == expected
+        assert verify(inst, sol).feasible

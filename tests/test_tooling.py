@@ -89,7 +89,14 @@ def test_first_subseed_outputs_are_byte_identical(workload):
     assert sorted(wl.WORKLOADS) == sorted(FIRST_SUBSEED_SHA256)
     jobs = wl.jobs_for(workload, 1, subseeds=1)
     insts = wl.load_instances(stabkit, jobs)
-    outputs = [wl.canonical(stabkit, job, wl.execute(stabkit, job, insts[job.key])[0]) for job in jobs]
+    outputs = []
+    for job in jobs:
+        inst = insts[job.key]
+        output, stats = wl.execute(stabkit, job, inst)
+        # the per-job check, here also on qptas runs that decompose and guess
+        reason, _ = wl.check(stabkit, job, inst, output, stats, wl.reference(stabkit, job, inst))
+        assert reason is None, f"{job}: {reason}"
+        outputs.append(wl.canonical(stabkit, job, output))
     assert hashlib.sha256("\n".join(outputs).encode()).hexdigest() == FIRST_SUBSEED_SHA256[workload]
 
 
