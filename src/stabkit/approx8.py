@@ -7,20 +7,47 @@ length to the right, is feasible for the original instance; conversely any
 original solution rounds to a laminar-feasible one at a factor of 4, so the
 exact laminar optimum stays within a factor 8 of the true optimum.
 
-The decomposition prices many subsets of one instance by approx8's cost
-alone; ``_approx8_prices`` serves those prices from one rounding and one
-ranking, and is the one place that reads the cost as twice the laminar
-optimum.
+Rounding runs on integers (``_rounded_spans``), and ``approx8`` feeds those
+straight to the laminar DP, so it builds no rounded ``Rect`` and no
+``Fraction`` before its output segments.  The decomposition prices many
+subsets of one instance by approx8's cost alone; ``_approx8_prices`` serves
+those prices from one rounding and one DP, and is the one place that reads
+the cost as twice the laminar optimum.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from .core import Instance, Rect, Segment, Solution, ceil_log2, pow2
-from .laminar import _box_dp, _rank, solve_laminar
+from .core import Instance, Rect, Segment, Solution, _ceil_log2, _scaled, pow2
+from .laminar import _laminar_dp
+
+
+def _rounded_spans(rects: Sequence[Rect]) -> tuple[int, list[tuple[int, int]]]:
+    """(e, spans): every rect's rounded x-span as integers in units of 2**e.
+
+    A rect of width w rounds to [left, left + 2**t] with t = ceil_log2(w) and
+    left = floor(xl / 2**t) * 2**t.  x is scaled to integers once; e is the
+    least t, so every rounded edge is an integer multiple of 2**e.
+    """
+    n = len(rects)
+    den, x = _scaled([r.xl for r in rects] + [r.xr for r in rects])
+    exps = [_ceil_log2(b - a, den) for a, b in zip(x[:n], x[n:])]
+    e = min(exps, default=0)
+    spans = []
+    for a, t in zip(x, exps):
+        # floor(a / (den * 2**t)) multiples of 2**t, that is of 2**(t - e) units
+        q = a // (den << t) if t >= 0 else (a << -t) // den
+        left = q << (t - e)
+        spans.append((left, left + (1 << (t - e))))
+    return e, spans
+
+
+def _rounded_rects(rects: Sequence[Rect]) -> tuple[Rect, ...]:
+    e, spans = _rounded_spans(rects)
+    unit = pow2(e)
+    return tuple(Rect(r.id, a * unit, b * unit, r.yb, r.yt) for r, (a, b) in zip(rects, spans))
 
 
 def round_rect(r: Rect) -> Rect:
@@ -29,14 +56,12 @@ def round_rect(r: Rect) -> Rect:
 
     Guarantees width <= w' < 2 * width, new xl <= xl, and xr <= new xl + 2w'.
     """
-    w2 = pow2(ceil_log2(r.width))
-    left = math.floor(r.xl / w2) * w2
-    return Rect(r.id, left, left + w2, r.yb, r.yt)
+    return _rounded_rects([r])[0]
 
 
 def to_laminar(inst: Instance) -> Instance:
     """Round every rectangle; ids are preserved."""
-    return Instance(tuple(round_rect(r) for r in inst.rects))
+    return Instance(_rounded_rects(inst.rects))
 
 
 def stretch_segment(s: Segment) -> Segment:
@@ -51,16 +76,25 @@ def _approx8_prices(inst: Instance) -> Callable[[list[Rect]], Fraction]:
     to double length, so its cost is exactly twice that optimum.  Rounding is
     per rect, so the rounded rects of a subset are that subset of the rounded
     instance, and a subset of a laminar family is laminar: ``inst`` is
-    rounded, checked and ranked once, and each price runs only the box DP on
-    the priced rects' rank tuples, found by id.
+    rounded and checked once, and one DP over its rect sets serves every
+    price, a price being the DP's value on the priced rects' mask.  The
+    prices share that DP's memo.  A state's levels are then the top edges of
+    all of ``inst``, not only of the priced rects, which may move the level
+    chosen but not the cost: past a level that is no top of the state's own
+    rects, the next one above stabs a superset of the nested rects and
+    leaves the same ones below.
     """
-    xs, ys, den, ranks = _rank(to_laminar(inst))
-    by_id = {t[1]: t for t in ranks}
-    root = (0, len(xs) - 1, 0, len(ys) - 1)
+    rects = inst.rects
+    e, spans = _rounded_spans(rects)
+    bits, solve, _ = _laminar_dp(rects, spans)
+    bit = {r.id: b for r, b in zip(rects, bits)}
+    unit = pow2(e + 1)  # stretching doubles every segment
 
-    def price(rects: list[Rect]) -> Fraction:
-        cost, _ = _box_dp([by_id[r.id] for r in rects], root)
-        return Fraction(2 * cost, den)
+    def price(subset: list[Rect]) -> Fraction:
+        mask = 0
+        for r in subset:
+            mask |= bit[r.id]
+        return solve(mask) * unit
 
     return price
 
@@ -70,4 +104,17 @@ def approx8(inst: Instance) -> Solution:
 
     Output is feasible for the input and costs at most 8 times its optimum.
     """
-    return Solution(tuple(stretch_segment(s) for s in solve_laminar(to_laminar(inst)).segments))
+    rects = inst.rects
+    e, spans = _rounded_spans(rects)
+    _, solve, stabs = _laminar_dp(rects, spans)
+    full = (1 << len(rects)) - 1
+    picked = stabs(full)
+    assert sum(spans[i][1] - spans[i][0] for i, _ in picked) == solve(full), (
+        "reconstructed stabs disagree with the DP value"
+    )
+    unit = pow2(e)
+    segments = []
+    for i, j in picked:
+        a, b = spans[i]  # stretched as by stretch_segment
+        segments.append(Segment(a * unit, (2 * b - a) * unit, rects[j].yt))
+    return Solution(tuple(segments))

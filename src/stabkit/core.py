@@ -80,7 +80,12 @@ def ceil_log2(x: Fraction) -> int:
     """Smallest integer t with x <= 2**t, for x > 0.  t may be negative."""
     if x <= 0:
         raise ParameterError("ceil_log2 requires a positive value")
-    p, q = x.numerator, x.denominator
+    return _ceil_log2(x.numerator, x.denominator)
+
+
+def _ceil_log2(p: int, q: int) -> int:
+    """Smallest integer t with p / q <= 2**t, for positive integers p and q,
+    which need not be in lowest terms."""
 
     def fits(t: int) -> bool:
         return p <= (q << t) if t >= 0 else (p << -t) <= q

@@ -12,10 +12,11 @@ Two stages:
   chunks of bounded optimum.
 
 Both stages price rect subsets by the 8-approximation's cost alone, through
-``approx8._approx8_prices``: ``decompose`` rounds and ranks the instance's
-rects once and hands that one pricer to both stages, which pass it the
-rects of each subset; each price is one laminar box DP on the integer ranks
-of those rects.  Called on its own, a stage builds its own pricer.
+``approx8._approx8_prices``: ``decompose`` rounds the instance's rects once
+and hands that one pricer to both stages, which pass it the rects of each
+subset.  The prices share one memo of the laminar DP over the instance's
+rect sets, so a set reached by an earlier price, or inside one, costs a
+lookup.  Called on its own, a stage builds its own pricer.
 
 Composed by ``decompose``, the paid segments cost O(eps) times the optimum
 while every remaining chunk has optimum at most 8w/eps^2 + w/eps.
@@ -98,9 +99,9 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
     is the 8-approximation.  The crossed set changes only at the shifts where
     a line enters or leaves a rect, so an exact integer sweep over those event
     shifts meets every distinct crossed set at its smallest shift.  That is
-    at most 4n + 1 sets, each priced once on rects rounded and ranked once;
-    only the winner's cover is built.  Ties between shifts go to the smallest
-    one.  The paid cover costs at most 16 * eps * OPT and every strip spans at
+    at most 4n + 1 sets, each priced once on rects rounded once; only the
+    winner's cover is built.  Ties between shifts go to the smallest one.
+    The paid cover costs at most 16 * eps * OPT and every strip spans at
     most max_width / eps in x.
 
     ``_price`` is ``_approx8_prices`` of ``inst`` or of an instance holding
@@ -174,10 +175,10 @@ def horizontal_cuts(
 
     One pass over the strip's distinct top edges z prices the remaining
     rectangles with top edge at most z (by the 8-approximation, on rects
-    rounded and ranked once; that set changes only at top edges); once that
-    exceeds CUT_FACTOR * w / eps^2 it emits a cut segment across the whole
-    strip at z, removes everything the cut stabs, closes the chunk of
-    rectangles strictly below z, and continues above.  The recorded cost per
+    rounded once; that set changes only at top edges); once that exceeds
+    CUT_FACTOR * w / eps^2 it emits a cut segment across the whole strip at
+    z, removes everything the cut stabs, closes the chunk of rectangles
+    strictly below z, and continues above.  The recorded cost per
     chunk is the trigger value (the plain 8-approx cost for the final chunk),
     an upper bound on the chunk's optimum.  Total cut length is at most
     eps * OPT of the strip.
@@ -228,7 +229,7 @@ def decompose(inst: Instance, eps) -> Decomposition:
     Every input rect is either stabbed by the paid segments or lies in
     exactly one sub-instance; each sub-instance has optimum at most
     8w/eps^2 + w/eps where w is the instance's max width.  The instance is
-    rounded and ranked once, for both stages.
+    rounded once, and its one pricer serves both stages.
     """
     eps = _open_unit(eps, "eps")
     price = _approx8_prices(inst)

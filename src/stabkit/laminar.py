@@ -5,28 +5,30 @@ laminar interval family: any two projections are nested or have disjoint
 interiors.  Laminarity buys three facts the solver exploits:
 
 * every subset of the rectangles is still laminar;
-* the widest rectangle in any box can be stabbed by a segment spanning
+* the widest rectangle of any set can be stabbed by a segment spanning
   exactly its own width;
-* stabbing it splits the box into four independent sub-boxes (left, right,
-  strictly below the stab height, strictly above it).
+* stabbing it splits the rest of the set into four independent parts: the
+  rects left of it, those right of it, and those nested in it strictly
+  below and strictly above the stab height.
 
-The DP caches one state per box spanned by coordinate ranks (indices into
-the sorted distinct boundary values): at most O(n^4) states.  A box's rects
-are found among those of the box that encloses it, so each state's work is
-linear in the enclosing box's rects and in the stab heights it tries.
-Ranking scales both axes to integers once, so no layer below it compares
-Fractions.
+The DP's states are the rect sets it reaches, as bitmasks over the rects
+ordered widest first, so a set's widest rect is its lowest set bit.  Per
+rect it holds the masks of the rects left and right of it, and per stab
+height those of the rects wholly below and wholly above it, so a state's
+four parts are a few integer ANDs.  Solving a whole instance, every state
+reached is the set of rects inside some box spanned by coordinate ranks, so
+there are never more states than the O(n^4) boxes a DP over boxes would
+keep, and in practice far fewer, since many boxes hold the same set.  The memo outlives a call, so the prices
+of many subsets of one instance share it.  Callers scale x to integers once
+and the DP scales y, so nothing below compares Fractions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
-from fractions import Fraction
+from collections.abc import Callable, Iterable, Sequence
 
-from .core import Instance, ParameterError, Segment, Solution, _scaled, _seg_key
-
-_EMPTY = (0, None)  # the memo entry of a box no rect lies in
+from .core import Instance, ParameterError, Rect, Segment, Solution, _scaled
 
 
 def _nested(spans: Iterable[tuple[int, int]]) -> bool:
@@ -56,133 +58,154 @@ def is_laminar(inst: Instance) -> bool:
     return _nested(zip(x[:n], x[n:]))
 
 
-def _rank(inst: Instance) -> tuple[list[Fraction], list[Fraction], int, list[tuple]]:
-    """The DP's input: (xs, ys, den, ranks) for a laminar instance.
+def _laminar_dp(
+    rects: Sequence[Rect], spans: list[tuple[int, int]]
+) -> tuple[list[int], Callable[[int], int], Callable[[int], list[tuple[int, int]]]]:
+    """The DP over sets of ``rects``, whose x-spans on integers are
+    ``spans``: (bits, solve, stabs).
 
-    xs and ys are the sorted distinct x and y boundaries, den the common
-    denominator of xs, and ranks one (-width * den, id, xl, xr, yb, yt) tuple
-    per rect with coordinates as ranks into xs and ys: ranks preserve order,
-    and min() picks the widest rect, lowest id first.  The tuples of a subset
-    of the rects are valid DP input on their own, since a subset of a laminar
-    family is laminar.
+    bits[i] is rect i's bit in a state.  Bits follow the key (-width, id),
+    so a state's lowest bit is its widest rect, lowest id first.
+    solve(mask) is the least cost, in units of the span integers, of
+    stabbing the rects of ``mask``.  stabs(mask) lists that optimum as
+    (i, j) pairs, rect i stabbed by its own span at rect j's top edge, in
+    the order of (left, right, height).  Both share one memo across calls.
 
-    Each axis is scaled to integers once; the laminarity check, the sorts and
-    the rank lookups run on those, and xs and ys hold the input's own values.
+    A state of one rect is stabbed at its own top edge.  Any other stabs its
+    widest rect W at the level, among the instance's top edges within W's
+    [yb, yt], that minimizes the cost of the rects nested in W strictly
+    below and strictly above it; the first strictly cheapest level wins.
+    Top edges suffice because any segment can be shifted up to the nearest
+    top edge without changing what it stabs.  The level that wins depends
+    only on the state's rects and the instance's top edges, and its cost is
+    the state's optimum.  States wait on an explicit stack, so a chain of n
+    of them, such as n x-disjoint rects, needs no recursion.
+
+    Raises ParameterError when the spans are not laminar.
+    """
+    if not _nested(spans):
+        raise ParameterError("instance is not laminar")
+    n = len(rects)
+    _, y = _scaled([r.yb for r in rects] + [r.yt for r in rects])
+    order = sorted(range(n), key=lambda i: (spans[i][0] - spans[i][1], rects[i].id))
+    bits = [0] * n
+    for p, i in enumerate(order):
+        bits[i] = 1 << p
+    # everything below is indexed by bit position p, rect order[p]
+    xl = [spans[i][0] for i in order]
+    xr = [spans[i][1] for i in order]
+    yb = [y[i] for i in order]
+    yt = [y[n + i] for i in order]
+    width = [b - a for a, b in zip(xl, xr)]
+
+    def less(keys: list[int], bounds: list[int]) -> list[int]:
+        # per bound, the mask of the positions whose key is below it
+        by_key = sorted(range(n), key=keys.__getitem__)
+        ordered = [keys[p] for p in by_key]
+        masks = [0]
+        for p in by_key:
+            masks.append(masks[-1] | 1 << p)
+        return [masks[bisect_left(ordered, b)] for b in bounds]
+
+    # on integers, xr <= a is xr < a + 1 and xl >= b is -xl < 1 - b
+    left = less(xr, [a + 1 for a in xl])  # the rects ending at or before xl[p]
+    right = less([-a for a in xl], [1 - b for b in xr])  # starting at or after xr[p]
+    # the stab levels: the distinct top edges, as k indexing tops, with
+    # below[k] the rects whose top lies under level k and above[k] those
+    # whose bottom lies over it
+    tops = sorted(set(yt))
+    owner = {t: order[p] for p, t in enumerate(yt)}  # a rect with that top edge
+    below = less(yt, tops)
+    above = less([-b for b in yb], [-t for t in tops])
+    # the levels a rect is stabbed at: tops within its [yb, yt], the last
+    # one its own top edge
+    levels = [range(bisect_left(tops, b), bisect_right(tops, t)) for b, t in zip(yb, yt)]
+
+    cost = {0: 0}
+    level: dict[int, int] = {}  # state -> k of the level its widest rect is stabbed at
+
+    def solve(root: int) -> int:
+        # ints wait to be expanded; tuples (state, widest, left, right, plan)
+        # to be finished once every part is solved
+        todo: list = [root]
+        while todo:
+            frame = todo.pop()
+            if frame.__class__ is tuple:
+                m, p, lm, rm, plan = frame
+                best = None
+                for k, lo, hi in plan:
+                    c = cost[lo] + cost[hi]
+                    if best is None or c < best:
+                        best = c
+                        best_k = k
+                cost[m] = width[p] + cost[lm] + cost[rm] + best
+                level[m] = best_k
+                continue
+            m = frame
+            if m in cost:
+                continue  # solved meanwhile as part of another state
+            low = m & -m
+            p = low.bit_length() - 1
+            if m == low:  # a lone rect, stabbed at its own top edge
+                cost[m] = width[p]
+                level[m] = levels[p][-1]
+                continue
+            lm = m & left[p]
+            rm = m & right[p]
+            inner = m ^ low ^ lm ^ rm
+            # adjacent levels that split the nested rects alike cost alike,
+            # and the first of them is the one a strict minimum keeps
+            plan = []
+            subs = [lm, rm]
+            last = None
+            for k in levels[p]:
+                pair = (inner & below[k], inner & above[k])
+                if pair != last:
+                    plan.append((k, *pair))
+                    subs += pair
+                    last = pair
+            todo.append((m, p, lm, rm, plan))
+            todo += [sub for sub in subs if sub not in cost]
+        return cost[root]
+
+    def stabs(root: int) -> list[tuple[int, int]]:
+        solve(root)
+        out = []
+        todo = [root]
+        while todo:
+            m = todo.pop()
+            if not m:
+                continue
+            low = m & -m
+            p = low.bit_length() - 1
+            t = tops[level[m]]
+            out.append((xl[p], xr[p], t, order[p], owner[t]))
+            if m != low:
+                lm = m & left[p]
+                rm = m & right[p]
+                inner = m ^ low ^ lm ^ rm
+                k = level[m]
+                todo += (lm, rm, inner & below[k], inner & above[k])
+        out.sort()
+        return [(i, j) for *_, i, j in out]
+
+    return bits, solve, stabs
+
+
+def solve_laminar(inst: Instance) -> Solution:
+    """Exact optimum for a laminar instance: scale x to integers, run the
+    DP over rect sets (``_laminar_dp``) on all of them, build the stabs.
 
     Raises ParameterError on non-laminar input.
     """
     rects = inst.rects
     n = len(rects)
-    x_coords = [r.xl for r in rects] + [r.xr for r in rects]
-    y_coords = [r.yb for r in rects] + [r.yt for r in rects]
-    den, x = _scaled(x_coords)
-    _, y = _scaled(y_coords)
-    if not _nested(zip(x[:n], x[n:])):
-        raise ParameterError("instance is not laminar")
-    x_sorted = sorted(set(x))
-    y_sorted = sorted(set(y))
-    xi = {v: k for k, v in enumerate(x_sorted)}
-    yi = {v: k for k, v in enumerate(y_sorted)}
-    ranks = [
-        (a - b, r.id, xi[a], xi[b], yi[c], yi[d])
-        for r, a, b, c, d in zip(rects, x[:n], x[n:], y[:n], y[n:])
-    ]
-    x_own = dict(zip(x, x_coords))
-    y_own = dict(zip(y, y_coords))
-    return [x_own[v] for v in x_sorted], [y_own[v] for v in y_sorted], den, ranks
-
-
-def _box_dp(ranks: list[tuple], root: tuple[int, int, int, int]) -> tuple[int, dict]:
-    """The box DP over rank tuples from ``_rank``: (cost, memo).
-
-    cost is the least cost, in units of 1/den, of stabbing the rects whose
-    ranks lie in the box ``root`` = (i, j, u, v), that is [i, j] x [u, v].
-    For each box, stab the widest contained rectangle W (ties: lowest id)
-    with a segment [W.xl, W.xr] at some top-edge level inside W's vertical
-    extent, then solve the four independent sub-boxes.  Candidate stab
-    heights are restricted to top edges because any segment can be shifted
-    up to the nearest top edge without changing what it stabs.
-
-    A sub-box lies inside its box, so its rects are found by scanning only
-    the box's own rects.  The DP walks the boxes with an explicit stack, so a
-    chain of n sub-boxes, such as n x-disjoint rects, needs no recursion.
-
-    memo maps each solved box to (cost, stab); stab is None for an empty box,
-    else the ranks (a, b, t) of the segment stabbing the box's widest rect.
-    """
-    tops = sorted({t[5] for t in ranks})
-    memo: dict[tuple[int, int, int, int], tuple[int, tuple | None]] = {}
-    # frames (box, its rects, None) wait to be expanded, and frames
-    # (box, None, plan) to be finished once every sub-box is solved
-    todo: list[tuple] = []
-
-    def enter(boxes: list[tuple[int, int, int, int]], outer: list[tuple]) -> None:
-        # solve each unsolved box holding at most one rect, queue the others;
-        # every box lies inside the box whose rects are outer
-        for box in boxes:
-            i, j, u, v = box
-            if u > v or i >= j or box in memo:
-                continue
-            group = [t for t in outer if i <= t[2] and t[3] <= j and u <= t[4] and t[5] <= v]
-            if len(group) > 1:
-                todo.append((box, group, None))
-            elif group:
-                # a lone rect is stabbed at its top edge; its sub-boxes stay unsolved
-                neg_width, _, a, b, _, yt = group[0]
-                memo[box] = (-neg_width, (a, b, yt))
-            else:
-                memo[box] = _EMPTY
-
-    enter([root], ranks)
-    get = memo.get
-    while todo:
-        box, group, plan = todo.pop()
-        if plan is not None:
-            width, a, b, levels, subs = plan
-            side = get(subs[0], _EMPTY)[0] + get(subs[1], _EMPTY)[0]
-            best = None
-            best_t = -1
-            halves = iter(subs[2:])
-            for t, below, above in zip(levels, halves, halves):
-                cost = get(below, _EMPTY)[0] + get(above, _EMPTY)[0]
-                if best is None or cost < best:
-                    best = cost
-                    best_t = t
-            memo[box] = (width + side + best, (a, b, best_t))
-        elif box not in memo:  # else solved meanwhile inside another box
-            i, j, u, v = box
-            neg_width, _, a, b, yb, yt = min(group)
-            levels = tops[bisect_left(tops, yb) : bisect_right(tops, yt)]
-            subs = [(i, a, u, v), (b, j, u, v)]
-            for t in levels:
-                subs.append((a, b, u, t - 1))
-                subs.append((a, b, t + 1, v))
-            todo.append((box, None, (-neg_width, a, b, levels, subs)))
-            enter(subs, group)
-    return get(root, _EMPTY)[0], memo
-
-
-def solve_laminar(inst: Instance) -> Solution:
-    """Exact optimum for a laminar instance: rank, run the box DP
-    (``_box_dp``) on the whole rank range, read the stabs back from its memo.
-
-    Raises ParameterError on non-laminar input.
-    """
-    xs, ys, den, ranks = _rank(inst)
-    root = (0, len(xs) - 1, 0, len(ys) - 1)
-    total, memo = _box_dp(ranks, root)
-
-    segments: list[Segment] = []
-    todo = [root]
-    while todo:
-        i, j, u, v = box = todo.pop()
-        # a box solve never reached (degenerate, or beside a lone rect) is empty
-        stab = memo.get(box, _EMPTY)[1]
-        if stab is None:
-            continue
-        a, b, t = stab
-        segments.append(Segment(xs[a], xs[b], ys[t]))
-        todo += [(i, a, u, v), (b, j, u, v), (a, b, u, t - 1), (a, b, t + 1, v)]
-    sol = Solution(tuple(sorted(segments, key=_seg_key)))
-    assert sol.cost == Fraction(total, den), "reconstructed segments disagree with the DP value"
-    return sol
+    _, x = _scaled([r.xl for r in rects] + [r.xr for r in rects])
+    spans = list(zip(x[:n], x[n:]))
+    _, solve, stabs = _laminar_dp(rects, spans)
+    full = (1 << n) - 1
+    picked = stabs(full)
+    assert sum(spans[i][1] - spans[i][0] for i, _ in picked) == solve(full), (
+        "reconstructed stabs disagree with the DP value"
+    )
+    return Solution(tuple(Segment(rects[i].xl, rects[i].xr, rects[j].yt) for i, j in picked))

@@ -159,7 +159,11 @@ class Guess:
 
     segments: tuple[Segment, ...]
     stab_set: int
-    length: Fraction
+
+    @property
+    def length(self) -> Fraction:
+        """The segments' total length, summed when read."""
+        return sum((s.length for s in self.segments), Fraction(0))
 
 
 def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) -> list[Guess]:
@@ -198,11 +202,7 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
                 reps[union] = (total, combo)
     wide = sum(1 << i for i, r in enumerate(inst.rects) if r.width >= min_len)
     return [
-        Guess(
-            tuple(Segment(*key) for key, _, _ in combo),
-            union,
-            sum((xr - xl for (xl, xr, _), _, _ in combo), Fraction(0)),
-        )
+        Guess(tuple(Segment(*key) for key, _, _ in combo), union)
         for union, (_, combo) in reps.items()
         if not wide & ~union
     ]

@@ -5,7 +5,8 @@ data types and the stabbing predicate, except that the subset DP, the
 unmemoized search and the greedy scan read the candidate table, which the
 tests check against ``reduce_candidates_pairwise``, and the decomposition
 references price with ``approx8`` and find crossed rects with
-``crossing_rects``, each tested on its own.
+``crossing_rects``, and the rounding reference reads ``ceil_log2``, each
+tested on its own.
 """
 
 import math
@@ -195,14 +196,7 @@ def guess_long_all(inst: Instance, min_len: Fraction, k: int) -> list[Guess]:
             total = sum(length for _, length in combo)
             if union not in reps or total < reps[union][0]:
                 reps[union] = (total, combo)
-    return [
-        Guess(
-            tuple(c.segment for c, _ in combo),
-            union,
-            sum((c.segment.length for c, _ in combo), Fraction(0)),
-        )
-        for union, (_, combo) in reps.items()
-    ]
+    return [Guess(tuple(c.segment for c, _ in combo), union) for union, (_, combo) in reps.items()]
 
 
 def is_laminar_pairwise(inst: Instance) -> bool:
@@ -441,6 +435,18 @@ def canonicalize_segment(inst: Instance, s: Segment) -> Segment | None:
     xr = max(r.xr for r in stabbed)
     y = min(r.yt for r in inst.rects if r.yt >= s.y)
     return Segment(xl, xr, y)
+
+
+def round_rect_fraction(r: Rect) -> Rect:
+    """The rect widened to the power of two 2^t with 2^(t-1) < width <= 2^t
+    and left-aligned to the grid of multiples of 2^t, all on Fractions.
+
+    Reference for ``round_rect``, ``to_laminar`` and the integer rounding
+    ``approx8._rounded_spans`` behind them.
+    """
+    w2 = pow2(ceil_log2(r.width))
+    left = math.floor(r.xl / w2) * w2
+    return Rect(r.id, left, left + w2, r.yb, r.yt)
 
 
 def round_segment_pow2(s: Segment) -> Segment:

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabkit import (
@@ -12,6 +13,7 @@ from stabkit import (
     gen_uniform,
     greedy_cover,
     is_laminar,
+    pow2,
     round_rect,
     solution_to_json,
     solve_laminar,
@@ -21,13 +23,16 @@ from stabkit import (
     verify,
 )
 
-from stabkit.approx8 import _approx8_prices
+from stabkit.approx8 import _approx8_prices, _rounded_spans
+from stabkit.laminar import _laminar_dp
 
 from .conftest import make_instance
 from .helpers import (
     GENERATED_KINDS,
+    affine_instance,
     generated_instance,
     per_rect_solution,
+    round_rect_fraction,
     round_segment_pow2,
     solve_laminar_full_scan,
 )
@@ -63,6 +68,57 @@ class TestRoundRect:
         assert rounded.width.denominator & (rounded.width.denominator - 1) == 0
         # left edge sits on the grid of multiples of the new width
         assert (rounded.xl / rounded.width).denominator == 1
+
+
+class TestIntegerRounding:
+    @staticmethod
+    def assert_rounds_as_reference(rects):
+        ref = [round_rect_fraction(r) for r in rects]
+        e, spans = _rounded_spans(rects)
+        assert [(a * pow2(e), b * pow2(e)) for a, b in spans] == [(r.xl, r.xr) for r in ref]
+        assert [round_rect(r) for r in rects] == ref
+        assert to_laminar(Instance(tuple(rects))) == Instance(tuple(ref))
+
+    @given(
+        st.sampled_from(GENERATED_KINDS),
+        st.booleans(),
+        st.integers(1, 24),
+        st.integers(0, 10**6),
+        st.integers(-300, 0),
+    )
+    @settings(max_examples=100)
+    def test_generated_matches_fraction_reference(self, kind, mapped, n, seed, shift):
+        # the affine image puts x over denominators with factors 3 and 7, and
+        # the shift by a multiple of 1/5 moves much of it below zero
+        inst = generated_instance(kind, n, seed)
+        if mapped:
+            inst = affine_instance(inst)
+        self.assert_rounds_as_reference(
+            [Rect(r.id, r.xl + F(shift, 5), r.xr + F(shift, 5), r.yb, r.yt) for r in inst.rects]
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-8, 8),
+                st.sampled_from([F(0), F(1, 2**40), F(1, 3**9), F(1, 2)]),
+                st.integers(-10**4, 10**4),
+                st.sampled_from([1, 3, 7, 64]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100)
+    def test_widths_at_and_just_above_a_power_of_two(self, draws):
+        # width 2^t rounds to itself, and a hair above 2^t to 2^(t+1)
+        rects = [
+            Rect(i, F(num, den), F(num, den) + pow2(t) * (1 + above), 0, 1)
+            for i, (t, above, num, den) in enumerate(draws, 1)
+        ]
+        self.assert_rounds_as_reference(rects)
+        for r, (t, above, _, _) in zip(rects, draws):
+            assert round_rect(r).width == pow2(t if above == 0 else t + 1)
 
 
 class TestToLaminar:
@@ -119,6 +175,20 @@ class TestApprox8:
         assert stabs(s, rounded)
         assert stabs(stretch_segment(s), r)
 
+    @pytest.mark.parametrize(
+        "eps, ratio", [(F(1, 4), F(32, 5)), (F(1, 256), F(2048, 257)), (F(1, 10**6), F(8000000, 1000001))]
+    )
+    def test_tight_family(self, eps, ratio):
+        # OPT is one segment [-eps, 2 + eps] at y = 16; both rects round to
+        # width 4 but into the cells [0, 4] and [-4, 0], and both segments
+        # are stretched to 8: the rounding's 4 and the stretch's 2 both bind
+        inst = make_instance([(0, 2 + eps, 4, 16), (-eps, 2, 2, 23)])
+        sol = approx8(inst)
+        assert verify(inst, sol).feasible
+        assert sol.cost == 16
+        assert exact_opt(inst).cost == 2 + 2 * eps
+        assert sol.cost / exact_opt(inst).cost == ratio == 8 / (1 + eps)
+
     @given(st.integers(0, 60))
     def test_ratio_at_most_eight(self, seed):
         inst = gen_uniform(seed % 12 + 1, seed)
@@ -158,8 +228,9 @@ class TestApprox8Prices:
     @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 40), st.integers(0, 10**6), st.data())
     @settings(max_examples=40, deadline=None)
     def test_price_is_twice_the_rounded_subset_optimum(self, kind, n, seed, data):
-        # a price runs the box DP on a subset of ranks built once; the rounded
-        # subset solved on its own, and by the full-scan reference, must agree
+        # a price reads the DP over the whole instance's rect sets at the
+        # subset's mask; the rounded subset solved on its own, and by the
+        # full-scan reference, must agree
         inst = generated_instance(kind, n, seed)
         price = _approx8_prices(inst)
         full = (1 << n) - 1
@@ -167,6 +238,38 @@ class TestApprox8Prices:
             subset = [r for i, r in enumerate(inst.rects) if mask >> i & 1]
             rounded = to_laminar(Instance(tuple(subset)))
             assert price(subset) == 2 * solve_laminar(rounded).cost == 2 * solve_laminar_full_scan(rounded).cost
+
+    @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 30), st.integers(0, 10**6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_prices_share_one_memo_in_any_order(self, kind, n, seed, data):
+        # one pricer prices the full set first, so every later price starts
+        # from states the full set reached; another prices the same masks
+        # in reverse order
+        inst = generated_instance(kind, n, seed)
+        full = (1 << n) - 1
+        masks = [full, *data.draw(st.lists(st.integers(0, full), min_size=1, max_size=6))]
+        subsets = [[r for i, r in enumerate(inst.rects) if mask >> i & 1] for mask in masks]
+        expected = [2 * solve_laminar_full_scan(to_laminar(Instance(tuple(sub)))).cost for sub in subsets]
+        forward = _approx8_prices(inst)
+        assert [forward(sub) for sub in subsets] == expected
+        backward = _approx8_prices(inst)
+        assert [backward(sub) for sub in reversed(subsets)] == expected[::-1]
+
+    def test_a_top_of_another_rect_moves_the_level_but_not_the_price(self):
+        # rect 3's top edge 3 lies within rect 1's [0, 10], below every top
+        # edge of {1, 2}: nothing is nested in rect 1, so every level costs
+        # the same and the first one wins, 3 in the pricer's DP over all
+        # three rects but 10 for {1, 2} solved alone
+        inst = make_instance([(0, 4, 0, 10), (4, 8, 20, 21), (8, 9, 0, 3)])
+        pair = list(inst.rects[:2])
+        _, spans = _rounded_spans(inst.rects)
+        bits, _, stabs = _laminar_dp(inst.rects, spans)
+        heights = {inst.rects[i].id: inst.rects[j].yt for i, j in stabs(bits[0] | bits[1])}
+        assert heights == {1: 3, 2: 21}
+        assert {s.y for s in solve_laminar(Instance(tuple(pair))).segments} == {10, 21}
+        price = _approx8_prices(inst)
+        assert price(pair) == 2 * solve_laminar_full_scan(to_laminar(Instance(tuple(pair)))).cost == 16
+        assert price(pair) == approx8(Instance(tuple(pair))).cost
 
     @given(
         st.lists(

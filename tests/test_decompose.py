@@ -330,7 +330,7 @@ class TestDecompose:
     )
     @settings(max_examples=100)
     def test_one_pricer_matches_the_standalone_stages(self, kind, n, seed, eps):
-        # the shared pricer ranks the whole instance and prices a strip
+        # the shared pricer rounds the whole instance and prices a strip
         # subset by its rects' ids; the prices, and so every cut and bound,
         # are the same
         inst = generated_instance(kind, n, seed)

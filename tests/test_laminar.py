@@ -111,8 +111,9 @@ class TestSolveLaminar:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_full_scan_reference(self, kind, n, seed):
-        # the box DP scans only the enclosing box's rects and ranks in
-        # integers; the reference scans every rect per box over Fraction ranks
+        # the DP keys its states on rect sets and splits them by masks on
+        # integers; the reference is the box DP that scans every rect per box
+        # over Fraction ranks
         if kind.endswith("laminar"):
             inst = gen_laminar(n, seed)
         else:

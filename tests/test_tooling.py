@@ -16,6 +16,7 @@ import pytest
 
 import stabkit
 import stabkit.cli  # noqa: F401  (the tracer wraps stabkit.cli.run_bench)
+from stabkit.approx8 import _approx8_prices
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -208,3 +209,23 @@ def test_solvers_build_segments_only_for_their_answer(monkeypatch, solver, inst)
     monkeypatch.setattr(stabkit.Segment, "__post_init__", counted)
     sol = solver(inst)
     assert len(built) == len(sol.segments) > 0
+
+
+def test_approx8_builds_no_rounded_rect(monkeypatch):
+    # approx8 and the decomposition's pricer round on integers and feed the
+    # laminar DP directly; rounding on Fractions into validated Rects took
+    # about a sixth of a seed-1 laminar workload pass under cProfile
+    inst = stabkit.gen_uniform(40, 1)
+    original = stabkit.Rect.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(stabkit.Rect, "__post_init__", counted)
+    sol = stabkit.approx8(inst)
+    price = _approx8_prices(inst)
+    cost = price(list(inst.rects))
+    assert built == []
+    assert cost == sol.cost > 0
