@@ -11,32 +11,32 @@ Rounding runs on integers (``_rounded_spans``), and ``approx8`` feeds those
 straight to the laminar DP, so it builds no rounded ``Rect`` and no
 ``Fraction`` before its output segments.  The decomposition prices many
 subsets of one instance by approx8's cost alone; ``_approx8_prices`` serves
-those prices from one rounding and one DP, and is the one place that reads
-the cost as twice the laminar optimum.
+those prices, as integers of one unit, from one rounding and one DP, and is
+the one place that reads the cost as twice the laminar optimum.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from fractions import Fraction
 
-from .core import Instance, Rect, Segment, Solution, _ceil_log2, _scaled, pow2
+from .core import Instance, Rect, Segment, Solution, _built, _ceil_log2, pow2
 from .laminar import _laminar_dp
 
 
-def _rounded_spans(rects: Sequence[Rect]) -> tuple[int, list[tuple[int, int]]]:
+def _rounded_spans(inst: Instance) -> tuple[int, list[tuple[int, int]]]:
     """(e, spans): every rect's rounded x-span as integers in units of 2**e.
 
     A rect of width w rounds to [left, left + 2**t] with t = ceil_log2(w) and
-    left = floor(xl / 2**t) * 2**t.  x is scaled to integers once; e is the
-    least t, so every rounded edge is an integer multiple of 2**e.
+    left = floor(xl / 2**t) * 2**t, computed on the instance's integer view;
+    e is the least t, so every rounded edge is an integer multiple of 2**e.
     """
-    n = len(rects)
-    den, x = _scaled([r.xl for r in rects] + [r.xr for r in rects])
-    exps = [_ceil_log2(b - a, den) for a, b in zip(x[:n], x[n:])]
+    g = inst._grid
+    den = g.dx
+    exps = [_ceil_log2(b - a, den) for a, b in zip(g.xl, g.xr)]
     e = min(exps, default=0)
     spans = []
-    for a, t in zip(x, exps):
+    for a, t in zip(g.xl, exps):
         # floor(a / (den * 2**t)) multiples of 2**t, that is of 2**(t - e) units
         q = a // (den << t) if t >= 0 else (a << -t) // den
         left = q << (t - e)
@@ -44,10 +44,10 @@ def _rounded_spans(rects: Sequence[Rect]) -> tuple[int, list[tuple[int, int]]]:
     return e, spans
 
 
-def _rounded_rects(rects: Sequence[Rect]) -> tuple[Rect, ...]:
-    e, spans = _rounded_spans(rects)
+def _rounded_rects(inst: Instance) -> tuple[Rect, ...]:
+    e, spans = _rounded_spans(inst)
     unit = pow2(e)
-    return tuple(Rect(r.id, a * unit, b * unit, r.yb, r.yt) for r, (a, b) in zip(rects, spans))
+    return tuple(Rect(r.id, a * unit, b * unit, r.yb, r.yt) for r, (a, b) in zip(inst.rects, spans))
 
 
 def round_rect(r: Rect) -> Rect:
@@ -56,12 +56,12 @@ def round_rect(r: Rect) -> Rect:
 
     Guarantees width <= w' < 2 * width, new xl <= xl, and xr <= new xl + 2w'.
     """
-    return _rounded_rects([r])[0]
+    return _rounded_rects(Instance((r,)))[0]
 
 
 def to_laminar(inst: Instance) -> Instance:
     """Round every rectangle; ids are preserved."""
-    return Instance(_rounded_rects(inst.rects))
+    return Instance(_rounded_rects(inst))
 
 
 def stretch_segment(s: Segment) -> Segment:
@@ -69,8 +69,10 @@ def stretch_segment(s: Segment) -> Segment:
     return Segment(s.xl, 2 * s.xr - s.xl, s.y)
 
 
-def _approx8_prices(inst: Instance) -> Callable[[list[Rect]], Fraction]:
-    """approx8's cost of any rects of ``inst``, as a function of those rects.
+def _approx8_prices(inst: Instance) -> tuple[Fraction, Callable[[list[Rect]], int]]:
+    """(unit, price): approx8's cost of any rects of ``inst`` is
+    ``price(rects) * unit``, an integer count of one unit per instance, so
+    the prices of one instance compare as integers.
 
     approx8 stretches every segment of the rounded subset's laminar optimum
     to double length, so its cost is exactly twice that optimum.  Rounding is
@@ -84,19 +86,17 @@ def _approx8_prices(inst: Instance) -> Callable[[list[Rect]], Fraction]:
     rects, the next one above stabs a superset of the nested rects and
     leaves the same ones below.
     """
-    rects = inst.rects
-    e, spans = _rounded_spans(rects)
-    bits, solve, _ = _laminar_dp(rects, spans)
-    bit = {r.id: b for r, b in zip(rects, bits)}
-    unit = pow2(e + 1)  # stretching doubles every segment
+    e, spans = _rounded_spans(inst)
+    bits, solve, _ = _laminar_dp(inst, spans)
+    bit = {r.id: b for r, b in zip(inst.rects, bits)}
 
-    def price(subset: list[Rect]) -> Fraction:
+    def price(subset: list[Rect]) -> int:
         mask = 0
         for r in subset:
             mask |= bit[r.id]
-        return solve(mask) * unit
+        return solve(mask)
 
-    return price
+    return pow2(e + 1), price  # stretching doubles every segment
 
 
 def approx8(inst: Instance) -> Solution:
@@ -105,8 +105,8 @@ def approx8(inst: Instance) -> Solution:
     Output is feasible for the input and costs at most 8 times its optimum.
     """
     rects = inst.rects
-    e, spans = _rounded_spans(rects)
-    _, solve, stabs = _laminar_dp(rects, spans)
+    e, spans = _rounded_spans(inst)
+    _, solve, stabs = _laminar_dp(inst, spans)
     full = (1 << len(rects)) - 1
     picked = stabs(full)
     assert sum(spans[i][1] - spans[i][0] for i, _ in picked) == solve(full), (
@@ -116,5 +116,5 @@ def approx8(inst: Instance) -> Solution:
     segments = []
     for i, j in picked:
         a, b = spans[i]  # stretched as by stretch_segment
-        segments.append(Segment(a * unit, (2 * b - a) * unit, rects[j].yt))
+        segments.append(_built(Segment, a * unit, (2 * b - a) * unit, rects[j].yt))
     return Solution(tuple(segments))

@@ -5,15 +5,22 @@ left edge to its right edge at a height inside the rectangle's vertical
 extent (all boundaries closed).  The goal everywhere in this package is a set
 of segments of minimum total length stabbing every rectangle.
 
-All coordinates are exact rationals (``fractions.Fraction``).  Solvers never
-touch floating point, so feasibility predicates, rounding to powers of two and
-cost comparisons are exact.
+All coordinates are exact rationals (``fractions.Fraction``) at the API.
+Solvers never touch floating point, so feasibility predicates, rounding to
+powers of two and cost comparisons are exact.  Inside, every layer reads one
+integer view per instance (``Instance._grid``: each coordinate as an integer
+over one denominator per axis), built once when first read.  A sub-instance
+(a strip, a chunk, a residual, the normalized instance) inherits its
+parent's view restricted to its own rects instead of rescaling, so a
+``Fraction`` is built only for what the API returns.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -68,11 +75,12 @@ def _open_unit(value, name: str) -> Fraction:
     return value
 
 
-def _scaled(values: list[Fraction]) -> tuple[int, list[int]]:
-    """(d, [v * d for v in values]) for the least common denominator d of the
-    values: every v * d is an integer, order, sums and differences scale
-    exactly, and integers compare and hash far faster than Fractions."""
-    den = math.lcm(*(v.denominator for v in values))
+def _scaled(values: list[Fraction], den: int = 1) -> tuple[int, list[int]]:
+    """(d, [v * d for v in values]) for the least common multiple d of ``den``
+    and the values' denominators: every v * d is an integer, order, sums and
+    differences scale exactly, and integers compare and hash far faster than
+    Fractions.  An integer over ``den`` is one over d times d // den."""
+    den = math.lcm(den, *(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
@@ -154,8 +162,54 @@ class Segment:
         return self.xr - self.xl
 
 
-def _seg_key(s: Segment):
-    return (s.xl, s.xr, s.y)
+def _built(cls, *values):
+    """``cls(*values)`` for ``Rect`` or ``Segment`` values the library built
+    from valid ones, which pass its checks by construction: exact rationals,
+    edges in order.  Skips the checks and their Fraction comparisons."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
+def _length(segments: Sequence[Segment]) -> Fraction:
+    """The total length of ``segments``, summed as integers over the least
+    common denominator of their ends."""
+    den = math.lcm(*(v.denominator for s in segments for v in (s.xl, s.xr)))
+
+    def scaled(v: Fraction) -> int:
+        return v.numerator * (den // v.denominator)
+
+    return Fraction(sum(scaled(s.xr) - scaled(s.xl) for s in segments), den)
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """The integer view of an instance: rect p spans ``[xl[p], xr[p]]`` over
+    ``dx`` and ``[yb[p], yt[p]]`` over ``dy``.
+
+    Order, sums and differences of the integers are those of the
+    coordinates, scaled by the denominator of their axis, which may be any
+    common multiple of the coordinates' own denominators.  Four flat tuples
+    keep the view small on an instance that holds it.
+    """
+
+    dx: int
+    dy: int
+    xl: tuple[int, ...]
+    xr: tuple[int, ...]
+    yb: tuple[int, ...]
+    yt: tuple[int, ...]
+
+    @classmethod
+    def of(cls, rects: tuple[Rect, ...]) -> "_Grid":
+        """The view of ``rects`` on the least common denominator per axis."""
+        dx, xs = _scaled([v for r in rects for v in (r.xl, r.xr)])
+        dy, ys = _scaled([v for r in rects for v in (r.yb, r.yt)])
+        return cls(dx, dy, tuple(xs[::2]), tuple(xs[1::2]), tuple(ys[::2]), tuple(ys[1::2]))
+
+    def widest(self) -> int:
+        """The greatest rect width, over ``dx``; 0 with no rects."""
+        return max(map(operator.sub, self.xr, self.xl), default=0)
 
 
 @dataclass(frozen=True)
@@ -172,9 +226,30 @@ class Instance:
                 raise ParameterError(f"duplicate rect id {r.id}")
             seen.add(r.id)
 
+    @classmethod
+    def _viewed(cls, rects: tuple[Rect, ...], grid: _Grid) -> "Instance":
+        """The instance of ``rects``, distinct rects of a valid instance,
+        whose integer view is ``grid``."""
+        inst = cls.__new__(cls)
+        object.__setattr__(inst, "rects", rects)
+        inst.__dict__["_grid"] = grid
+        return inst
+
+    @cached_property
+    def _grid(self) -> _Grid:
+        return _Grid.of(self.rects)
+
+    def _restrict(self, positions: Sequence[int]) -> "Instance":
+        """The sub-instance of the rects at ``positions``, in that order, with
+        this instance's view restricted to them: the one way a layer makes a
+        sub-instance, so no sub-instance is rescaled."""
+        rects, g = self.rects, self._grid
+        edges = (tuple(edge[p] for p in positions) for edge in (g.xl, g.xr, g.yb, g.yt))
+        return Instance._viewed(tuple(rects[p] for p in positions), _Grid(g.dx, g.dy, *edges))
+
     @cached_property
     def max_width(self) -> Fraction:
-        return max((r.width for r in self.rects), default=Fraction(0))
+        return Fraction(self._grid.widest(), self._grid.dx)
 
 
 @dataclass(frozen=True)
@@ -189,7 +264,7 @@ class Solution:
 
     @cached_property
     def cost(self) -> Fraction:
-        return sum((s.length for s in self.segments), Fraction(0))
+        return _length(self.segments)
 
 
 @dataclass(frozen=True)
@@ -234,20 +309,28 @@ def stabs(s: Segment, r: Rect) -> bool:
     return s.xl <= r.xl and s.xr >= r.xr and r.yb <= s.y <= r.yt
 
 
+def _segment_view(grid: _Grid, segs: tuple[Segment, ...]) -> tuple[int, int, list[int], list[int]]:
+    """(fx, fy, sx, sy): the segments' x ends, flat, and heights as integers
+    on common multiples of the view's denominators, which rescale the view's
+    integers by fx and fy."""
+    dx, sx = _scaled([v for s in segs for v in (s.xl, s.xr)], grid.dx)
+    dy, sy = _scaled([s.y for s in segs], grid.dy)
+    return dx // grid.dx, dy // grid.dy, sx, sy
+
+
 def verify(inst: Instance, sol: Solution) -> VerifyReport:
     """Check feasibility of a solution against an instance, from scratch.
 
-    Coordinates are scaled to integers once.  Per distinct segment height,
-    the segments are sorted by left end with a running maximum of right
-    ends, so a rect asks each height inside ``[yb, yt]`` one ``bisect`` for
-    the farthest reach of the segments starting at or before its left edge.
+    The rects are read off the instance's integer view and the segments
+    scaled onto it.  Per distinct segment height, the segments are sorted by
+    left end with a running maximum of right ends, so a rect asks each height
+    inside ``[yb, yt]`` one ``bisect`` for the farthest reach of the segments
+    starting at or before its left edge.
     """
-    rects, segs = inst.rects, sol.segments
-    den, xs = _scaled([v for o in (*rects, *segs) for v in (o.xl, o.xr)])
-    _, ys = _scaled([v for r in rects for v in (r.yb, r.yt)] + [s.y for s in segs])
-    n = 2 * len(rects)  # rect p's (xl, xr) and (yb, yt) sit at 2p and 2p + 1
+    g = inst._grid
+    fx, fy, sx, sy = _segment_view(g, sol.segments)
     rows: dict[int, list[tuple[int, int]]] = {}  # height -> (xl, xr) of its segments
-    for a, b, h in zip(xs[n::2], xs[n + 1 :: 2], ys[n:]):
+    for a, b, h in zip(sx[::2], sx[1::2], sy):
         rows.setdefault(h, []).append((a, b))
     heights = sorted(rows)
     lefts, reach = [], []  # per height: sorted left ends, running max of right ends
@@ -257,14 +340,14 @@ def verify(inst: Instance, sol: Solution) -> VerifyReport:
         reach.append(list(accumulate((b for _, b in row), max)))
 
     def stabbed(p: int) -> bool:
-        for h in range(bisect_left(heights, ys[p]), bisect_right(heights, ys[p + 1])):
-            i = bisect_right(lefts[h], xs[p])
-            if i and reach[h][i - 1] >= xs[p + 1]:
+        for h in range(bisect_left(heights, g.yb[p] * fy), bisect_right(heights, g.yt[p] * fy)):
+            i = bisect_right(lefts[h], g.xl[p] * fx)
+            if i and reach[h][i - 1] >= g.xr[p] * fx:
                 return True
         return False
 
-    unstabbed = tuple(sorted(r.id for p, r in zip(range(0, n, 2), rects) if not stabbed(p)))
-    cost = Fraction(sum(xs[n + 1 :: 2]) - sum(xs[n::2]), den)
+    unstabbed = tuple(sorted(r.id for p, r in enumerate(inst.rects) if not stabbed(p)))
+    cost = Fraction(sum(sx[1::2]) - sum(sx[::2]), fx * g.dx)
     return VerifyReport(feasible=not unstabbed, unstabbed_ids=unstabbed, recomputed_cost=cost)
 
 
@@ -301,8 +384,11 @@ def normalize(inst: Instance, eps) -> tuple[Instance, Transform]:
       segment exactly spanning it at its top edge; those segments are
       recorded in ``transform.presolved``.
 
-    Every solver reads y only through its order, so no y map is needed.
-    Returns (normalized instance, transform).
+    On the instance's integer view, with x = X/D, leftmost edge S/D and max
+    width W/D, the normalized x is (X - S)/W: the normalized instance's view
+    subtracts one integer per edge and takes W as its x denominator, and
+    keeps the y view as it is.  Every solver reads y only through its order,
+    so no y map is needed.  Returns (normalized instance, transform).
     """
     eps = as_scalar(eps)
     if eps <= 0:
@@ -310,33 +396,45 @@ def normalize(inst: Instance, eps) -> tuple[Instance, Transform]:
     if not inst.rects:
         return inst, Transform.identity()
 
-    x_shift = min(r.xl for r in inst.rects)
-    x_scale = Fraction(1) / inst.max_width
-
-    threshold = eps / len(inst.rects)
-    kept: list[Rect] = []
+    g = inst._grid
+    shift = min(g.xl)
+    width = g.widest()
+    # scaled width (b - a) / width <= eps / n, on integers
+    limit = eps.numerator * width
+    per_rect = eps.denominator * len(inst.rects)
+    kept: list[int] = []
     presolved: list[tuple[int, Segment]] = []
-    for r in inst.rects:
-        mapped = Rect(r.id, (r.xl - x_shift) * x_scale, (r.xr - x_shift) * x_scale, r.yb, r.yt)
-        if mapped.width <= threshold:
-            presolved.append((r.id, Segment(mapped.xl, mapped.xr, mapped.yt)))
+    for p, (r, a, b) in enumerate(zip(inst.rects, g.xl, g.xr)):
+        if (b - a) * per_rect <= limit:
+            presolved.append((r.id, _built(Segment, Fraction(a - shift, width), Fraction(b - shift, width), r.yt)))
         else:
-            kept.append(mapped)
-    return Instance(tuple(kept)), Transform(x_scale, x_shift, tuple(presolved))
+            kept.append(p)
+    sub = inst._restrict(kept)
+    view = sub._grid
+    xl = tuple(a - shift for a in view.xl)
+    xr = tuple(b - shift for b in view.xr)
+    rects = tuple(
+        _built(Rect, r.id, Fraction(a, width), Fraction(b, width), r.yb, r.yt) for r, a, b in zip(sub.rects, xl, xr)
+    )
+    norm = Instance._viewed(rects, _Grid(width, g.dy, xl, xr, view.yb, view.yt))
+    return norm, Transform(Fraction(g.dx, width), Fraction(shift, g.dx), tuple(presolved))
 
 
 def denormalize(sol: Solution, t: Transform) -> Solution:
     """Map a solution on the normalized instance back to original coordinates.
 
-    Presolved segments are appended; the cost is recomputed exactly.
+    Each x end v maps to v / x_scale + x_shift, built as one Fraction from
+    the numerators and denominators of v and the transform.  Presolved
+    segments are appended; the cost is recomputed exactly.
     """
+    p, q = t.x_scale.numerator, t.x_scale.denominator
+    s, d = t.x_shift.numerator, t.x_shift.denominator
 
-    def back(seg: Segment) -> Segment:
-        return Segment(seg.xl / t.x_scale + t.x_shift, seg.xr / t.x_scale + t.x_shift, seg.y)
+    def back(v: Fraction) -> Fraction:
+        return Fraction(v.numerator * q * d + s * v.denominator * p, v.denominator * p * d)
 
-    segments = [back(s) for s in sol.segments]
-    segments.extend(back(s) for _, s in t.presolved)
-    return Solution(tuple(segments))
+    segments = (*sol.segments, *(seg for _, seg in t.presolved))
+    return Solution(tuple(_built(Segment, back(seg.xl), back(seg.xr), seg.y) for seg in segments))
 
 
 def split_independent(inst: Instance) -> list[Instance]:
@@ -344,24 +442,27 @@ def split_independent(inst: Instance) -> list[Instance]:
 
     Rectangles whose x-projections share only an endpoint land in different
     components; no segment can stab rectangles of two components more cheaply
-    than treating the components separately, so optima add up.
+    than treating the components separately, so optima add up.  Each
+    component inherits the instance's integer view.
     """
     if not inst.rects:
         return []
-    ordered = sorted(inst.rects, key=lambda r: (r.xl, r.xr, r.id))
-    components: list[list[Rect]] = []
-    current: list[Rect] = [ordered[0]]
-    reach = ordered[0].xr
-    for r in ordered[1:]:
-        if r.xl >= reach:
+    rects, g = inst.rects, inst._grid
+    ordered = sorted(range(len(rects)), key=lambda p: (g.xl[p], g.xr[p], rects[p].id))
+    components: list[list[int]] = []
+    current = [ordered[0]]
+    reach = g.xr[ordered[0]]
+    for p in ordered[1:]:
+        a, b = g.xl[p], g.xr[p]
+        if a >= reach:
             components.append(current)
-            current = [r]
-            reach = r.xr
+            current = [p]
+            reach = b
         else:
-            current.append(r)
-            reach = max(reach, r.xr)
+            current.append(p)
+            reach = max(reach, b)
     components.append(current)
-    return [Instance(tuple(c)) for c in components]
+    return [inst._restrict(c) for c in components]
 
 
 def shrink_solution(inst: Instance, sol: Solution) -> Solution:
@@ -372,25 +473,26 @@ def shrink_solution(inst: Instance, sol: Solution) -> Solution:
     assigned rects, and segments with no assignment are dropped.  Feasibility
     is preserved and the cost never increases.
 
-    Coordinates are scaled to integers once and the rects sorted by left
-    edge, so a segment [a, b] scans only the rects with a <= xl <= b.
+    The rects are read off the instance's integer view, the segments scaled
+    onto it, and the rects sorted by left edge, so a segment [a, b] scans
+    only the rects with a <= xl <= b.
     """
-    rects, segs = inst.rects, sol.segments
-    n = 2 * len(rects)  # rect p's (xl, xr) and (yb, yt) sit at 2p and 2p + 1
-    _, xs = _scaled([v for o in (*rects, *segs) for v in (o.xl, o.xr)])
-    _, ys = _scaled([v for r in rects for v in (r.yb, r.yt)] + [s.y for s in segs])
-    order = sorted(range(0, n, 2), key=xs.__getitem__)
-    lefts = [xs[p] for p in order]
+    rects, g = inst.rects, inst._grid
+    fx, fy, sx, sy = _segment_view(g, sol.segments)
+    xl, xr = [a * fx for a in g.xl], [b * fx for b in g.xr]
+    yb, yt = [b * fy for b in g.yb], [t * fy for t in g.yt]
+    order = sorted(range(len(rects)), key=xl.__getitem__)
+    lefts = [xl[p] for p in order]
     taken: set[int] = set()
     out = []
-    for a, b, y, s in zip(xs[n::2], xs[n + 1 :: 2], ys[n:], segs):
+    for a, b, y, s in zip(sx[::2], sx[1::2], sy, sol.segments):
         window = order[bisect_left(lefts, a) : bisect_right(lefts, b)]
         # the rects this segment takes, by ascending left edge
-        group = [p for p in window if p not in taken and xs[p + 1] <= b and ys[p] <= y <= ys[p + 1]]
+        group = [p for p in window if p not in taken and xr[p] <= b and yb[p] <= y <= yt[p]]
         if group:
             taken.update(group)
-            right = max(group, key=lambda p: xs[p + 1])
-            out.append(Segment(rects[group[0] // 2].xl, rects[right // 2].xr, s.y))
+            right = max(group, key=xr.__getitem__)
+            out.append(_built(Segment, rects[group[0]].xl, rects[right].xr, s.y))
     return Solution(tuple(out))
 
 

@@ -16,7 +16,9 @@ Both stages price rect subsets by the 8-approximation's cost alone, through
 and hands that one pricer to both stages, which pass it the rects of each
 subset.  The prices share one memo of the laminar DP over the instance's
 rect sets, so a set reached by an earlier price, or inside one, costs a
-lookup.  Called on its own, a stage builds its own pricer.
+lookup, and come as integer counts of one unit per pricer, so they compare
+as integers.  Called on its own, a stage builds its own pricer.  Both stages
+read the instance's integer view, and every strip and chunk inherits it.
 
 Composed by ``decompose``, the paid segments cost O(eps) times the optimum
 while every remaining chunk has optimum at most 8w/eps^2 + w/eps.
@@ -29,13 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx8 import _approx8_prices, approx8
-from .core import Instance, ParameterError, Rect, Segment, Solution, _open_unit, _scaled, as_scalar
+from .core import Instance, ParameterError, Rect, Segment, Solution, _built, _open_unit, as_scalar
 from .core import instance_to_json, solution_to_json
 
 CUT_FACTOR = 8
 
-# approx8's cost of a list of rects, built once by ``_approx8_prices``
-_Pricer = Callable[[list[Rect]], Fraction]
+# (unit, price): approx8's cost of a list of rects is price(rects) * unit,
+# built once by ``_approx8_prices``
+_Pricer = tuple[Fraction, Callable[[list[Rect]], int]]
 
 
 def _chunk_bound(eps: Fraction) -> Fraction:
@@ -80,15 +83,21 @@ def crossing_rects(inst: Instance, z, spacing) -> list[Rect]:
 
     A rect touching a line only at its boundary is not crossed; it belongs
     wholly to one strip.  z and spacing are exact scalars, spacing positive;
-    anything else is a parameter error.
+    anything else is a parameter error.  The test runs on the instance's
+    integer view, with z and spacing brought onto a common denominator.
     """
     z = as_scalar(z)
     spacing = as_scalar(spacing)
     if spacing <= 0:
         raise ParameterError("spacing must be positive")
+    g = inst._grid
+    # x over dx, z and spacing all over dx * z.denominator * spacing.denominator
+    f = z.denominator * spacing.denominator
+    z_int = z.numerator * g.dx * spacing.denominator
+    s = spacing.numerator * g.dx * z.denominator
     # the first line right of xl lies (z - xl) mod spacing past it, or a full
     # spacing past it when a line runs along xl
-    return [r for r in inst.rects if ((z - r.xl) % spacing or spacing) < r.width]
+    return [r for r, a, b in zip(inst.rects, g.xl, g.xr) if ((z_int - a * f) % s or s) < (b - a) * f]
 
 
 def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> StripPartition:
@@ -112,20 +121,25 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
         return StripPartition((), (), Fraction(0), Fraction(0))
 
     rects, n = inst.rects, len(inst.rects)
-    w = inst.max_width
-    spacing = w / eps
-    step = w * eps / n
-    # on one common denominator, shift k sits at k * t in [0, s), and rect i
-    # is crossed exactly while k * t lies in the open arc (a, a + width) of
-    # the circle [0, s), a = xl mod s; width < s, so the arc is one k-run or,
-    # when it wraps past s, two
-    _, x = _scaled([r.xl for r in rects] + [r.xr for r in rects] + [spacing, step])
-    s, t = x[-2:]
+    g = inst._grid
+    # on the instance's integer view, rescaled by f so that, with eps = p/q
+    # and max width W over dx, the spacing W q / p and the step W p / (q n)
+    # are integers s and t over dx * f too: shift k sits at k * t in [0, s),
+    # and rect i is crossed exactly while k * t lies in the open arc
+    # (a, a + width) of the circle [0, s), a = xl mod s; width < s, so the
+    # arc is one k-run or, when it wraps past s, two
+    p, q = eps.numerator, eps.denominator
+    f = p * q * n
+    widest = g.widest()
+    s, t = widest * q * q * n, widest * p * p
+    den = g.dx * f
+    spacing = Fraction(s, den)
+    x = [(a * f, b * f) for a, b in zip(g.xl, g.xr)]
     shifts = (s - 1) // t + 1  # ceil(s / t)
     toggles = {0: 0}  # shift k -> mask of the rects whose crossing flips at k
-    for i in range(n):
-        a = x[i] % s
-        b = a + x[n + i] - x[i]
+    for i, (xl, xr) in enumerate(x):
+        a = xl % s
+        b = a + xr - xl
         runs = [(a // t + 1, (min(b, s) - 1) // t)]
         if b > s:
             runs.append((0, (b - s - 1) // t))
@@ -141,7 +155,7 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
         crossed_mask ^= toggles[k]
         first.setdefault(crossed_mask, k)
 
-    price = _approx8_prices(inst) if _price is None else _price
+    _, price = _approx8_prices(inst) if _price is None else _price
     best = None
     # masks come in order of their smallest shift and only a strictly cheaper
     # set replaces the best, so ties go to the smallest shift
@@ -150,22 +164,22 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
         if best is None or cost < best[0]:
             best = (cost, mask, k)
     _, mask, k_star = best
-    z_star = k_star * step
-    crossed = crossing_rects(inst, z_star, spacing)
-    assert crossed == [r for i, r in enumerate(rects) if mask >> i & 1], (
+    z_star = Fraction(k_star * t, den)
+    crossed = [i for i in range(n) if mask >> i & 1]
+    assert crossing_rects(inst, z_star, spacing) == [rects[i] for i in crossed], (
         "the sweep disagrees with the crossing test"
     )
 
     # rect i lies in strip floor((xl - z*) / spacing), on the same integers
-    groups: dict[int, list[Rect]] = {}
-    for i, r in enumerate(rects):
+    groups: dict[int, list[int]] = {}
+    for i, (xl, _) in enumerate(x):
         if not mask >> i & 1:
-            groups.setdefault((x[i] - k_star * t) // s, []).append(r)
+            groups.setdefault((xl - k_star * t) // s, []).append(i)
     strips = tuple(
-        Strip(Instance(tuple(groups[i])), z_star + i * spacing, z_star + (i + 1) * spacing)
+        Strip(inst._restrict(groups[i]), Fraction(k_star * t + i * s, den), Fraction(k_star * t + (i + 1) * s, den))
         for i in sorted(groups)
     )
-    return StripPartition(approx8(Instance(tuple(crossed))).segments, strips, z_star, spacing)
+    return StripPartition(approx8(inst._restrict(crossed)).segments, strips, z_star, spacing)
 
 
 def horizontal_cuts(
@@ -192,34 +206,46 @@ def horizontal_cuts(
     if not strip.rects:
         return CutResult((), (), ())
     w = as_scalar(width)
-    x0, x1 = span
-    if x0 > min(r.xl for r in strip.rects) or max(r.xr for r in strip.rects) > x1:
+    x0, x1 = (as_scalar(v) for v in span)
+    rects, g = strip.rects, strip._grid
+    # the checks and the trigger on integers, with x0 = a/b, x1 = c/d,
+    # w = wn/wd and eps = p/q
+    a, b = x0.as_integer_ratio()
+    c, d = x1.as_integer_ratio()
+    wn, wd = w.as_integer_ratio()
+    p, q = eps.as_integer_ratio()
+    if a * g.dx > min(g.xl) * b or max(g.xr) * d > c * g.dx:
         raise ParameterError("span does not contain the strip")
-    if x1 - x0 > w / eps:
+    if (c * b - a * d) * wd * p > wn * q * b * d:  # x1 - x0 > w / eps
         raise ParameterError("strip exceeds the allowed width max_width/eps")
 
-    threshold = CUT_FACTOR * w / eps**2
-    price = _approx8_prices(strip) if _price is None else _price
-    remaining = list(strip.rects)
+    unit, price = _approx8_prices(strip) if _price is None else _price
+    # a price of whole units exceeds CUT_FACTOR * w / eps^2 once it exceeds
+    # the floor of that over the unit
+    un, ud = unit.as_integer_ratio()
+    limit = CUT_FACTOR * wn * q * q * ud // (wd * p * p * un)
+    yb, yt = g.yb, g.yt
+    remaining = range(len(rects))  # positions in the strip
     cuts: list[Segment] = []
     chunks: list[Instance] = []
     costs: list[Fraction] = []
     # past a cut every remaining rect lies above it, so a top edge of a rect
     # no longer remaining prices the empty set or a set priced (and not cut)
-    # before: it cuts nowhere
-    for z in sorted({r.yt for r in strip.rects}):
-        cost = price([r for r in remaining if r.yt <= z])
-        if cost > threshold:
-            cuts.append(Segment(x0, x1, z))
-            closed = [r for r in remaining if r.yt < z]
+    # before: it cuts nowhere; z runs over the distinct top edges, each with
+    # a rect it is the top edge of
+    for z, owner in sorted({top: p for p, top in enumerate(yt)}.items()):
+        cost = price([rects[p] for p in remaining if yt[p] <= z])
+        if cost > limit:
+            cuts.append(_built(Segment, x0, x1, rects[owner].yt))
+            closed = [p for p in remaining if yt[p] < z]
             if closed:
-                chunks.append(Instance(tuple(closed)))
-                costs.append(cost)
-            remaining = [r for r in remaining if r.yb > z]
+                chunks.append(strip._restrict(closed))
+                costs.append(cost * unit)
+            remaining = [p for p in remaining if yb[p] > z]
     if remaining:
         # the last top edge priced every remaining rect
-        chunks.append(Instance(tuple(remaining)))
-        costs.append(cost)
+        chunks.append(strip._restrict(remaining))
+        costs.append(cost * unit)
     return CutResult(tuple(cuts), tuple(chunks), tuple(costs))
 
 

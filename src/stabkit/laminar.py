@@ -19,8 +19,9 @@ four parts are a few integer ANDs.  Solving a whole instance, every state
 reached is the set of rects inside some box spanned by coordinate ranks, so
 there are never more states than the O(n^4) boxes a DP over boxes would
 keep, and in practice far fewer, since many boxes hold the same set.  The memo outlives a call, so the prices
-of many subsets of one instance share it.  Callers scale x to integers once
-and the DP scales y, so nothing below compares Fractions.
+of many subsets of one instance share it.  Callers pass x spans as
+integers, and the DP reads y off the instance's integer view, so nothing
+below compares Fractions.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
 
-from .core import Instance, ParameterError, Rect, Segment, Solution, _scaled
+from .core import Instance, ParameterError, Segment, Solution, _built
 
 
 def _nested(spans: Iterable[tuple[int, int]]) -> bool:
@@ -53,16 +54,15 @@ def is_laminar(inst: Instance) -> bool:
 
     Shared endpoints count as disjoint.
     """
-    n = len(inst.rects)
-    _, x = _scaled([r.xl for r in inst.rects] + [r.xr for r in inst.rects])
-    return _nested(zip(x[:n], x[n:]))
+    g = inst._grid
+    return _nested(zip(g.xl, g.xr))
 
 
 def _laminar_dp(
-    rects: Sequence[Rect], spans: list[tuple[int, int]]
+    inst: Instance, spans: Sequence[tuple[int, int]]
 ) -> tuple[list[int], Callable[[int], int], Callable[[int], list[tuple[int, int]]]]:
-    """The DP over sets of ``rects``, whose x-spans on integers are
-    ``spans``: (bits, solve, stabs).
+    """The DP over sets of the rects of ``inst``, whose x-spans on integers
+    are ``spans``: (bits, solve, stabs).
 
     bits[i] is rect i's bit in a state.  Bits follow the key (-width, id),
     so a state's lowest bit is its widest rect, lowest id first.
@@ -85,8 +85,8 @@ def _laminar_dp(
     """
     if not _nested(spans):
         raise ParameterError("instance is not laminar")
+    rects, g = inst.rects, inst._grid
     n = len(rects)
-    _, y = _scaled([r.yb for r in rects] + [r.yt for r in rects])
     order = sorted(range(n), key=lambda i: (spans[i][0] - spans[i][1], rects[i].id))
     bits = [0] * n
     for p, i in enumerate(order):
@@ -94,8 +94,8 @@ def _laminar_dp(
     # everything below is indexed by bit position p, rect order[p]
     xl = [spans[i][0] for i in order]
     xr = [spans[i][1] for i in order]
-    yb = [y[i] for i in order]
-    yt = [y[n + i] for i in order]
+    yb = [g.yb[i] for i in order]
+    yt = [g.yt[i] for i in order]
     width = [b - a for a, b in zip(xl, xr)]
 
     def less(keys: list[int], bounds: list[int]) -> list[int]:
@@ -193,19 +193,19 @@ def _laminar_dp(
 
 
 def solve_laminar(inst: Instance) -> Solution:
-    """Exact optimum for a laminar instance: scale x to integers, run the
-    DP over rect sets (``_laminar_dp``) on all of them, build the stabs.
+    """Exact optimum for a laminar instance: run the DP over rect sets
+    (``_laminar_dp``) on all of them, on the x spans of the instance's
+    integer view, and build the stabs.
 
     Raises ParameterError on non-laminar input.
     """
     rects = inst.rects
-    n = len(rects)
-    _, x = _scaled([r.xl for r in rects] + [r.xr for r in rects])
-    spans = list(zip(x[:n], x[n:]))
-    _, solve, stabs = _laminar_dp(rects, spans)
-    full = (1 << n) - 1
+    g = inst._grid
+    spans = list(zip(g.xl, g.xr))
+    _, solve, stabs = _laminar_dp(inst, spans)
+    full = (1 << len(rects)) - 1
     picked = stabs(full)
     assert sum(spans[i][1] - spans[i][0] for i, _ in picked) == solve(full), (
         "reconstructed stabs disagree with the DP value"
     )
-    return Solution(tuple(Segment(rects[i].xl, rects[i].xr, rects[j].yt) for i, j in picked))
+    return Solution(tuple(_built(Segment, rects[i].xl, rects[i].xr, rects[j].yt) for i, j in picked))

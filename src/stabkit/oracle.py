@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import (
     BudgetError,
@@ -27,7 +28,7 @@ from .core import (
     Segment,
     Solution,
     _as_int,
-    _scaled,
+    _segment_view,
 )
 
 ORACLE_LIMIT = 20  # exact_opt's default rect cap; qptas's exact leaf never runs with a lower one
@@ -66,38 +67,34 @@ def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     equals that over the full list.  Ties resolve to the lexicographically
     smallest segment (by (xl, xr, y)) so the result is deterministic.
     """
-    rects = inst.rects
-    lefts = sorted({s.xl for s in cands})
-    rights = sorted({s.xr for s in cands})
-    levels = sorted({s.y for s in cands})
-    x_values = list({*lefts, *rights, *(r.xl for r in rects), *(r.xr for r in rects)})
-    y_values = list({*levels, *(r.yb for r in rects), *(r.yt for r in rects)})
-    _, xs = _scaled(x_values)
-    _, ys = _scaled(y_values)
-    x, y = dict(zip(x_values, xs)), dict(zip(y_values, ys))
+    g = inst._grid
+    fx, fy, sx, sy = _segment_view(g, tuple(cands))
     # a segment stabs exactly the rects with xl >= its xl, xr <= its xr and
     # yb <= its y <= yt: one mask per distinct coordinate, ANDed per segment
-    edges = [(1 << p, x[r.xl], x[r.xr], y[r.yb], y[r.yt]) for p, r in enumerate(rects)]
-    lm = {a: sum(bit for bit, rl, _, _, _ in edges if rl >= x[a]) for a in lefts}
-    rm = {b: sum(bit for bit, _, rr, _, _ in edges if rr <= x[b]) for b in rights}
-    ym = {v: sum(bit for bit, _, _, rb, rt in edges if rb <= y[v] <= rt) for v in levels}
+    edges = [
+        (1 << p, a * fx, b * fx, lo * fy, hi * fy) for p, (a, b, lo, hi) in enumerate(zip(g.xl, g.xr, g.yb, g.yt))
+    ]
+    lm = {a: sum(bit for bit, rl, _, _, _ in edges if rl >= a) for a in set(sx[::2])}
+    rm = {b: sum(bit for bit, _, rr, _, _ in edges if rr <= b) for b in set(sx[1::2])}
+    ym = {v: sum(bit for bit, _, _, rb, rt in edges if rb <= v <= rt) for v in set(sy)}
 
-    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y)
-    for s in cands:
-        mask = lm[s.xl] & rm[s.xr] & ym[s.y]
+    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y, index in cands)
+    for i, (a, b, y) in enumerate(zip(sx[::2], sx[1::2], sy)):
+        mask = lm[a] & rm[b] & ym[y]
         if mask:
-            entry = (x[s.xr] - x[s.xl], s.xl, s.xr, s.y)
+            entry = (b - a, a, b, y, i)
             old = shortest.get(mask)
             if old is None or entry < old:
                 shortest[mask] = entry
-    return [Candidate(Segment(*key), mask) for key, mask, _ in _kept_rows(shortest)]
+    return [Candidate(cands[key[-1]], mask) for key, mask, _ in _kept_rows(shortest)]
 
 
 def _candidate_table(inst: Instance) -> tuple[list[tuple], list[int], list[int], list[list[int]]]:
     """The reduced candidates of ``inst`` as four parallel lists: their
     ``(xl, xr, y)`` Fraction triples, their stab sets as rect-position bit
-    masks, their lengths as integers over one common denominator, and per
-    rect position the indices of the candidates that stab it.
+    masks, their lengths as integers over the x denominator of the
+    instance's integer view, and per rect position the indices of the
+    candidates that stab it.  Rows are in key order.
 
     The rows are those ``reduce_candidates`` keeps of ``candidate_segments``,
     found by a sweep that visits only *tight* segments: at each top edge y,
@@ -105,22 +102,19 @@ def _candidate_table(inst: Instance) -> tuple[list[tuple], list[int], list[int],
     y (``yb <= y <= yt``).  Any grid segment with stab set S at y contains
     ``[min xl(S), max xr(S)] x y``, which stabs exactly S and is strictly
     shorter unless it is that same segment; so the least (length, xl, xr, y)
-    per stab set is a tight one.  Coordinates are scaled to integers once
-    (x over the rects' xl and xr, the grid's own denominator) and mapped back
-    to the rects' Fractions only for the kept rows.  No ``Segment`` is built:
-    the solvers build one only for each row of their answer.
+    per stab set is a tight one.  The sweep runs on the instance's integer
+    view, whose x denominator the lengths are over, and maps coordinates
+    back to the rects' Fractions only for the kept rows.  No ``Segment`` is
+    built: the solvers build one only for each row of their answer.
     """
     rects = inst.rects
-    n = len(rects)
-    x_values = [r.xl for r in rects] + [r.xr for r in rects]
-    y_values = [r.yb for r in rects] + [r.yt for r in rects]
-    _, xs = _scaled(x_values)
-    _, ys = _scaled(y_values)
-    by_right = sorted(range(n), key=xs[n:].__getitem__)
+    g = inst._grid
+    # the rects by right edge, each with its bit and y-extent
+    by_right = sorted((b, a, 1 << p, lo, hi) for p, (a, b, lo, hi) in enumerate(zip(g.xl, g.xr, g.yb, g.yt)))
 
     shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y)
-    for y in sorted(set(ys[n:])):
-        alive = [(xs[p], xs[n + p], 1 << p) for p in by_right if ys[p] <= y <= ys[n + p]]
+    for y in sorted(set(g.yt)):
+        alive = [(left, right, bit) for right, left, bit, lo, hi in by_right if lo <= y <= hi]
         starts = {left for left, _, _ in alive}
         alive.append((math.inf, math.inf, 0))  # past every right edge: flushes the last mask
         for a in starts:
@@ -137,9 +131,12 @@ def _candidate_table(inst: Instance) -> tuple[list[tuple], list[int], list[int],
                     mask |= bit
                     b = right
 
-    x_of, y_of = dict(zip(xs, x_values)), dict(zip(ys, y_values))
+    x_of: dict[int, Fraction] = {}
+    y_of: dict[int, Fraction] = {}
+    for r, a, b, t in zip(rects, g.xl, g.xr, g.yt):
+        x_of[a], x_of[b], y_of[t] = r.xl, r.xr, r.yt
     keys, masks, lengths = [], [], []
-    covering: list[list[int]] = [[] for _ in range(n)]
+    covering: list[list[int]] = [[] for _ in rects]
     for ci, ((a, b, y), mask, length) in enumerate(_kept_rows(shortest)):
         keys.append((x_of[a], x_of[b], y_of[y]))
         masks.append(mask)
@@ -286,7 +283,8 @@ def _branch_and_bound(
     descend((1 << len(covering)) - 1, 0)
     if best is None:
         return None
-    return Solution(tuple(Segment(*keys[ci]) for ci in sorted(best, key=keys.__getitem__)))
+    # rows are in key order, so the answer is sorted by row index
+    return Solution(tuple(Segment(*keys[ci]) for ci in sorted(best)))
 
 
 def _oracle_limit(limit: int) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .core import (
     Instance,
@@ -29,6 +28,8 @@ from .core import (
     Segment,
     Solution,
     _as_int,
+    _built,
+    _length,
     _open_unit,
     as_scalar,
     ceil_log2,
@@ -142,7 +143,8 @@ def ptas(inst: Instance, eps, delta) -> Solution:
         return Solution(())
 
     norm, transform = normalize(inst, eps)
-    if any(r.width < delta for r in norm.rects):
+    g = norm._grid
+    if any((b - a) * delta.denominator < delta.numerator * g.dx for a, b in zip(g.xl, g.xr)):
         raise ParameterError("instance violates the minimum width delta after normalization")
 
     k = math.ceil(_chunk_bound(eps) / delta)
@@ -163,7 +165,7 @@ class Guess:
     @property
     def length(self) -> Fraction:
         """The segments' total length, summed when read."""
-        return sum((s.length for s in self.segments), Fraction(0))
+        return _length(self.segments)
 
 
 def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) -> list[Guess]:
@@ -174,38 +176,50 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
     with the same union of stab-sets are interchangeable up to total length,
     so only the cheapest per union is kept; the output order follows the
     subset enumeration (sizes ascending, candidates in canonical order) to
-    each union's first sighting.  Every subset is enumerated, and ticks
-    ``_budget``; only the kept unions are built into guesses.
+    each union's first sighting.  Each size's subsets are enumerated
+    depth-first in that order, and a prefix is not extended once its union
+    together with every candidate after it misses a wide rect: no extension
+    of it could stab them all.  Every subset reached ticks ``_budget``;
+    only the kept unions are built into guesses.
     """
     min_len = as_scalar(min_len)
     k = _as_int(k, "k")
     if k < 0:
         raise ParameterError("k must not be negative")
     keys, masks, lengths, _ = _candidate_table(inst)
-    pool = [
-        (key, mask, length) for key, mask, length in zip(keys, masks, lengths) if key[1] - key[0] >= min_len
-    ]
+    g = inst._grid
+    # a length l over dx is at least min_len when l * per >= bar
+    per, bar = min_len.denominator, min_len.numerator * g.dx
+    pool = [(mask, length, key) for key, mask, length in zip(keys, masks, lengths) if length * per >= bar]
+    wide = sum(1 << i for i, (a, b) in enumerate(zip(g.xl, g.xr)) if (b - a) * per >= bar)
+    reach = [0] * (len(pool) + 1)  # reach[i]: the union of pool[i:]
+    for i in range(len(pool) - 1, -1, -1):
+        reach[i] = reach[i + 1] | pool[i][0]
     # union -> (integer total, combo); a dict keeps the slot of a key's first
     # insertion, so iteration follows the enumeration order of first sightings
     reps: dict[int, tuple[int, tuple]] = {}
     for size in range(0, min(k, len(pool)) + 1):
-        for combo in combinations(pool, size):
-            if _budget is not None:
-                _budget.tick()
-            union = 0
-            total = 0
-            for _, mask, length in combo:
-                union |= mask
-                total += length
-            cur = reps.get(union)
-            if cur is None or total < cur[0]:
-                reps[union] = (total, combo)
-    wide = sum(1 << i for i, r in enumerate(inst.rects) if r.width >= min_len)
-    return [
-        Guess(tuple(Segment(*key) for key, _, _ in combo), union)
-        for union, (_, combo) in reps.items()
-        if not wide & ~union
-    ]
+        # prefixes (next index, union, total, combo), popped in lexicographic order
+        todo = [(0, 0, 0, ())]
+        while todo:
+            start, union, total, combo = todo.pop()
+            left = size - len(combo)
+            if not left:
+                if _budget is not None:
+                    _budget.tick()
+                cur = reps.get(union)
+                if not wide & ~union and (cur is None or total < cur[0]):
+                    reps[union] = (total, combo)
+                continue
+            children = []
+            # reach only shrinks as i grows, so the first dead end ends the run
+            for i in range(start, len(pool) - left + 1):
+                if wide & ~(union | reach[i]):
+                    break
+                mask, length, _ = pool[i]
+                children.append((i + 1, union | mask, total + length, combo + (i,)))
+            todo += reversed(children)
+    return [Guess(tuple(_built(Segment, *pool[i][2]) for i in combo), union) for union, (_, combo) in reps.items()]
 
 
 def qptas(
@@ -238,17 +252,23 @@ def qptas(
     budget = _Budget(params.node_budget)
     limit = max(params.oracle_limit, ORACLE_LIMIT)
 
-    # each call returns its output as (part, segment) pairs in output order,
-    # part "paid", "guess" or "base"; a discarded guess branch leaves nothing
-    # in the output, so the root's tags split the output cost exactly
-    def recurse(current: Instance, scale: Fraction, depth: int) -> list[tuple[str, Segment]]:
+    def leaf(node: Instance) -> tuple[Fraction, list[tuple[str, Segment]]]:
+        sol = exact_opt(node, limit=limit)
+        return sol.cost, [("base", s) for s in sol.segments]
+
+    # each call returns its output's cost and the output as (part, segment)
+    # pairs in output order, part "paid", "guess" or "base"; a discarded
+    # guess branch leaves nothing in the output, so the root's tags split the
+    # output cost exactly
+    def recurse(current: Instance, scale: Fraction, depth: int) -> tuple[Fraction, list[tuple[str, Segment]]]:
         budget.tick()
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         if len(current.rects) <= params.oracle_limit:
             # a small node, an empty residual too, is solved by the exact leaf
-            return [("base", s) for s in exact_opt(current, limit=limit).segments]
+            return leaf(current)
         dec = decompose(current, params.mu)
+        cost = _length(dec.paid_segments)
         tagged = [("paid", s) for s in dec.paid_segments]
         half = scale / 2
         for chunk in dec.sub_instances:
@@ -258,26 +278,26 @@ def qptas(
                     stats.guesses += 1
                     assert len(guess.segments) <= params.klong
                     assert all(s.length >= half for s in guess.segments)
-                    residual = Instance(
-                        tuple(r for i, r in enumerate(chunk.rects) if not guess.stab_set >> i & 1)
+                    residual = chunk._restrict(
+                        [i for i in range(len(chunk.rects)) if not guess.stab_set >> i & 1]
                     )
-                    branch = [("guess", s) for s in guess.segments] + recurse(residual, half, depth + 1)
-                    total = sum(s.length for _, s in branch)
+                    rest_cost, rest = recurse(residual, half, depth + 1)
+                    total = guess.length + rest_cost
                     if best is None or total < best[0]:
-                        best = (total, branch)
+                        best = (total, [("guess", s) for s in guess.segments] + rest)
             if best is None:
                 # the exact leaf: a small chunk, or one where no guess of at
                 # most klong long segments stabs every wide rect, as happens
                 # when klong is overridden below what the chunk needs
-                tagged.extend(("base", s) for s in exact_opt(chunk, limit=limit).segments)
-            else:
-                tagged.extend(best[1])
-        return tagged
+                best = leaf(chunk)
+            cost += best[0]
+            tagged.extend(best[1])
+        return cost, tagged
 
-    tagged = recurse(norm, norm.max_width, 0) if norm.rects else []
+    _, tagged = recurse(norm, norm.max_width, 0) if norm.rects else (0, [])
     solved = Solution(tuple(s for _, s in tagged))
     stats.paid_cost, stats.guess_cost, stats.base_cost = (
-        sum((s.length for p, s in tagged if p == part), Fraction(0)) for part in ("paid", "guess", "base")
+        _length([s for p, s in tagged if p == part]) for part in ("paid", "guess", "base")
     )
     stats.normalized_cost = solved.cost
     return denormalize(solved, transform)

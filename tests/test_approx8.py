@@ -74,7 +74,7 @@ class TestIntegerRounding:
     @staticmethod
     def assert_rounds_as_reference(rects):
         ref = [round_rect_fraction(r) for r in rects]
-        e, spans = _rounded_spans(rects)
+        e, spans = _rounded_spans(Instance(tuple(rects)))
         assert [(a * pow2(e), b * pow2(e)) for a, b in spans] == [(r.xl, r.xr) for r in ref]
         assert [round_rect(r) for r in rects] == ref
         assert to_laminar(Instance(tuple(rects))) == Instance(tuple(ref))
@@ -214,11 +214,11 @@ class TestApprox8Prices:
     @staticmethod
     def assert_prices_match(inst, data):
         # the empty and the full mask, then random ones
-        price = _approx8_prices(inst)
+        unit, price = _approx8_prices(inst)
         full = (1 << len(inst.rects)) - 1
         for mask in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=6))]:
             subset = Instance(tuple(r for i, r in enumerate(inst.rects) if mask >> i & 1))
-            assert price(list(subset.rects)) == approx8(subset).cost
+            assert price(list(subset.rects)) * unit == approx8(subset).cost
 
     @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 14), st.integers(0, 10**6), st.data())
     @settings(max_examples=100)
@@ -232,12 +232,12 @@ class TestApprox8Prices:
         # subset's mask; the rounded subset solved on its own, and by the
         # full-scan reference, must agree
         inst = generated_instance(kind, n, seed)
-        price = _approx8_prices(inst)
+        unit, price = _approx8_prices(inst)
         full = (1 << n) - 1
         for mask in data.draw(st.lists(st.integers(0, full), min_size=1, max_size=4)):
             subset = [r for i, r in enumerate(inst.rects) if mask >> i & 1]
             rounded = to_laminar(Instance(tuple(subset)))
-            assert price(subset) == 2 * solve_laminar(rounded).cost == 2 * solve_laminar_full_scan(rounded).cost
+            assert price(subset) * unit == 2 * solve_laminar(rounded).cost == 2 * solve_laminar_full_scan(rounded).cost
 
     @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 30), st.integers(0, 10**6), st.data())
     @settings(max_examples=40, deadline=None)
@@ -250,10 +250,10 @@ class TestApprox8Prices:
         masks = [full, *data.draw(st.lists(st.integers(0, full), min_size=1, max_size=6))]
         subsets = [[r for i, r in enumerate(inst.rects) if mask >> i & 1] for mask in masks]
         expected = [2 * solve_laminar_full_scan(to_laminar(Instance(tuple(sub)))).cost for sub in subsets]
-        forward = _approx8_prices(inst)
-        assert [forward(sub) for sub in subsets] == expected
-        backward = _approx8_prices(inst)
-        assert [backward(sub) for sub in reversed(subsets)] == expected[::-1]
+        unit, forward = _approx8_prices(inst)
+        assert [forward(sub) * unit for sub in subsets] == expected
+        unit, backward = _approx8_prices(inst)
+        assert [backward(sub) * unit for sub in reversed(subsets)] == expected[::-1]
 
     def test_a_top_of_another_rect_moves_the_level_but_not_the_price(self):
         # rect 3's top edge 3 lies within rect 1's [0, 10], below every top
@@ -262,14 +262,14 @@ class TestApprox8Prices:
         # three rects but 10 for {1, 2} solved alone
         inst = make_instance([(0, 4, 0, 10), (4, 8, 20, 21), (8, 9, 0, 3)])
         pair = list(inst.rects[:2])
-        _, spans = _rounded_spans(inst.rects)
-        bits, _, stabs = _laminar_dp(inst.rects, spans)
+        _, spans = _rounded_spans(inst)
+        bits, _, stabs = _laminar_dp(inst, spans)
         heights = {inst.rects[i].id: inst.rects[j].yt for i, j in stabs(bits[0] | bits[1])}
         assert heights == {1: 3, 2: 21}
         assert {s.y for s in solve_laminar(Instance(tuple(pair))).segments} == {10, 21}
-        price = _approx8_prices(inst)
-        assert price(pair) == 2 * solve_laminar_full_scan(to_laminar(Instance(tuple(pair)))).cost == 16
-        assert price(pair) == approx8(Instance(tuple(pair))).cost
+        unit, price = _approx8_prices(inst)
+        assert price(pair) * unit == 2 * solve_laminar_full_scan(to_laminar(Instance(tuple(pair)))).cost == 16
+        assert price(pair) * unit == approx8(Instance(tuple(pair))).cost
 
     @given(
         st.lists(

@@ -164,14 +164,14 @@ class TestStripPartition:
                 inside.pop()
 
         def counted_prices(sub):
-            price = prices(sub)
+            unit, price = prices(sub)
 
             def counted_price(rects):
                 if inside:
                     priced.append(rects)
                 return price(rects)
 
-            return counted_price
+            return unit, counted_price
 
         def counted_crossing(*args):
             crossed.append(args)

@@ -26,6 +26,8 @@ from stabkit import (
     verify,
 )
 
+from stabkit.oracle import _Budget, _candidate_table
+
 from .conftest import make_instance
 from .helpers import affine_instance, affine_solution, brute_force_opt, generated_instance, guess_long_all
 
@@ -266,6 +268,22 @@ class TestGuessLong:
         assert guess_long(inst, min_len, k) == [
             g for g in guess_long_all(inst, min_len, k) if not wide & ~g.stab_set
         ]
+
+    def test_prunes_prefixes_that_cannot_stab_every_wide_rect(self):
+        # three wide rects, y- and x-separated, need three segments: with
+        # k = 2 no guess qualifies, and the enumeration stops every prefix
+        # whose union, with all the candidates after it, misses a wide rect
+        inst = make_instance(NARROW_PAIRS + [(0, 4, 30, 31), (5, 9, 40, 41), (10, 14, 50, 51)])
+        k = 2
+        wide = 0b111 << len(NARROW_PAIRS)
+        budget = _Budget(None)
+        assert guess_long(inst, F(4), k, budget) == [] == [
+            g for g in guess_long_all(inst, F(4), k) if not wide & ~g.stab_set
+        ]
+        keys, _, _, _ = _candidate_table(inst)
+        pool = sum(1 for key in keys if key[1] - key[0] >= 4)
+        full = sum(math.comb(pool, size) for size in range(min(k, pool) + 1))
+        assert 0 < budget.used < full
 
     def test_i1_contains_covering_pair(self, i1):
         guesses = guess_long(i1, F(2), 2)

@@ -225,7 +225,16 @@ def test_approx8_builds_no_rounded_rect(monkeypatch):
 
     monkeypatch.setattr(stabkit.Rect, "__post_init__", counted)
     sol = stabkit.approx8(inst)
-    price = _approx8_prices(inst)
-    cost = price(list(inst.rects))
+    unit, price = _approx8_prices(inst)
+    cost = price(list(inst.rects)) * unit
     assert built == []
     assert cost == sol.cost > 0
+
+
+def test_only_core_scales_coordinates():
+    # every layer reads the instance's one integer view; a module that
+    # scaled Fractions to integers on its own would rescale every
+    # sub-instance again
+    package = Path(stabkit.__file__).resolve().parent
+    scaling = sorted(p.name for p in package.glob("*.py") if p.name != "core.py" and "_scaled" in p.read_text())
+    assert scaling == []
