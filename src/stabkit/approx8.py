@@ -106,15 +106,10 @@ def approx8(inst: Instance) -> Solution:
     """
     rects = inst.rects
     e, spans = _rounded_spans(inst)
-    _, solve, stabs = _laminar_dp(inst, spans)
-    full = (1 << len(rects)) - 1
-    picked = stabs(full)
-    assert sum(spans[i][1] - spans[i][0] for i, _ in picked) == solve(full), (
-        "reconstructed stabs disagree with the DP value"
-    )
+    _, _, stabs = _laminar_dp(inst, spans)
     unit = pow2(e)
     segments = []
-    for i, j in picked:
+    for i, j in stabs((1 << len(rects)) - 1):
         a, b = spans[i]  # stretched as by stretch_segment
         segments.append(_built(Segment, a * unit, (2 * b - a) * unit, rects[j].yt))
     return Solution(tuple(segments))

@@ -345,7 +345,11 @@ def cmd_bench(args) -> int:
 
 
 def _scalar_arg(text: str) -> Fraction:
-    return as_scalar(text)
+    """A scalar flag's value; argparse names the flag before the reason."""
+    try:
+        return as_scalar(text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -67,11 +67,14 @@ def as_scalar(value) -> Fraction:
     raise ParameterError(f"inexact or unsupported scalar type: {type(value).__name__}")
 
 
-def _open_unit(value, name: str) -> Fraction:
-    """``value`` as an exact rational strictly between 0 and 1 (an accuracy such as eps)."""
+def _unit(value, name: str, closed: bool = False) -> Fraction:
+    """``value`` as an exact rational in (0, 1), or in (0, 1] when ``closed``:
+    an accuracy such as eps, or a width bound such as delta.  The message
+    names the interval, not the value, whose digits may be too many to print."""
     value = as_scalar(value)
-    if not 0 < value < 1:
-        raise ParameterError(f"{name} must lie strictly between 0 and 1")
+    p, q = value.numerator, value.denominator
+    if not (0 < p < q or closed and p == q):
+        raise ParameterError(f"{name} must lie in (0, 1{']' if closed else ')'}")
     return value
 
 
@@ -531,11 +534,13 @@ def _json_entries(obj, field: str, kind: str) -> list[dict]:
     return obj[field]
 
 
-def _as_int(value, what: str) -> int:
-    """An integer parameter or JSON integer; floats, booleans, strings and
-    every other type are rejected."""
+def _as_int(value, what: str, least: int | None = None) -> int:
+    """An integer parameter or JSON integer, of at least ``least`` when
+    given; floats, booleans, strings and every other type are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ParameterError(f"{what} must be at least {least}, got {value}")
     return value
 
 

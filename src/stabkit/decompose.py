@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx8 import _approx8_prices, approx8
-from .core import Instance, ParameterError, Rect, Segment, Solution, _built, _open_unit, as_scalar
+from .core import Instance, ParameterError, Rect, Segment, Solution, _built, _unit, as_scalar
 from .core import instance_to_json, solution_to_json
 
 CUT_FACTOR = 8
@@ -116,7 +116,7 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
     ``_price`` is ``_approx8_prices`` of ``inst`` or of an instance holding
     its rects, when the caller has built it.
     """
-    eps = _open_unit(eps, "eps")
+    eps = _unit(eps, "eps")
     if not inst.rects:
         return StripPartition((), (), Fraction(0), Fraction(0))
 
@@ -202,7 +202,7 @@ def horizontal_cuts(
     ``_price`` is ``_approx8_prices`` of the strip or of an instance holding
     its rects, when the caller has built it; the prices are the same.
     """
-    eps = _open_unit(eps, "eps")
+    eps = _unit(eps, "eps")
     if not strip.rects:
         return CutResult((), (), ())
     w = as_scalar(width)
@@ -257,7 +257,7 @@ def decompose(inst: Instance, eps) -> Decomposition:
     8w/eps^2 + w/eps where w is the instance's max width.  The instance is
     rounded once, and its one pricer serves both stages.
     """
-    eps = _open_unit(eps, "eps")
+    eps = _unit(eps, "eps")
     price = _approx8_prices(inst)
     parts = strip_partition(inst, eps, _price=price)
     paid = list(parts.segments)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, ParameterError, Rect, _as_int, as_scalar
+from .core import Instance, ParameterError, Rect, _as_int, _unit, as_scalar
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -53,7 +53,9 @@ class GenConfig:
     """Coordinate ranges for the uniform generator.
 
     All draws land on the grid of multiples of 1/resolution.  Heights are
-    drawn from [0, h_max]; widths from [w_min, w_max].
+    drawn from [0, h_max]; widths from [w_min, w_max].  A config checks its
+    own ranges: 0 < w_min <= w_max, non-empty x and y ranges, h_max >= 0 and
+    an integer resolution >= 1.
     """
 
     x_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(16))
@@ -68,14 +70,20 @@ class GenConfig:
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
         object.__setattr__(self, "x_range", tuple(as_scalar(v) for v in self.x_range))
         object.__setattr__(self, "y_range", tuple(as_scalar(v) for v in self.y_range))
-        if _as_int(self.resolution, "resolution") < 1:
-            raise ParameterError(f"resolution must be at least 1, got {self.resolution}")
+        _as_int(self.resolution, "resolution", 1)
+        if not self.w_min <= self.w_max:
+            raise ParameterError("requires w_min <= w_max")
+        if self.w_min <= 0:
+            raise ParameterError("widths must be positive")
+        if self.x_range[0] > self.x_range[1] or self.y_range[0] > self.y_range[1]:
+            raise ParameterError("coordinate ranges must be non-empty")
+        if self.h_max < 0:
+            raise ParameterError("h_max must be non-negative")
 
 
 def _size_and_seed(n, seed) -> None:
     """Integer rect count n >= 0 and integer seed, else a parameter error."""
-    if _as_int(n, "n") < 0:
-        raise ParameterError("n must be non-negative")
+    _as_int(n, "n", 0)
     _as_int(seed, "seed")
 
 
@@ -92,14 +100,6 @@ def gen_uniform(n: int, seed: int, cfg: GenConfig = GenConfig()) -> Instance:
     Per-rect draw order: xl, width, yb, height.
     """
     _size_and_seed(n, seed)
-    if not cfg.w_min <= cfg.w_max:
-        raise ParameterError("requires w_min <= w_max")
-    if cfg.w_min <= 0:
-        raise ParameterError("widths must be positive")
-    if cfg.x_range[0] > cfg.x_range[1] or cfg.y_range[0] > cfg.y_range[1]:
-        raise ParameterError("coordinate ranges must be non-empty")
-    if cfg.h_max < 0:
-        raise ParameterError("h_max must be non-negative")
     rng = SplitMix64(seed)
     rects = []
     for i in range(1, n + 1):
@@ -143,9 +143,7 @@ def gen_bounded_ratio(n: int, delta, seed: int) -> Instance:
     order: xl, width index, yb, height.
     """
     _size_and_seed(n, seed)
-    delta = as_scalar(delta)
-    if not 0 < delta <= 1:
-        raise ParameterError("delta must lie in (0, 1]")
+    delta = _unit(delta, "delta", closed=True)
     rng = SplitMix64(seed)
     rects = []
     for i in range(1, n + 1):

@@ -69,7 +69,8 @@ def _laminar_dp(
     solve(mask) is the least cost, in units of the span integers, of
     stabbing the rects of ``mask``.  stabs(mask) lists that optimum as
     (i, j) pairs, rect i stabbed by its own span at rect j's top edge, in
-    the order of (left, right, height).  Both share one memo across calls.
+    the order of (left, right, height), and asserts that their widths add
+    up to solve(mask).  Both share one memo across calls.
 
     A state of one rect is stabbed at its own top edge.  Any other stabs its
     widest rect W at the level, among the instance's top edges within W's
@@ -186,6 +187,7 @@ def _laminar_dp(
                 inner = m ^ low ^ lm ^ rm
                 k = level[m]
                 todo += (lm, rm, inner & below[k], inner & above[k])
+        assert sum(b - a for a, b, *_ in out) == cost[root], "reconstructed stabs disagree with the DP value"
         out.sort()
         return [(i, j) for *_, i, j in out]
 
@@ -201,11 +203,6 @@ def solve_laminar(inst: Instance) -> Solution:
     """
     rects = inst.rects
     g = inst._grid
-    spans = list(zip(g.xl, g.xr))
-    _, solve, stabs = _laminar_dp(inst, spans)
-    full = (1 << len(rects)) - 1
-    picked = stabs(full)
-    assert sum(spans[i][1] - spans[i][0] for i, _ in picked) == solve(full), (
-        "reconstructed stabs disagree with the DP value"
-    )
+    _, _, stabs = _laminar_dp(inst, list(zip(g.xl, g.xr)))
+    picked = stabs((1 << len(rects)) - 1)
     return Solution(tuple(_built(Segment, rects[i].xl, rects[i].xr, rects[j].yt) for i, j in picked))

@@ -24,10 +24,10 @@ from .core import (
     BudgetError,
     Instance,
     OracleLimitError,
-    ParameterError,
     Segment,
     Solution,
     _as_int,
+    _built,
     _segment_view,
 )
 
@@ -284,16 +284,13 @@ def _branch_and_bound(
     if best is None:
         return None
     # rows are in key order, so the answer is sorted by row index
-    return Solution(tuple(Segment(*keys[ci]) for ci in sorted(best)))
+    return Solution(tuple(_built(Segment, *keys[ci]) for ci in sorted(best)))
 
 
 def _oracle_limit(limit: int) -> int:
     """``limit`` as a size limit of the exact oracle; a non-integer or
     negative one is a parameter error, wherever it is given."""
-    limit = _as_int(limit, "oracle_limit")
-    if limit < 0:
-        raise ParameterError(f"oracle_limit must not be negative, got {limit}")
-    return limit
+    return _as_int(limit, "oracle_limit", 0)
 
 
 def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
@@ -322,4 +319,4 @@ def greedy_cover(inst: Instance) -> Solution:
     """
     keys, masks, lengths, _ = _candidate_table(inst)
     picked = _greedy(masks, lengths, (1 << len(inst.rects)) - 1)
-    return Solution(tuple(Segment(*keys[ci]) for ci in picked))
+    return Solution(tuple(_built(Segment, *keys[ci]) for ci in picked))

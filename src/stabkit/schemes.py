@@ -30,7 +30,7 @@ from .core import (
     _as_int,
     _built,
     _length,
-    _open_unit,
+    _unit,
     as_scalar,
     ceil_log2,
     denormalize,
@@ -67,15 +67,13 @@ class SchemeParams:
         oracle_limit=None,
         node_budget=None,
     ) -> "SchemeParams":
-        if _as_int(n, "n") < 0:
-            raise ParameterError("n must not be negative")
-        eps = _open_unit(eps, "eps")
+        _as_int(n, "n", 0)
+        eps = _unit(eps, "eps")
         levels = ceil_log2(Fraction(max(n, 1)) / eps)
-        mu = _open_unit(mu if mu is not None else eps / (17 * (levels + 1)), "mu")
+        mu = _unit(mu if mu is not None else eps / (17 * (levels + 1)), "mu")
         if klong is None:
             klong = math.ceil(2 * _chunk_bound(mu))
-        if _as_int(klong, "klong") < 1:
-            raise ParameterError("klong must be at least 1")
+        _as_int(klong, "klong", 1)
         oracle_limit = _oracle_limit(ORACLE_LIMIT if oracle_limit is None else oracle_limit)
         return cls(mu=mu, klong=klong, oracle_limit=oracle_limit, node_budget=_node_budget(node_budget))
 
@@ -83,9 +81,7 @@ class SchemeParams:
 def _node_budget(budget: int | None) -> int | None:
     """``budget`` as a search node budget, None for none; a non-integer or
     negative one is a parameter error."""
-    if budget is not None and _as_int(budget, "node_budget") < 0:
-        raise ParameterError("node_budget must not be negative")
-    return budget
+    return budget if budget is None else _as_int(budget, "node_budget", 0)
 
 
 @dataclass
@@ -113,8 +109,7 @@ def solve_small(inst: Instance, k: int, node_budget: int | None = None) -> Solut
     so it never returns a silently suboptimal answer; an exhausted budget
     raises BudgetError and an empty k-segment space raises InfeasibleError.
     """
-    if _as_int(k, "k") < 1:
-        raise ParameterError("k must be at least 1")
+    _as_int(k, "k", 1)
     sol = _branch_and_bound(inst, k, _node_budget(node_budget))
     if sol is None:
         raise InfeasibleError(f"no feasible solution uses at most {k} segments")
@@ -124,11 +119,7 @@ def solve_small(inst: Instance, k: int, node_budget: int | None = None) -> Solut
 def _ptas_accuracy(eps, delta) -> tuple[Fraction, Fraction]:
     """(eps, delta) of a ``ptas`` run as exact rationals, eps in (0, 1) and
     delta in (0, 1]; anything else is a parameter error."""
-    eps = _open_unit(eps, "eps")
-    delta = as_scalar(delta)
-    if not 0 < delta <= 1:
-        raise ParameterError("delta must lie in (0, 1]")
-    return eps, delta
+    return _unit(eps, "eps"), _unit(delta, "delta", closed=True)
 
 
 def ptas(inst: Instance, eps, delta) -> Solution:
@@ -183,9 +174,7 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
     only the kept unions are built into guesses.
     """
     min_len = as_scalar(min_len)
-    k = _as_int(k, "k")
-    if k < 0:
-        raise ParameterError("k must not be negative")
+    _as_int(k, "k", 0)
     keys, masks, lengths, _ = _candidate_table(inst)
     g = inst._grid
     # a length l over dx is at least min_len when l * per >= bar
@@ -240,7 +229,7 @@ def qptas(
     ``stats`` splits the cost exactly, summing the output's segments by the
     part that paid for each: the decomposition, a guess or an exact leaf.
     """
-    eps = _open_unit(eps, "eps")
+    eps = _unit(eps, "eps")
     if not inst.rects:
         return Solution(())
     if params is None:

@@ -474,6 +474,23 @@ class TestMalformedInput:
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["decompose", "-i", "inst.json", "--eps", "abc"], "--eps"),
+            (["decompose", "-i", "inst.json", "--eps", "1e-5000"], "--eps"),
+            (["gen", "--kind", "bounded", "--n", "3", "--seed", "1", "--delta", "x"], "--delta"),
+        ],
+        ids=["eps-abc", "eps-1e-5000", "delta-x"],
+    )
+    def test_bad_scalar_flag_names_its_reason(self, argv, flag):
+        # argparse reports the flag and the parse error, not the private
+        # name of the function that parses scalars
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert f"argument {flag}: cannot parse scalar" in res.stderr, res.stderr
+        assert "_scalar_arg" not in res.stderr and "Traceback" not in res.stderr
+
 
 class TestDeterminism:
     def test_solver_outputs_byte_identical_across_runs(self, i1_file, tmp_path):

@@ -1,0 +1,104 @@
+"""Every parameter at its bound and just past it.
+
+Each integer parameter goes through ``core._as_int`` with its least value,
+and each unit-interval rational through ``core._unit``: a value at the bound
+is accepted, one just past it, a boolean, a float and an integer string are
+parameter errors.  A rational parameter parses the string "4", which then
+lies outside (0, 1).
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from stabkit import (
+    GenConfig,
+    Instance,
+    ParameterError,
+    Rect,
+    SchemeParams,
+    decompose,
+    exact_opt,
+    gen_bounded_ratio,
+    gen_laminar,
+    gen_uniform,
+    guess_long,
+    horizontal_cuts,
+    ptas,
+    qptas,
+    solve_small,
+    strip_partition,
+)
+
+from .test_cli import run_cli
+
+ONE = Instance((Rect(1, 0, 2, 0, 1),))
+HALF = F(1, 2)
+NOT_INT = [True, 2.5, "4"]
+NOT_UNIT = [0, 1, -HALF, True, 2.5, "4"]
+INSIDE = [F(1, 1000), F(999, 1000)]
+
+
+def derive(**kw):
+    return SchemeParams.derive(**{"n": 0, "eps": HALF, **kw})
+
+
+def config(**kw):
+    return gen_uniform(1, 1, GenConfig(**kw))
+
+
+# (id, call, accepted values, rejected values)
+CASES = [
+    ("exact_opt-limit", lambda v: exact_opt(Instance(()), limit=v), [0], [-1, *NOT_INT]),
+    ("derive-n", lambda v: derive(n=v), [0], [-1, *NOT_INT]),
+    ("derive-klong", lambda v: derive(klong=v), [1], [0, *NOT_INT]),
+    ("derive-oracle_limit", lambda v: derive(oracle_limit=v), [0], [-1, *NOT_INT]),
+    ("derive-node_budget", lambda v: derive(node_budget=v), [0, None], [-1, *NOT_INT]),
+    ("derive-eps", lambda v: derive(eps=v), INSIDE, NOT_UNIT),
+    ("derive-mu", lambda v: derive(mu=v), INSIDE, NOT_UNIT),
+    ("solve_small-k", lambda v: solve_small(ONE, v), [1], [0, *NOT_INT]),
+    ("guess_long-k", lambda v: guess_long(ONE, HALF, v), [0], [-1, *NOT_INT]),
+    ("ptas-eps", lambda v: ptas(ONE, v, 1), [F(1, 10), F(999, 1000)], NOT_UNIT),
+    ("ptas-delta", lambda v: ptas(ONE, HALF, v), [1, F(1, 1000)], [0, F(1001, 1000), True, 2.5, "4"]),
+    ("qptas-eps", lambda v: qptas(ONE, v), INSIDE, NOT_UNIT),
+    ("gen_uniform-n", lambda v: gen_uniform(v, 1), [0], [-1, *NOT_INT]),
+    ("gen_laminar-n", lambda v: gen_laminar(v, 1), [0], [-1, *NOT_INT]),
+    ("gen_bounded_ratio-n", lambda v: gen_bounded_ratio(v, HALF, 1), [0], [-1, *NOT_INT]),
+    ("gen_uniform-seed", lambda v: gen_uniform(1, v), [0, -1], NOT_INT),
+    ("gen_laminar-seed", lambda v: gen_laminar(1, v), [0, -1], NOT_INT),
+    ("gen_bounded_ratio-seed", lambda v: gen_bounded_ratio(1, HALF, v), [0, -1], NOT_INT),
+    ("gen_bounded_ratio-delta", lambda v: gen_bounded_ratio(1, v, 1), [1, F(1, 1000)], [0, F(1001, 1000), True, 2.5, "4"]),
+    ("GenConfig-resolution", lambda v: config(resolution=v), [1], [0, *NOT_INT]),
+    ("GenConfig-w_min", lambda v: config(w_min=v), [4, F(1, 1000)], [0, F(4001, 1000), True, 2.5]),
+    ("GenConfig-w_max", lambda v: config(w_max=v), [HALF], [F(499, 1000), True, 2.5]),
+    ("GenConfig-h_max", lambda v: config(h_max=v), [0], [F(-1, 1000), True, 2.5]),
+    ("GenConfig-x_range", lambda v: config(x_range=v), [(1, 1)], [(1, F(999, 1000)), (True, 1), (2.5, 3)]),
+    ("GenConfig-y_range", lambda v: config(y_range=v), [(1, 1)], [(1, F(999, 1000)), (True, 1), (2.5, 3)]),
+    ("strip_partition-eps", lambda v: strip_partition(ONE, v), INSIDE, NOT_UNIT),
+    ("horizontal_cuts-eps", lambda v: horizontal_cuts(ONE, v, 2, (0, 2)), INSIDE, NOT_UNIT),
+    ("decompose-eps", lambda v: decompose(ONE, v), INSIDE, NOT_UNIT),
+]
+
+
+@pytest.mark.parametrize("call, accepted, rejected", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_parameter_at_its_bound_and_past_it(call, accepted, rejected):
+    for value in accepted:
+        call(value)
+    for value in rejected:
+        with pytest.raises(ParameterError):
+            call(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose", "--eps", "1e4300"], ["solve", "--algo", "ptas", "--eps", "1/2", "--delta", "1e4300"]],
+    ids=["decompose-eps", "ptas-delta"],
+)
+def test_out_of_range_message_does_not_echo_the_value(argv, tmp_path):
+    # 1e4300 parses, but its str() has more digits than Python converts,
+    # so a message echoing it would end in a traceback, not exit 2
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"rects": [{"xl": "0", "xr": "2", "yb": "0", "yt": "1"}]}')
+    res = run_cli(*argv, "-i", str(inst))
+    assert res.returncode == 2
+    assert res.stderr.startswith("parameter error: ") and len(res.stderr.splitlines()) == 1, res.stderr

@@ -198,17 +198,24 @@ def test_strip_partition_keeps_the_traced_crossing_test_and_paid_cover():
 )
 def test_solvers_build_segments_only_for_their_answer(monkeypatch, solver, inst):
     # the candidate table holds plain (xl, xr, y) rows; a validated Segment
-    # per table row was about a third of the table's time
-    original = stabkit.Segment.__post_init__
+    # per table row was about a third of the table's time.  The answer's
+    # segments are built from the table's exact rows, so they skip the
+    # validator too
+    original = stabkit.oracle._built
     built = []
+    validated = []
 
-    def counted(self):
-        built.append(self)
-        original(self)
+    def counted(cls, *values):
+        obj = original(cls, *values)
+        if cls is stabkit.Segment:
+            built.append(obj)
+        return obj
 
-    monkeypatch.setattr(stabkit.Segment, "__post_init__", counted)
+    monkeypatch.setattr(stabkit.oracle, "_built", counted)
+    monkeypatch.setattr(stabkit.Segment, "__post_init__", lambda self: validated.append(self))
     sol = solver(inst)
-    assert len(built) == len(sol.segments) > 0
+    assert tuple(built) == sol.segments and built
+    assert validated == []
 
 
 def test_approx8_builds_no_rounded_rect(monkeypatch):
