@@ -6,7 +6,7 @@ instance, a PTAS for bounded width ratio, and a recursive QPTAS.  All
 arithmetic is exact rational.
 """
 
-from .approx8 import approx8, round_rect, stretch_segment, to_laminar
+from .approx8 import approx8, to_laminar
 from .core import (
     BudgetError,
     InfeasibleError,
@@ -94,7 +94,6 @@ __all__ = [
     "ptas",
     "qptas",
     "reduce_candidates",
-    "round_rect",
     "shrink_solution",
     "solution_from_json",
     "solution_to_json",
@@ -102,7 +101,6 @@ __all__ = [
     "solve_small",
     "split_independent",
     "stabs",
-    "stretch_segment",
     "strip_partition",
     "to_laminar",
     "verify",

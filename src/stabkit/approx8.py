@@ -44,29 +44,16 @@ def _rounded_spans(inst: Instance) -> tuple[int, list[tuple[int, int]]]:
     return e, spans
 
 
-def _rounded_rects(inst: Instance) -> tuple[Rect, ...]:
+def to_laminar(inst: Instance) -> Instance:
+    """Round every rectangle; ids are preserved.
+
+    A rect widens to the power of two w' with w' / 2 < width <= w' and
+    left-aligns to the grid of multiples of w', so width <= w' < 2 * width,
+    the new xl <= xl, and xr <= new xl + 2w'.
+    """
     e, spans = _rounded_spans(inst)
     unit = pow2(e)
-    return tuple(Rect(r.id, a * unit, b * unit, r.yb, r.yt) for r, (a, b) in zip(inst.rects, spans))
-
-
-def round_rect(r: Rect) -> Rect:
-    """Widen to the power of two w' with w' / 2 < width <= w', left-align to
-    the grid of multiples of w'.
-
-    Guarantees width <= w' < 2 * width, new xl <= xl, and xr <= new xl + 2w'.
-    """
-    return _rounded_rects(Instance((r,)))[0]
-
-
-def to_laminar(inst: Instance) -> Instance:
-    """Round every rectangle; ids are preserved."""
-    return Instance(_rounded_rects(inst))
-
-
-def stretch_segment(s: Segment) -> Segment:
-    """Double the length, anchored at the left endpoint: [a, b] -> [a, 2b - a]."""
-    return Segment(s.xl, 2 * s.xr - s.xl, s.y)
+    return Instance(tuple(Rect(r.id, a * unit, b * unit, r.yb, r.yt) for r, (a, b) in zip(inst.rects, spans)))
 
 
 def _approx8_prices(inst: Instance) -> tuple[Fraction, Callable[[list[Rect]], int]]:
@@ -110,6 +97,6 @@ def approx8(inst: Instance) -> Solution:
     unit = pow2(e)
     segments = []
     for i, j in stabs((1 << len(rects)) - 1):
-        a, b = spans[i]  # stretched as by stretch_segment
+        a, b = spans[i]  # stretched to [a, 2b - a]
         segments.append(_built(Segment, a * unit, (2 * b - a) * unit, rects[j].yt))
     return Solution(tuple(segments))

@@ -39,7 +39,7 @@ from .decompose import decompose, decomposition_to_json
 from .gen import gen_bounded_ratio, gen_laminar, gen_uniform
 from .laminar import solve_laminar
 from .oracle import ORACLE_LIMIT, _oracle_limit, exact_opt, greedy_cover
-from .schemes import SchemeParams, _ptas_accuracy, ptas, qptas
+from .schemes import SchemeParams, ptas, qptas
 
 # The one list of solver options: algorithm -> {option: (type, required)}.  A
 # type is Fraction (an exact scalar) or int.  `solve` takes an option as a flag
@@ -191,25 +191,23 @@ def _known_keys(entry: dict, keys, what: str) -> None:
 
 
 def _algo_opts(algo_entry: dict, what: str) -> tuple[str, dict]:
-    """(name, options) of a bench algo entry, checked and parsed."""
+    """(name, options) of a bench algo entry, checked and parsed; an error
+    names the entry."""
     if "name" not in algo_entry:
         raise ParameterError(f'{what} has no "name"')
     algo = algo_entry["name"]
     given = {key: value for key, value in algo_entry.items() if key != "name"}
-    _check_options(algo, given)
-    opts = {}
-    for key, value in given.items():
-        if ALGO_OPTIONS[algo][key][0] is int:
-            opts[key] = _as_int(value, f"{what}: {key}")
-        else:
-            opts[key] = as_scalar(value)
-    # the solvers' own range checks, so that a bad value fails before any row runs
-    if algo == "exact" and "oracle_limit" in opts:
-        _oracle_limit(opts["oracle_limit"])
-    elif algo == "ptas":
-        _ptas_accuracy(opts["eps"], opts["delta"])
-    elif algo == "qptas":
-        SchemeParams.derive(0, **opts)
+    try:
+        _check_options(algo, given)
+        opts = {
+            key: _as_int(value, key) if ALGO_OPTIONS[algo][key][0] is int else as_scalar(value)
+            for key, value in given.items()
+        }
+        # every solver checks its options before it reads the instance, so
+        # a bad value fails here, before any row runs
+        solve_with(algo, Instance(()), opts)
+    except ParameterError as exc:
+        raise ParameterError(f"{what}: {exc}") from exc
     return algo, opts
 
 

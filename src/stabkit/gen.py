@@ -8,6 +8,7 @@ same (seed, parameters) pair always yields the same instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,8 +55,8 @@ class GenConfig:
 
     All draws land on the grid of multiples of 1/resolution.  Heights are
     drawn from [0, h_max]; widths from [w_min, w_max].  A config checks its
-    own ranges: 0 < w_min <= w_max, non-empty x and y ranges, h_max >= 0 and
-    an integer resolution >= 1.
+    own ranges: 0 < w_min <= w_max, x and y ranges that are non-empty (lo, hi)
+    pairs, h_max >= 0 and an integer resolution >= 1.
     """
 
     x_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(16))
@@ -68,8 +69,11 @@ class GenConfig:
     def __post_init__(self):
         for name in ("w_min", "w_max", "h_max"):
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
-        object.__setattr__(self, "x_range", tuple(as_scalar(v) for v in self.x_range))
-        object.__setattr__(self, "y_range", tuple(as_scalar(v) for v in self.y_range))
+        for name in ("x_range", "y_range"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ParameterError(f"{name} must be a pair (lo, hi)")
+            object.__setattr__(self, name, tuple(as_scalar(v) for v in pair))
         _as_int(self.resolution, "resolution", 1)
         if not self.w_min <= self.w_max:
             raise ParameterError("requires w_min <= w_max")
@@ -87,27 +91,25 @@ def _size_and_seed(n, seed) -> None:
     _as_int(seed, "seed")
 
 
-def _grid_draw(rng: SplitMix64, lo: Fraction, hi: Fraction, resolution: int) -> Fraction:
-    # uniform over {lo, lo + 1/res, ...} up to hi
-    span = hi - lo
-    count = int(span * resolution) + 1
-    return lo + Fraction(rng.below(count), resolution)
-
-
 def gen_uniform(n: int, seed: int, cfg: GenConfig = GenConfig()) -> Instance:
     """n rects with grid-uniform left edges, widths and y-extents.
 
-    Per-rect draw order: xl, width, yb, height.
+    Per-rect draw order: xl, width, yb, height; each is uniform over
+    {lo, lo + 1/resolution, ...} up to hi of its range.
     """
     _size_and_seed(n, seed)
     rng = SplitMix64(seed)
+    res = cfg.resolution
+    ranges = (cfg.x_range, (cfg.w_min, cfg.w_max), cfg.y_range, (Fraction(0), cfg.h_max))
+    # each draw is an integer over den, a common multiple of res and of every
+    # lo's denominator: lo * den plus one of count multiples of den / res
+    den = res * math.lcm(*(lo.denominator for lo, _ in ranges))
+    grids = [(int(lo * den), den // res, int((hi - lo) * res) + 1) for lo, hi in ranges]
     rects = []
     for i in range(1, n + 1):
-        xl = _grid_draw(rng, *cfg.x_range, cfg.resolution)
-        width = _grid_draw(rng, cfg.w_min, cfg.w_max, cfg.resolution)
-        yb = _grid_draw(rng, *cfg.y_range, cfg.resolution)
-        height = _grid_draw(rng, Fraction(0), cfg.h_max, cfg.resolution)
-        rects.append(Rect(i, xl, xl + width, yb, yb + height))
+        xl, width, yb, height = (base + step * rng.below(count) for base, step, count in grids)
+        xr, yt = xl + width, yb + height
+        rects.append(Rect(i, Fraction(xl, den), Fraction(xr, den), Fraction(yb, den), Fraction(yt, den)))
     return Instance(tuple(rects))
 
 

@@ -116,20 +116,15 @@ def solve_small(inst: Instance, k: int, node_budget: int | None = None) -> Solut
     return sol
 
 
-def _ptas_accuracy(eps, delta) -> tuple[Fraction, Fraction]:
-    """(eps, delta) of a ``ptas`` run as exact rationals, eps in (0, 1) and
-    delta in (0, 1]; anything else is a parameter error."""
-    return _unit(eps, "eps"), _unit(delta, "delta", closed=True)
-
-
 def ptas(inst: Instance, eps, delta) -> Solution:
     """(1 + 17 eps)-approximation when all normalized widths lie in [delta, 1].
 
     Normalizes, decomposes with accuracy eps, solves every chunk exactly
     within ceil((8/eps^2 + 1/eps)/delta) segments, and maps the union of paid
-    and chunk segments back to original coordinates.
+    and chunk segments back to original coordinates.  eps must lie in
+    (0, 1) and delta in (0, 1]; anything else is a parameter error.
     """
-    eps, delta = _ptas_accuracy(eps, delta)
+    eps, delta = _unit(eps, "eps"), _unit(delta, "delta", closed=True)
     if not inst.rects:
         return Solution(())
 
@@ -165,13 +160,15 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
 
     The empty set counts, and qualifies when no rect is that wide.  Guesses
     with the same union of stab-sets are interchangeable up to total length,
-    so only the cheapest per union is kept; the output order follows the
-    subset enumeration (sizes ascending, candidates in canonical order) to
-    each union's first sighting.  Each size's subsets are enumerated
-    depth-first in that order, and a prefix is not extended once its union
-    together with every candidate after it misses a wide rect: no extension
-    of it could stab them all.  Every subset reached ticks ``_budget``;
-    only the kept unions are built into guesses.
+    so one guess is kept per union, and two keys over its qualifying subsets
+    (rows: candidate indices ascending, in canonical order) set the policy:
+    the union's first sighting, the least (size, rows), orders the output,
+    and its cheapest subset, the least (total, size, rows), is the guess.
+    One depth-first walk reaches every subset once, and a subset is not
+    extended once its union together with every candidate after its last
+    row misses a wide rect: no extension of it could stab them all.  Every
+    subset reached ticks ``_budget``; only the kept unions are built into
+    guesses.
     """
     min_len = as_scalar(min_len)
     _as_int(k, "k", 0)
@@ -184,31 +181,29 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
     reach = [0] * (len(pool) + 1)  # reach[i]: the union of pool[i:]
     for i in range(len(pool) - 1, -1, -1):
         reach[i] = reach[i + 1] | pool[i][0]
-    # union -> (integer total, combo); a dict keeps the slot of a key's first
-    # insertion, so iteration follows the enumeration order of first sightings
-    reps: dict[int, tuple[int, tuple]] = {}
-    for size in range(0, min(k, len(pool)) + 1):
-        # prefixes (next index, union, total, combo), popped in lexicographic order
-        todo = [(0, 0, 0, ())]
-        while todo:
-            start, union, total, combo = todo.pop()
-            left = size - len(combo)
-            if not left:
-                if _budget is not None:
-                    _budget.tick()
-                cur = reps.get(union)
-                if not wide & ~union and (cur is None or total < cur[0]):
-                    reps[union] = (total, combo)
-                continue
-            children = []
+    first: dict[int, tuple] = {}  # union -> least (size, rows)
+    cheapest: dict[int, tuple] = {}  # union -> least (integer total, size, rows)
+    todo = [(0, 0, 0, ())]  # subsets as (next index, union, total, rows)
+    while todo:
+        start, union, total, rows = todo.pop()
+        if _budget is not None:
+            _budget.tick()
+        if not wide & ~union:
+            seen = (len(rows), rows)
+            cost = (total, *seen)
+            first[union] = min(first.get(union, seen), seen)
+            cheapest[union] = min(cheapest.get(union, cost), cost)
+        if len(rows) < k:
             # reach only shrinks as i grows, so the first dead end ends the run
-            for i in range(start, len(pool) - left + 1):
+            for i in range(start, len(pool)):
                 if wide & ~(union | reach[i]):
                     break
                 mask, length, _ = pool[i]
-                children.append((i + 1, union | mask, total + length, combo + (i,)))
-            todo += reversed(children)
-    return [Guess(tuple(_built(Segment, *pool[i][2]) for i in combo), union) for union, (_, combo) in reps.items()]
+                todo.append((i + 1, union | mask, total + length, rows + (i,)))
+    return [
+        Guess(tuple(_built(Segment, *pool[i][2]) for i in cheapest[union][2]), union)
+        for union in sorted(first, key=first.__getitem__)
+    ]
 
 
 def qptas(

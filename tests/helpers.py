@@ -441,8 +441,8 @@ def round_rect_fraction(r: Rect) -> Rect:
     """The rect widened to the power of two 2^t with 2^(t-1) < width <= 2^t
     and left-aligned to the grid of multiples of 2^t, all on Fractions.
 
-    Reference for ``round_rect``, ``to_laminar`` and the integer rounding
-    ``approx8._rounded_spans`` behind them.
+    Reference for ``to_laminar`` and the integer rounding
+    ``approx8._rounded_spans`` behind it.
     """
     w2 = pow2(ceil_log2(r.width))
     left = math.floor(r.xl / w2) * w2

@@ -33,12 +33,11 @@ from stabkit import (
     normalize,
     ptas,
     qptas,
-    round_rect,
     solve_laminar,
     split_independent,
     stabs,
     strip_partition,
-    stretch_segment,
+    to_laminar,
     verify,
 )
 
@@ -85,7 +84,7 @@ def test_c2_eight_approximation():
         w = F(rng.below(8 * den) + 1, den)
         yb = rng.below(16)
         r = Rect(i + 1, xl, xl + w, yb, yb + rng.below(6))
-        rr = round_rect(r)
+        rr = to_laminar(Instance((r,))).rects[0]
         assert r.width <= rr.width < 2 * r.width
         assert rr.width.numerator & (rr.width.numerator - 1) == 0
         assert rr.width.denominator & (rr.width.denominator - 1) == 0
@@ -99,7 +98,7 @@ def test_c2_eight_approximation():
             rr.yb + F(rng.below(5), 4) * (rr.yt - rr.yb),
         )
         assert stabs(s, rr)
-        assert stabs(stretch_segment(s), r)
+        assert stabs(Segment(s.xl, 2 * s.xr - s.xl, s.y), r)  # stretched to [a, 2b - a]
     assert is_laminar(Instance(tuple(rounded_family)))
     report("C2 8-approximation", f"200/200 within 8x (worst {float(worst):.3f}), 1000 rounding checks")
 

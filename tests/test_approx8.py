@@ -14,11 +14,9 @@ from stabkit import (
     greedy_cover,
     is_laminar,
     pow2,
-    round_rect,
     solution_to_json,
     solve_laminar,
     stabs,
-    stretch_segment,
     to_laminar,
     verify,
 )
@@ -47,27 +45,33 @@ def frac_rect_st(den=8, max_coord=32):
     ).map(lambda t: Rect(1, F(t[0], den), F(t[0] + t[1], den), t[2], t[2] + t[3]))
 
 
+def laminar_rect(r: Rect) -> Rect:
+    """``r`` as ``to_laminar`` rounds it; rounding is per rect."""
+    return to_laminar(Instance((r,))).rects[0]
+
+
 class TestRoundRect:
     def test_width_three(self):
-        assert round_rect(Rect(1, 3, 6, 0, 1)) == Rect(1, 0, 4, 0, 1)
+        assert laminar_rect(Rect(1, 3, 6, 0, 1)) == Rect(1, 0, 4, 0, 1)
 
     def test_aligned_power_of_two_unchanged(self):
-        assert round_rect(Rect(1, 0, 4, 0, 1)) == Rect(1, 0, 4, 0, 1)
+        assert laminar_rect(Rect(1, 0, 4, 0, 1)) == Rect(1, 0, 4, 0, 1)
 
     def test_width_two_shifts_left(self):
-        assert round_rect(Rect(1, 5, 7, 0, 3)) == Rect(1, 4, 6, 0, 3)
+        assert laminar_rect(Rect(1, 5, 7, 0, 3)) == Rect(1, 4, 6, 0, 3)
 
     @given(frac_rect_st())
     def test_invariants(self, r):
-        rounded = round_rect(r)
+        rect = laminar_rect(r)
+        assert rect == round_rect_fraction(r)
         w = r.width
-        assert w <= rounded.width < 2 * w
-        assert rounded.xl <= r.xl
-        assert r.xr <= rounded.xl + 2 * rounded.width
-        assert rounded.width.numerator & (rounded.width.numerator - 1) == 0
-        assert rounded.width.denominator & (rounded.width.denominator - 1) == 0
+        assert w <= rect.width < 2 * w
+        assert rect.xl <= r.xl
+        assert r.xr <= rect.xl + 2 * rect.width
+        assert rect.width.numerator & (rect.width.numerator - 1) == 0
+        assert rect.width.denominator & (rect.width.denominator - 1) == 0
         # left edge sits on the grid of multiples of the new width
-        assert (rounded.xl / rounded.width).denominator == 1
+        assert (rect.xl / rect.width).denominator == 1
 
 
 class TestIntegerRounding:
@@ -76,7 +80,6 @@ class TestIntegerRounding:
         ref = [round_rect_fraction(r) for r in rects]
         e, spans = _rounded_spans(Instance(tuple(rects)))
         assert [(a * pow2(e), b * pow2(e)) for a, b in spans] == [(r.xl, r.xr) for r in ref]
-        assert [round_rect(r) for r in rects] == ref
         assert to_laminar(Instance(tuple(rects))) == Instance(tuple(ref))
 
     @given(
@@ -117,8 +120,8 @@ class TestIntegerRounding:
             for i, (t, above, num, den) in enumerate(draws, 1)
         ]
         self.assert_rounds_as_reference(rects)
-        for r, (t, above, _, _) in zip(rects, draws):
-            assert round_rect(r).width == pow2(t if above == 0 else t + 1)
+        for r, (t, above, _, _) in zip(to_laminar(Instance(tuple(rects))).rects, draws):
+            assert r.width == pow2(t if above == 0 else t + 1)
 
 
 class TestToLaminar:
@@ -143,9 +146,11 @@ class TestToLaminar:
 
 class TestStretch:
     def test_examples(self):
-        assert stretch_segment(Segment(4, 6, 3)) == Segment(4, 8, 3)
-        assert stretch_segment(Segment(0, 4, 2)) == Segment(0, 8, 2)
-        assert stretch_segment(Segment(1, 1, 0)) == Segment(1, 1, 0)
+        # approx8's output is the rounded instance's laminar optimum, every
+        # segment [a, b] stretched to [a, 2b - a], in the same order
+        for inst in [make_instance([(3, 6, 0, 1)]), gen_uniform(12, 1), gen_uniform(20, 2)]:
+            laminar = solve_laminar(to_laminar(inst)).segments
+            assert approx8(inst).segments == tuple(Segment(s.xl, 2 * s.xr - s.xl, s.y) for s in laminar)
 
 
 class TestApprox8:
@@ -169,11 +174,11 @@ class TestApprox8:
     @given(frac_rect_st(), st.integers(0, 7), st.integers(0, 6 * 8), st.integers(0, 48))
     def test_feasibility_transfer(self, r, ynum, extend_l, extend_r):
         # any segment stabbing the rounded rect, stretched, stabs the original
-        rounded = round_rect(r)
-        y = rounded.yb + F(ynum, 7) * (rounded.yt - rounded.yb) if rounded.yt > rounded.yb else rounded.yb
-        s = Segment(rounded.xl - F(extend_l, 8), rounded.xr + F(extend_r, 8), y)
-        assert stabs(s, rounded)
-        assert stabs(stretch_segment(s), r)
+        rect = laminar_rect(r)
+        y = rect.yb + F(ynum, 7) * (rect.yt - rect.yb) if rect.yt > rect.yb else rect.yb
+        s = Segment(rect.xl - F(extend_l, 8), rect.xr + F(extend_r, 8), y)
+        assert stabs(s, rect)
+        assert stabs(Segment(s.xl, 2 * s.xr - s.xl, s.y), r)
 
     @pytest.mark.parametrize(
         "eps, ratio", [(F(1, 4), F(32, 5)), (F(1, 256), F(2048, 257)), (F(1, 10**6), F(8000000, 1000001))]

@@ -175,8 +175,10 @@ class TestOptionTable:
     def test_bad_suite_runs_nothing(self, suite, monkeypatch):
         import stabkit.cli
 
+        # the entries' own checks run the solvers on an empty instance, so a
+        # row, not a solver call, is what must not run
         ran = []
-        monkeypatch.setattr(stabkit.cli, "solve_with", lambda *args: ran.append(args))
+        monkeypatch.setattr(stabkit.cli, "_bench_row", lambda *args: ran.append(args))
         with pytest.raises(ParameterError):
             run_bench(suite)
         assert ran == []
@@ -456,6 +458,24 @@ class TestMalformedInput:
         monkeypatch.setattr("stabkit.cli._bench_row", lambda *args: ran.append(args))
         self.assert_rejected(["bench", "-c", self.write(tmp_path / "suite.json", suite)], capsys)
         assert ran == []
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ({"name": "qptas", "eps": "1/2", "klong": 0}, "klong must be at least 1, got 0"),
+            ({"name": "ptas", "eps": "1/2", "delta": 2}, "delta must lie in (0, 1]"),
+            ({"name": "exact", "oracle_limit": -1}, "oracle_limit must be at least 0, got -1"),
+        ],
+        ids=["qptas-klong", "ptas-delta", "exact-oracle-limit"],
+    )
+    def test_out_of_range_option_names_its_entry(self, entry, reason, tmp_path, capsys):
+        # the solver's own check rejects the value, and the one line says
+        # which entry of the suite holds it
+        suite = {"instances": [self.INSTANCE], "algos": [self.ALGO, entry]}
+        assert main(["bench", "-c", self.write(tmp_path / "suite.json", suite)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"parameter error: algo #2: {reason}"]
 
     @pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
     def test_output_past_the_digit_limit(self, command, tmp_path, capsys):

@@ -72,8 +72,18 @@ CASES = [
     ("GenConfig-w_min", lambda v: config(w_min=v), [4, F(1, 1000)], [0, F(4001, 1000), True, 2.5]),
     ("GenConfig-w_max", lambda v: config(w_max=v), [HALF], [F(499, 1000), True, 2.5]),
     ("GenConfig-h_max", lambda v: config(h_max=v), [0], [F(-1, 1000), True, 2.5]),
-    ("GenConfig-x_range", lambda v: config(x_range=v), [(1, 1)], [(1, F(999, 1000)), (True, 1), (2.5, 3)]),
-    ("GenConfig-y_range", lambda v: config(y_range=v), [(1, 1)], [(1, F(999, 1000)), (True, 1), (2.5, 3)]),
+    (
+        "GenConfig-x_range",
+        lambda v: config(x_range=v),
+        [(1, 1)],
+        [(1, F(999, 1000)), (True, 1), (2.5, 3), (1,), 5, (0, 1, 2)],
+    ),
+    (
+        "GenConfig-y_range",
+        lambda v: config(y_range=v),
+        [(1, 1)],
+        [(1, F(999, 1000)), (True, 1), (2.5, 3), (1,), 5, (0, 1, 2)],
+    ),
     ("strip_partition-eps", lambda v: strip_partition(ONE, v), INSIDE, NOT_UNIT),
     ("horizontal_cuts-eps", lambda v: horizontal_cuts(ONE, v, 2, (0, 2)), INSIDE, NOT_UNIT),
     ("decompose-eps", lambda v: decompose(ONE, v), INSIDE, NOT_UNIT),

@@ -20,6 +20,7 @@ from stabkit import (
     gen_bounded_ratio,
     gen_uniform,
     guess_long,
+    normalize,
     ptas,
     qptas,
     solve_small,
@@ -260,6 +261,35 @@ class TestGuessLong:
         # and many subsets share a union and a total
         inst = make_instance([(F(x, 2), F(x + wd, 2), y, y + h) for x, wd, y, h in draws])
         self.check_filtered(inst, sorted(r.width for r in inst.rects)[pick % len(draws)], k)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(1, 6), st.integers(0, 3), st.integers(0, 2)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(0, 4),
+        st.data(),
+    )
+    @settings(max_examples=60)
+    def test_filters_the_full_enumeration_at_every_guess_size(self, draws, pick, data):
+        # k up to the pool size and one past it, so the walk reaches every
+        # subset size the pool allows, its deepest stack included
+        inst = make_instance([(F(x, 2), F(x + wd, 2), y, y + h) for x, wd, y, h in draws])
+        min_len = sorted(r.width for r in inst.rects)[pick % len(draws)]
+        keys, _, _, _ = _candidate_table(inst)
+        pool = sum(1 for xl, xr, _ in keys if xr - xl >= min_len)
+        self.check_filtered(inst, min_len, data.draw(st.integers(0, pool + 1), label="k"))
+
+    def test_ticks_every_reached_subset_once(self):
+        # derived klong (666,264) on normalized gen_uniform(10, 1) at half
+        # the max width: no size cap binds, and the pruned walk reaches
+        # 10,355 subsets, each ticked once, of which 2 unions qualify
+        eps = F(1, 2)
+        norm, _ = normalize(gen_uniform(10, 1), eps)
+        budget = _Budget(None)
+        guesses = guess_long(norm, norm.max_width / 2, SchemeParams.derive(10, eps).klong, budget)
+        assert (budget.used, len(guesses)) == (10_355, 2)
 
     @staticmethod
     def check_filtered(inst, min_len, k):
