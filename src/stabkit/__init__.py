@@ -46,7 +46,7 @@ from .decompose import (
 from .gen import GenConfig, SplitMix64, gen_bounded_ratio, gen_laminar, gen_uniform
 from .laminar import is_laminar, solve_laminar
 from .oracle import ORACLE_LIMIT, Candidate, exact_opt, greedy_cover, reduce_candidates
-from .schemes import Guess, RunStats, SchemeParams, guess_long, ptas, qptas, solve_small
+from .schemes import RunStats, SchemeParams, guess_long, ptas, qptas, solve_small
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "CutResult",
     "Decomposition",
     "GenConfig",
-    "Guess",
     "InfeasibleError",
     "Instance",
     "ORACLE_LIMIT",

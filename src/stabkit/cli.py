@@ -72,13 +72,17 @@ def _read_json(path: str) -> dict:
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _write_json(path: str | None, obj: dict) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``; None or ``-`` means stdout."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_json(path: str | None, obj: dict) -> None:
+    _write(path, json.dumps(obj, indent=2) + "\n")
 
 
 def _render(build, *args):
@@ -324,16 +328,8 @@ def cmd_bench(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    if args.output is None or args.output == "-":
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-    if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as fh:
-            fh.write(summary)
-    else:
-        sys.stdout.write(summary)
+    _write(args.output, buf.getvalue())
+    _write(args.markdown, summary)
     return 0
 
 

@@ -141,22 +141,12 @@ def ptas(inst: Instance, eps, delta) -> Solution:
     return denormalize(Solution(tuple(segments)), transform)
 
 
-@dataclass(frozen=True)
-class Guess:
-    """A candidate set of long segments hypothesized to be in a chunk optimum."""
-
-    segments: tuple[Segment, ...]
-    stab_set: int
-
-    @property
-    def length(self) -> Fraction:
-        """The segments' total length, summed when read."""
-        return _length(self.segments)
-
-
-def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) -> list[Guess]:
+def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) -> list[tuple[int, int, tuple]]:
     """The subsets of at most k reduced candidates of length >= min_len whose
-    union stabs every rect of width >= min_len.
+    union stabs every rect of width >= min_len, as ``(union, total, keys)``
+    rows: the union of their stab sets as a rect-position bit mask, their
+    integer total length over ``inst._grid.dx``, and their ``(xl, xr, y)``
+    candidate-table keys in table order.
 
     The empty set counts, and qualifies when no rect is that wide.  Guesses
     with the same union of stab-sets are interchangeable up to total length,
@@ -164,11 +154,13 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
     (rows: candidate indices ascending, in canonical order) set the policy:
     the union's first sighting, the least (size, rows), orders the output,
     and its cheapest subset, the least (total, size, rows), is the guess.
-    One depth-first walk reaches every subset once, and a subset is not
-    extended once its union together with every candidate after its last
-    row misses a wide rect: no extension of it could stab them all.  Every
-    subset reached ticks ``_budget``; only the kept unions are built into
-    guesses.
+    One depth-first walk reaches every subset it needs once.  A subset is
+    not extended once its union together with every candidate after its
+    last row misses a wide rect: no extension of it could stab them all.
+    Nor is it extended by a row that adds no rect to its union: dropping
+    that row keeps the union and lowers both size and total, so neither
+    key is a subset holding such a row.  Every subset reached ticks
+    ``_budget``; no ``Segment`` is built.
     """
     min_len = as_scalar(min_len)
     _as_int(k, "k", 0)
@@ -199,9 +191,11 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
                 if wide & ~(union | reach[i]):
                     break
                 mask, length, _ = pool[i]
+                if not mask & ~union:
+                    continue
                 todo.append((i + 1, union | mask, total + length, rows + (i,)))
     return [
-        Guess(tuple(_built(Segment, *pool[i][2]) for i in cheapest[union][2]), union)
+        (union, cheapest[union][0], tuple(pool[i][2] for i in cheapest[union][2]))
         for union in sorted(first, key=first.__getitem__)
     ]
 
@@ -256,26 +250,26 @@ def qptas(
         tagged = [("paid", s) for s in dec.paid_segments]
         half = scale / 2
         for chunk in dec.sub_instances:
-            best: tuple | None = None
+            best: tuple | None = None  # (cost, guess keys, rest)
             if len(chunk.rects) > params.oracle_limit:
-                for guess in guess_long(chunk, half, params.klong, budget):
+                for union, total, keys in guess_long(chunk, half, params.klong, budget):
                     stats.guesses += 1
-                    assert len(guess.segments) <= params.klong
-                    assert all(s.length >= half for s in guess.segments)
-                    residual = chunk._restrict(
-                        [i for i in range(len(chunk.rects)) if not guess.stab_set >> i & 1]
-                    )
+                    assert len(keys) <= params.klong
+                    assert all(xr - xl >= half for xl, xr, _ in keys)
+                    residual = chunk._restrict([i for i in range(len(chunk.rects)) if not union >> i & 1])
                     rest_cost, rest = recurse(residual, half, depth + 1)
-                    total = guess.length + rest_cost
-                    if best is None or total < best[0]:
-                        best = (total, [("guess", s) for s in guess.segments] + rest)
+                    branch = Fraction(total, chunk._grid.dx) + rest_cost
+                    if best is None or branch < best[0]:
+                        best = (branch, keys, rest)
             if best is None:
                 # the exact leaf: a small chunk, or one where no guess of at
                 # most klong long segments stabs every wide rect, as happens
                 # when klong is overridden below what the chunk needs
-                best = leaf(chunk)
+                leaf_cost, rest = leaf(chunk)
+                best = (leaf_cost, (), rest)
             cost += best[0]
-            tagged.extend(best[1])
+            tagged += [("guess", _built(Segment, *key)) for key in best[1]]
+            tagged += best[2]
         return cost, tagged
 
     _, tagged = recurse(norm, norm.max_width, 0) if norm.rects else (0, [])

@@ -17,7 +17,6 @@ from itertools import combinations
 from stabkit import (
     Candidate,
     CutResult,
-    Guess,
     Instance,
     ParameterError,
     Rect,
@@ -175,28 +174,29 @@ def branch_and_bound_unmemoized(inst: Instance, cap: int | None = None) -> Solut
     return Solution(tuple(sorted((Segment(*keys[ci]) for ci in best), key=lambda s: (s.xl, s.xr, s.y))))
 
 
-def guess_long_all(inst: Instance, min_len: Fraction, k: int) -> list[Guess]:
+def guess_long_all(inst: Instance, min_len: Fraction, k: int) -> list[tuple[int, int, tuple]]:
     """Every union of stab sets of at most k reduced candidates of length >=
     min_len, with the cheapest subset per union, in the order of each
     union's first sighting over the subsets (sizes ascending, candidates in
-    table order); the empty set included.
+    table order); the empty set included.  Rows are ``(union, total, keys)``:
+    the union, the subset's integer total over the grid's dx and its
+    candidate-table keys.
 
     Reference for ``guess_long``, which keeps only the unions stabbing every
     rect of width >= min_len.
     """
     keys, masks, lengths, _ = _candidate_table(inst)
-    cands = [Candidate(Segment(*key), mask) for key, mask in zip(keys, masks)]
-    pool = [(c, length) for c, length in zip(cands, lengths) if c.segment.length >= min_len]
+    pool = [(mask, length, key) for key, mask, length in zip(keys, masks, lengths) if key[1] - key[0] >= min_len]
     reps: dict[int, tuple[int, tuple]] = {}
     for size in range(min(k, len(pool)) + 1):
         for combo in combinations(pool, size):
             union = 0
-            for c, _ in combo:
-                union |= c.stab_set
-            total = sum(length for _, length in combo)
+            for mask, _, _ in combo:
+                union |= mask
+            total = sum(length for _, length, _ in combo)
             if union not in reps or total < reps[union][0]:
                 reps[union] = (total, combo)
-    return [Guess(tuple(c.segment for c, _ in combo), union) for union, (_, combo) in reps.items()]
+    return [(union, total, tuple(key for _, _, key in combo)) for union, (total, combo) in reps.items()]
 
 
 def is_laminar_pairwise(inst: Instance) -> bool:

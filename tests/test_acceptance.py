@@ -191,6 +191,25 @@ def test_c6_qptas_guarantee():
     report("C6 qptas", f"50/50 within (1+eps), max depth {max_depth_seen}, suite {elapsed:.1f}s")
 
 
+def test_c6_qptas_guarantee_through_guesses():
+    # derived mu and klong with a small oracle limit: the root guesses and
+    # recurses, so the guarantee is certified on the guessing path, not only
+    # on the exact oracle at the root
+    eps = F(1, 2)
+    start = time.perf_counter()
+    for seed in (1, 2, 3):
+        inst = gen_uniform(12, seed)
+        stats = RunStats()
+        sol = qptas(inst, eps, params=SchemeParams.derive(12, eps, oracle_limit=6), stats=stats)
+        assert stats.max_depth >= 1 and stats.guesses > 0, f"seed {seed}: no recursion"
+        assert verify(inst, sol).feasible, f"seed {seed}: infeasible"
+        assert sol.cost <= (1 + eps) * exact_opt(inst).cost, f"seed {seed}: above (1+eps)"
+        assert stats.normalized_cost == stats.paid_cost + stats.base_cost + stats.guess_cost
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10, f"took {elapsed:.1f}s"
+    report("C6 qptas, recursing", f"3/3 within (1+eps) at n=12 with derived mu and klong, {elapsed:.2f}s")
+
+
 def test_c7_oracle_self_consistency():
     for seed in range(100):
         n = seed % 8 + 1

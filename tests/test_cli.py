@@ -243,6 +243,18 @@ class TestBench:
         lines = out.read_text().splitlines()
         assert lines == ["instance_id,n,seed,algo,params,cost,opt,ratio,feasible,millis"]
 
+    def test_dash_markdown_prints_the_summary(self, tmp_path, monkeypatch, capsys):
+        # "-" means stdout for -m as for -o, not a file named "-"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "suite.json").write_text(json.dumps({"instances": [], "algos": []}))
+        assert main(["bench", "-c", "suite.json", "-o", "out.csv", "-m", "-"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "| algo | runs | mean ratio | max ratio |",
+            "| --- | --- | --- | --- |",
+            "| (no oracle-checked runs) | 0 | - | - |",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "suite.json"]
+
     def test_small_suite_row_count_and_bounds(self, tmp_path):
         suite = {
             "oracle_limit": 15,

@@ -37,6 +37,11 @@ from .helpers import affine_instance, affine_solution, brute_force_opt, generate
 NARROW_PAIRS = [(x, x + 1, y, y + 1) for y in (0, 10, 20) for x in (0, 3)]
 
 
+def segments(keys) -> Solution:
+    """The solution of a guess's candidate-table keys."""
+    return Solution(tuple(Segment(*key) for key in keys))
+
+
 class TestSchemeParams:
     def test_derivation(self):
         p = SchemeParams.derive(8, F(1, 2))
@@ -199,8 +204,7 @@ class TestSolveSmall:
 class TestGuessLong:
     def test_no_long_candidates_yields_empty_guess_only(self):
         inst = make_instance([(0, 1, 0, 1)])
-        guesses = guess_long(inst, F(10), 2)
-        assert len(guesses) == 1 and guesses[0].segments == ()
+        assert guess_long(inst, F(10), 2) == [(0, 0, ())]
 
     def test_binomial_count_with_distinct_unions(self):
         # no rect is as wide as min_len, so every union stabs all wide rects:
@@ -208,19 +212,19 @@ class TestGuessLong:
         inst = make_instance(NARROW_PAIRS)
         guesses = guess_long(inst, F(2), 2)
         assert len(guesses) == 7
-        assert [len(g.segments) for g in guesses] == [0, 1, 1, 1, 2, 2, 2]
+        assert [len(keys) for _, _, keys in guesses] == [0, 1, 1, 1, 2, 2, 2]
         assert guesses == guess_long_all(inst, F(2), 2)
 
     def test_only_unions_stabbing_every_wide_rect(self):
         # a wide rect [0,4] on the top pair: only the guesses holding that
         # pair's segment stab it, and they keep their enumeration order
         inst = make_instance(NARROW_PAIRS + [(0, 4, 20, 21)])
-        top = Segment(0, 4, 21)
+        top = (0, 4, 21)
         guesses = guess_long(inst, F(2), 2)
-        assert [g.segments for g in guesses] == [
+        assert [keys for _, _, keys in guesses] == [
             (top,),
-            (Segment(0, 4, 1), top),
-            (Segment(0, 4, 11), top),
+            ((0, 4, 1), top),
+            ((0, 4, 11), top),
         ]
         assert len(guess_long_all(inst, F(2), 2)) == 7
 
@@ -231,8 +235,7 @@ class TestGuessLong:
             guess_long(make_instance(NARROW_PAIRS), F(2), k)
 
     def test_zero_k_yields_the_empty_guess_when_nothing_is_wide(self):
-        guesses = guess_long(make_instance(NARROW_PAIRS), F(2), 0)
-        assert [g.segments for g in guesses] == [()]
+        assert guess_long(make_instance(NARROW_PAIRS), F(2), 0) == [(0, 0, ())]
 
     @given(
         st.sampled_from(["uniform", "bounded", "affine"]),
@@ -284,19 +287,19 @@ class TestGuessLong:
     def test_ticks_every_reached_subset_once(self):
         # derived klong (666,264) on normalized gen_uniform(10, 1) at half
         # the max width: no size cap binds, and the pruned walk reaches
-        # 10,355 subsets, each ticked once, of which 2 unions qualify
+        # 1,307 subsets, each ticked once, of which 2 unions qualify
         eps = F(1, 2)
         norm, _ = normalize(gen_uniform(10, 1), eps)
         budget = _Budget(None)
         guesses = guess_long(norm, norm.max_width / 2, SchemeParams.derive(10, eps).klong, budget)
-        assert (budget.used, len(guesses)) == (10_355, 2)
+        assert (budget.used, len(guesses)) == (1_307, 2)
 
     @staticmethod
     def check_filtered(inst, min_len, k):
         wide = sum(1 << i for i, r in enumerate(inst.rects) if r.width >= min_len)
         assert wide  # min_len is a rect width
         assert guess_long(inst, min_len, k) == [
-            g for g in guess_long_all(inst, min_len, k) if not wide & ~g.stab_set
+            row for row in guess_long_all(inst, min_len, k) if not wide & ~row[0]
         ]
 
     def test_prunes_prefixes_that_cannot_stab_every_wide_rect(self):
@@ -308,7 +311,7 @@ class TestGuessLong:
         wide = 0b111 << len(NARROW_PAIRS)
         budget = _Budget(None)
         assert guess_long(inst, F(4), k, budget) == [] == [
-            g for g in guess_long_all(inst, F(4), k) if not wide & ~g.stab_set
+            row for row in guess_long_all(inst, F(4), k) if not wide & ~row[0]
         ]
         keys, _, _, _ = _candidate_table(inst)
         pool = sum(1 for key in keys if key[1] - key[0] >= 4)
@@ -318,17 +321,17 @@ class TestGuessLong:
     def test_i1_contains_covering_pair(self, i1):
         guesses = guess_long(i1, F(2), 2)
         full = (1 << 3) - 1
-        covering = [g for g in guesses if g.stab_set == full and len(g.segments) == 2]
+        covering = [keys for union, _, keys in guesses if union == full and len(keys) == 2]
         assert covering
-        assert {s.length for s in covering[0].segments} == {F(2), F(4)}
+        assert {xr - xl for xl, xr, _ in covering[0]} == {F(2), F(4)}
 
     def test_dedup_keeps_cheapest_per_union(self):
         inst = make_instance([(0, 4, 0, 1), (1, 3, 0, 1)])
         guesses = guess_long(inst, F(1), 2)
         by_union = {}
-        for g in guesses:
-            assert g.stab_set not in by_union
-            by_union[g.stab_set] = g.length
+        for union, total, _ in guesses:
+            assert union not in by_union
+            by_union[union] = total
 
     @given(st.integers(0, 60))
     def test_affine_map_keeps_guesses(self, seed):
@@ -337,13 +340,19 @@ class TestGuessLong:
         inst = gen_uniform(seed % 7 + 2, seed)
         widths = sorted(r.width for r in inst.rects)
         min_len = widths[seed % len(widths)]
+        moved = affine_instance(inst)
         guesses = guess_long(inst, min_len, 3)
-        mapped = guess_long(affine_instance(inst), min_len / 3, 3)
-        assert [g.stab_set for g in mapped] == [g.stab_set for g in guesses]
-        assert [Solution(g.segments) for g in mapped] == [
-            affine_solution(Solution(g.segments)) for g in guesses
+        mapped = guess_long(moved, min_len / 3, 3)
+        assert [union for union, _, _ in mapped] == [union for union, _, _ in guesses]
+        assert [segments(keys) for _, _, keys in mapped] == [
+            affine_solution(segments(keys)) for _, _, keys in guesses
         ]
-        assert [g.length for g in mapped] == [g.length / 3 for g in guesses]
+        # each total is its keys' length over the instance's grid
+        for case, rows in ((inst, guesses), (moved, mapped)):
+            assert [F(total, case._grid.dx) for _, total, keys in rows] == [segments(keys).cost for _, _, keys in rows]
+        assert [F(total, moved._grid.dx) for _, total, _ in mapped] == [
+            F(total, inst._grid.dx) / 3 for _, total, _ in guesses
+        ]
 
 
 class TestPtas:

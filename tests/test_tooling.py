@@ -191,12 +191,24 @@ def test_strip_partition_keeps_the_traced_crossing_test_and_paid_cover():
     assert parents["approx8.approx8"] == {"decompose.strip_partition"}
 
 
+def _guesses_build_no_segment(inst):
+    # a guess is its table rows; qptas builds segments only for the branch
+    # it keeps, so guess_long itself should build none
+    rows = stabkit.guess_long(inst, inst.max_width / 2, 8)
+    assert any(keys for _, _, keys in rows)
+    return ()
+
+
 @pytest.mark.parametrize(
-    "solver, inst",
-    [(stabkit.exact_opt, stabkit.gen_uniform(16, 1)), (stabkit.greedy_cover, stabkit.gen_uniform(20, 1))],
-    ids=["exact_opt", "greedy_cover"],
+    "answer, inst",
+    [
+        (lambda inst: stabkit.exact_opt(inst).segments, stabkit.gen_uniform(16, 1)),
+        (lambda inst: stabkit.greedy_cover(inst).segments, stabkit.gen_uniform(20, 1)),
+        (_guesses_build_no_segment, stabkit.gen_uniform(12, 1)),
+    ],
+    ids=["exact_opt", "greedy_cover", "guess_long"],
 )
-def test_solvers_build_segments_only_for_their_answer(monkeypatch, solver, inst):
+def test_solvers_build_segments_only_for_their_answer(monkeypatch, answer, inst):
     # the candidate table holds plain (xl, xr, y) rows; a validated Segment
     # per table row was about a third of the table's time.  The answer's
     # segments are built from the table's exact rows, so they skip the
@@ -211,10 +223,11 @@ def test_solvers_build_segments_only_for_their_answer(monkeypatch, solver, inst)
             built.append(obj)
         return obj
 
-    monkeypatch.setattr(stabkit.oracle, "_built", counted)
+    for module in (stabkit.oracle, stabkit.schemes):
+        monkeypatch.setattr(module, "_built", counted)
     monkeypatch.setattr(stabkit.Segment, "__post_init__", lambda self: validated.append(self))
-    sol = solver(inst)
-    assert tuple(built) == sol.segments and built
+    want = answer(inst)
+    assert tuple(built) == want
     assert validated == []
 
 
