@@ -4,13 +4,16 @@ The exact solver treats the problem as weighted set cover: rectangles are
 elements, candidate segments are sets, and a depth-first branch-and-bound
 finds the minimum total length.  It prunes a state already entered at no
 higher cost (a memo on the uncovered mask) and one whose LP-dual lower bound
-reaches the incumbent (a dual-fitting pass that stops once it does).  The
-same search with a cap on the number of segments is the PTAS chunk solver.
-The greedy baseline, which also seeds the search's incumbent, is the lazy
-(Minoux) greedy over one heap per last known newly-stabbed count.  Both run
-on the candidate table's integer rows and build a ``Segment`` only for the
-rows of their answer.  The oracle is capped at small instance sizes and
-serves as the ground truth for every approximation-ratio test in the suite.
+reaches the incumbent (a dual-fitting pass that stops once it does).  A pass
+that runs to the end also gives each candidate's reduced cost, and a child
+whose reduced cost lifts the bound to the incumbent is skipped unentered.
+The same search with a cap on the number of segments is the PTAS chunk
+solver.  The greedy baseline, which also seeds the search's incumbent, is
+the lazy (Minoux) greedy over one heap per last known newly-stabbed count.
+Both run on the candidate table's integer rows and build a ``Segment`` only
+for the rows of their answer.  The oracle is capped at small instance sizes
+and serves as the ground truth for every approximation-ratio test in the
+suite.
 """
 
 from __future__ import annotations
@@ -46,17 +49,29 @@ def _kept_rows(shortest: dict[int, tuple]) -> list[tuple]:
     """The rows ``(key, mask, length)``, sorted by key, of the stab sets in
     ``shortest`` (mask -> ``(length, *key)``, the least such entry per set)
     that no other set contains at no greater length."""
-    # a strict superset has a higher popcount, and domination is transitive,
-    # so every dominated set has a kept dominator visited before it
+    # visited by (length, -popcount): a set dominating S is a strict superset
+    # no longer than S, so it is shorter or has the higher popcount, and is
+    # visited first; domination is transitive and acyclic, so S is dominated
+    # exactly when a kept set visited before it contains it, that is when the
+    # bitmaps of kept rows stabbing each of its rects share a bit
     kept = []
-    for mask in sorted(shortest, key=int.bit_count, reverse=True):
-        length = shortest[mask][0]
-        for other, other_length in kept:
-            if mask | other == other and length >= other_length:
-                break
-        else:
-            kept.append((mask, length))
-    return sorted((shortest[mask][1:], mask, length) for mask, length in kept)
+    stabbed_by: dict[int, int] = {}  # rect bit -> bitmap of the kept rows that stab it
+    for mask in sorted(shortest, key=lambda m: (shortest[m][0], -m.bit_count())):
+        common, rest = -1, mask
+        while rest and common:
+            low = rest & -rest
+            common &= stabbed_by.get(low, 0)
+            rest ^= low
+        if not common:
+            row, rest = 1 << len(kept), mask
+            while rest:
+                low = rest & -rest
+                stabbed_by[low] = stabbed_by.get(low, 0) | row
+                rest ^= low
+            entry = shortest[mask]
+            kept.append((entry[1:], mask, entry[0]))
+    kept.sort()
+    return kept
 
 
 def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
@@ -159,15 +174,20 @@ class _Budget:
             raise BudgetError(f"node budget of {self.limit} exhausted")
 
 
-def _dual_bound(uncovered: int, order, covering, lengths, gap) -> int:
+def _dual_bound(uncovered: int, order, covering, lengths, gap) -> tuple[int, list[int] | None]:
     """A lower bound, on the table's integer scale, on the cost of stabbing
-    the rects in ``uncovered``: one dual-fitting pass for the set-cover LP
-    that raises each uncovered rect's dual, in ``order``, to the least slack
-    left among its candidates.  Weak duality makes it a bound in any order.
+    the rects in ``uncovered``, with the slacks it leaves: one dual-fitting
+    pass for the set-cover LP that raises each uncovered rect's dual, in
+    ``order``, to the least slack left among its candidates.  Weak duality
+    makes it a bound in any order.
 
-    The pass stops as soon as its running sum reaches ``gap``, so the result
+    The pass stops as soon as its running sum reaches ``gap``, so the bound
     is the full bound when that is below ``gap`` and at least ``gap``
-    otherwise; pass ``math.inf`` for the full bound.
+    otherwise; pass ``math.inf`` for the full bound.  A pass that runs to
+    the end returns ``(bound, slack)``, ``slack[ci]`` being candidate ci's
+    length less the duals of the uncovered rects it stabs: its reduced
+    cost.  An early exit returns ``(bound, None)``: the search prunes that
+    node, so it has no use for the slacks.
     """
     slack = lengths[:]
     total = 0
@@ -178,10 +198,10 @@ def _dual_bound(uncovered: int, order, covering, lengths, gap) -> int:
             if y:
                 total += y
                 if total >= gap:
-                    return total
+                    return total, None
                 for ci in row:
                     slack[ci] -= y
-    return total
+    return total, slack
 
 
 def _greedy(masks: list[int], lengths: list[int], full: int) -> list[int]:
@@ -241,13 +261,21 @@ def _branch_and_bound(
     entered before at no higher cost (the state is the uncovered mask, with
     the number of segments chosen when capped), or when cost plus
     ``_dual_bound``, stopped at the gap to the incumbent, reaches the
-    incumbent.  The incumbent starts one above greedy's cost (if greedy fits
-    the cap) and yields only to strict improvements.  An earlier entry of a
+    incumbent.  When the bound falls short, its pass ran to the end and
+    left each candidate's reduced cost ``slack[ci]``; the duals of the rects
+    still uncovered after picking ci stay feasible, so every leaf under that
+    child costs at least cost + bound + ``slack[ci]``, and the child is
+    skipped, unentered and uncounted, when that reaches the incumbent as it
+    stands at the child.  The incumbent starts one above greedy's cost (if
+    greedy fits the cap) and yields only to strict improvements, so a
+    skipped child holds no leaf that would replace it; the cap only removes
+    leaves, so this holds for the capped search too.  An earlier entry of a
     state searched the same subtree from no higher cost, with no fewer
     segments left, against an incumbent no lower, so the memo drops no
     first optimal leaf; the answer is the first optimal choice sequence: the
     one the subset DP over rect bitmasks,
-    ``tests/helpers.py::exact_opt_subset_dp``, reconstructs.
+    ``tests/helpers.py::exact_opt_subset_dp``, reconstructs.  The node
+    budget counts entered nodes only.
     """
     keys, masks, lengths, covering = _candidate_table(inst)
     order = sorted(range(len(covering)), key=lambda i: (len(covering[i]), i))
@@ -273,9 +301,13 @@ def _branch_and_bound(
             return
         seen[key] = cost
         gap = best_cost - cost
-        if _dual_bound(uncovered, order, covering, lengths, gap) >= gap:
+        bound, slack = _dual_bound(uncovered, order, covering, lengths, gap)
+        if bound >= gap:
             return
         for ci in covering[(uncovered & -uncovered).bit_length() - 1]:
+            # every leaf under this child costs at least cost + bound + slack[ci]
+            if bound + slack[ci] >= best_cost - cost:
+                continue
             chosen.append(ci)
             descend(uncovered & ~masks[ci], cost + lengths[ci])
             chosen.pop()

@@ -292,6 +292,26 @@ def reduce_candidates_pairwise(inst: Instance, cands: list[Segment]) -> list[Can
     ]
 
 
+def kept_rows_popcount(shortest: dict[int, tuple]) -> list[tuple]:
+    """The rows ``(key, mask, length)``, sorted by key, of the stab sets in
+    ``shortest`` (mask -> ``(length, *key)``) that no other set contains at
+    no greater length, by the quadratic pass: sets in descending popcount,
+    each tested against every set kept before it (a strict superset has the
+    higher popcount and domination is transitive).
+
+    Reference for ``oracle._kept_rows``, which must return these very rows.
+    """
+    kept = []
+    for mask in sorted(shortest, key=int.bit_count, reverse=True):
+        length = shortest[mask][0]
+        for other, other_length in kept:
+            if mask | other == other and length >= other_length:
+                break
+        else:
+            kept.append((mask, length))
+    return sorted((shortest[mask][1:], mask, length) for mask, length in kept)
+
+
 def horizontal_cuts_all_levels(strip: Instance, eps: Fraction) -> CutResult:
     """The horizontal-cut sweep that prices the rects below every distinct y
     level, bottom edges included, and prices the final chunk once more.

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stabkit import (
     Candidate,
@@ -24,7 +24,7 @@ from stabkit import (
     verify,
 )
 
-from stabkit.oracle import _candidate_table, _dual_bound
+from stabkit.oracle import _branch_and_bound, _candidate_table, _dual_bound, _kept_rows
 
 from .conftest import make_instance
 from .helpers import (
@@ -34,6 +34,7 @@ from .helpers import (
     brute_force_opt,
     exact_opt_subset_dp,
     greedy_scan,
+    kept_rows_popcount,
     reduce_candidates_pairwise,
     stab_mask,
 )
@@ -123,6 +124,27 @@ class TestReduceCandidates:
                 assert any(
                     mask | c.stab_set == c.stab_set and c.segment.length <= seg.length for c in kept
                 ), seg
+
+
+@st.composite
+def shortest_maps(draw):
+    # stab sets over a few rects with lengths 1-3, plus a subset of each:
+    # equal lengths, equal popcounts and nested sets are all common
+    n = draw(st.integers(1, 6))
+    masks = set()
+    for mask in draw(st.lists(st.integers(1, (1 << n) - 1), max_size=24)):
+        masks.add(mask)
+        if sub := mask & draw(st.integers(0, (1 << n) - 1)):
+            masks.add(sub)
+    return {mask: (draw(st.integers(1, 3)), draw(st.integers(0, 3)), i) for i, mask in enumerate(sorted(masks))}
+
+
+@given(shortest_maps())
+# 0b011 and 0b110 tie on length and popcount; 0b111 contains both at that
+# length, 0b001 is in both, and 0b100 is shorter than its supersets
+@example({0b011: (2, 0, 0), 0b110: (2, 0, 1), 0b111: (2, 0, 2), 0b001: (2, 0, 3), 0b100: (1, 0, 4)})
+def test_kept_rows_match_the_popcount_pass(shortest):
+    assert _kept_rows(shortest) == kept_rows_popcount(shortest)
 
 
 def assert_table_is_reference(inst):
@@ -247,6 +269,12 @@ class TestExactOpt:
         # optimum the DP reconstructs, ties included
         assert exact_opt(inst) == exact_opt_subset_dp(inst)
 
+    def test_reduced_cost_skip_fires(self):
+        # the search enters 99 nodes here when it skips children by reduced
+        # cost, and 584 without the skip
+        inst = gen_uniform(20, 2)
+        assert _branch_and_bound(inst, node_budget=150) == exact_opt(inst)
+
     def test_deterministic_bytes(self, i1):
         a = solution_to_json(exact_opt(i1))
         b = solution_to_json(exact_opt(i1))
@@ -293,18 +321,18 @@ def table_scale(keys, lengths) -> Fraction:
 class TestDualBound:
     def test_empty_uncovered_set(self, i1):
         _, _, lengths, covering = _candidate_table(i1)
-        assert _dual_bound(0, range(3), covering, lengths, math.inf) == 0
+        assert _dual_bound(0, range(3), covering, lengths, math.inf)[0] == 0
 
     def test_i1_reaches_the_optimum(self, i1):
         keys, _, lengths, covering = _candidate_table(i1)
-        assert _dual_bound(0b111, range(3), covering, lengths, math.inf) == 6 * table_scale(keys, lengths)
+        assert _dual_bound(0b111, range(3), covering, lengths, math.inf)[0] == 6 * table_scale(keys, lengths)
 
     @given(st.one_of(generated(), tie_heavy()))
     def test_below_every_cover_of_the_instance(self, inst):
         keys, _, lengths, covering = _candidate_table(inst)
         n = len(inst.rects)
         order = sorted(range(n), key=lambda i: (len(covering[i]), i))
-        bound = _dual_bound((1 << n) - 1, order, covering, lengths, math.inf)
+        bound = _dual_bound((1 << n) - 1, order, covering, lengths, math.inf)[0]
         scale = table_scale(keys, lengths)
         assert isinstance(bound, int)
         assert bound <= exact_opt_subset_dp(inst).cost * scale
@@ -321,7 +349,7 @@ class TestDualBound:
         rng.shuffle(order)
         uncovered = rng.getrandbits(n) if n else 0
         part = Instance(tuple(r for i, r in enumerate(inst.rects) if uncovered >> i & 1))
-        bound = _dual_bound(uncovered, order, covering, lengths, math.inf)
+        bound = _dual_bound(uncovered, order, covering, lengths, math.inf)[0]
         assert bound <= exact_opt_subset_dp(part).cost * table_scale(keys, lengths)
 
     @given(st.one_of(generated(), tie_heavy(), shared_edges()), st.randoms(use_true_random=False))
@@ -334,14 +362,30 @@ class TestDualBound:
         order = sorted(range(n), key=lambda i: (len(covering[i]), i))
         for _ in range(8):
             uncovered = rng.getrandbits(n) if n else 0
-            full = _dual_bound(uncovered, order, covering, lengths, math.inf)
+            full, full_slack = _dual_bound(uncovered, order, covering, lengths, math.inf)
             for gap in {0, 1, full - 1, full, full + 1, rng.randint(0, 2 * full + 2)}:
-                bound = _dual_bound(uncovered, order, covering, lengths, gap)
+                bound, slack = _dual_bound(uncovered, order, covering, lengths, gap)
                 assert (bound >= gap) == (full >= gap)
+                assert slack is None or (bound, slack) == (full, full_slack)
                 if full < gap:
-                    assert bound == full
+                    assert (bound, slack) == (full, full_slack)
                 else:
                     assert gap <= bound <= full
+
+    @given(st.one_of(generated(), tie_heavy(), shared_edges()))
+    def test_reduced_cost_bounds_every_child(self, inst):
+        # after a full root pass, the duals of the rects a candidate leaves
+        # unstabbed stay feasible: a cover that picks ci costs at least
+        # bound + slack[ci], which is what lets the search skip that child
+        keys, masks, lengths, covering = _candidate_table(inst)
+        n = len(inst.rects)
+        order = sorted(range(n), key=lambda i: (len(covering[i]), i))
+        bound, slack = _dual_bound((1 << n) - 1, order, covering, lengths, math.inf)
+        scale = table_scale(keys, lengths)
+        for ci, mask in enumerate(masks):
+            rest = Instance(tuple(r for i, r in enumerate(inst.rects) if not mask >> i & 1))
+            assert 0 <= slack[ci] <= lengths[ci]
+            assert bound + slack[ci] <= lengths[ci] + exact_opt_subset_dp(rest).cost * scale
 
 
 class TestAgainstUnmemoizedSearch:
