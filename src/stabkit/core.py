@@ -78,6 +78,15 @@ def _unit(value, name: str, closed: bool = False) -> Fraction:
     return value
 
 
+def _positive(value, name: str) -> Fraction:
+    """``value`` as an exact rational > 0: a scale, a spacing or a width.
+    Like ``_unit``'s, the message does not print the value."""
+    value = as_scalar(value)
+    if value.numerator <= 0:
+        raise ParameterError(f"{name} must be positive")
+    return value
+
+
 def _scaled(values: list[Fraction], den: int = 1) -> tuple[int, list[int]]:
     """(d, [v * d for v in values]) for the least common multiple d of ``den``
     and the values' denominators: every v * d is an integer, order, sums and
@@ -87,10 +96,9 @@ def _scaled(values: list[Fraction], den: int = 1) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def ceil_log2(x: Fraction) -> int:
+def ceil_log2(x) -> int:
     """Smallest integer t with x <= 2**t, for x > 0.  t may be negative."""
-    if x <= 0:
-        raise ParameterError("ceil_log2 requires a positive value")
+    x = _positive(x, "ceil_log2's argument")
     return _ceil_log2(x.numerator, x.denominator)
 
 
@@ -177,12 +185,8 @@ def _built(cls, *values):
 def _length(segments: Sequence[Segment]) -> Fraction:
     """The total length of ``segments``, summed as integers over the least
     common denominator of their ends."""
-    den = math.lcm(*(v.denominator for s in segments for v in (s.xl, s.xr)))
-
-    def scaled(v: Fraction) -> int:
-        return v.numerator * (den // v.denominator)
-
-    return Fraction(sum(scaled(s.xr) - scaled(s.xl) for s in segments), den)
+    den, ends = _scaled([v for s in segments for v in (s.xl, s.xr)])
+    return Fraction(sum(ends[1::2]) - sum(ends[::2]), den)
 
 
 @dataclass(frozen=True)
@@ -274,9 +278,10 @@ class Solution:
 class Transform:
     """Record of instance normalization, sufficient to map a solution back.
 
-    Forward map: x' = (x - x_shift) * x_scale; y is left as it is.
-    ``presolved`` holds (rect id, segment) pairs for rectangles stabbed
-    greedily during normalization, in normalized coordinates.
+    Forward map: x' = (x - x_shift) * x_scale; y is left as it is, and
+    x_scale must be positive.  ``presolved`` holds (rect id, segment) pairs
+    for rectangles stabbed greedily during normalization, in normalized
+    coordinates.
     """
 
     x_scale: Fraction
@@ -284,8 +289,8 @@ class Transform:
     presolved: tuple[tuple[int, Segment], ...]
 
     def __post_init__(self):
-        if self.x_scale <= 0:
-            raise ParameterError("x_scale must be positive")
+        object.__setattr__(self, "x_scale", _positive(self.x_scale, "x_scale"))
+        object.__setattr__(self, "x_shift", as_scalar(self.x_shift))
 
     @classmethod
     def identity(cls) -> "Transform":
@@ -387,15 +392,14 @@ def normalize(inst: Instance, eps) -> tuple[Instance, Transform]:
       segment exactly spanning it at its top edge; those segments are
       recorded in ``transform.presolved``.
 
-    On the instance's integer view, with x = X/D, leftmost edge S/D and max
-    width W/D, the normalized x is (X - S)/W: the normalized instance's view
-    subtracts one integer per edge and takes W as its x denominator, and
-    keeps the y view as it is.  Every solver reads y only through its order,
-    so no y map is needed.  Returns (normalized instance, transform).
+    eps must lie in (0, 1), as everywhere else.  On the instance's integer
+    view, with x = X/D, leftmost edge S/D and max width W/D, the normalized
+    x is (X - S)/W: the normalized instance's view subtracts one integer per
+    edge and takes W as its x denominator, and keeps the y view as it is.
+    Every solver reads y only through its order, so no y map is needed.
+    Returns (normalized instance, transform).
     """
-    eps = as_scalar(eps)
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    eps = _unit(eps, "eps")
     if not inst.rects:
         return inst, Transform.identity()
 

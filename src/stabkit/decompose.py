@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx8 import _approx8_prices, approx8
-from .core import Instance, ParameterError, Rect, Segment, Solution, _built, _unit, as_scalar
+from .core import Instance, ParameterError, Rect, Segment, Solution, _built, _positive, _unit, as_scalar
 from .core import instance_to_json, solution_to_json
 
 CUT_FACTOR = 8
@@ -87,9 +87,7 @@ def crossing_rects(inst: Instance, z, spacing) -> list[Rect]:
     integer view, with z and spacing brought onto a common denominator.
     """
     z = as_scalar(z)
-    spacing = as_scalar(spacing)
-    if spacing <= 0:
-        raise ParameterError("spacing must be positive")
+    spacing = _positive(spacing, "spacing")
     g = inst._grid
     # x over dx, z and spacing all over dx * z.denominator * spacing.denominator
     f = z.denominator * spacing.denominator
@@ -197,15 +195,14 @@ def horizontal_cuts(
     an upper bound on the chunk's optimum.  Total cut length is at most
     eps * OPT of the strip.
 
-    ``width`` is the max width w of the instance being decomposed and
+    ``width`` is the max width w > 0 of the instance being decomposed and
     ``span`` the x-range every cut spans; it must contain the strip.
     ``_price`` is ``_approx8_prices`` of the strip or of an instance holding
     its rects, when the caller has built it; the prices are the same.
     """
-    eps = _unit(eps, "eps")
+    eps, w = _unit(eps, "eps"), _positive(width, "width")
     if not strip.rects:
         return CutResult((), (), ())
-    w = as_scalar(width)
     x0, x1 = (as_scalar(v) for v in span)
     rects, g = strip.rects, strip._grid
     # the checks and the trigger on integers, with x0 = a/b, x1 = c/d,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, ParameterError, Rect, _as_int, _unit, as_scalar
+from .core import Instance, ParameterError, Rect, _as_int, _positive, _unit, as_scalar
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -26,8 +26,7 @@ class SplitMix64:
     output z ^ z>>31 (all arithmetic mod 2^64).
 
     ``below(n)`` reduces with a plain modulo: biased in general but exact to
-    reproduce.  ``split()`` seeds an independent child stream from the next
-    output.
+    reproduce.
     """
 
     def __init__(self, seed: int):
@@ -44,9 +43,6 @@ class SplitMix64:
         if n <= 0:
             raise ParameterError("below() needs a positive bound")
         return self.next_u64() % n
-
-    def split(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64())
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,8 @@ class GenConfig:
     resolution: int = 4
 
     def __post_init__(self):
-        for name in ("w_min", "w_max", "h_max"):
+        object.__setattr__(self, "w_min", _positive(self.w_min, "w_min"))
+        for name in ("w_max", "h_max"):
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
         for name in ("x_range", "y_range"):
             pair = getattr(self, name)
@@ -77,8 +74,6 @@ class GenConfig:
         _as_int(self.resolution, "resolution", 1)
         if not self.w_min <= self.w_max:
             raise ParameterError("requires w_min <= w_max")
-        if self.w_min <= 0:
-            raise ParameterError("widths must be positive")
         if self.x_range[0] > self.x_range[1] or self.y_range[0] > self.y_range[1]:
             raise ParameterError("coordinate ranges must be non-empty")
         if self.h_max < 0:

@@ -335,8 +335,6 @@ def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
     """
     _oracle_limit(limit)
     n = len(inst.rects)
-    if n == 0:
-        return Solution(())
     if n > limit:
         raise OracleLimitError(f"instance has {n} rects, oracle limit is {limit}")
     return _branch_and_bound(inst)

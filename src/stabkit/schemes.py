@@ -50,12 +50,20 @@ class SchemeParams:
     parameter error); ``klong`` the cap on long segments per guess.  Either may be
     overridden for desk-scale runs; the certified approximation factor then
     follows the overridden values.  ``node_budget`` None means no budget.
+    A record checks its own fields, however it is built: mu in (0, 1),
+    klong >= 1, oracle_limit >= 0 and node_budget None or >= 0.
     """
 
     mu: Fraction
     klong: int
     oracle_limit: int
     node_budget: int | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "mu", _unit(self.mu, "mu"))
+        _as_int(self.klong, "klong", 1)
+        _oracle_limit(self.oracle_limit)
+        _node_budget(self.node_budget)
 
     @classmethod
     def derive(
@@ -69,13 +77,12 @@ class SchemeParams:
     ) -> "SchemeParams":
         _as_int(n, "n", 0)
         eps = _unit(eps, "eps")
-        levels = ceil_log2(Fraction(max(n, 1)) / eps)
-        mu = _unit(mu if mu is not None else eps / (17 * (levels + 1)), "mu")
+        if mu is None:
+            mu = eps / (17 * (ceil_log2(Fraction(max(n, 1)) / eps) + 1))
         if klong is None:
-            klong = math.ceil(2 * _chunk_bound(mu))
-        _as_int(klong, "klong", 1)
-        oracle_limit = _oracle_limit(ORACLE_LIMIT if oracle_limit is None else oracle_limit)
-        return cls(mu=mu, klong=klong, oracle_limit=oracle_limit, node_budget=_node_budget(node_budget))
+            # the default follows mu, so a given mu is read as mu first
+            klong = math.ceil(2 * _chunk_bound(_unit(mu, "mu")))
+        return cls(mu, klong, ORACLE_LIMIT if oracle_limit is None else oracle_limit, node_budget)
 
 
 def _node_budget(budget: int | None) -> int | None:
@@ -219,8 +226,6 @@ def qptas(
     part that paid for each: the decomposition, a guess or an exact leaf.
     """
     eps = _unit(eps, "eps")
-    if not inst.rects:
-        return Solution(())
     if params is None:
         params = SchemeParams.derive(len(inst.rects), eps)
     if stats is None:

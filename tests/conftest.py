@@ -1,9 +1,18 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import stabkit
 from stabkit import Instance, Rect
+
+# the CLI tests run ``python -m stabkit`` in a child process, which must
+# import the package this suite imports, installed or not
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(stabkit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 settings.register_profile(
     "det",

@@ -28,11 +28,6 @@ class TestSplitMix64:
             487617019471545679,
         ]
 
-    def test_split_independence(self):
-        rng = SplitMix64(42)
-        child = rng.split()
-        assert child.next_u64() != rng.next_u64()
-
     def test_below_validation(self):
         with pytest.raises(ParameterError):
             SplitMix64(1).below(0)

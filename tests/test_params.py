@@ -1,10 +1,11 @@
 """Every parameter at its bound and just past it.
 
 Each integer parameter goes through ``core._as_int`` with its least value,
-and each unit-interval rational through ``core._unit``: a value at the bound
-is accepted, one just past it, a boolean, a float and an integer string are
-parameter errors.  A rational parameter parses the string "4", which then
-lies outside (0, 1).
+each unit-interval rational through ``core._unit`` and each positive
+rational through ``core._positive``: a value at the bound is accepted, one
+just past it, a boolean, a float and an integer string are parameter errors.
+A rational parameter parses the string "4", which then lies outside (0, 1)
+but is positive.  A record checks its fields however it is built.
 """
 
 from fractions import Fraction as F
@@ -17,6 +18,9 @@ from stabkit import (
     ParameterError,
     Rect,
     SchemeParams,
+    Transform,
+    ceil_log2,
+    crossing_rects,
     decompose,
     exact_opt,
     gen_bounded_ratio,
@@ -24,6 +28,7 @@ from stabkit import (
     gen_uniform,
     guess_long,
     horizontal_cuts,
+    normalize,
     ptas,
     qptas,
     solve_small,
@@ -37,6 +42,8 @@ HALF = F(1, 2)
 NOT_INT = [True, 2.5, "4"]
 NOT_UNIT = [0, 1, -HALF, True, 2.5, "4"]
 INSIDE = [F(1, 1000), F(999, 1000)]
+POSITIVE = [F(1, 1000), "4"]
+NOT_POSITIVE = [0, F(-1, 1000), True, 2.5]
 
 
 def derive(**kw):
@@ -56,6 +63,14 @@ CASES = [
     ("derive-node_budget", lambda v: derive(node_budget=v), [0, None], [-1, *NOT_INT]),
     ("derive-eps", lambda v: derive(eps=v), INSIDE, NOT_UNIT),
     ("derive-mu", lambda v: derive(mu=v), INSIDE, NOT_UNIT),
+    ("SchemeParams-mu", lambda v: SchemeParams(v, 1, 0, None), INSIDE, NOT_UNIT),
+    ("SchemeParams-klong", lambda v: SchemeParams(HALF, v, 0, None), [1], [0, *NOT_INT]),
+    ("SchemeParams-oracle_limit", lambda v: SchemeParams(HALF, 1, v, None), [0], [-1, *NOT_INT]),
+    ("SchemeParams-node_budget", lambda v: SchemeParams(HALF, 1, 0, v), [0, None], [-1, *NOT_INT]),
+    ("Transform-x_scale", lambda v: Transform(v, 0, ()), POSITIVE, NOT_POSITIVE),
+    ("Transform-x_shift", lambda v: Transform(1, v, ()), [0, F(-1, 1000), "4"], [True, 2.5]),
+    ("normalize-eps", lambda v: normalize(ONE, v), INSIDE, NOT_UNIT),
+    ("ceil_log2-argument", ceil_log2, POSITIVE, NOT_POSITIVE),
     ("solve_small-k", lambda v: solve_small(ONE, v), [1], [0, *NOT_INT]),
     ("guess_long-k", lambda v: guess_long(ONE, HALF, v), [0], [-1, *NOT_INT]),
     ("ptas-eps", lambda v: ptas(ONE, v, 1), [F(1, 10), F(999, 1000)], NOT_UNIT),
@@ -84,8 +99,11 @@ CASES = [
         [(1, 1)],
         [(1, F(999, 1000)), (True, 1), (2.5, 3), (1,), 5, (0, 1, 2)],
     ),
+    ("crossing_rects-spacing", lambda v: crossing_rects(ONE, 0, v), POSITIVE, NOT_POSITIVE),
     ("strip_partition-eps", lambda v: strip_partition(ONE, v), INSIDE, NOT_UNIT),
     ("horizontal_cuts-eps", lambda v: horizontal_cuts(ONE, v, 2, (0, 2)), INSIDE, NOT_UNIT),
+    # the positive bound on an empty strip, which no span can exceed
+    ("horizontal_cuts-width", lambda v: horizontal_cuts(Instance(()), HALF, v, (0, 2)), POSITIVE, NOT_POSITIVE),
     ("decompose-eps", lambda v: decompose(ONE, v), INSIDE, NOT_UNIT),
 ]
 
@@ -97,6 +115,42 @@ def test_parameter_at_its_bound_and_past_it(call, accepted, rejected):
     for value in rejected:
         with pytest.raises(ParameterError):
             call(value)
+
+
+# (case id, a value just past its bound, the whole message)
+PAST = [
+    ("SchemeParams-mu", 2, "mu must lie in (0, 1)"),
+    ("SchemeParams-klong", 0, "klong must be at least 1, got 0"),
+    ("SchemeParams-oracle_limit", -3, "oracle_limit must be at least 0, got -3"),
+    ("SchemeParams-node_budget", -1, "node_budget must be at least 0, got -1"),
+    ("Transform-x_scale", 0, "x_scale must be positive"),
+    ("normalize-eps", 1, "eps must lie in (0, 1)"),
+    ("ceil_log2-argument", 0, "ceil_log2's argument must be positive"),
+    ("GenConfig-w_min", 0, "w_min must be positive"),
+    ("crossing_rects-spacing", 0, "spacing must be positive"),
+    ("horizontal_cuts-width", 0, "width must be positive"),
+    ("horizontal_cuts-width", -1, "width must be positive"),
+]
+
+
+@pytest.mark.parametrize("case, value, message", PAST, ids=[f"{case}={value}" for case, value, _ in PAST])
+def test_past_the_bound_names_the_parameter(case, value, message):
+    call = {c[0]: c[1] for c in CASES}[case]
+    with pytest.raises(ParameterError) as exc:
+        call(value)
+    assert str(exc.value) == message
+
+
+def test_horizontal_cuts_width_is_checked_before_the_strip():
+    # a width of 0 is its own error, not a strip too wide for that width
+    with pytest.raises(ParameterError, match="^width must be positive$"):
+        horizontal_cuts(ONE, HALF, 0, (0, 2))
+
+
+def test_qptas_rejects_a_hand_built_mu_by_its_name():
+    # the record names mu before qptas could hand it to decompose as its eps
+    with pytest.raises(ParameterError, match="^mu must lie in"):
+        qptas(gen_uniform(8, 1), HALF, params=SchemeParams(F(2), 4, 6, None))
 
 
 @pytest.mark.parametrize(
