@@ -27,6 +27,7 @@ from .core import (
     Solution,
     _as_int,
     _json_entries,
+    _rational,
     as_scalar,
     instance_from_json,
     instance_to_json,
@@ -171,7 +172,7 @@ def _gen_instance(kind, n: int, seed: int, delta) -> Instance:
         return gen_uniform(n, seed)
     if kind == "laminar":
         return gen_laminar(n, seed)
-    return gen_bounded_ratio(n, as_scalar(delta) if delta is not None else Fraction(1, 2), seed)
+    return gen_bounded_ratio(n, Fraction(1, 2) if delta is None else delta, seed)
 
 
 def cmd_gen(args) -> int:
@@ -204,7 +205,7 @@ def _algo_opts(algo_entry: dict, what: str) -> tuple[str, dict]:
     try:
         _check_options(algo, given)
         opts = {
-            key: _as_int(value, key) if ALGO_OPTIONS[algo][key][0] is int else as_scalar(value)
+            key: _as_int(value, key) if ALGO_OPTIONS[algo][key][0] is int else _rational(value, key)
             for key, value in given.items()
         }
         # every solver checks its options before it reads the instance, so

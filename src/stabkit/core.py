@@ -67,11 +67,22 @@ def as_scalar(value) -> Fraction:
     raise ParameterError(f"inexact or unsupported scalar type: {type(value).__name__}")
 
 
+def _rational(value, name: str) -> Fraction:
+    """The parameter ``name`` as an exact rational, by ``as_scalar``; a value
+    of another type, or a string that does not parse, is a parameter error
+    that names the parameter and the type, never the value."""
+    try:
+        return as_scalar(value)
+    except ParameterError:
+        got = "an unparsable string" if isinstance(value, str) else type(value).__name__
+        raise ParameterError(f"{name} must be an exact rational, not {got}") from None
+
+
 def _unit(value, name: str, closed: bool = False) -> Fraction:
     """``value`` as an exact rational in (0, 1), or in (0, 1] when ``closed``:
     an accuracy such as eps, or a width bound such as delta.  The message
     names the interval, not the value, whose digits may be too many to print."""
-    value = as_scalar(value)
+    value = _rational(value, name)
     p, q = value.numerator, value.denominator
     if not (0 < p < q or closed and p == q):
         raise ParameterError(f"{name} must lie in (0, 1{']' if closed else ')'}")
@@ -81,7 +92,7 @@ def _unit(value, name: str, closed: bool = False) -> Fraction:
 def _positive(value, name: str) -> Fraction:
     """``value`` as an exact rational > 0: a scale, a spacing or a width.
     Like ``_unit``'s, the message does not print the value."""
-    value = as_scalar(value)
+    value = _rational(value, name)
     if value.numerator <= 0:
         raise ParameterError(f"{name} must be positive")
     return value
@@ -290,7 +301,7 @@ class Transform:
 
     def __post_init__(self):
         object.__setattr__(self, "x_scale", _positive(self.x_scale, "x_scale"))
-        object.__setattr__(self, "x_shift", as_scalar(self.x_shift))
+        object.__setattr__(self, "x_shift", _rational(self.x_shift, "x_shift"))
 
     @classmethod
     def identity(cls) -> "Transform":
@@ -451,6 +462,11 @@ def split_independent(inst: Instance) -> list[Instance]:
     components; no segment can stab rectangles of two components more cheaply
     than treating the components separately, so optima add up.  Each
     component inherits the instance's integer view.
+
+    The exact oracle splits only at positive gaps (``oracle._x_blocks``).
+    Where two components touch, a segment across the shared endpoint costs
+    the same as its two pieces, and the oracle's tie-break may pick it; a
+    split there keeps every cost but can change which optimum is returned.
     """
     if not inst.rects:
         return []

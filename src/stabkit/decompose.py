@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx8 import _approx8_prices, approx8
-from .core import Instance, ParameterError, Rect, Segment, Solution, _built, _positive, _unit, as_scalar
+from .core import Instance, ParameterError, Rect, Segment, Solution, _built, _positive, _rational, _unit
 from .core import instance_to_json, solution_to_json
 
 CUT_FACTOR = 8
@@ -86,7 +86,7 @@ def crossing_rects(inst: Instance, z, spacing) -> list[Rect]:
     anything else is a parameter error.  The test runs on the instance's
     integer view, with z and spacing brought onto a common denominator.
     """
-    z = as_scalar(z)
+    z = _rational(z, "z")
     spacing = _positive(spacing, "spacing")
     g = inst._grid
     # x over dx, z and spacing all over dx * z.denominator * spacing.denominator
@@ -203,7 +203,7 @@ def horizontal_cuts(
     eps, w = _unit(eps, "eps"), _positive(width, "width")
     if not strip.rects:
         return CutResult((), (), ())
-    x0, x1 = (as_scalar(v) for v in span)
+    x0, x1 = (_rational(v, "span") for v in span)
     rects, g = strip.rects, strip._grid
     # the checks and the trigger on integers, with x0 = a/b, x1 = c/d,
     # w = wn/wd and eps = p/q

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, ParameterError, Rect, _as_int, _positive, _unit, as_scalar
+from .core import Instance, ParameterError, Rect, _as_int, _positive, _rational, _unit
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -65,17 +65,18 @@ class GenConfig:
     def __post_init__(self):
         object.__setattr__(self, "w_min", _positive(self.w_min, "w_min"))
         for name in ("w_max", "h_max"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+            object.__setattr__(self, name, _rational(getattr(self, name), name))
         for name in ("x_range", "y_range"):
             pair = getattr(self, name)
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise ParameterError(f"{name} must be a pair (lo, hi)")
-            object.__setattr__(self, name, tuple(as_scalar(v) for v in pair))
+            lo, hi = (_rational(v, name) for v in pair)
+            if lo > hi:
+                raise ParameterError(f"{name} must be non-empty")
+            object.__setattr__(self, name, (lo, hi))
         _as_int(self.resolution, "resolution", 1)
         if not self.w_min <= self.w_max:
             raise ParameterError("requires w_min <= w_max")
-        if self.x_range[0] > self.x_range[1] or self.y_range[0] > self.y_range[1]:
-            raise ParameterError("coordinate ranges must be non-empty")
         if self.h_max < 0:
             raise ParameterError("h_max must be non-negative")
 

@@ -11,9 +11,17 @@ The same search with a cap on the number of segments is the PTAS chunk
 solver.  The greedy baseline, which also seeds the search's incumbent, is
 the lazy (Minoux) greedy over one heap per last known newly-stabbed count.
 Both run on the candidate table's integer rows and build a ``Segment`` only
-for the rows of their answer.  The oracle is capped at small instance sizes
-and serves as the ground truth for every approximation-ratio test in the
-suite.
+for the rows of their answer.
+
+Without a cap, both split the instance into blocks: groups of rects whose
+x-projections chain together by closed overlap, with a positive gap
+between one block and the next.  A row spanning a gap is dearer than its
+pieces, so neither the exact optimum nor greedy ever takes one: the table
+is swept once per block without them, and the exact search runs once per
+block.  A capped search keeps the full table, where a row across a gap can
+be the only one that fits the cap.  The oracle is capped at small instance
+sizes and serves as the ground truth for every approximation-ratio test in
+the suite.
 """
 
 from __future__ import annotations
@@ -104,7 +112,27 @@ def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     return [Candidate(cands[key[-1]], mask) for key, mask, _ in _kept_rows(shortest)]
 
 
-def _candidate_table(inst: Instance) -> tuple[list[tuple], list[int], list[int], list[list[int]]]:
+def _x_blocks(inst: Instance) -> list[list[int]]:
+    """The rect positions of each block of ``inst``, blocks in x order.  A
+    block is a connected component of the closed overlap graph of the rects'
+    x-projections: rects that share only an endpoint are in one block, so a
+    positive gap separates each block from the next."""
+    g = inst._grid
+    blocks: list[list[int]] = []
+    reach = 0
+    for p in sorted(range(len(g.xl)), key=g.xl.__getitem__):
+        if blocks and g.xl[p] <= reach:
+            blocks[-1].append(p)
+            reach = max(reach, g.xr[p])
+        else:
+            blocks.append([p])
+            reach = g.xr[p]
+    return blocks
+
+
+def _candidate_table(
+    inst: Instance, blocks: list[list[int]] | None = None
+) -> tuple[list[tuple], list[int], list[int], list[list[int]]]:
     """The reduced candidates of ``inst`` as four parallel lists: their
     ``(xl, xr, y)`` Fraction triples, their stab sets as rect-position bit
     masks, their lengths as integers over the x denominator of the
@@ -121,30 +149,44 @@ def _candidate_table(inst: Instance) -> tuple[list[tuple], list[int], list[int],
     view, whose x denominator the lengths are over, and maps coordinates
     back to the rects' Fractions only for the kept rows.  No ``Segment`` is
     built: the solvers build one only for each row of their answer.
+
+    Given ``blocks``, the position lists of ``_x_blocks(inst)``, the sweep
+    runs once per block over that block's rects, and the table is the one
+    above less every row that spans a gap between two blocks.  Such a row
+    costs strictly more than the block pieces of its tight segment, so no
+    uncapped optimum holds it and greedy never picks it; a capped caller
+    needs the full table, where it may be the only row that fits the cap.
+    A row inside a block stabs the same rects whichever rects are swept, and
+    no row spanning a gap dominates it, being strictly longer, so the kept
+    rows are the full table's with the same keys in the same order.  Each
+    block still visits the instance's top edges, since the lowest top edge
+    with a stab set decides its row's y.
     """
     rects = inst.rects
     g = inst._grid
-    # the rects by right edge, each with its bit and y-extent
-    by_right = sorted((b, a, 1 << p, lo, hi) for p, (a, b, lo, hi) in enumerate(zip(g.xl, g.xr, g.yb, g.yt)))
-
+    tops = sorted(set(g.yt))
+    # each rect's right edge, left edge, bit and y-extent
+    edges = [(b, a, 1 << p, lo, hi) for p, (a, b, lo, hi) in enumerate(zip(g.xl, g.xr, g.yb, g.yt))]
     shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y)
-    for y in sorted(set(g.yt)):
-        alive = [(left, right, bit) for right, left, bit, lo, hi in by_right if lo <= y <= hi]
-        starts = {left for left, _, _ in alive}
-        alive.append((math.inf, math.inf, 0))  # past every right edge: flushes the last mask
-        for a in starts:
-            # [a, b] x y stabs the alive rects with xl >= a and xr <= b; a
-            # mask is recorded only once every rect ending at b is in it
-            mask = 0
-            for left, right, bit in alive:
-                if left >= a:
-                    if mask and right != b:
-                        entry = (b - a, a, b, y)
-                        old = shortest.get(mask)
-                        if old is None or entry < old:
-                            shortest[mask] = entry
-                    mask |= bit
-                    b = right
+    for by_right in [edges] if blocks is None else [[edges[p] for p in block] for block in blocks]:
+        by_right.sort()
+        for y in tops:
+            alive = [(left, right, bit) for right, left, bit, lo, hi in by_right if lo <= y <= hi]
+            starts = {left for left, _, _ in alive}
+            alive.append((math.inf, math.inf, 0))  # past every right edge: flushes the last mask
+            for a in starts:
+                # [a, b] x y stabs the alive rects with xl >= a and xr <= b; a
+                # mask is recorded only once every rect ending at b is in it
+                mask = 0
+                for left, right, bit in alive:
+                    if left >= a:
+                        if mask and right != b:
+                            entry = (b - a, a, b, y)
+                            old = shortest.get(mask)
+                            if old is None or entry < old:
+                                shortest[mask] = entry
+                        mask |= bit
+                        b = right
 
     x_of: dict[int, Fraction] = {}
     y_of: dict[int, Fraction] = {}
@@ -250,42 +292,15 @@ def _greedy(masks: list[int], lengths: list[int], full: int) -> list[int]:
     return picked
 
 
-def _branch_and_bound(
-    inst: Instance, cap: int | None = None, node_budget: int | None = None
-) -> Solution | None:
-    """The cheapest solution of at most ``cap`` segments (any number when
-    None), or None when there is none; BudgetError after ``node_budget`` nodes.
-
-    Depth-first over the candidate table: branch on the lowest unstabbed
-    rect, try its candidates in table order.  A state is pruned when it was
-    entered before at no higher cost (the state is the uncovered mask, with
-    the number of segments chosen when capped), or when cost plus
-    ``_dual_bound``, stopped at the gap to the incumbent, reaches the
-    incumbent.  When the bound falls short, its pass ran to the end and
-    left each candidate's reduced cost ``slack[ci]``; the duals of the rects
-    still uncovered after picking ci stay feasible, so every leaf under that
-    child costs at least cost + bound + ``slack[ci]``, and the child is
-    skipped, unentered and uncounted, when that reaches the incumbent as it
-    stands at the child.  The incumbent starts one above greedy's cost (if
-    greedy fits the cap) and yields only to strict improvements, so a
-    skipped child holds no leaf that would replace it; the cap only removes
-    leaves, so this holds for the capped search too.  An earlier entry of a
-    state searched the same subtree from no higher cost, with no fewer
-    segments left, against an incumbent no lower, so the memo drops no
-    first optimal leaf; the answer is the first optimal choice sequence: the
-    one the subset DP over rect bitmasks,
-    ``tests/helpers.py::exact_opt_subset_dp``, reconstructs.  The node
-    budget counts entered nodes only.
-    """
-    keys, masks, lengths, covering = _candidate_table(inst)
-    order = sorted(range(len(covering)), key=lambda i: (len(covering[i]), i))
-    seed = _greedy(masks, lengths, (1 << len(covering)) - 1)
-    fits = cap is None or len(seed) <= cap
-    best_cost = sum(lengths[ci] for ci in seed) + 1 if fits else math.inf
+def _search(positions, masks, lengths, covering, best_cost, cap, budget) -> list[int] | None:
+    """The rows, in choice order, of the first cheapest way to stab the rects
+    at ``positions`` with at most ``cap`` rows (any number when None) that
+    costs less than ``best_cost``, or None when there is none; one tick of
+    ``budget`` per node entered.  See ``_branch_and_bound``."""
+    order = sorted(positions, key=lambda i: (len(covering[i]), i))
     best = None
     chosen: list[int] = []
     seen: dict = {}  # state -> least cost it was entered at
-    budget = _Budget(node_budget)
 
     def descend(uncovered: int, cost: int) -> None:
         nonlocal best, best_cost
@@ -312,9 +327,74 @@ def _branch_and_bound(
             descend(uncovered & ~masks[ci], cost + lengths[ci])
             chosen.pop()
 
-    descend((1 << len(covering)) - 1, 0)
-    if best is None:
-        return None
+    descend(sum(1 << p for p in positions), 0)
+    return best
+
+
+def _branch_and_bound(
+    inst: Instance, cap: int | None = None, node_budget: int | None = None
+) -> Solution | None:
+    """The cheapest solution of at most ``cap`` segments (any number when
+    None), or None when there is none; BudgetError after ``node_budget`` nodes.
+
+    Depth-first over the candidate table: branch on the lowest unstabbed
+    rect, try its candidates in table order.  A state is pruned when it was
+    entered before at no higher cost (the state is the uncovered mask, with
+    the number of segments chosen when capped), or when cost plus
+    ``_dual_bound``, stopped at the gap to the incumbent, reaches the
+    incumbent.  When the bound falls short, its pass ran to the end and
+    left each candidate's reduced cost ``slack[ci]``; the duals of the rects
+    still uncovered after picking ci stay feasible, so every leaf under that
+    child costs at least cost + bound + ``slack[ci]``, and the child is
+    skipped, unentered and uncounted, when that reaches the incumbent as it
+    stands at the child.  The incumbent starts one above greedy's cost (if
+    greedy fits the cap) and yields only to strict improvements, so a
+    skipped child holds no leaf that would replace it; the cap only removes
+    leaves, so this holds for the capped search too.  An earlier entry of a
+    state searched the same subtree from no higher cost, with no fewer
+    segments left, against an incumbent no lower, so the memo drops no
+    first optimal leaf; the answer is the first optimal choice sequence: the
+    one the subset DP over rect bitmasks,
+    ``tests/helpers.py::exact_opt_subset_dp``, reconstructs.
+
+    Without a cap the search runs once per block of ``_x_blocks``, on the
+    table without the rows that span a gap.  No row stabs rects of two
+    blocks, so OPT and the subset DP's choices add up over blocks: each
+    block's search, on its own rows in table order, makes the choices the
+    whole-instance search makes there, and the answer is their union.  Its incumbent is
+    greedy's cost on the block plus one: a pick changes no newly stabbed
+    count outside its block, so greedy's picks there are those of greedy
+    on the block alone.  The node budget counts entered nodes only, over
+    all blocks, each block's root included; a block of one rect, which has
+    one row, takes it at its root.
+    """
+    blocks = _x_blocks(inst) if cap is None else None
+    keys, masks, lengths, covering = _candidate_table(inst, blocks)
+    n = len(covering)
+    seed = _greedy(masks, lengths, (1 << n) - 1)
+    budget = _Budget(node_budget)
+    if blocks is None or len(blocks) == 1:
+        fits = cap is None or len(seed) <= cap
+        incumbent = sum(lengths[ci] for ci in seed) + 1 if fits else math.inf
+        best = _search(range(n), masks, lengths, covering, incumbent, cap, budget)
+        if best is None:
+            return None
+    else:
+        block_of = [0] * n
+        for b, block in enumerate(blocks):
+            for p in block:
+                block_of[p] = b
+        share = [1] * len(blocks)  # greedy's cost on each block, plus one
+        for ci in seed:
+            share[block_of[(masks[ci] & -masks[ci]).bit_length() - 1]] += lengths[ci]
+        best = []
+        for block, incumbent in zip(blocks, share):
+            if len(block) == 1:
+                # one rect has one row; the root counts
+                budget.tick()
+                best += covering[block[0]]
+            else:
+                best += _search(block, masks, lengths, covering, incumbent, None, budget)
     # rows are in key order, so the answer is sorted by row index
     return Solution(tuple(_built(Segment, *keys[ci]) for ci in sorted(best)))
 
@@ -346,7 +426,10 @@ def greedy_cover(inst: Instance) -> Solution:
 
     Ties break toward smaller length, then lexicographic segment order, so
     the output is deterministic.  Guarantees the (1 + ln n) set-cover ratio.
+    Runs on the table without the rows across a gap between blocks: such a
+    row stabs n1 + n2 new rects at more than the length l1 + l2 of its
+    pieces, a ratio below the better piece's, so greedy never picks it.
     """
-    keys, masks, lengths, _ = _candidate_table(inst)
+    keys, masks, lengths, _ = _candidate_table(inst, _x_blocks(inst))
     picked = _greedy(masks, lengths, (1 << len(inst.rects)) - 1)
     return Solution(tuple(_built(Segment, *keys[ci]) for ci in picked))

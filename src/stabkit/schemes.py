@@ -30,8 +30,8 @@ from .core import (
     _as_int,
     _built,
     _length,
+    _rational,
     _unit,
-    as_scalar,
     ceil_log2,
     denormalize,
     normalize,
@@ -169,7 +169,7 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
     key is a subset holding such a row.  Every subset reached ticks
     ``_budget``; no ``Segment`` is built.
     """
-    min_len = as_scalar(min_len)
+    min_len = _rational(min_len, "min_len")
     _as_int(k, "k", 0)
     keys, masks, lengths, _ = _candidate_table(inst)
     g = inst._grid

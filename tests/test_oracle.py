@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ from stabkit import (
     verify,
 )
 
-from stabkit.oracle import _branch_and_bound, _candidate_table, _dual_bound, _kept_rows
+from stabkit.oracle import _branch_and_bound, _candidate_table, _dual_bound, _kept_rows, _x_blocks
 
 from .conftest import make_instance
 from .helpers import (
@@ -270,8 +272,8 @@ class TestExactOpt:
         assert exact_opt(inst) == exact_opt_subset_dp(inst)
 
     def test_reduced_cost_skip_fires(self):
-        # the search enters 99 nodes here when it skips children by reduced
-        # cost, and 584 without the skip
+        # the search enters 75 nodes here, over three blocks, when it skips
+        # children by reduced cost, and 270 without the skip
         inst = gen_uniform(20, 2)
         assert _branch_and_bound(inst, node_budget=150) == exact_opt(inst)
 
@@ -409,3 +411,104 @@ class TestAgainstUnmemoizedSearch:
     @given(st.one_of(generated(), tie_heavy(), shared_edges()))
     def test_greedy_cover(self, inst):
         assert greedy_cover(inst) == greedy_scan(inst)
+
+
+@st.composite
+def gapped_groups(draw):
+    """1-4 groups of 1-4 rects on a grid of halves, each group placed after
+    the one before with a gap of 0 (the groups touch), 1/2 or 1.  Within a
+    group the rects may overlap, touch or leave gaps of their own."""
+    rects, start = [], Fraction(0)
+    for _ in range(draw(st.integers(1, 4))):
+        group = []
+        for _ in range(draw(st.integers(1, 4))):
+            xl, width = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+            yb = draw(st.integers(0, 3))
+            group.append((Fraction(xl, 2), Fraction(xl + width, 2), yb, yb + draw(st.integers(0, 2))))
+        left = min(xl for xl, _, _, _ in group)
+        rects += [(start + xl - left, start + xr - left, yb, yt) for xl, xr, yb, yt in group]
+        start = max(xr for _, xr, _, _ in rects) + Fraction(draw(st.integers(0, 2)), 2)
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(rects)
+    inst = make_instance(rects)
+    return affine_instance(inst) if draw(st.booleans()) else inst
+
+
+def block_extents(inst, blocks):
+    return [(min(inst.rects[p].xl for p in b), max(inst.rects[p].xr for p in b)) for b in blocks]
+
+
+class TestBlocks:
+    """The uncapped oracle and greedy run on the table without the rows that
+    span a gap between blocks, and the search runs once per block; both must
+    give the very solutions of the references on the full table."""
+
+    @given(st.one_of(gapped_groups(), generated(), tie_heavy(), shared_edges()))
+    def test_blocks_are_the_closed_overlap_components(self, inst):
+        blocks = _x_blocks(inst)
+        assert sorted(p for b in blocks for p in b) == list(range(len(inst.rects)))
+        block_of = {p: k for k, b in enumerate(blocks) for p in b}
+        for p, r in enumerate(inst.rects):
+            for q, t in enumerate(inst.rects):
+                if r.xl <= t.xr and t.xl <= r.xr:
+                    assert block_of[p] == block_of[q]
+        extents = block_extents(inst, blocks)
+        assert all(hi < lo for (_, hi), (lo, _) in zip(extents, extents[1:]))
+
+    @given(gapped_groups())
+    def test_exact_opt(self, inst):
+        assert exact_opt(inst) == branch_and_bound_unmemoized(inst)
+
+    @given(gapped_groups())
+    def test_greedy_cover(self, inst):
+        assert greedy_cover(inst) == greedy_scan(inst)
+
+    @given(st.one_of(gapped_groups(), generated(max_n=20), shared_edges()))
+    def test_table_is_the_full_table_less_the_rows_across_a_gap(self, inst):
+        blocks = _x_blocks(inst)
+        keys, masks, lengths, _ = _candidate_table(inst)
+        parts = [sum(1 << p for p in b) for b in blocks]
+        inside = [ci for ci, mask in enumerate(masks) if any(mask & ~part == 0 for part in parts)]
+        split = _candidate_table(inst, blocks)
+        assert split[:3] == ([keys[ci] for ci in inside], [masks[ci] for ci in inside], [lengths[ci] for ci in inside])
+        assert split[3] == [[ci for ci, mask in enumerate(split[1]) if mask >> p & 1] for p in range(len(inst.rects))]
+        extents = block_extents(inst, blocks)
+        gaps = [(hi, lo) for (_, hi), (lo, _) in zip(extents, extents[1:])]
+        for ci in set(range(len(masks))) - set(inside):
+            xl, xr, _ = keys[ci]
+            assert any(xl <= hi < lo <= xr for hi, lo in gaps), keys[ci]
+
+    def test_touching_rects_keep_the_spanning_row(self):
+        # the rects share only x = 2, so they are two components of the open
+        # overlap graph but one block; the full table's tie-break stabs both
+        # with [0, 4] x 1, which a split at open-overlap components would drop
+        inst = make_instance([(2, 4, 0, 1), (0, 2, 0, 1)])
+        assert len(_x_blocks(inst)) == 1
+        assert exact_opt(inst).segments == (Segment(0, 4, 1),)
+        assert exact_opt(inst) == branch_and_bound_unmemoized(inst)
+
+    def test_capped_search_keeps_the_row_across_a_gap(self):
+        # one segment must stab both rects, so it spans the gap between them
+        inst = make_instance([(0, 1, 0, 1), (2, 3, 0, 1)])
+        assert len(_x_blocks(inst)) == 2
+        assert solve_small(inst, 1).segments == (Segment(0, 3, 1),)
+
+    # sha256 of the sorted-key JSON of exact_opt's solution, as it was when
+    # the search ran on the whole instance (2.3 / 5.1 / 7.4 s on 2 vCPUs)
+    BOUNDED_120 = {
+        1: (Fraction(693, 8), "d90819af22f3d1ef5ae910b7394f1a00a5a91b046d31f3273a35a2ece3c89dc0"),
+        2: (Fraction(653, 8), "0fd1484133bc8b554e73b1e960dff286a1f2aabb6e059826a90079a482dab518"),
+        3: (Fraction(333, 4), "3b1f1a40bab3f6134260f278e3431fb1a4ab3fdeeb69c8ba7e040e595efdc77f"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(BOUNDED_120))
+    def test_bounded_120_within_a_node_budget(self, seed):
+        # 82-85 blocks and 192-194 nodes in all; the search over the whole
+        # instance enters 418 / 577 / 875 nodes, each a dual pass over all
+        # 120 rects
+        inst = gen_bounded_ratio(120, Fraction(1, 2), seed)
+        sol = _branch_and_bound(inst, node_budget=250)
+        cost, digest = self.BOUNDED_120[seed]
+        assert sol.cost == cost
+        assert hashlib.sha256(json.dumps(solution_to_json(sol), sort_keys=True).encode()).hexdigest() == digest
+        assert exact_opt(inst, limit=200) == sol

@@ -73,6 +73,7 @@ CASES = [
     ("ceil_log2-argument", ceil_log2, POSITIVE, NOT_POSITIVE),
     ("solve_small-k", lambda v: solve_small(ONE, v), [1], [0, *NOT_INT]),
     ("guess_long-k", lambda v: guess_long(ONE, HALF, v), [0], [-1, *NOT_INT]),
+    ("guess_long-min_len", lambda v: guess_long(ONE, v, 1), [0, HALF, "4"], [True, 2.5]),
     ("ptas-eps", lambda v: ptas(ONE, v, 1), [F(1, 10), F(999, 1000)], NOT_UNIT),
     ("ptas-delta", lambda v: ptas(ONE, HALF, v), [1, F(1, 1000)], [0, F(1001, 1000), True, 2.5, "4"]),
     ("qptas-eps", lambda v: qptas(ONE, v), INSIDE, NOT_UNIT),
@@ -99,6 +100,7 @@ CASES = [
         [(1, 1)],
         [(1, F(999, 1000)), (True, 1), (2.5, 3), (1,), 5, (0, 1, 2)],
     ),
+    ("crossing_rects-z", lambda v: crossing_rects(ONE, v, 1), [0, F(-1, 1000), "4"], [True, 2.5]),
     ("crossing_rects-spacing", lambda v: crossing_rects(ONE, 0, v), POSITIVE, NOT_POSITIVE),
     ("strip_partition-eps", lambda v: strip_partition(ONE, v), INSIDE, NOT_UNIT),
     ("horizontal_cuts-eps", lambda v: horizontal_cuts(ONE, v, 2, (0, 2)), INSIDE, NOT_UNIT),
@@ -117,7 +119,9 @@ def test_parameter_at_its_bound_and_past_it(call, accepted, rejected):
             call(value)
 
 
-# (case id, a value just past its bound, the whole message)
+# (case id, a value just past its bound or of another type, the whole
+# message); a rational parameter's type error names the parameter and the
+# type, never the value
 PAST = [
     ("SchemeParams-mu", 2, "mu must lie in (0, 1)"),
     ("SchemeParams-klong", 0, "klong must be at least 1, got 0"),
@@ -130,6 +134,25 @@ PAST = [
     ("crossing_rects-spacing", 0, "spacing must be positive"),
     ("horizontal_cuts-width", 0, "width must be positive"),
     ("horizontal_cuts-width", -1, "width must be positive"),
+    ("GenConfig-x_range", (1, F(999, 1000)), "x_range must be non-empty"),
+    ("GenConfig-y_range", (1, F(999, 1000)), "y_range must be non-empty"),
+    ("SchemeParams-mu", True, "mu must be an exact rational, not bool"),
+    ("derive-mu", "1/x", "mu must be an exact rational, not an unparsable string"),
+    ("ptas-eps", 2.5, "eps must be an exact rational, not float"),
+    ("ptas-delta", None, "delta must be an exact rational, not NoneType"),
+    ("qptas-eps", [HALF], "eps must be an exact rational, not list"),
+    ("Transform-x_scale", True, "x_scale must be an exact rational, not bool"),
+    ("Transform-x_shift", 2.5, "x_shift must be an exact rational, not float"),
+    ("ceil_log2-argument", 2.5, "ceil_log2's argument must be an exact rational, not float"),
+    ("GenConfig-w_min", True, "w_min must be an exact rational, not bool"),
+    ("GenConfig-w_max", 2.5, "w_max must be an exact rational, not float"),
+    ("GenConfig-h_max", True, "h_max must be an exact rational, not bool"),
+    ("GenConfig-x_range", (2.5, 3), "x_range must be an exact rational, not float"),
+    ("gen_bounded_ratio-delta", True, "delta must be an exact rational, not bool"),
+    ("crossing_rects-z", True, "z must be an exact rational, not bool"),
+    ("crossing_rects-spacing", 2.5, "spacing must be an exact rational, not float"),
+    ("guess_long-min_len", 2.5, "min_len must be an exact rational, not float"),
+    ("horizontal_cuts-width", True, "width must be an exact rational, not bool"),
 ]
 
 

@@ -203,10 +203,12 @@ def _guesses_build_no_segment(inst):
     "answer, inst",
     [
         (lambda inst: stabkit.exact_opt(inst).segments, stabkit.gen_uniform(16, 1)),
+        # 26 blocks, each searched on its own
+        (lambda inst: stabkit.exact_opt(inst, limit=40).segments, stabkit.gen_bounded_ratio(40, Fraction(1, 2), 1)),
         (lambda inst: stabkit.greedy_cover(inst).segments, stabkit.gen_uniform(20, 1)),
         (_guesses_build_no_segment, stabkit.gen_uniform(12, 1)),
     ],
-    ids=["exact_opt", "greedy_cover", "guess_long"],
+    ids=["exact_opt", "exact_opt-blocks", "greedy_cover", "guess_long"],
 )
 def test_solvers_build_segments_only_for_their_answer(monkeypatch, answer, inst):
     # the candidate table holds plain (xl, xr, y) rows; a validated Segment

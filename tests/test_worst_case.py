@@ -6,7 +6,8 @@ Random instances never come close to approx8's factor 8 or greedy's
 check each ratio against its declared bound, with ``exact_opt`` as OPT.
 The decomposition's two stages are searched the same way: the strip
 partition's paid cover against 16 * eps * OPT (C3), and each strip's
-horizontal cuts against eps * OPT of the strip (C4).
+horizontal cuts against eps * OPT of the strip (C4).  So is the PTAS
+against 1 + 17 * eps on bounded widths.
 """
 
 import math
@@ -14,7 +15,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st, target
 
-from stabkit import approx8, exact_opt, greedy_cover, horizontal_cuts, strip_partition
+from stabkit import approx8, exact_opt, greedy_cover, horizontal_cuts, ptas, strip_partition
 
 from .conftest import make_instance
 
@@ -102,3 +103,24 @@ def test_horizontal_cuts_within_eps_strip_opt(inst, eps):
         worst = max(worst, cost(cuts) / (eps * exact_opt(strip.instance).cost))
     target(float(worst), label="horizontal_cuts / (eps * strip OPT)")
     assert worst <= 1
+
+
+@st.composite
+def bounded_widths(draw):
+    """1-10 rects on a grid of halves with widths in [2, 4], so every
+    normalized width is at least 1/2, over a range that leaves room for both
+    runs of overlapping rects and gaps between them."""
+    rects = []
+    for _ in range(draw(st.integers(1, 10))):
+        xl, width = draw(st.integers(0, 40)), draw(st.integers(4, 8))
+        yb, height = draw(st.integers(0, 8)), draw(st.integers(0, 6))
+        rects.append((F(xl, 2), F(xl + width, 2), yb, yb + height))
+    return make_instance(rects)
+
+
+@settings(max_examples=100)
+@given(bounded_widths(), st.sampled_from([F(1, 8), F(1, 4), F(1, 2)]))
+def test_ptas_within_1_plus_17_eps_opt(inst, eps):
+    ratio = ptas(inst, eps, F(1, 2)).cost / exact_opt(inst).cost
+    target(float(ratio), label="ptas / OPT")
+    assert ratio <= 1 + 17 * eps
