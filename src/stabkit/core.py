@@ -48,6 +48,13 @@ def as_scalar(value) -> Fraction:
 
     Floats are rejected: every coordinate entering the solvers must be exact.
     """
+    # the exact classes first: nearly every value is one, and a type test is
+    # far cheaper than the ABC checks below
+    cls = type(value)
+    if cls is Fraction:
+        return value
+    if cls is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -58,13 +65,21 @@ def as_scalar(value) -> Fraction:
         try:
             # a decimal exponent beyond Python's default int-string digit limit
             # would expand into a huge integer before any other check
-            _, e, exponent = value.lower().partition("e")
-            if e and abs(int(exponent)) > 4300:
-                raise ValueError("decimal exponent out of range")
+            if "e" in value or "E" in value:
+                _, _, exponent = value.lower().partition("e")
+                if abs(int(exponent)) > 4300:
+                    raise ValueError("decimal exponent out of range")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"cannot parse scalar {value!r}") from exc
     raise ParameterError(f"inexact or unsupported scalar type: {type(value).__name__}")
+
+
+def _not_rational(value, name: str) -> ParameterError:
+    """The error for a ``value`` of ``name`` that ``as_scalar`` rejects: it
+    names the parameter and the type, never the value."""
+    got = "an unparsable string" if isinstance(value, str) else type(value).__name__
+    return ParameterError(f"{name} must be an exact rational, not {got}")
 
 
 def _rational(value, name: str) -> Fraction:
@@ -74,8 +89,16 @@ def _rational(value, name: str) -> Fraction:
     try:
         return as_scalar(value)
     except ParameterError:
-        got = "an unparsable string" if isinstance(value, str) else type(value).__name__
-        raise ParameterError(f"{name} must be an exact rational, not {got}") from None
+        raise _not_rational(value, name) from None
+
+
+def _pair(value, name: str) -> tuple[Fraction, Fraction]:
+    """``value`` as a pair (lo, hi) of exact rationals: a range or a span.
+    Whether lo <= hi is left to the caller."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise ParameterError(f"{name} must be a pair (lo, hi)")
+    lo, hi = value
+    return _rational(lo, name), _rational(hi, name)
 
 
 def _unit(value, name: str, closed: bool = False) -> Fraction:
@@ -138,6 +161,21 @@ def pow2(t: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _exact_fields(record, names: tuple[str, ...]) -> list[Fraction]:
+    """The fields ``names`` of a record being built, each coerced by
+    ``as_scalar`` and stored back unless it is already a ``Fraction``.
+    Edges then compare by integer cross-products, denominators being
+    positive, without the ``Fraction`` comparison protocol."""
+    values = []
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not Fraction:
+            value = as_scalar(value)
+            object.__setattr__(record, name, value)
+        values.append(value)
+    return values
+
+
 @dataclass(frozen=True)
 class Rect:
     """Closed axis-aligned rectangle with a caller-chosen id.
@@ -153,11 +191,10 @@ class Rect:
     yt: Fraction
 
     def __post_init__(self):
-        for name in ("xl", "xr", "yb", "yt"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
-        if not self.xl < self.xr:
+        xl, xr, yb, yt = _exact_fields(self, ("xl", "xr", "yb", "yt"))
+        if xl.numerator * xr.denominator >= xr.numerator * xl.denominator:
             raise ParameterError(f"rect {self.id}: requires xl < xr, got [{self.xl}, {self.xr}]")
-        if not self.yb <= self.yt:
+        if yb.numerator * yt.denominator > yt.numerator * yb.denominator:
             raise ParameterError(f"rect {self.id}: requires yb <= yt, got [{self.yb}, {self.yt}]")
 
     @property
@@ -174,9 +211,8 @@ class Segment:
     y: Fraction
 
     def __post_init__(self):
-        for name in ("xl", "xr", "y"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
-        if not self.xl <= self.xr:
+        xl, xr, _ = _exact_fields(self, ("xl", "xr", "y"))
+        if xl.numerator * xr.denominator > xr.numerator * xl.denominator:
             raise ParameterError(f"segment requires xl <= xr, got [{self.xl}, {self.xr}]")
 
     @property
@@ -556,30 +592,57 @@ def _json_entries(obj, field: str, kind: str) -> list[dict]:
 
 def _as_int(value, what: str, least: int | None = None) -> int:
     """An integer parameter or JSON integer, of at least ``least`` when
-    given; floats, booleans, strings and every other type are rejected."""
+    given; floats, booleans, strings and every other type are rejected by
+    their type, never by the value, whose text may be any length."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{what} must be an integer, got {value!r}")
+        raise ParameterError(f"{what} must be an integer, not {type(value).__name__}")
     if least is not None and value < least:
         raise ParameterError(f"{what} must be at least {least}, got {value}")
     return value
 
 
+def _entry_values(
+    entry: dict, names: tuple[str, ...], kind: str, pos: int, parsed: dict[str, Fraction]
+) -> list[Fraction]:
+    """The fields ``names`` of the ``pos``-th ``kind`` entry of a wire-format
+    document, as exact rationals.
+
+    ``parsed`` maps each string already read from the document to its
+    value, so a load parses each distinct string once and rects that share a
+    coordinate share its ``Fraction``; the caller keeps it for one call, so
+    nothing outlives the load.  Other values go through ``as_scalar`` each
+    time: ``True``, ``1`` and ``1.0`` are one dict key but not one value.
+    A value that fails is not recorded, so the first bad value in entry
+    order raises, naming the entry and the field but never the value.
+    """
+    values = []
+    for name in names:
+        try:
+            value = entry[name]
+        except KeyError:
+            raise ParameterError(f"{kind} #{pos} is missing field {name!r}") from None
+        text = type(value) is str
+        exact = parsed.get(value) if text else None
+        if exact is None:
+            try:
+                exact = as_scalar(value)
+            except ParameterError:
+                raise _not_rational(value, f"{kind} #{pos} {name}") from None
+            if text:
+                parsed[value] = exact
+        values.append(exact)
+    return values
+
+
 def instance_from_json(obj: dict) -> Instance:
+    """The instance of a wire-format document (see ``instance_to_json``).
+    Each distinct coordinate string is parsed once per call, which pays
+    where coordinates repeat, as they do on any grid."""
+    parsed: dict[str, Fraction] = {}
     rects = []
     for pos, rd in enumerate(_json_entries(obj, "rects", "instance"), start=1):
         rid = _as_int(rd.get("id", pos), f"rect #{pos}: id")
-        try:
-            rects.append(
-                Rect(
-                    rid,
-                    as_scalar(rd["xl"]),
-                    as_scalar(rd["xr"]),
-                    as_scalar(rd["yb"]),
-                    as_scalar(rd["yt"]),
-                )
-            )
-        except KeyError as exc:
-            raise ParameterError(f"rect #{pos} is missing field {exc}") from exc
+        rects.append(Rect(rid, *_entry_values(rd, ("xl", "xr", "yb", "yt"), "rect", pos, parsed)))
     return Instance(tuple(rects))
 
 
@@ -594,11 +657,12 @@ def solution_to_json(sol: Solution) -> dict:
 
 
 def solution_from_json(obj: dict) -> Solution:
-    segments = []
-    for pos, sd in enumerate(_json_entries(obj, "segments", "solution"), start=1):
-        try:
-            segments.append(Segment(as_scalar(sd["xl"]), as_scalar(sd["xr"]), as_scalar(sd["y"])))
-        except KeyError as exc:
-            raise ParameterError(f"segment #{pos} is missing field {exc}") from exc
+    """The solution of a wire-format document, its coordinates read as by
+    ``instance_from_json``."""
+    parsed: dict[str, Fraction] = {}
+    segments = [
+        Segment(*_entry_values(sd, ("xl", "xr", "y"), "segment", pos, parsed))
+        for pos, sd in enumerate(_json_entries(obj, "segments", "solution"), start=1)
+    ]
     # the cost field, if present, is ignored: cost is always recomputed
     return Solution(tuple(segments))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx8 import _approx8_prices, approx8
-from .core import Instance, ParameterError, Rect, Segment, Solution, _built, _positive, _rational, _unit
+from .core import Instance, ParameterError, Rect, Segment, Solution, _built, _pair, _positive, _rational, _unit
 from .core import instance_to_json, solution_to_json
 
 CUT_FACTOR = 8
@@ -201,9 +201,9 @@ def horizontal_cuts(
     its rects, when the caller has built it; the prices are the same.
     """
     eps, w = _unit(eps, "eps"), _positive(width, "width")
+    x0, x1 = _pair(span, "span")
     if not strip.rects:
         return CutResult((), (), ())
-    x0, x1 = (_rational(v, "span") for v in span)
     rects, g = strip.rects, strip._grid
     # the checks and the trigger on integers, with x0 = a/b, x1 = c/d,
     # w = wn/wd and eps = p/q

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, ParameterError, Rect, _as_int, _positive, _rational, _unit
+from .core import Instance, ParameterError, Rect, _as_int, _built, _pair, _positive, _rational, _unit
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -67,10 +67,7 @@ class GenConfig:
         for name in ("w_max", "h_max"):
             object.__setattr__(self, name, _rational(getattr(self, name), name))
         for name in ("x_range", "y_range"):
-            pair = getattr(self, name)
-            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise ParameterError(f"{name} must be a pair (lo, hi)")
-            lo, hi = (_rational(v, name) for v in pair)
+            lo, hi = _pair(getattr(self, name), name)
             if lo > hi:
                 raise ParameterError(f"{name} must be non-empty")
             object.__setattr__(self, name, (lo, hi))
@@ -87,6 +84,16 @@ def _size_and_seed(n, seed) -> None:
     _as_int(seed, "seed")
 
 
+def _instance(rows: list[tuple[int, int, int, int]], den: int) -> Instance:
+    """The instance of rects 1..n whose (xl, xr, yb, yt) are ``rows``, as
+    integers over ``den``.  Each distinct integer becomes one ``Fraction``,
+    which every rect with that coordinate shares.  The generators draw
+    xl < xr and yb <= yt by construction, so the rects skip their checks."""
+    exact = {v: Fraction(v, den) for v in {v for row in rows for v in row}}
+    get = exact.__getitem__
+    return Instance(tuple(_built(Rect, i, *map(get, row)) for i, row in enumerate(rows, start=1)))
+
+
 def gen_uniform(n: int, seed: int, cfg: GenConfig = GenConfig()) -> Instance:
     """n rects with grid-uniform left edges, widths and y-extents.
 
@@ -96,17 +103,16 @@ def gen_uniform(n: int, seed: int, cfg: GenConfig = GenConfig()) -> Instance:
     _size_and_seed(n, seed)
     rng = SplitMix64(seed)
     res = cfg.resolution
-    ranges = (cfg.x_range, (cfg.w_min, cfg.w_max), cfg.y_range, (Fraction(0), cfg.h_max))
+    ranges = (cfg.x_range, (cfg.w_min, cfg.w_max), cfg.y_range, (0, cfg.h_max))
     # each draw is an integer over den, a common multiple of res and of every
     # lo's denominator: lo * den plus one of count multiples of den / res
     den = res * math.lcm(*(lo.denominator for lo, _ in ranges))
     grids = [(int(lo * den), den // res, int((hi - lo) * res) + 1) for lo, hi in ranges]
-    rects = []
-    for i in range(1, n + 1):
+    rows = []
+    for _ in range(n):
         xl, width, yb, height = (base + step * rng.below(count) for base, step, count in grids)
-        xr, yt = xl + width, yb + height
-        rects.append(Rect(i, Fraction(xl, den), Fraction(xr, den), Fraction(yb, den), Fraction(yt, den)))
-    return Instance(tuple(rects))
+        rows.append((xl, xl + width, yb, yb + height))
+    return _instance(rows, den)
 
 
 def gen_laminar(n: int, seed: int) -> Instance:
@@ -119,8 +125,8 @@ def gen_laminar(n: int, seed: int) -> Instance:
     _size_and_seed(n, seed)
     rng = SplitMix64(seed)
     k = max(3, n.bit_length() + 1)
-    rects = []
-    for i in range(1, n + 1):
+    rows = []
+    for _ in range(n):
         depth = rng.below(k + 1)
         lo = 0
         size = 1 << k
@@ -130,24 +136,26 @@ def gen_laminar(n: int, seed: int) -> Instance:
                 lo += size
         yb = rng.below(2 * n + 1)
         height = rng.below(2 * n + 1 - yb)
-        rects.append(Rect(i, lo, lo + size, yb, yb + height))
-    return Instance(tuple(rects))
+        rows.append((lo, lo + size, yb, yb + height))
+    return _instance(rows, 1)
 
 
 def gen_bounded_ratio(n: int, delta, seed: int) -> Instance:
     """n rects with widths on a 9-point grid spanning [delta, 1].
 
     Suitable fixture for the bounded-width-ratio scheme.  Per-rect draw
-    order: xl, width index, yb, height.
+    order: xl, width index, yb, height.  With delta = p/q, the left edge
+    xl/4 and the width delta + index * (1 - delta)/8 are integers over 8q.
     """
     _size_and_seed(n, seed)
-    delta = _unit(delta, "delta", closed=True)
+    p, q = _unit(delta, "delta", closed=True).as_integer_ratio()
+    den = 8 * q
     rng = SplitMix64(seed)
-    rects = []
-    for i in range(1, n + 1):
-        xl = Fraction(rng.below(8 * max(n, 1) + 1), 4)
-        width = delta + rng.below(9) * (1 - delta) / 8
+    rows = []
+    for _ in range(n):
+        xl = 2 * q * rng.below(8 * max(n, 1) + 1)
+        xr = xl + 8 * p + rng.below(9) * (q - p)
         yb = rng.below(2 * n + 1)
         height = rng.below(2 * n + 1 - yb)
-        rects.append(Rect(i, xl, xl + width, yb, yb + height))
-    return Instance(tuple(rects))
+        rows.append((xl, xr, yb * den, (yb + height) * den))
+    return _instance(rows, den)

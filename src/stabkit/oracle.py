@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,9 +159,16 @@ def _candidate_table(
     needs the full table, where it may be the only row that fits the cap.
     A row inside a block stabs the same rects whichever rects are swept, and
     no row spanning a gap dominates it, being strictly longer, so the kept
-    rows are the full table's with the same keys in the same order.  Each
-    block still visits the instance's top edges, since the lowest top edge
-    with a stab set decides its row's y.
+    rows are the full table's with the same keys in the same order.
+
+    A sweep, of a block or of the whole instance, visits only the levels
+    ``tops[bisect_left(tops, yb)]`` of its rects: per rect, the lowest top
+    edge of the instance at or above its bottom.  At any other top edge y,
+    every rect alive at y is alive at the highest visited level y' below y,
+    so each tight segment at y is one at y' too, of the same length and
+    stabbing a superset: its row is dominated, or repeats the row at y',
+    which wins the tie on y.  Levels are the instance's top edges, not the
+    block's, since the lowest top edge with a stab set decides its row's y.
     """
     rects = inst.rects
     g = inst._grid
@@ -170,7 +178,7 @@ def _candidate_table(
     shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y)
     for by_right in [edges] if blocks is None else [[edges[p] for p in block] for block in blocks]:
         by_right.sort()
-        for y in tops:
+        for y in sorted({tops[bisect_left(tops, lo)] for _, _, _, lo, _ in by_right}):
             alive = [(left, right, bit) for right, left, bit, lo, hi in by_right if lo <= y <= hi]
             starts = {left for left, _, _ in alive}
             alive.append((math.inf, math.inf, 0))  # past every right edge: flushes the last mask

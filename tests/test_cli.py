@@ -332,6 +332,8 @@ class TestMalformedInput:
         "bool-id": {"rects": [dict(RECT, id=True)]},
         "string-id": {"rects": [dict(RECT, id="1")]},
         "float-coordinate": {"rects": [dict(RECT, xr=4.5)]},
+        "bool-coordinate": {"rects": [RECT, dict(RECT, yt=True)]},
+        "digits-5000": {"rects": [dict(RECT, xl="1" * 5000)]},
         # a decimal exponent past Python's int-string digit limit is rejected
         # before the literal is expanded
         "exponent-4301": {"rects": [dict(RECT, xl="1e4301", xr="2e4301")]},
@@ -399,6 +401,13 @@ class TestMalformedInput:
         inst = self.write(tmp_path / "inst.json", self.BAD_INSTANCES[case])
         sol = self.write(tmp_path / "sol.json", {"segments": []})
         self.assert_rejected(self.command(command, inst, sol), capsys)
+
+    def test_bad_coordinate_message_does_not_echo_the_value(self, tmp_path, capsys):
+        # the message once echoed all 5,000 digits
+        inst = self.write(tmp_path / "inst.json", self.BAD_INSTANCES["digits-5000"])
+        assert main(["solve", "--algo", "approx8", "-i", inst]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("rect #1 xl must be an exact rational, not an unparsable string\n") and len(err) < 100, err
 
     @pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
     @pytest.mark.parametrize("case", ["missing", "directory"])

@@ -380,6 +380,58 @@ class TestJson:
         with pytest.raises(ParameterError):
             solution_from_json({})
 
+    RECT = {"xl": "0", "xr": "4", "yb": "0", "yt": "2"}
+
+    @pytest.mark.parametrize(
+        "load, obj, message",
+        [
+            (
+                instance_from_json,
+                {"rects": [RECT, dict(RECT, xr=True)]},
+                "rect #2 xr must be an exact rational, not bool",
+            ),
+            (instance_from_json, {"rects": [dict(RECT, yb=0.5)]}, "rect #1 yb must be an exact rational, not float"),
+            (
+                instance_from_json,
+                {"rects": [dict(RECT, xl="1" * 5000)]},
+                "rect #1 xl must be an exact rational, not an unparsable string",
+            ),
+            (instance_from_json, {"rects": [dict(RECT, id="1" * 5000)]}, "rect #1: id must be an integer, not str"),
+            (instance_from_json, {"rects": [{"xl": "0", "xr": "1", "yb": "0"}]}, "rect #1 is missing field 'yt'"),
+            (
+                solution_from_json,
+                {"segments": [{"xl": "0", "xr": "1", "y": "0"}, {"xl": "0", "xr": "1", "y": None}]},
+                "segment #2 y must be an exact rational, not NoneType",
+            ),
+        ],
+        ids=["bool", "float", "5000-digits", "5000-digit-id", "missing", "segment-none"],
+    )
+    def test_loader_errors_name_position_and_field_not_value(self, load, obj, message):
+        # a 5,000-digit string exceeds Python's int-string digit limit; the
+        # message once echoed it in full, 5,022 characters
+        with pytest.raises(ParameterError) as exc:
+            load(obj)
+        assert str(exc.value) == message and len(message) < 100
+
+    @pytest.mark.parametrize("bad, kind", [(True, "bool"), (1.0, "float")])
+    @pytest.mark.parametrize("at", [1, 2, 3])
+    def test_equal_json_values_of_other_types_are_read_by_type(self, bad, kind, at):
+        # True == 1 == 1.0 == Fraction(1), and the three hash alike: a value
+        # read once must not stand in for an equal one of another type
+        values = [1, "1"]
+        values.insert(at - 1, bad)
+        rects = [dict(self.RECT, xl=v, xr="2") for v in values]
+        with pytest.raises(ParameterError, match=f"^rect #{at} xl must be an exact rational, not {kind}$"):
+            instance_from_json({"rects": rects})
+        inst = instance_from_json({"rects": [r for i, r in enumerate(rects, start=1) if i != at]})
+        assert [r.xl for r in inst.rects] == [1, 1]
+        assert all(type(v) is F for r in inst.rects for v in (r.xl, r.xr, r.yb, r.yt))
+
+    def test_loaded_rects_share_each_distinct_value(self):
+        inst = instance_from_json({"rects": [self.RECT, dict(self.RECT, yb="4", yt="4"), dict(self.RECT, xl="2")]})
+        first, second, third = inst.rects
+        assert first.xr is second.xr is third.xr and first.yt is third.yt and second.yb is second.yt
+
 
 # arbitrary JSON values, plus documents shaped like the wire formats whose
 # fields hold arbitrary values, so that the per-field checks are reached

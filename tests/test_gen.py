@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -6,12 +7,15 @@ from hypothesis import given, strategies as st
 
 from stabkit import (
     GenConfig,
+    Instance,
+    Rect,
     ParameterError,
     SplitMix64,
     exact_opt,
     gen_bounded_ratio,
     gen_laminar,
     gen_uniform,
+    instance_from_json,
     instance_to_json,
     is_laminar,
     solve_laminar,
@@ -138,3 +142,73 @@ def test_resolution_and_stream_seed_must_be_integers(make):
     # True ran as 1; a float seed raised TypeError from the mask
     with pytest.raises(ParameterError):
         make()
+
+
+# sha256 over json.dumps(instance_to_json(inst)) of every instance below, in
+# the loop order of test_generated_instances_are_byte_identical; a change to
+# how the generators build rects must not move any coordinate
+CORPUS_SHA256 = "21cd3cdf944b86c5fc57e6e6cfe1eaf76a36c058c91e0635a470886944a929a8"
+
+
+def test_generated_instances_are_byte_identical():
+    digest = hashlib.sha256()
+    for n in (0, 1, 5, 16, 32, 56, 100):
+        for seed in range(30):
+            for kind in ("uniform", "laminar", "bounded"):
+                digest.update(json.dumps(instance_to_json(GENERATORS[kind](n, seed))).encode())
+    assert digest.hexdigest() == CORPUS_SHA256
+
+
+POSITIVE = st.builds(F, st.integers(1, 12), st.integers(1, 6))
+RATIONAL = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def gen_config(draw):
+    x0, y0 = draw(RATIONAL), draw(RATIONAL)
+    w_min = draw(POSITIVE)
+    return GenConfig(
+        x_range=(x0, x0 + draw(RATIONAL.map(abs))),
+        y_range=(y0, y0 + draw(RATIONAL.map(abs))),
+        w_min=w_min,
+        w_max=w_min + draw(RATIONAL.map(abs)),
+        h_max=draw(RATIONAL.map(abs)),
+        resolution=draw(st.integers(1, 6)),
+    )
+
+
+@st.composite
+def generated(draw):
+    n, seed = draw(st.integers(0, 24)), draw(st.integers(0, 2**64))
+    kind = draw(st.sampled_from(["uniform", "laminar", "bounded"]))
+    if kind == "uniform":
+        return gen_uniform(n, seed, draw(gen_config()))
+    if kind == "laminar":
+        return gen_laminar(n, seed)
+    return gen_bounded_ratio(n, draw(st.builds(F, st.integers(1, 12), st.integers(12, 24))), seed)
+
+
+@given(generated())
+def test_generated_instances_round_trip_through_json(inst):
+    assert instance_from_json(json.loads(json.dumps(instance_to_json(inst)))) == inst
+    assert all(type(v) is F for r in inst.rects for v in (r.xl, r.xr, r.yb, r.yt))
+
+
+def bounded_ratio_on_fractions(n, delta, seed):
+    # gen_bounded_ratio's draws in Fraction arithmetic, as the generator was
+    # first written
+    rng = SplitMix64(seed)
+    rects = []
+    for i in range(1, n + 1):
+        xl = F(rng.below(8 * max(n, 1) + 1), 4)
+        width = delta + rng.below(9) * (1 - delta) / 8
+        yb = rng.below(2 * n + 1)
+        height = rng.below(2 * n + 1 - yb)
+        rects.append(Rect(i, xl, xl + width, yb, yb + height))
+    return Instance(tuple(rects))
+
+
+@given(st.integers(0, 30), st.builds(F, st.integers(1, 40), st.integers(1, 40)), st.integers(0, 2**64))
+def test_bounded_ratio_on_integers_matches_fraction_arithmetic(n, delta, seed):
+    delta = min(delta, 1 / delta)
+    assert gen_bounded_ratio(n, delta, seed) == bounded_ratio_on_fractions(n, delta, seed)

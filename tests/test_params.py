@@ -106,6 +106,8 @@ CASES = [
     ("horizontal_cuts-eps", lambda v: horizontal_cuts(ONE, v, 2, (0, 2)), INSIDE, NOT_UNIT),
     # the positive bound on an empty strip, which no span can exceed
     ("horizontal_cuts-width", lambda v: horizontal_cuts(Instance(()), HALF, v, (0, 2)), POSITIVE, NOT_POSITIVE),
+    # a span is a pair, checked as GenConfig checks its ranges
+    ("horizontal_cuts-span", lambda v: horizontal_cuts(ONE, HALF, 2, v), [(0, 2), [0, 2]], [5, (0, 1, 2), (0,)]),
     ("decompose-eps", lambda v: decompose(ONE, v), INSIDE, NOT_UNIT),
 ]
 
@@ -153,6 +155,9 @@ PAST = [
     ("crossing_rects-spacing", 2.5, "spacing must be an exact rational, not float"),
     ("guess_long-min_len", 2.5, "min_len must be an exact rational, not float"),
     ("horizontal_cuts-width", True, "width must be an exact rational, not bool"),
+    ("horizontal_cuts-span", 5, "span must be a pair (lo, hi)"),
+    ("horizontal_cuts-span", (0, 1, 2), "span must be a pair (lo, hi)"),
+    ("horizontal_cuts-span", (0,), "span must be a pair (lo, hi)"),
 ]
 
 

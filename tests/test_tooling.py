@@ -8,6 +8,7 @@ still break ``perfbench/run.py``.
 import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -260,3 +261,50 @@ def test_only_core_scales_coordinates():
     package = Path(stabkit.__file__).resolve().parent
     scaling = sorted(p.name for p in package.glob("*.py") if p.name != "core.py" and "_scaled" in p.read_text())
     assert scaling == []
+
+
+def test_instance_loader_parses_each_distinct_string_once(monkeypatch):
+    # a load once parsed every coordinate string, about 0.3 s of a 0.4 s
+    # load of 16,000 grid rects; the parsed values are kept for one call
+    # only, so a second load parses again
+    doc = json.loads(json.dumps(stabkit.instance_to_json(stabkit.gen_uniform(200, 1))))
+    distinct = {v for rect in doc["rects"] for v in rect.values()}
+    original = stabkit.core.as_scalar
+    parsed = []
+
+    def counted(value):
+        parsed.append(value)
+        return original(value)
+
+    monkeypatch.setattr(stabkit.core, "as_scalar", counted)
+    for _ in range(2):
+        inst = stabkit.instance_from_json(doc)
+        assert sorted(parsed) == sorted(distinct) and len(distinct) < 100
+        parsed.clear()
+    assert inst == stabkit.gen_uniform(200, 1)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: stabkit.gen_uniform(200, 1),
+        lambda: stabkit.gen_laminar(200, 1),
+        lambda: stabkit.gen_bounded_ratio(200, Fraction(1, 2), 1),
+    ],
+    ids=["uniform", "laminar", "bounded"],
+)
+def test_generators_build_one_fraction_per_distinct_value(monkeypatch, generate):
+    # rects that share a coordinate share its Fraction, built once from
+    # the integer draw, and skip the Rect checks they pass by construction
+    made = []
+
+    def counted(*args):
+        made.append(Fraction(*args))
+        return made[-1]
+
+    monkeypatch.setattr(stabkit.gen, "Fraction", counted)
+    monkeypatch.setattr(stabkit.Rect, "__post_init__", lambda self: pytest.fail("a generated rect was checked"))
+    inst = generate()
+    values = [v for r in inst.rects for v in (r.xl, r.xr, r.yb, r.yt)]
+    assert len(made) == len(set(values)) < len(values)
+    assert {id(v) for v in values} == {id(v) for v in made}
