@@ -193,9 +193,9 @@ class Rect:
     def __post_init__(self):
         xl, xr, yb, yt = _exact_fields(self, ("xl", "xr", "yb", "yt"))
         if xl.numerator * xr.denominator >= xr.numerator * xl.denominator:
-            raise ParameterError(f"rect {self.id}: requires xl < xr, got [{self.xl}, {self.xr}]")
+            raise ParameterError(f"rect {self.id}: requires xl < xr")
         if yb.numerator * yt.denominator > yt.numerator * yb.denominator:
-            raise ParameterError(f"rect {self.id}: requires yb <= yt, got [{self.yb}, {self.yt}]")
+            raise ParameterError(f"rect {self.id}: requires yb <= yt")
 
     @property
     def width(self) -> Fraction:
@@ -213,7 +213,7 @@ class Segment:
     def __post_init__(self):
         xl, xr, _ = _exact_fields(self, ("xl", "xr", "y"))
         if xl.numerator * xr.denominator > xr.numerator * xl.denominator:
-            raise ParameterError(f"segment requires xl <= xr, got [{self.xl}, {self.xr}]")
+            raise ParameterError("segment requires xl <= xr")
 
     @property
     def length(self) -> Fraction:

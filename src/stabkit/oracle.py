@@ -7,11 +7,12 @@ higher cost (a memo on the uncovered mask) and one whose LP-dual lower bound
 reaches the incumbent (a dual-fitting pass that stops once it does).  A pass
 that runs to the end also gives each candidate's reduced cost, and a child
 whose reduced cost lifts the bound to the incumbent is skipped unentered.
-The same search with a cap on the number of segments is the PTAS chunk
-solver.  The greedy baseline, which also seeds the search's incumbent, is
-the lazy (Minoux) greedy over one heap per last known newly-stabbed count.
-Both run on the candidate table's integer rows and build a ``Segment`` only
-for the rows of their answer.
+The search seeds its own incumbent with the primal-dual cover read off the
+dual pass at its root.  The same search with a cap on the number of
+segments is the PTAS chunk solver.  The greedy baseline is the lazy
+(Minoux) greedy over one heap per last known newly-stabbed count.  Both run
+on the candidate table's integer rows and build a ``Segment`` only for the
+rows of their answer.
 
 Without a cap, both split the instance into blocks: groups of rects whose
 x-projections chain together by closed overlap, with a positive gap
@@ -57,7 +58,10 @@ class Candidate:
 def _kept_rows(shortest: dict[int, tuple]) -> list[tuple]:
     """The rows ``(key, mask, length)``, sorted by key, of the stab sets in
     ``shortest`` (mask -> ``(length, *key)``, the least such entry per set)
-    that no other set contains at no greater length."""
+    that no other set contains at no greater length.  The general pass of
+    ``reduce_candidates``, whose segments may lie anywhere; the candidate
+    table, whose rows sit at their stab sets' spans, settles domination per
+    span instead."""
     # visited by (length, -popcount): a set dominating S is a strict superset
     # no longer than S, so it is shorter or has the higher popcount, and is
     # visited first; domination is transitive and acyclic, so S is dominated
@@ -146,10 +150,19 @@ def _candidate_table(
     y (``yb <= y <= yt``).  Any grid segment with stab set S at y contains
     ``[min xl(S), max xr(S)] x y``, which stabs exactly S and is strictly
     shorter unless it is that same segment; so the least (length, xl, xr, y)
-    per stab set is a tight one.  The sweep runs on the instance's integer
-    view, whose x denominator the lengths are over, and maps coordinates
-    back to the rects' Fractions only for the kept rows.  No ``Segment`` is
-    built: the solvers build one only for each row of their answer.
+    per stab set S lies on its *span* ``[min xl(S), max xr(S)]``, at the
+    lowest level that meets S.  The sweep visits levels bottom up and, at
+    each level, meets every set at its span first (see the comment on the
+    order of left edges), so it records each set where it first meets it.
+
+    Domination is settled per span.  A strict superset T of S spans at least
+    [a, b], the span of S, so it is no longer than S only when it spans
+    exactly [a, b]: S is dropped when another set recorded at its own span
+    contains it, and no global pass over all sets is needed.  The sweep runs
+    on the instance's integer view, whose x denominator the lengths are
+    over, and maps coordinates back to the rects' Fractions only for the
+    kept rows.  No ``Segment`` is built: the solvers build one only for each
+    row of their answer.
 
     Given ``blocks``, the position lists of ``_x_blocks(inst)``, the sweep
     runs once per block over that block's rects, and the table is the one
@@ -175,12 +188,17 @@ def _candidate_table(
     tops = sorted(set(g.yt))
     # each rect's right edge, left edge, bit and y-extent
     edges = [(b, a, 1 << p, lo, hi) for p, (a, b, lo, hi) in enumerate(zip(g.xl, g.xr, g.yb, g.yt))]
-    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y)
+    level: dict[int, int] = {}  # stab set -> the lowest level it was recorded at
+    at_span: dict[tuple[int, int], list[int]] = {}  # span -> the stab sets recorded at it
     for by_right in [edges] if blocks is None else [[edges[p] for p in block] for block in blocks]:
         by_right.sort()
         for y in sorted({tops[bisect_left(tops, lo)] for _, _, _, lo, _ in by_right}):
             alive = [(left, right, bit) for right, left, bit, lo, hi in by_right if lo <= y <= hi]
-            starts = {left for left, _, _ in alive}
+            # left edges in order of the least right edge of a rect starting
+            # there: a set S is met at its span before any other [a, b] that
+            # stabs exactly S, since every rect starting at such an a ends
+            # past b, later than a rect of S starting at min xl(S)
+            starts = dict.fromkeys(left for left, _, _ in alive)
             alive.append((math.inf, math.inf, 0))  # past every right edge: flushes the last mask
             for a in starts:
                 # [a, b] x y stabs the alive rects with xl >= a and xr <= b; a
@@ -188,13 +206,17 @@ def _candidate_table(
                 mask = 0
                 for left, right, bit in alive:
                     if left >= a:
-                        if mask and right != b:
-                            entry = (b - a, a, b, y)
-                            old = shortest.get(mask)
-                            if old is None or entry < old:
-                                shortest[mask] = entry
+                        if mask and right != b and mask not in level:
+                            level[mask] = y
+                            at_span.setdefault((a, b), []).append(mask)
                         mask |= bit
                         b = right
+    kept = sorted(
+        ((a, b, level[mask]), mask, b - a)
+        for (a, b), sets in at_span.items()
+        for mask in sets
+        if not any(other != mask and other & mask == mask for other in sets)
+    )
 
     x_of: dict[int, Fraction] = {}
     y_of: dict[int, Fraction] = {}
@@ -202,7 +224,7 @@ def _candidate_table(
         x_of[a], x_of[b], y_of[t] = r.xl, r.xr, r.yt
     keys, masks, lengths = [], [], []
     covering: list[list[int]] = [[] for _ in rects]
-    for ci, ((a, b, y), mask, length) in enumerate(_kept_rows(shortest)):
+    for ci, ((a, b, y), mask, length) in enumerate(kept):
         keys.append((x_of[a], x_of[b], y_of[y]))
         masks.append(mask)
         lengths.append(length)
@@ -300,13 +322,41 @@ def _greedy(masks: list[int], lengths: list[int], full: int) -> list[int]:
     return picked
 
 
-def _search(positions, masks, lengths, covering, best_cost, cap, budget) -> list[int] | None:
+def _dual_cover(uncovered: int, slack: list[int], lengths, covering) -> list[int]:
+    """A cover of the rects in ``uncovered`` read off the slacks of a
+    ``_dual_bound`` pass over them that ran to the end: the rows that stab
+    one of them at zero slack, of which the pass leaves every such rect at
+    least one, less the redundant ones, dropped longest first, ties to the
+    lower index (the primal-dual cover with reverse delete)."""
+    rows: dict[int, list[int]] = {}  # zero-slack row -> the positions in uncovered it stabs
+    times: dict[int, int] = {}  # position -> the number of rows still held that stab it
+    rest = uncovered
+    while rest:
+        low = rest & -rest
+        p = low.bit_length() - 1
+        for ci in covering[p]:
+            if not slack[ci]:
+                rows.setdefault(ci, []).append(p)
+                times[p] = times.get(p, 0) + 1
+        rest ^= low
+    cover = []
+    for ci in sorted(rows, key=lambda ci: (-lengths[ci], ci)):
+        if all(times[p] > 1 for p in rows[ci]):
+            for p in rows[ci]:
+                times[p] -= 1
+        else:
+            cover.append(ci)
+    return cover
+
+
+def _search(positions, masks, lengths, covering, cap, budget) -> list[int] | None:
     """The rows, in choice order, of the first cheapest way to stab the rects
-    at ``positions`` with at most ``cap`` rows (any number when None) that
-    costs less than ``best_cost``, or None when there is none; one tick of
-    ``budget`` per node entered.  See ``_branch_and_bound``."""
+    at ``positions`` with at most ``cap`` rows (any number when None), or
+    None when there is none; one tick of ``budget`` per node entered.  See
+    ``_branch_and_bound``."""
     order = sorted(positions, key=lambda i: (len(covering[i]), i))
     best = None
+    best_cost = math.inf
     chosen: list[int] = []
     seen: dict = {}  # state -> least cost it was entered at
 
@@ -327,6 +377,11 @@ def _search(positions, masks, lengths, covering, best_cost, cap, budget) -> list
         bound, slack = _dual_bound(uncovered, order, covering, lengths, gap)
         if bound >= gap:
             return
+        if not chosen:
+            # the root: no incumbent yet, so the pass ran to the end
+            cover = _dual_cover(uncovered, slack, lengths, covering)
+            if cap is None or len(cover) <= cap:
+                best_cost = sum(lengths[ci] for ci in cover) + 1
         for ci in covering[(uncovered & -uncovered).bit_length() - 1]:
             # every leaf under this child costs at least cost + bound + slack[ci]
             if bound + slack[ci] >= best_cost - cost:
@@ -355,54 +410,46 @@ def _branch_and_bound(
     still uncovered after picking ci stay feasible, so every leaf under that
     child costs at least cost + bound + ``slack[ci]``, and the child is
     skipped, unentered and uncounted, when that reaches the incumbent as it
-    stands at the child.  The incumbent starts one above greedy's cost (if
-    greedy fits the cap) and yields only to strict improvements, so a
-    skipped child holds no leaf that would replace it; the cap only removes
-    leaves, so this holds for the capped search too.  An earlier entry of a
-    state searched the same subtree from no higher cost, with no fewer
-    segments left, against an incumbent no lower, so the memo drops no
-    first optimal leaf; the answer is the first optimal choice sequence: the
-    one the subset DP over rect bitmasks,
-    ``tests/helpers.py::exact_opt_subset_dp``, reconstructs.
+    stands at the child.
+
+    The search seeds its own incumbent.  At the root there is none, so the
+    pass runs to the end, and ``_dual_cover`` reads a cover off its slacks;
+    if that cover fits the cap, the incumbent becomes one above its cost H.
+    H is the cost of a cover within the cap, so the incumbent lies above the
+    optimum, and it yields only to strict improvements: a skipped child
+    holds no leaf that would replace it, and the cap only removes leaves, so
+    this holds for the capped search too.  An earlier entry of a state
+    searched the same subtree from no higher cost, with no fewer segments
+    left, against an incumbent no lower, so the memo drops no first optimal
+    leaf; the answer is the first optimal choice sequence: the one the
+    subset DP over rect bitmasks, ``tests/helpers.py::exact_opt_subset_dp``,
+    reconstructs.
 
     Without a cap the search runs once per block of ``_x_blocks``, on the
     table without the rows that span a gap.  No row stabs rects of two
     blocks, so OPT and the subset DP's choices add up over blocks: each
     block's search, on its own rows in table order, makes the choices the
-    whole-instance search makes there, and the answer is their union.  Its incumbent is
-    greedy's cost on the block plus one: a pick changes no newly stabbed
-    count outside its block, so greedy's picks there are those of greedy
-    on the block alone.  The node budget counts entered nodes only, over
-    all blocks, each block's root included; a block of one rect, which has
-    one row, takes it at its root.
+    whole-instance search makes there, and the answer is their union.  Each
+    block's root seeds that block's incumbent.  The node budget counts
+    entered nodes only, over all blocks, each block's root included; a block
+    of one rect, which has one row, takes it at its root.
     """
     blocks = _x_blocks(inst) if cap is None else None
     keys, masks, lengths, covering = _candidate_table(inst, blocks)
-    n = len(covering)
-    seed = _greedy(masks, lengths, (1 << n) - 1)
     budget = _Budget(node_budget)
-    if blocks is None or len(blocks) == 1:
-        fits = cap is None or len(seed) <= cap
-        incumbent = sum(lengths[ci] for ci in seed) + 1 if fits else math.inf
-        best = _search(range(n), masks, lengths, covering, incumbent, cap, budget)
+    if blocks is None:
+        best = _search(range(len(covering)), masks, lengths, covering, cap, budget)
         if best is None:
             return None
     else:
-        block_of = [0] * n
-        for b, block in enumerate(blocks):
-            for p in block:
-                block_of[p] = b
-        share = [1] * len(blocks)  # greedy's cost on each block, plus one
-        for ci in seed:
-            share[block_of[(masks[ci] & -masks[ci]).bit_length() - 1]] += lengths[ci]
         best = []
-        for block, incumbent in zip(blocks, share):
+        for block in blocks:
             if len(block) == 1:
                 # one rect has one row; the root counts
                 budget.tick()
                 best += covering[block[0]]
             else:
-                best += _search(block, masks, lengths, covering, incumbent, None, budget)
+                best += _search(block, masks, lengths, covering, None, budget)
     # rows are in key order, so the answer is sorted by row index
     return Solution(tuple(_built(Segment, *keys[ci]) for ci in sorted(best)))
 

@@ -339,6 +339,10 @@ class TestMalformedInput:
         "exponent-4301": {"rects": [dict(RECT, xl="1e4301", xr="2e4301")]},
         "exponent-minus-4301": {"rects": [dict(RECT, xl="1e-4301", xr="2e-4301")]},
         "exponent-1e9": {"rects": [dict(RECT, xl="1e1000000000", xr="2e1000000000")]},
+        # edges out of order: the message names the rect and the rule, never
+        # the values, whose text may pass the int-string digit limit
+        "xl-above-xr-exponent-4300": {"rects": [{"xl": "1e4300", "xr": "0", "yb": "0", "yt": "1"}]},
+        "xl-above-xr-digits-4000": {"rects": [dict(RECT, xl="9" * 4000)]},
     }
     INSTANCE = {"kind": "uniform", "n": 3, "seeds": [1]}
     ALGO = {"name": "greedy"}
@@ -371,6 +375,7 @@ class TestMalformedInput:
         "invalid-json": "[",
         "segments-not-list": {"segments": {"xl": "0", "xr": "4", "y": "2"}},
         "segment-not-object": {"segments": [["0", "4", "2"]]},
+        "xl-above-xr-exponent-4300": {"segments": [{"xl": "1e4300", "xr": "0", "y": "2"}]},
     }
 
     @staticmethod
@@ -408,6 +413,21 @@ class TestMalformedInput:
         assert main(["solve", "--algo", "approx8", "-i", inst]) == 2
         err = capsys.readouterr().err
         assert err.endswith("rect #1 xl must be an exact rational, not an unparsable string\n") and len(err) < 100, err
+
+    @pytest.mark.parametrize("case", ["xl-above-xr-exponent-4300", "xl-above-xr-digits-4000"])
+    def test_edge_order_message_does_not_echo_the_values(self, case, tmp_path, capsys):
+        # the 1e4300 case once exited 1 with a traceback: building the
+        # message ran into the int-string digit limit
+        inst = self.write(tmp_path / "inst.json", self.BAD_INSTANCES[case])
+        assert main(["solve", "--algo", "approx8", "-i", inst]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("rect 1: requires xl < xr\n") and len(err) < 100, err
+
+    def test_segment_order_message_does_not_echo_the_values(self, i1_file, tmp_path, capsys):
+        sol = self.write(tmp_path / "sol.json", self.BAD_SOLUTIONS["xl-above-xr-exponent-4300"])
+        assert main(["verify", "-i", i1_file, "-s", sol]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("segment requires xl <= xr\n") and len(err) < 100, err
 
     @pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
     @pytest.mark.parametrize("case", ["missing", "directory"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stabkit import (
+    BudgetError,
     Candidate,
     InfeasibleError,
     Instance,
@@ -26,7 +27,7 @@ from stabkit import (
     verify,
 )
 
-from stabkit.oracle import _branch_and_bound, _candidate_table, _dual_bound, _kept_rows, _x_blocks
+from stabkit.oracle import _branch_and_bound, _candidate_table, _dual_bound, _dual_cover, _kept_rows, _x_blocks
 
 from .conftest import make_instance
 from .helpers import (
@@ -272,8 +273,8 @@ class TestExactOpt:
         assert exact_opt(inst) == exact_opt_subset_dp(inst)
 
     def test_reduced_cost_skip_fires(self):
-        # the search enters 75 nodes here, over three blocks, when it skips
-        # children by reduced cost, and 270 without the skip
+        # the search enters 84 nodes here, over three blocks, when it skips
+        # children by reduced cost, and 316 without the skip
         inst = gen_uniform(20, 2)
         assert _branch_and_bound(inst, node_budget=150) == exact_opt(inst)
 
@@ -390,6 +391,61 @@ class TestDualBound:
             assert bound + slack[ci] <= lengths[ci] + exact_opt_subset_dp(rest).cost * scale
 
 
+def root_covers(inst, cap=None):
+    """Per part the search runs on (each block of ``_x_blocks`` without a
+    cap, the whole instance with one), its positions and the cover
+    ``_dual_cover`` reads off the root's full dual pass, with the table."""
+    blocks = _x_blocks(inst) if cap is None else [range(len(inst.rects))]
+    table = _candidate_table(inst, blocks if cap is None else None)
+    _, masks, lengths, covering = table
+    for part in blocks:
+        uncovered = sum(1 << p for p in part)
+        order = sorted(part, key=lambda i: (len(covering[i]), i))
+        _, slack = _dual_bound(uncovered, order, covering, lengths, math.inf)
+        yield part, _dual_cover(uncovered, slack, lengths, covering), table
+
+
+class TestRootCover:
+    """The search's incumbent comes from the cover read off its root's dual
+    pass: it must stab every rect of its part, hold no redundant row and
+    cost at least the optimum it seeds."""
+
+    @given(st.one_of(generated(), tie_heavy(), shared_edges()))
+    def test_block_cover_stabs_its_block_at_no_less_than_opt(self, inst):
+        for part, cover, (keys, masks, lengths, _) in root_covers(inst):
+            uncovered = sum(1 << p for p in part)
+            union = 0
+            for ci in cover:
+                union |= masks[ci]
+            assert union & uncovered == uncovered and union & ~uncovered == 0
+            # reverse delete leaves each row a rect no other row stabs
+            for ci in cover:
+                others = 0
+                for cj in cover:
+                    if cj != ci:
+                        others |= masks[cj]
+                assert masks[ci] & ~others
+            block = Instance(tuple(inst.rects[p] for p in part))
+            cost = sum(lengths[ci] for ci in cover)
+            assert cost >= exact_opt_subset_dp(block).cost * table_scale(keys, lengths)
+
+    @given(st.one_of(generated(), tie_heavy(), shared_edges()))
+    def test_cover_that_fits_the_cap_costs_at_least_the_capped_opt(self, inst):
+        for cap in (1, 2, 3):
+            ((_, cover, (keys, _, lengths, _)),) = root_covers(inst, cap)
+            if len(cover) <= cap:
+                want = branch_and_bound_unmemoized(inst, cap)
+                assert sum(lengths[ci] for ci in cover) >= want.cost * table_scale(keys, lengths)
+
+    def test_root_cover_beats_greedy(self):
+        # one block of 35 rects; started one above greedy's cost, the search
+        # entered 351 nodes here, and from the root cover it enters 21
+        inst = gen_uniform(35, 3)
+        assert _branch_and_bound(inst, node_budget=21) == exact_opt(inst, limit=35)
+        with pytest.raises(BudgetError):
+            _branch_and_bound(inst, node_budget=20)
+
+
 class TestAgainstUnmemoizedSearch:
     """The memoized search with its early-exit bound, and the lazy greedy,
     land on the very solutions of the plain search and the full scan."""
@@ -503,7 +559,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("seed", sorted(BOUNDED_120))
     def test_bounded_120_within_a_node_budget(self, seed):
-        # 82-85 blocks and 192-194 nodes in all; the search over the whole
+        # 82-85 blocks and 129-135 nodes in all; the search over the whole
         # instance enters 418 / 577 / 875 nodes, each a dual pass over all
         # 120 rects
         inst = gen_bounded_ratio(120, Fraction(1, 2), seed)

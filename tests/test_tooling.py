@@ -308,3 +308,27 @@ def test_generators_build_one_fraction_per_distinct_value(monkeypatch, generate)
     values = [v for r in inst.rects for v in (r.xl, r.xr, r.yb, r.yt)]
     assert len(made) == len(set(values)) < len(values)
     assert {id(v) for v in values} == {id(v) for v in made}
+
+
+def test_exact_path_runs_neither_greedy_nor_the_global_domination_pass(monkeypatch):
+    # the search seeds its own incumbent from each root's dual pass, and the
+    # candidate table settles domination per span; greedy serves only
+    # greedy_cover, and the global pass only reduce_candidates
+    oracle = stabkit.oracle
+    calls = {"_greedy": 0, "_kept_rows": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    stabkit.exact_opt(stabkit.gen_uniform(16, 1))
+    stabkit.exact_opt(stabkit.gen_bounded_ratio(40, Fraction(1, 2), 1), limit=40)
+    stabkit.solve_small(stabkit.gen_uniform(8, 1), 8)
+    assert calls == {"_greedy": 0, "_kept_rows": 0}
+    stabkit.greedy_cover(stabkit.gen_bounded_ratio(40, Fraction(1, 2), 1))
+    assert calls == {"_greedy": 1, "_kept_rows": 0}
