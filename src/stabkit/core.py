@@ -191,11 +191,13 @@ class Rect:
     yt: Fraction
 
     def __post_init__(self):
+        # the messages name the rule, never the id or the values, whose
+        # text may be thousands of digits long
         xl, xr, yb, yt = _exact_fields(self, ("xl", "xr", "yb", "yt"))
         if xl.numerator * xr.denominator >= xr.numerator * xl.denominator:
-            raise ParameterError(f"rect {self.id}: requires xl < xr")
+            raise ParameterError("rect requires xl < xr")
         if yb.numerator * yt.denominator > yt.numerator * yb.denominator:
-            raise ParameterError(f"rect {self.id}: requires yb <= yt")
+            raise ParameterError("rect requires yb <= yt")
 
     @property
     def width(self) -> Fraction:
@@ -268,17 +270,18 @@ class _Grid:
 
 @dataclass(frozen=True)
 class Instance:
-    """A finite set of rectangles to stab.  Rect ids must be unique."""
+    """A finite set of rectangles to stab.  Rect ids must be unique; two
+    rects that share one are named by their positions, counted from 1."""
 
     rects: tuple[Rect, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "rects", tuple(self.rects))
-        seen = set()
-        for r in self.rects:
-            if r.id in seen:
-                raise ParameterError(f"duplicate rect id {r.id}")
-            seen.add(r.id)
+        seen: dict[int, int] = {}  # id -> the position of the first rect with it
+        for pos, r in enumerate(self.rects, start=1):
+            first = seen.setdefault(r.id, pos)
+            if first != pos:
+                raise ParameterError(f"rects #{first} and #{pos} share an id")
 
     @classmethod
     def _viewed(cls, rects: tuple[Rect, ...], grid: _Grid) -> "Instance":
@@ -637,12 +640,18 @@ def _entry_values(
 def instance_from_json(obj: dict) -> Instance:
     """The instance of a wire-format document (see ``instance_to_json``).
     Each distinct coordinate string is parsed once per call, which pays
-    where coordinates repeat, as they do on any grid."""
+    where coordinates repeat, as they do on any grid.  A rect that fails a
+    check is named by its position, counted from 1, never by its id."""
     parsed: dict[str, Fraction] = {}
     rects = []
     for pos, rd in enumerate(_json_entries(obj, "rects", "instance"), start=1):
         rid = _as_int(rd.get("id", pos), f"rect #{pos}: id")
-        rects.append(Rect(rid, *_entry_values(rd, ("xl", "xr", "yb", "yt"), "rect", pos, parsed)))
+        values = _entry_values(rd, ("xl", "xr", "yb", "yt"), "rect", pos, parsed)
+        try:
+            rects.append(Rect(rid, *values))
+        except ParameterError as exc:
+            # "rect requires ...": the rule, for the rect at this position
+            raise ParameterError(f"rect #{pos}{str(exc).removeprefix('rect')}") from None
     return Instance(tuple(rects))
 
 

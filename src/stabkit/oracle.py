@@ -8,21 +8,19 @@ reaches the incumbent (a dual-fitting pass that stops once it does).  A pass
 that runs to the end also gives each candidate's reduced cost, and a child
 whose reduced cost lifts the bound to the incumbent is skipped unentered.
 The search seeds its own incumbent with the primal-dual cover read off the
-dual pass at its root.  The same search with a cap on the number of
-segments is the PTAS chunk solver.  The greedy baseline is the lazy
-(Minoux) greedy over one heap per last known newly-stabbed count.  Both run
-on the candidate table's integer rows and build a ``Segment`` only for the
-rows of their answer.
+dual pass at its root; it is also the PTAS chunk solver.  The greedy
+baseline is the lazy (Minoux) greedy over one heap per last known
+newly-stabbed count.  Both run on the candidate table's integer rows and
+build a ``Segment`` only for the rows of their answer.
 
-Without a cap, both split the instance into blocks: groups of rects whose
-x-projections chain together by closed overlap, with a positive gap
-between one block and the next.  A row spanning a gap is dearer than its
-pieces, so neither the exact optimum nor greedy ever takes one: the table
-is swept once per block without them, and the exact search runs once per
-block.  A capped search keeps the full table, where a row across a gap can
-be the only one that fits the cap.  The oracle is capped at small instance
-sizes and serves as the ground truth for every approximation-ratio test in
-the suite.
+Both split the instance into blocks: groups of rects whose x-projections
+chain together by closed overlap, with a positive gap between one block
+and the next.  A row spanning a gap is dearer than its pieces, so neither
+the exact optimum nor greedy ever takes one: the table is swept once per
+block without them, and the exact search runs once per block.  Only the
+long-segment guesses of the QPTAS read the full table, since a guess may
+need a row across a gap.  The oracle is capped at small instance sizes and
+serves as the ground truth for every approximation-ratio test in the suite.
 """
 
 from __future__ import annotations
@@ -168,8 +166,8 @@ def _candidate_table(
     runs once per block over that block's rects, and the table is the one
     above less every row that spans a gap between two blocks.  Such a row
     costs strictly more than the block pieces of its tight segment, so no
-    uncapped optimum holds it and greedy never picks it; a capped caller
-    needs the full table, where it may be the only row that fits the cap.
+    optimum holds it and greedy never picks it; ``guess_long`` reads the
+    full table, since a guess of at most k rows may need one.
     A row inside a block stabs the same rects whichever rects are swept, and
     no row spanning a gap dominates it, being strictly longer, so the kept
     rows are the full table's with the same keys in the same order.
@@ -349,16 +347,15 @@ def _dual_cover(uncovered: int, slack: list[int], lengths, covering) -> list[int
     return cover
 
 
-def _search(positions, masks, lengths, covering, cap, budget) -> list[int] | None:
+def _search(positions, masks, lengths, covering, budget) -> list[int]:
     """The rows, in choice order, of the first cheapest way to stab the rects
-    at ``positions`` with at most ``cap`` rows (any number when None), or
-    None when there is none; one tick of ``budget`` per node entered.  See
+    at ``positions``; one tick of ``budget`` per node entered.  See
     ``_branch_and_bound``."""
     order = sorted(positions, key=lambda i: (len(covering[i]), i))
-    best = None
+    best: list[int] = []
     best_cost = math.inf
     chosen: list[int] = []
-    seen: dict = {}  # state -> least cost it was entered at
+    seen: dict[int, int] = {}  # uncovered mask -> least cost it was entered at
 
     def descend(uncovered: int, cost: int) -> None:
         nonlocal best, best_cost
@@ -367,21 +364,16 @@ def _search(positions, masks, lengths, covering, cap, budget) -> list[int] | Non
             if cost < best_cost:
                 best, best_cost = chosen[:], cost
             return
-        if len(chosen) == cap:
+        if seen.get(uncovered, math.inf) <= cost:
             return
-        key = uncovered if cap is None else (uncovered, len(chosen))
-        if seen.get(key, math.inf) <= cost:
-            return
-        seen[key] = cost
+        seen[uncovered] = cost
         gap = best_cost - cost
         bound, slack = _dual_bound(uncovered, order, covering, lengths, gap)
         if bound >= gap:
             return
         if not chosen:
             # the root: no incumbent yet, so the pass ran to the end
-            cover = _dual_cover(uncovered, slack, lengths, covering)
-            if cap is None or len(cover) <= cap:
-                best_cost = sum(lengths[ci] for ci in cover) + 1
+            best_cost = sum(lengths[ci] for ci in _dual_cover(uncovered, slack, lengths, covering)) + 1
         for ci in covering[(uncovered & -uncovered).bit_length() - 1]:
             # every leaf under this child costs at least cost + bound + slack[ci]
             if bound + slack[ci] >= best_cost - cost:
@@ -394,62 +386,53 @@ def _search(positions, masks, lengths, covering, cap, budget) -> list[int] | Non
     return best
 
 
-def _branch_and_bound(
-    inst: Instance, cap: int | None = None, node_budget: int | None = None
-) -> Solution | None:
-    """The cheapest solution of at most ``cap`` segments (any number when
-    None), or None when there is none; BudgetError after ``node_budget`` nodes.
+def _branch_and_bound(inst: Instance, node_budget: int | None = None) -> Solution:
+    """The cheapest solution; BudgetError after ``node_budget`` nodes.
 
-    Depth-first over the candidate table: branch on the lowest unstabbed
-    rect, try its candidates in table order.  A state is pruned when it was
-    entered before at no higher cost (the state is the uncovered mask, with
-    the number of segments chosen when capped), or when cost plus
-    ``_dual_bound``, stopped at the gap to the incumbent, reaches the
-    incumbent.  When the bound falls short, its pass ran to the end and
-    left each candidate's reduced cost ``slack[ci]``; the duals of the rects
-    still uncovered after picking ci stay feasible, so every leaf under that
-    child costs at least cost + bound + ``slack[ci]``, and the child is
-    skipped, unentered and uncounted, when that reaches the incumbent as it
-    stands at the child.
+    The search runs once per block of ``_x_blocks``, on the table without
+    the rows that span a gap.  No such row is in an optimum, and no row
+    stabs rects of two blocks, so OPT and the subset DP's choices add up
+    over blocks: each block's search, on its own rows in table order, makes
+    the choices a search of the whole instance makes there, and the answer
+    is their union.
+
+    Each block's search goes depth-first over the table: branch on the
+    lowest unstabbed rect, try its candidates in table order.  A state, the
+    uncovered mask, is pruned when it was entered before at no higher cost,
+    or when cost plus ``_dual_bound``, stopped at the gap to the incumbent,
+    reaches the incumbent.  When the bound falls short, its pass ran to the
+    end and left each candidate's reduced cost ``slack[ci]``; the duals of
+    the rects still uncovered after picking ci stay feasible, so every leaf
+    under that child costs at least cost + bound + ``slack[ci]``, and the
+    child is skipped, unentered and uncounted, when that reaches the
+    incumbent as it stands at the child.
 
     The search seeds its own incumbent.  At the root there is none, so the
     pass runs to the end, and ``_dual_cover`` reads a cover off its slacks;
-    if that cover fits the cap, the incumbent becomes one above its cost H.
-    H is the cost of a cover within the cap, so the incumbent lies above the
-    optimum, and it yields only to strict improvements: a skipped child
-    holds no leaf that would replace it, and the cap only removes leaves, so
-    this holds for the capped search too.  An earlier entry of a state
-    searched the same subtree from no higher cost, with no fewer segments
-    left, against an incumbent no lower, so the memo drops no first optimal
-    leaf; the answer is the first optimal choice sequence: the one the
-    subset DP over rect bitmasks, ``tests/helpers.py::exact_opt_subset_dp``,
+    the incumbent becomes one above that cover's cost H.  H is the cost of
+    a cover, so the incumbent lies above the optimum, and it yields only to
+    strict improvements: a skipped child holds no leaf that would replace
+    it.  An earlier entry of a state searched the same subtree from no
+    higher cost against an incumbent no lower, so the memo drops no first
+    optimal leaf; the answer is the first optimal choice sequence: the one
+    the subset DP over rect bitmasks, ``tests/helpers.py::exact_opt_subset_dp``,
     reconstructs.
 
-    Without a cap the search runs once per block of ``_x_blocks``, on the
-    table without the rows that span a gap.  No row stabs rects of two
-    blocks, so OPT and the subset DP's choices add up over blocks: each
-    block's search, on its own rows in table order, makes the choices the
-    whole-instance search makes there, and the answer is their union.  Each
-    block's root seeds that block's incumbent.  The node budget counts
-    entered nodes only, over all blocks, each block's root included; a block
-    of one rect, which has one row, takes it at its root.
+    The node budget counts entered nodes only, over all blocks, each
+    block's root included; a block of one rect, which has one row, takes it
+    at its root.
     """
-    blocks = _x_blocks(inst) if cap is None else None
+    blocks = _x_blocks(inst)
     keys, masks, lengths, covering = _candidate_table(inst, blocks)
     budget = _Budget(node_budget)
-    if blocks is None:
-        best = _search(range(len(covering)), masks, lengths, covering, cap, budget)
-        if best is None:
-            return None
-    else:
-        best = []
-        for block in blocks:
-            if len(block) == 1:
-                # one rect has one row; the root counts
-                budget.tick()
-                best += covering[block[0]]
-            else:
-                best += _search(block, masks, lengths, covering, None, budget)
+    best = []
+    for block in blocks:
+        if len(block) == 1:
+            # one rect has one row; the root counts
+            budget.tick()
+            best += covering[block[0]]
+        else:
+            best += _search(block, masks, lengths, covering, budget)
     # rows are in key order, so the answer is sorted by row index
     return Solution(tuple(_built(Segment, *keys[ci]) for ci in sorted(best)))
 
@@ -461,7 +444,7 @@ def _oracle_limit(limit: int) -> int:
 
 
 def exact_opt(inst: Instance, limit: int = ORACLE_LIMIT) -> Solution:
-    """Minimum-total-length solution, by ``_branch_and_bound`` without a cap.
+    """Minimum-total-length solution, by ``_branch_and_bound``.
 
     Raises OracleLimitError when the instance has more than `limit` rects,
     ParameterError for a negative `limit`.  Deterministic: ties go to the

@@ -110,16 +110,16 @@ class RunStats:
 
 
 def solve_small(inst: Instance, k: int, node_budget: int | None = None) -> Solution:
-    """Exact optimum among solutions using at most k candidate segments.
-
-    The exact oracle's branch-and-bound with a cap of k segments: complete,
-    so it never returns a silently suboptimal answer; an exhausted budget
-    raises BudgetError and an empty k-segment space raises InfeasibleError.
+    """The exact optimum ``_branch_and_bound(inst, node_budget)``, checked
+    to use at most k segments: InfeasibleError when it uses more, and
+    BudgetError when the search exhausts ``node_budget`` nodes.  The PTAS
+    chunk solver, where k is the paper's bound on a chunk optimum's
+    segments, so the error means that bound broke.
     """
     _as_int(k, "k", 1)
-    sol = _branch_and_bound(inst, k, _node_budget(node_budget))
-    if sol is None:
-        raise InfeasibleError(f"no feasible solution uses at most {k} segments")
+    sol = _branch_and_bound(inst, _node_budget(node_budget))
+    if len(sol.segments) > k:
+        raise InfeasibleError(f"the optimum uses {len(sol.segments)} segments, more than {k}")
     return sol
 
 
@@ -127,9 +127,12 @@ def ptas(inst: Instance, eps, delta) -> Solution:
     """(1 + 17 eps)-approximation when all normalized widths lie in [delta, 1].
 
     Normalizes, decomposes with accuracy eps, solves every chunk exactly
-    within ceil((8/eps^2 + 1/eps)/delta) segments, and maps the union of paid
-    and chunk segments back to original coordinates.  eps must lie in
-    (0, 1) and delta in (0, 1]; anything else is a parameter error.
+    with ``solve_small``, and maps the union of paid and chunk segments back
+    to original coordinates.  eps must lie in (0, 1) and delta in (0, 1];
+    anything else is a parameter error.  Each segment of a chunk optimum
+    alone stabs some rect, so it is at least delta long, and the chunk's OPT
+    of at most 8/eps^2 + 1/eps uses at most k = ceil((8/eps^2 + 1/eps)/delta)
+    segments; a chunk optimum with more raises InfeasibleError.
     """
     eps, delta = _unit(eps, "eps"), _unit(delta, "delta", closed=True)
     if not inst.rects:

@@ -39,9 +39,8 @@ from stabkit.decompose import CUT_FACTOR
 from stabkit.oracle import _candidate_table
 
 
-def brute_force_opt(inst: Instance, k: int | None = None) -> Fraction | None:
-    """Minimum cover cost by exhaustive enumeration of candidate subsets of
-    at most k segments (any number when k is None); None when there is none.
+def brute_force_opt(inst: Instance) -> Fraction:
+    """Minimum cover cost by exhaustive enumeration of candidate subsets.
 
     A minimal optimal solution uses at most one segment per rectangle, so
     subsets up to size n suffice.  Exponential; keep n tiny.
@@ -50,8 +49,7 @@ def brute_force_opt(inst: Instance, k: int | None = None) -> Fraction | None:
         return Fraction(0)
     cands = candidate_segments(inst)
     best = None
-    size = len(inst.rects) if k is None else min(k, len(inst.rects))
-    for s in range(0, size + 1):
+    for s in range(0, len(inst.rects) + 1):
         for sub in combinations(cands, s):
             if all(any(stabs(seg, r) for seg in sub) for r in inst.rects):
                 cost = sum((seg.length for seg in sub), Fraction(0))
@@ -121,17 +119,16 @@ def _greedy_scan_picks(masks: list[int], lengths: list[int], n: int) -> list[int
     return picked
 
 
-def branch_and_bound_unmemoized(inst: Instance, cap: int | None = None) -> Solution | None:
-    """The cheapest solution of at most ``cap`` segments (any number when
-    None), or None when there is none, by the depth-first search over the
-    candidate table with no memo and the full dual bound at every node.
+def branch_and_bound_unmemoized(inst: Instance) -> Solution:
+    """The cheapest solution by the depth-first search over the candidate
+    table with no memo and the full dual bound at every node.
 
     It branches on the lowest unstabbed rect over its covering row in table
     order, prunes when cost plus the full one-pass dual bound reaches the
-    incumbent, starts the incumbent one above ``greedy_scan``'s cost when
-    that fits the cap and keeps only strict improvements.  Reference for
-    ``exact_opt`` and ``solve_small``, which must return this very solution.
-    Exponential without the memo; keep n small.
+    incumbent, starts the incumbent one above ``greedy_scan``'s cost and
+    keeps only strict improvements.  Reference for ``exact_opt`` and
+    ``solve_small``, which must return this very solution.  Exponential
+    without the memo; keep n small.
     """
     keys, masks, lengths, covering = _candidate_table(inst)
     n = len(covering)
@@ -149,10 +146,8 @@ def branch_and_bound_unmemoized(inst: Instance, cap: int | None = None) -> Solut
                     slack[ci] -= y
         return total
 
-    seed = _greedy_scan_picks(masks, lengths, n)
-    fits = cap is None or len(seed) <= cap
-    best_cost = sum(lengths[ci] for ci in seed) + 1 if fits else math.inf
-    best = None
+    best_cost = sum(lengths[ci] for ci in _greedy_scan_picks(masks, lengths, n)) + 1
+    best: list[int] = []
     chosen: list[int] = []
 
     def descend(uncovered: int, cost: int) -> None:
@@ -161,7 +156,7 @@ def branch_and_bound_unmemoized(inst: Instance, cap: int | None = None) -> Solut
             if cost < best_cost:
                 best, best_cost = chosen[:], cost
             return
-        if len(chosen) == cap or cost + full_bound(uncovered) >= best_cost:
+        if cost + full_bound(uncovered) >= best_cost:
             return
         for ci in covering[(uncovered & -uncovered).bit_length() - 1]:
             chosen.append(ci)
@@ -169,8 +164,6 @@ def branch_and_bound_unmemoized(inst: Instance, cap: int | None = None) -> Solut
             chosen.pop()
 
     descend((1 << n) - 1, 0)
-    if best is None:
-        return None
     return Solution(tuple(sorted((Segment(*keys[ci]) for ci in best), key=lambda s: (s.xl, s.xr, s.y))))
 
 

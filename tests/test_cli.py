@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import subprocess
 import sys
@@ -97,6 +98,14 @@ class TestSolve:
 
     def test_missing_scheme_params(self, i1_file, capsys):
         assert main(["solve", "--algo", "ptas", "-i", i1_file]) == 2
+
+    def test_ptas_chunk_over_k_segments_exits_one(self, i1_file, monkeypatch, capsys):
+        # k = 1 from a broken chunk bound, against i1's two-segment optimum
+        monkeypatch.setattr(importlib.import_module("stabkit.schemes"), "_chunk_bound", lambda eps: F(1, 2))
+        assert main(["solve", "--algo", "ptas", "-i", i1_file, "--eps", "1/2", "--delta", "1/2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "infeasible: the optimum uses 2 segments, more than 1\n"
 
     def test_laminar_dp_rejects_non_laminar(self, tmp_path):
         inst = make_instance([(0, 4, 0, 1), (2, 6, 0, 1)])
@@ -343,6 +352,9 @@ class TestMalformedInput:
         # the values, whose text may pass the int-string digit limit
         "xl-above-xr-exponent-4300": {"rects": [{"xl": "1e4300", "xr": "0", "yb": "0", "yt": "1"}]},
         "xl-above-xr-digits-4000": {"rects": [dict(RECT, xl="9" * 4000)]},
+        # a bad rect is named by its position, never by its id
+        "xl-above-xr-id-4000": {"rects": [dict(RECT, id=int("9" * 4000), xl="5")]},
+        "duplicate-id-4000": {"rects": [dict(RECT, id=int("9" * 4000)), dict(RECT, id=int("9" * 4000))]},
     }
     INSTANCE = {"kind": "uniform", "n": 3, "seeds": [1]}
     ALGO = {"name": "greedy"}
@@ -414,14 +426,21 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.endswith("rect #1 xl must be an exact rational, not an unparsable string\n") and len(err) < 100, err
 
-    @pytest.mark.parametrize("case", ["xl-above-xr-exponent-4300", "xl-above-xr-digits-4000"])
+    @pytest.mark.parametrize("case", ["xl-above-xr-exponent-4300", "xl-above-xr-digits-4000", "xl-above-xr-id-4000"])
     def test_edge_order_message_does_not_echo_the_values(self, case, tmp_path, capsys):
         # the 1e4300 case once exited 1 with a traceback: building the
-        # message ran into the int-string digit limit
+        # message ran into the int-string digit limit; the id case once
+        # echoed all 4,000 digits of the id
         inst = self.write(tmp_path / "inst.json", self.BAD_INSTANCES[case])
         assert main(["solve", "--algo", "approx8", "-i", inst]) == 2
         err = capsys.readouterr().err
-        assert err.endswith("rect 1: requires xl < xr\n") and len(err) < 100, err
+        assert err.endswith("rect #1 requires xl < xr\n") and len(err) < 100, err
+
+    def test_duplicate_id_message_does_not_echo_the_id(self, tmp_path, capsys):
+        # the message once echoed all 4,000 digits of the id
+        inst = self.write(tmp_path / "inst.json", self.BAD_INSTANCES["duplicate-id-4000"])
+        assert main(["solve", "--algo", "approx8", "-i", inst]) == 2
+        assert capsys.readouterr().err == "parameter error: rects #1 and #2 share an id\n"
 
     def test_segment_order_message_does_not_echo_the_values(self, i1_file, tmp_path, capsys):
         sol = self.write(tmp_path / "sol.json", self.BAD_SOLUTIONS["xl-above-xr-exponent-4300"])

@@ -391,12 +391,11 @@ class TestDualBound:
             assert bound + slack[ci] <= lengths[ci] + exact_opt_subset_dp(rest).cost * scale
 
 
-def root_covers(inst, cap=None):
-    """Per part the search runs on (each block of ``_x_blocks`` without a
-    cap, the whole instance with one), its positions and the cover
+def root_covers(inst):
+    """Per block of ``_x_blocks``, its positions and the cover
     ``_dual_cover`` reads off the root's full dual pass, with the table."""
-    blocks = _x_blocks(inst) if cap is None else [range(len(inst.rects))]
-    table = _candidate_table(inst, blocks if cap is None else None)
+    blocks = _x_blocks(inst)
+    table = _candidate_table(inst, blocks)
     _, masks, lengths, covering = table
     for part in blocks:
         uncovered = sum(1 << p for p in part)
@@ -429,14 +428,6 @@ class TestRootCover:
             cost = sum(lengths[ci] for ci in cover)
             assert cost >= exact_opt_subset_dp(block).cost * table_scale(keys, lengths)
 
-    @given(st.one_of(generated(), tie_heavy(), shared_edges()))
-    def test_cover_that_fits_the_cap_costs_at_least_the_capped_opt(self, inst):
-        for cap in (1, 2, 3):
-            ((_, cover, (keys, _, lengths, _)),) = root_covers(inst, cap)
-            if len(cover) <= cap:
-                want = branch_and_bound_unmemoized(inst, cap)
-                assert sum(lengths[ci] for ci in cover) >= want.cost * table_scale(keys, lengths)
-
     def test_root_cover_beats_greedy(self):
         # one block of 35 rects; started one above greedy's cost, the search
         # entered 351 nodes here, and from the root cover it enters 21
@@ -456,13 +447,13 @@ class TestAgainstUnmemoizedSearch:
 
     @given(st.one_of(generated(), tie_heavy(), shared_edges()))
     def test_solve_small_at_every_cap(self, inst):
-        for cap in range(1, len(inst.rects) + 1):
-            want = branch_and_bound_unmemoized(inst, cap)
-            if want is None:
+        want = branch_and_bound_unmemoized(inst)
+        for k in range(1, len(inst.rects) + 1):
+            if len(want.segments) > k:
                 with pytest.raises(InfeasibleError):
-                    solve_small(inst, cap)
+                    solve_small(inst, k)
             else:
-                assert solve_small(inst, cap) == want
+                assert solve_small(inst, k) == want
 
     @given(st.one_of(generated(), tie_heavy(), shared_edges()))
     def test_greedy_cover(self, inst):
@@ -495,7 +486,7 @@ def block_extents(inst, blocks):
 
 
 class TestBlocks:
-    """The uncapped oracle and greedy run on the table without the rows that
+    """The oracle and greedy run on the table without the rows that
     span a gap between blocks, and the search runs once per block; both must
     give the very solutions of the references on the full table."""
 
@@ -543,11 +534,16 @@ class TestBlocks:
         assert exact_opt(inst).segments == (Segment(0, 4, 1),)
         assert exact_opt(inst) == branch_and_bound_unmemoized(inst)
 
-    def test_capped_search_keeps_the_row_across_a_gap(self):
-        # one segment must stab both rects, so it spans the gap between them
+    def test_solve_small_takes_the_pieces_across_a_gap(self):
+        # one segment would have to span the gap, and the optimum takes the
+        # two pieces instead, so k = 1 raises rather than searching the
+        # table with the row across the gap
         inst = make_instance([(0, 1, 0, 1), (2, 3, 0, 1)])
         assert len(_x_blocks(inst)) == 2
-        assert solve_small(inst, 1).segments == (Segment(0, 3, 1),)
+        with pytest.raises(InfeasibleError):
+            solve_small(inst, 1)
+        assert solve_small(inst, 2) == exact_opt(inst)
+        assert exact_opt(inst).segments == (Segment(0, 1, 1), Segment(2, 3, 1))
 
     # sha256 of the sorted-key JSON of exact_opt's solution, as it was when
     # the search ran on the whole instance (2.3 / 5.1 / 7.4 s on 2 vCPUs)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stabkit import (
     BudgetError,
@@ -30,7 +30,7 @@ from stabkit import (
 from stabkit.oracle import _Budget, _candidate_table
 
 from .conftest import make_instance
-from .helpers import affine_instance, affine_solution, brute_force_opt, generated_instance, guess_long_all
+from .helpers import affine_instance, affine_solution, generated_instance, guess_long_all
 
 # three y-separated pairs of narrow rects [0,1] and [3,4]; the one long
 # candidate per pair is [0,4] at the pair's top edge
@@ -109,11 +109,11 @@ class TestSchemeParams:
         assert p.klong == math.ceil(2 * (4 / F(1, 2) ** 2 + 2)) == 36
         caps = []
 
-        def capped(chunk, k, node_budget=None):
+        def recorded(chunk, k, node_budget=None):
             caps.append(k)
             return exact_opt(chunk)
 
-        monkeypatch.setattr(importlib.import_module("stabkit.schemes"), "solve_small", capped)
+        monkeypatch.setattr(importlib.import_module("stabkit.schemes"), "solve_small", recorded)
         ptas(make_instance(NARROW_PAIRS), F(1, 2), F(1, 2))
         assert caps and set(caps) == {math.ceil((4 / F(1, 2) ** 2 + 2) / F(1, 2))}
 
@@ -126,11 +126,11 @@ class TestSolveSmall:
     def test_i1_two_segments(self, i1):
         assert solve_small(i1, 2).cost == exact_opt(i1).cost == 6
 
-    def test_i1_single_segment_exists(self, i1):
-        # [0,7]x2 stabs all three rects, so the 1-segment optimum costs 7
-        sol = solve_small(i1, 1)
-        assert sol.cost == 7
-        assert sol.segments == (Segment(0, 7, 2),)
+    def test_i1_optimum_over_k_segments_raises(self, i1):
+        # [0,7]x2 stabs all three rects at cost 7, but the optimum costs 6
+        # with two segments: k = 1 is below it, not a cap on the search
+        with pytest.raises(InfeasibleError, match="uses 2 segments, more than 1"):
+            solve_small(i1, 1)
 
     def test_infeasible_within_k(self):
         inst = make_instance([(0, 2, 0, 1), (4, 6, 5, 6)])  # y-disjoint: no single stab
@@ -161,20 +161,22 @@ class TestSolveSmall:
             solve_small(i1, 3, node_budget=1)
 
     def test_memo_keeps_the_search_within_a_node_budget(self):
-        # the search prunes re-entries of a (mask, segments used) state at no
-        # lower cost: 9,137 nodes here, against 45,435 without that memo,
-        # which exhausted this budget
+        # the search prunes re-entries of an uncovered mask at no lower cost:
+        # 15 nodes over this instance's blocks, against 4,377 for the search
+        # that capped the number of segments at 4
         inst = gen_bounded_ratio(12, F(1, 2), 1)
-        sol = solve_small(inst, 4, node_budget=10_000)
-        assert sol.cost == F(257, 16) and len(sol.segments) <= 4
-        assert sol == solve_small(inst, 4)
+        sol = solve_small(inst, 12, node_budget=15)
+        assert sol == exact_opt(inst)
+        assert sol.cost == F(127, 16) and len(sol.segments) == 11
+        with pytest.raises(BudgetError):
+            solve_small(inst, 12, node_budget=14)
 
     @given(st.integers(0, 40))
     @settings(max_examples=40)
     def test_branch_and_bound_matches_oracle(self, seed):
         inst = gen_uniform(seed % 6 + 1, seed)
-        # a cover never needs more segments than rects, so the cap of n
-        # leaves the oracle's own optimum in reach
+        # a minimal cover never holds more segments than rects, so k = n
+        # never raises
         assert solve_small(inst, len(inst.rects)) == exact_opt(inst)
 
     @given(
@@ -186,19 +188,16 @@ class TestSolveSmall:
         st.integers(1, 2),
     )
     @settings(max_examples=40)
-    def test_cap_below_the_optimum_matches_brute_force(self, rows, k):
+    def test_k_below_the_optimum_raises(self, rows, k):
         # spread in x on a few y levels: one or two long segments often stab
-        # everything (or cannot), while the optimum uses more short ones
+        # everything, while the optimum uses more short ones
         inst = make_instance([(x, x + w, y, y + h) for x, w, y, h in rows])
-        assume(len(exact_opt(inst).segments) > k)
-        want = brute_force_opt(inst, k)
-        if want is None:
+        want = exact_opt(inst)
+        if len(want.segments) > k:
             with pytest.raises(InfeasibleError):
                 solve_small(inst, k)
         else:
-            sol = solve_small(inst, k)
-            assert len(sol.segments) <= k and verify(inst, sol).feasible
-            assert sol.cost == want
+            assert solve_small(inst, k) == want
 
 
 class TestGuessLong:
@@ -363,6 +362,14 @@ class TestPtas:
 
     def test_empty(self):
         assert ptas(Instance(()), F(1, 2), F(1, 2)).cost == 0
+
+    def test_chunk_over_k_segments_raises(self, i1, half, monkeypatch):
+        # i1 is one chunk at eps = delta = 1/2, and its optimum uses two
+        # segments: a chunk bound that makes k = 1 breaks the guarantee,
+        # which the chunk solver reports instead of hiding
+        monkeypatch.setattr(importlib.import_module("stabkit.schemes"), "_chunk_bound", lambda eps: F(1, 2))
+        with pytest.raises(InfeasibleError, match="uses 2 segments, more than 1"):
+            ptas(i1, half, half)
 
     def test_width_precondition(self):
         # scaled width 3/8 survives the eps/n presolve but violates delta

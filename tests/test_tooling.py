@@ -332,3 +332,30 @@ def test_exact_path_runs_neither_greedy_nor_the_global_domination_pass(monkeypat
     assert calls == {"_greedy": 0, "_kept_rows": 0}
     stabkit.greedy_cover(stabkit.gen_bounded_ratio(40, Fraction(1, 2), 1))
     assert calls == {"_greedy": 1, "_kept_rows": 0}
+
+
+def test_only_guess_long_builds_the_full_candidate_table(monkeypatch):
+    # a row across a gap between blocks is in no optimum and greedy never
+    # picks it, so the exact, greedy and ptas paths sweep the table per
+    # block; only a long-segment guess may need such a row
+    table = stabkit.oracle._candidate_table
+    calls = []
+
+    def recorded(inst, blocks=None):
+        calls.append(blocks)
+        return table(inst, blocks)
+
+    monkeypatch.setattr(stabkit.oracle, "_candidate_table", recorded)
+    monkeypatch.setattr(stabkit.schemes, "_candidate_table", recorded)
+    inst = stabkit.gen_bounded_ratio(16, Fraction(1, 2), 1)
+    for solve in [
+        stabkit.exact_opt,
+        lambda inst: stabkit.solve_small(inst, 16),
+        stabkit.greedy_cover,
+        lambda inst: stabkit.ptas(inst, Fraction(1, 2), Fraction(1, 2)),
+    ]:
+        before = len(calls)
+        solve(inst)
+        assert len(calls) > before and None not in calls[before:]
+    stabkit.guess_long(inst, Fraction(1, 2), 2)
+    assert calls[-1] is None
