@@ -11,8 +11,10 @@ Rounding runs on integers (``_rounded_spans``), and ``approx8`` feeds those
 straight to the laminar DP, so it builds no rounded ``Rect`` and no
 ``Fraction`` before its output segments.  The decomposition prices many
 subsets of one instance by approx8's cost alone; ``_approx8_prices`` serves
-those prices, as integers of one unit, from one rounding and one DP, and is
-the one place that reads the cost as twice the laminar optimum.
+those prices, as integers of one unit, from one rounding and one DP, on
+masks of the DP's rect bits, and is the one place that reads the cost as
+twice the laminar optimum.  A price is monotone in its mask, which lets the
+decomposition skip a set that holds one it has priced.
 """
 
 from __future__ import annotations
@@ -56,10 +58,12 @@ def to_laminar(inst: Instance) -> Instance:
     return Instance(tuple(Rect(r.id, a * unit, b * unit, r.yb, r.yt) for r, (a, b) in zip(inst.rects, spans)))
 
 
-def _approx8_prices(inst: Instance) -> tuple[Fraction, Callable[[list[Rect]], int]]:
-    """(unit, price): approx8's cost of any rects of ``inst`` is
-    ``price(rects) * unit``, an integer count of one unit per instance, so
-    the prices of one instance compare as integers.
+def _approx8_prices(inst: Instance) -> tuple[Fraction, dict[int, int], Callable[[int], int]]:
+    """(unit, bit, price): approx8's cost of any rects of ``inst`` is
+    ``price(mask) * unit``, where ``mask`` ORs ``bit[r.id]`` over the rects,
+    an integer count of one unit per instance, so the prices of one instance
+    compare as integers.  A caller maps its rects to their bits once and
+    carries masks from there, so a price builds no list and looks up no id.
 
     approx8 stretches every segment of the rounded subset's laminar optimum
     to double length, so its cost is exactly twice that optimum.  Rounding is
@@ -72,18 +76,14 @@ def _approx8_prices(inst: Instance) -> tuple[Fraction, Callable[[list[Rect]], in
     chosen but not the cost: past a level that is no top of the state's own
     rects, the next one above stabs a superset of the nested rects and
     leaves the same ones below.
+
+    A price never falls when rects are added: a cover of the rounded rects
+    of a set covers those of any subset, so the laminar optimum, and twice
+    it, is monotone in the mask.
     """
     e, spans = _rounded_spans(inst)
     bits, solve, _ = _laminar_dp(inst, spans)
-    bit = {r.id: b for r, b in zip(inst.rects, bits)}
-
-    def price(subset: list[Rect]) -> int:
-        mask = 0
-        for r in subset:
-            mask |= bit[r.id]
-        return solve(mask)
-
-    return pow2(e + 1), price  # stretching doubles every segment
+    return pow2(e + 1), {r.id: b for r, b in zip(inst.rects, bits)}, solve  # stretching doubles every segment
 
 
 def approx8(inst: Instance) -> Solution:

@@ -301,8 +301,14 @@ class Instance:
         this instance's view restricted to them: the one way a layer makes a
         sub-instance, so no sub-instance is rescaled."""
         rects, g = self.rects, self._grid
-        edges = (tuple(edge[p] for p in positions) for edge in (g.xl, g.xr, g.yb, g.yt))
-        return Instance._viewed(tuple(rects[p] for p in positions), _Grid(g.dx, g.dy, *edges))
+        if len(positions) > 1:
+            pick = operator.itemgetter(*positions)
+            return Instance._viewed(pick(rects), _Grid(g.dx, g.dy, pick(g.xl), pick(g.xr), pick(g.yb), pick(g.yt)))
+        if positions:
+            # itemgetter of one index returns the bare item, not a 1-tuple
+            (p,) = positions
+            return Instance._viewed((rects[p],), _Grid(g.dx, g.dy, (g.xl[p],), (g.xr[p],), (g.yb[p],), (g.yt[p],)))
+        return Instance._viewed((), _Grid(g.dx, g.dy, (), (), (), ()))
 
     @cached_property
     def max_width(self) -> Fraction:

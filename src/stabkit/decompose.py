@@ -13,12 +13,19 @@ Two stages:
 
 Both stages price rect subsets by the 8-approximation's cost alone, through
 ``approx8._approx8_prices``: ``decompose`` rounds the instance's rects once
-and hands that one pricer to both stages, which pass it the rects of each
-subset.  The prices share one memo of the laminar DP over the instance's
-rect sets, so a set reached by an earlier price, or inside one, costs a
-lookup, and come as integer counts of one unit per pricer, so they compare
-as integers.  Called on its own, a stage builds its own pricer.  Both stages
-read the instance's integer view, and every strip and chunk inherits it.
+and hands that one pricer to both stages.  A stage maps its rects to the
+pricer's bits once per call and prices masks of those bits, built up as its
+sweep goes: ``strip_partition`` toggles the crossed set's mask next to its
+position mask, and ``horizontal_cuts`` adds each top edge's rects to the
+mask and clears it at a cut.  The prices share one memo of the laminar DP
+over the instance's rect sets, so a set reached by an earlier price, or
+inside one, costs a lookup, and come as integer counts of one unit per
+pricer, so they compare as integers.  A price never falls when rects are
+added, so ``strip_partition`` does not price a crossed set that holds one
+it has priced: that set cannot be strictly cheaper than the best, and ties
+go to the smaller shift.  Called on its own, a stage builds its own pricer.
+Both stages read the instance's integer view, and every strip and chunk
+inherits it.
 
 Composed by ``decompose``, the paid segments cost O(eps) times the optimum
 while every remaining chunk has optimum at most 8w/eps^2 + w/eps.
@@ -36,9 +43,9 @@ from .core import instance_to_json, solution_to_json
 
 CUT_FACTOR = 8
 
-# (unit, price): approx8's cost of a list of rects is price(rects) * unit,
-# built once by ``_approx8_prices``
-_Pricer = tuple[Fraction, Callable[[list[Rect]], int]]
+# (unit, bit, price): approx8's cost of a set of rects is price(mask) * unit,
+# mask ORing bit[r.id] over the set, built once by ``_approx8_prices``
+_Pricer = tuple[Fraction, dict[int, int], Callable[[int], int]]
 
 
 def _chunk_bound(eps: Fraction) -> Fraction:
@@ -106,8 +113,11 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
     is the 8-approximation.  The crossed set changes only at the shifts where
     a line enters or leaves a rect, so an exact integer sweep over those event
     shifts meets every distinct crossed set at its smallest shift.  That is
-    at most 4n + 1 sets, each priced once on rects rounded once; only the
-    winner's cover is built.  Ties between shifts go to the smallest one.
+    at most 4n + 1 sets, each priced at most once on rects rounded once;
+    only the winner's cover is built.  Ties between shifts go to the
+    smallest one.  A price never falls when rects are added, so a set that
+    holds a set priced before it costs no less than the best so far and is
+    not priced.
     The paid cover costs at most 16 * eps * OPT and every strip spans at
     most max_width / eps in x.
 
@@ -134,7 +144,11 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
     spacing = Fraction(s, den)
     x = [(a * f, b * f) for a, b in zip(g.xl, g.xr)]
     shifts = (s - 1) // t + 1  # ceil(s / t)
-    toggles = {0: 0}  # shift k -> mask of the rects whose crossing flips at k
+    _, bit, price = _approx8_prices(inst) if _price is None else _price
+    bits = [bit[r.id] for r in rects]
+    # shift k -> the masks, of positions and of pricer bits, of the rects
+    # whose crossing flips at k
+    toggles = {0: (0, 0)}
     for i, (xl, xr) in enumerate(x):
         a = xl % s
         b = a + xr - xl
@@ -143,22 +157,29 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
             runs.append((0, (b - s - 1) // t))
         for lo, hi in runs:
             if lo <= hi:
-                toggles[lo] = toggles.get(lo, 0) ^ 1 << i
-                toggles[hi + 1] = toggles.get(hi + 1, 0) ^ 1 << i
-    first: dict[int, int] = {}  # crossed mask -> its smallest shift
-    crossed_mask = 0
+                for at in (lo, hi + 1):
+                    old, old_bits = toggles.get(at, (0, 0))
+                    toggles[at] = (old ^ 1 << i, old_bits ^ bits[i])
+    first: dict[int, tuple[int, int]] = {}  # crossed mask -> (its smallest shift, its pricer mask)
+    crossed_mask = priced_mask = 0
     for k in sorted(toggles):
         if k >= shifts:
             break
-        crossed_mask ^= toggles[k]
-        first.setdefault(crossed_mask, k)
+        flip, flip_bits = toggles[k]
+        crossed_mask ^= flip
+        priced_mask ^= flip_bits
+        first.setdefault(crossed_mask, (k, priced_mask))
 
-    _, price = _approx8_prices(inst) if _price is None else _price
     best = None
+    priced: list[int] = []  # the pricer masks priced so far
     # masks come in order of their smallest shift and only a strictly cheaper
-    # set replaces the best, so ties go to the smallest shift
-    for mask, k in first.items():
-        cost = price([r for i, r in enumerate(rects) if mask >> i & 1])
+    # set replaces the best, so ties go to the smallest shift; a set holding
+    # a priced one costs at least the best, so it cannot replace it
+    for mask, (k, priced_mask) in first.items():
+        if any(not p & ~priced_mask for p in priced):
+            continue
+        priced.append(priced_mask)
+        cost = price(priced_mask)
         if best is None or cost < best[0]:
             best = (cost, mask, k)
     _, mask, k_star = best
@@ -198,7 +219,9 @@ def horizontal_cuts(
     ``width`` is the max width w > 0 of the instance being decomposed and
     ``span`` the x-range every cut spans; it must contain the strip.
     ``_price`` is ``_approx8_prices`` of the strip or of an instance holding
-    its rects, when the caller has built it; the prices are the same.
+    its rects, when the caller has built it; the prices are the same.  The
+    priced set grows by the rects of each top edge and starts empty again
+    past a cut, where every rect left lies above the cut.
     """
     eps, w = _unit(eps, "eps"), _positive(width, "width")
     x0, x1 = _pair(span, "span")
@@ -216,7 +239,8 @@ def horizontal_cuts(
     if (c * b - a * d) * wd * p > wn * q * b * d:  # x1 - x0 > w / eps
         raise ParameterError("strip exceeds the allowed width max_width/eps")
 
-    unit, price = _approx8_prices(strip) if _price is None else _price
+    unit, bit, price = _approx8_prices(strip) if _price is None else _price
+    bits = [bit[r.id] for r in rects]
     # a price of whole units exceeds CUT_FACTOR * w / eps^2 once it exceeds
     # the floor of that over the unit
     un, ud = unit.as_integer_ratio()
@@ -226,19 +250,28 @@ def horizontal_cuts(
     cuts: list[Segment] = []
     chunks: list[Instance] = []
     costs: list[Fraction] = []
-    # past a cut every remaining rect lies above it, so a top edge of a rect
-    # no longer remaining prices the empty set or a set priced (and not cut)
-    # before: it cuts nowhere; z runs over the distinct top edges, each with
-    # a rect it is the top edge of
-    for z, owner in sorted({top: p for p, top in enumerate(yt)}.items()):
-        cost = price([rects[p] for p in remaining if yt[p] <= z])
+    at_top: dict[int, list[int]] = {}  # top edge -> the positions with it
+    for p, top in enumerate(yt):
+        at_top.setdefault(top, []).append(p)
+    # the pricer mask of the remaining rects with top edge at most z: past a
+    # cut every remaining rect lies above it, so the mask starts empty there
+    # and takes in the rects of each top edge still remaining.  A top edge of
+    # no remaining rect prices the empty set or a set priced (and not cut)
+    # before: it cuts nowhere
+    mask, last_cut = 0, min(yb) - 1
+    for z, at in sorted(at_top.items()):
+        for p in at:
+            if yb[p] > last_cut:
+                mask |= bits[p]
+        cost = price(mask)
         if cost > limit:
-            cuts.append(_built(Segment, x0, x1, rects[owner].yt))
+            cuts.append(_built(Segment, x0, x1, rects[at[-1]].yt))
             closed = [p for p in remaining if yt[p] < z]
             if closed:
                 chunks.append(strip._restrict(closed))
                 costs.append(cost * unit)
             remaining = [p for p in remaining if yb[p] > z]
+            mask, last_cut = 0, z
     if remaining:
         # the last top edge priced every remaining rect
         chunks.append(strip._restrict(remaining))

@@ -37,7 +37,15 @@ from .core import (
     normalize,
 )
 from .decompose import _chunk_bound, decompose
-from .oracle import ORACLE_LIMIT, _branch_and_bound, _Budget, _candidate_table, _oracle_limit, exact_opt
+from .oracle import (
+    ORACLE_LIMIT,
+    _branch_and_bound,
+    _Budget,
+    _candidate_table,
+    _dual_bound,
+    _oracle_limit,
+    exact_opt,
+)
 
 
 @dataclass(frozen=True)
@@ -95,9 +103,12 @@ def _node_budget(budget: int | None) -> int | None:
 class RunStats:
     """Mutable accounting filled in by a scheme run when the caller asks.
 
-    ``nodes`` counts recursion nodes, ``guesses`` the guesses recursed on
-    (every one ``guess_long`` returns); the costs sum the normalized output's
-    segments by the part each is tagged with: normalized = paid + base + guess.
+    ``nodes`` counts the recursion nodes entered, the root and every guess
+    branch recursed on, which are also what the node budget counts;
+    ``guesses`` counts every guess ``guess_long`` returns, skipped or not, so
+    (nodes - 1) / guesses is the share of guesses recursed on.  The costs sum
+    the normalized output's segments by the part each is tagged with:
+    normalized = paid + base + guess.
     """
 
     max_depth: int = 0
@@ -151,7 +162,9 @@ def ptas(inst: Instance, eps, delta) -> Solution:
     return denormalize(Solution(tuple(segments)), transform)
 
 
-def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) -> list[tuple[int, int, tuple]]:
+def guess_long(
+    inst: Instance, min_len, k: int, _budget: _Budget | None = None, _table: tuple | None = None
+) -> list[tuple[int, int, tuple]]:
     """The subsets of at most k reduced candidates of length >= min_len whose
     union stabs every rect of width >= min_len, as ``(union, total, keys)``
     rows: the union of their stab sets as a rect-position bit mask, their
@@ -171,10 +184,13 @@ def guess_long(inst: Instance, min_len, k: int, _budget: _Budget | None = None) 
     that row keeps the union and lowers both size and total, so neither
     key is a subset holding such a row.  Every subset reached ticks
     ``_budget``; no ``Segment`` is built.
+
+    ``_table`` is ``_candidate_table(inst)``, the full table, when the
+    caller has built it.
     """
     min_len = _rational(min_len, "min_len")
     _as_int(k, "k", 0)
-    keys, masks, lengths, _ = _candidate_table(inst)
+    keys, masks, lengths, _ = _candidate_table(inst) if _table is None else _table
     g = inst._grid
     # a length l over dx is at least min_len when l * per >= bar
     per, bar = min_len.denominator, min_len.numerator * g.dx
@@ -225,6 +241,15 @@ def qptas(
     ``guess_long`` returns only such guesses, so every guess leaves a
     residual with all widths below half the scale, recursed on with the
     scale halved.
+
+    A guess is skipped, unentered, once a bound shows it cannot beat the
+    best branch so far: when its total plus ``_dual_bound`` of its residual
+    over the chunk's full candidate table reaches the best cost.  Every
+    candidate segment of the residual is dominated by a row of that table,
+    so the bound is at most the residual's optimum, and so at most the cost
+    of the recursion on it; the guesses keep their order and only a strictly
+    cheaper branch replaces the best, so a skipped guess is never the one
+    kept.  One table per chunk serves ``guess_long`` and every bound.
     ``stats`` splits the cost exactly, summing the output's segments by the
     part that paid for each: the decomposition, a guess or an exact leaf.
     """
@@ -260,13 +285,23 @@ def qptas(
         for chunk in dec.sub_instances:
             best: tuple | None = None  # (cost, guess keys, rest)
             if len(chunk.rects) > params.oracle_limit:
-                for union, total, keys in guess_long(chunk, half, params.klong, budget):
+                table = _candidate_table(chunk)
+                _, _, lengths, covering = table
+                n, dx = len(chunk.rects), chunk._grid.dx
+                full = (1 << n) - 1
+                order = sorted(range(n), key=lambda i: (len(covering[i]), i))
+                for union, total, keys in guess_long(chunk, half, params.klong, budget, table):
                     stats.guesses += 1
                     assert len(keys) <= params.klong
                     assert all(xr - xl >= half for xl, xr, _ in keys)
-                    residual = chunk._restrict([i for i in range(len(chunk.rects)) if not union >> i & 1])
+                    if best is not None:
+                        # the least integer bound b with total + b >= best cost * dx
+                        gap = -(-best[0].numerator * dx // best[0].denominator) - total
+                        if _dual_bound(full & ~union, order, covering, lengths, gap)[0] >= gap:
+                            continue
+                    residual = chunk._restrict([i for i in range(n) if not union >> i & 1])
                     rest_cost, rest = recurse(residual, half, depth + 1)
-                    branch = Fraction(total, chunk._grid.dx) + rest_cost
+                    branch = Fraction(total, dx) + rest_cost
                     if best is None or branch < best[0]:
                         best = (branch, keys, rest)
             if best is None:

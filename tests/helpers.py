@@ -20,6 +20,8 @@ from stabkit import (
     Instance,
     ParameterError,
     Rect,
+    RunStats,
+    SchemeParams,
     Segment,
     Solution,
     Strip,
@@ -27,6 +29,11 @@ from stabkit import (
     VerifyReport,
     approx8,
     candidate_segments,
+    decompose,
+    denormalize,
+    exact_opt,
+    guess_long,
+    normalize,
     ceil_log2,
     crossing_rects,
     gen_bounded_ratio,
@@ -36,7 +43,7 @@ from stabkit import (
     stabs,
 )
 from stabkit.decompose import CUT_FACTOR
-from stabkit.oracle import _candidate_table
+from stabkit.oracle import ORACLE_LIMIT, _candidate_table
 
 
 def brute_force_opt(inst: Instance) -> Fraction:
@@ -190,6 +197,58 @@ def guess_long_all(inst: Instance, min_len: Fraction, k: int) -> list[tuple[int,
             if union not in reps or total < reps[union][0]:
                 reps[union] = (total, combo)
     return [(union, total, tuple(key for _, _, key in combo)) for union, (total, combo) in reps.items()]
+
+
+def qptas_every_guess(inst: Instance, eps: Fraction, params: SchemeParams) -> tuple[Solution, RunStats]:
+    """``qptas`` that recurses on every guess ``guess_long`` returns, with its
+    run's ``RunStats``: no guess is skipped, so its nodes count every guess.
+
+    Reference for ``qptas``, which skips a guess once a bound shows that its
+    branch cannot be strictly cheaper than the best so far, and must return
+    this very solution and cost split.  Ties between branches go to the
+    earlier guess in both.
+    """
+    stats = RunStats()
+    norm, transform = normalize(inst, eps)
+    limit = max(params.oracle_limit, ORACLE_LIMIT)
+
+    def leaf(node: Instance) -> tuple[Fraction, list[tuple[str, Segment]]]:
+        sol = exact_opt(node, limit=limit)
+        return sol.cost, [("base", s) for s in sol.segments]
+
+    def recurse(current: Instance, scale: Fraction, depth: int) -> tuple[Fraction, list[tuple[str, Segment]]]:
+        stats.nodes += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        if len(current.rects) <= params.oracle_limit:
+            return leaf(current)
+        dec = decompose(current, params.mu)
+        cost = Solution(dec.paid_segments).cost
+        tagged = [("paid", s) for s in dec.paid_segments]
+        half = scale / 2
+        for chunk in dec.sub_instances:
+            best = None
+            if len(chunk.rects) > params.oracle_limit:
+                for union, total, keys in guess_long(chunk, half, params.klong):
+                    stats.guesses += 1
+                    residual = Instance(tuple(r for i, r in enumerate(chunk.rects) if not union >> i & 1))
+                    rest_cost, rest = recurse(residual, half, depth + 1)
+                    branch = Fraction(total, chunk._grid.dx) + rest_cost
+                    if best is None or branch < best[0]:
+                        best = (branch, keys, rest)
+            if best is None:
+                leaf_cost, rest = leaf(chunk)
+                best = (leaf_cost, (), rest)
+            cost += best[0]
+            tagged += [("guess", Segment(*key)) for key in best[1]] + best[2]
+        return cost, tagged
+
+    tagged = recurse(norm, norm.max_width, 0)[1] if norm.rects else []
+    solved = Solution(tuple(s for _, s in tagged))
+    stats.paid_cost, stats.guess_cost, stats.base_cost = (
+        Solution(tuple(s for p, s in tagged if p == part)).cost for part in ("paid", "guess", "base")
+    )
+    stats.normalized_cost = solved.cost
+    return denormalize(solved, transform), stats
 
 
 def is_laminar_pairwise(inst: Instance) -> bool:

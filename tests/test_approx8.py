@@ -215,15 +215,23 @@ class TestApprox8:
             assert rounded.cost <= 4 * sol.cost
 
 
+def pricer_mask(bit, rects):
+    """The pricer mask of ``rects``: their pricer bits ORed."""
+    mask = 0
+    for r in rects:
+        mask |= bit[r.id]
+    return mask
+
+
 class TestApprox8Prices:
     @staticmethod
     def assert_prices_match(inst, data):
         # the empty and the full mask, then random ones
-        unit, price = _approx8_prices(inst)
+        unit, bit, price = _approx8_prices(inst)
         full = (1 << len(inst.rects)) - 1
         for mask in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=6))]:
             subset = Instance(tuple(r for i, r in enumerate(inst.rects) if mask >> i & 1))
-            assert price(list(subset.rects)) * unit == approx8(subset).cost
+            assert price(pricer_mask(bit, subset.rects)) * unit == approx8(subset).cost
 
     @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 14), st.integers(0, 10**6), st.data())
     @settings(max_examples=100)
@@ -237,12 +245,12 @@ class TestApprox8Prices:
         # subset's mask; the rounded subset solved on its own, and by the
         # full-scan reference, must agree
         inst = generated_instance(kind, n, seed)
-        unit, price = _approx8_prices(inst)
+        unit, bit, price = _approx8_prices(inst)
         full = (1 << n) - 1
         for mask in data.draw(st.lists(st.integers(0, full), min_size=1, max_size=4)):
             subset = [r for i, r in enumerate(inst.rects) if mask >> i & 1]
             rounded = to_laminar(Instance(tuple(subset)))
-            assert price(subset) * unit == 2 * solve_laminar(rounded).cost == 2 * solve_laminar_full_scan(rounded).cost
+            assert price(pricer_mask(bit, subset)) * unit == 2 * solve_laminar(rounded).cost == 2 * solve_laminar_full_scan(rounded).cost
 
     @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 30), st.integers(0, 10**6), st.data())
     @settings(max_examples=40, deadline=None)
@@ -255,10 +263,23 @@ class TestApprox8Prices:
         masks = [full, *data.draw(st.lists(st.integers(0, full), min_size=1, max_size=6))]
         subsets = [[r for i, r in enumerate(inst.rects) if mask >> i & 1] for mask in masks]
         expected = [2 * solve_laminar_full_scan(to_laminar(Instance(tuple(sub)))).cost for sub in subsets]
-        unit, forward = _approx8_prices(inst)
-        assert [forward(sub) * unit for sub in subsets] == expected
-        unit, backward = _approx8_prices(inst)
-        assert [backward(sub) * unit for sub in reversed(subsets)] == expected[::-1]
+        unit, bit, forward = _approx8_prices(inst)
+        assert [forward(pricer_mask(bit, sub)) * unit for sub in subsets] == expected
+        unit, bit, backward = _approx8_prices(inst)
+        assert [backward(pricer_mask(bit, sub)) * unit for sub in reversed(subsets)] == expected[::-1]
+
+    @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 30), st.integers(0, 10**6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_price_never_falls_when_rects_are_added(self, kind, n, seed, data):
+        # strip_partition skips a crossed set that holds a priced one; that
+        # is exact only if a superset's price is at least its subset's
+        inst = generated_instance(kind, n, seed)
+        _, bit, price = _approx8_prices(inst)
+        full = (1 << n) - 1
+        for small, extra in data.draw(st.lists(st.tuples(st.integers(0, full), st.integers(0, full)), max_size=6)):
+            subset = [r for i, r in enumerate(inst.rects) if small >> i & 1]
+            superset = [r for i, r in enumerate(inst.rects) if (small | extra) >> i & 1]
+            assert price(pricer_mask(bit, subset)) <= price(pricer_mask(bit, superset))
 
     def test_a_top_of_another_rect_moves_the_level_but_not_the_price(self):
         # rect 3's top edge 3 lies within rect 1's [0, 10], below every top
@@ -272,9 +293,10 @@ class TestApprox8Prices:
         heights = {inst.rects[i].id: inst.rects[j].yt for i, j in stabs(bits[0] | bits[1])}
         assert heights == {1: 3, 2: 21}
         assert {s.y for s in solve_laminar(Instance(tuple(pair))).segments} == {10, 21}
-        unit, price = _approx8_prices(inst)
-        assert price(pair) * unit == 2 * solve_laminar_full_scan(to_laminar(Instance(tuple(pair)))).cost == 16
-        assert price(pair) * unit == approx8(Instance(tuple(pair))).cost
+        unit, bit, price = _approx8_prices(inst)
+        mask = pricer_mask(bit, pair)
+        assert price(mask) * unit == 2 * solve_laminar_full_scan(to_laminar(Instance(tuple(pair)))).cost == 16
+        assert price(mask) * unit == approx8(Instance(tuple(pair))).cost
 
     @given(
         st.lists(

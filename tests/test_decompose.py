@@ -164,14 +164,14 @@ class TestStripPartition:
                 inside.pop()
 
         def counted_prices(sub):
-            unit, price = prices(sub)
+            unit, bit, price = prices(sub)
 
-            def counted_price(rects):
+            def counted_price(mask):
                 if inside:
-                    priced.append(rects)
-                return price(rects)
+                    priced.append(mask)
+                return price(mask)
 
-            return unit, counted_price
+            return unit, bit, counted_price
 
         def counted_crossing(*args):
             crossed.append(args)
@@ -192,6 +192,29 @@ class TestStripPartition:
         parts = strip_partition(inst, F(1, 2))
         assert parts.offset == 0
         assert [r.id for s in parts.strips for r in s.instance.rects] == [1, 2]
+
+    def test_a_set_holding_a_priced_set_is_not_priced(self, monkeypatch):
+        # the sweep meets {3}, {1, 3}, {1}, {1, 2}, {2}, {2, 3} in shift
+        # order; each pair holds the singleton priced just before it, so it
+        # cannot be strictly cheaper than the best, and only the singletons
+        # are priced
+        inst = make_instance([(0, 1, 0, 1), (F(2, 3), F(5, 3), 2, 3), (F(4, 3), F(7, 3), 4, 5)])
+        prices = DECOMPOSE._approx8_prices
+        priced = []
+
+        def counted(sub):
+            unit, bit, price = prices(sub)
+            ids = {b: i for i, b in bit.items()}
+
+            def counted_price(mask):
+                priced.append({i for b, i in ids.items() if mask & b})
+                return price(mask)
+
+            return unit, bit, counted_price
+
+        monkeypatch.setattr(DECOMPOSE, "_approx8_prices", counted)
+        assert strip_partition(inst, F(1, 2)) == strip_partition_all_shifts(inst, F(1, 2))
+        assert priced == [{3}, {1}, {2}]
 
     @given(st.integers(0, 40))
     def test_cover_and_strip_invariants(self, seed):

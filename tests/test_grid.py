@@ -85,6 +85,19 @@ def assert_inherited_view(inst: Instance) -> None:
         assert (F(xl, g.dx), F(xr, g.dx), F(yb, g.dy), F(yt, g.dy)) == (r.xl, r.xr, r.yb, r.yt)
 
 
+@pytest.mark.parametrize("positions", [[], [3], [4, 0], [2, 5, 1, 3]], ids=["none", "one", "two", "four"])
+def test_restrict_picks_rects_and_view_for_any_count(positions):
+    # one position and none take their own path, since itemgetter of one
+    # index returns the bare item and of none is an error
+    inst = gen_uniform(6, 1)
+    sub = inst._restrict(positions)
+    assert sub.rects == tuple(inst.rects[p] for p in positions)
+    assert_inherited_view(sub)
+    g, h = inst._grid, sub._grid
+    assert (h.dx, h.dy) == (g.dx, g.dy)
+    assert all(type(part) is tuple for part in (sub.rects, h.xl, h.xr, h.yb, h.yt))
+
+
 def shifted(inst: Instance, shift: F) -> Instance:
     return Instance(tuple(Rect(r.id, r.xl + shift, r.xr + shift, r.yb, r.yt) for r in inst.rects))
 

@@ -23,14 +23,23 @@ from stabkit import (
     normalize,
     ptas,
     qptas,
+    solution_to_json,
     solve_small,
     verify,
 )
 
-from stabkit.oracle import _Budget, _candidate_table
+from stabkit.oracle import _Budget, _candidate_table, _dual_bound
 
 from .conftest import make_instance
-from .helpers import affine_instance, affine_solution, generated_instance, guess_long_all
+from .helpers import (
+    GENERATED_KINDS,
+    affine_instance,
+    affine_solution,
+    exact_opt_subset_dp,
+    generated_instance,
+    guess_long_all,
+    qptas_every_guess,
+)
 
 # three y-separated pairs of narrow rects [0,1] and [3,4]; the one long
 # candidate per pair is [0,4] at the pair's top edge
@@ -515,12 +524,13 @@ class TestQptas:
 
     @pytest.mark.parametrize(
         "n, seed, overrides, expected",
-        # RunStats(max_depth, nodes, guesses, paid, guess, base, normalized)
+        # RunStats(max_depth, nodes, guesses, paid, guess, base, normalized);
+        # nodes count the branches entered, guesses every guess returned
         [
             (11, 0, dict(klong=1, oracle_limit=2), RunStats(1, 2, 1, F(5, 2), F(25, 16), F(27, 8), F(119, 16))),
-            (16, 1, dict(klong=4, oracle_limit=6), RunStats(1, 5, 4, F(2), F(103, 16), F(21, 16), F(39, 4))),
+            (16, 1, dict(klong=4, oracle_limit=6), RunStats(1, 4, 4, F(2), F(103, 16), F(21, 16), F(39, 4))),
             # perfbench's QPTAS_OVERRIDES, on an instance of its schemes size
-            (20, 1000, dict(klong=4, oracle_limit=6), RunStats(1, 13, 12, F(4), F(4, 3), F(82, 15), F(54, 5))),
+            (20, 1000, dict(klong=4, oracle_limit=6), RunStats(1, 3, 12, F(4), F(4, 3), F(82, 15), F(54, 5))),
         ],
     )
     def test_cost_split_pins_all_three_parts(self, n, seed, overrides, expected):
@@ -533,3 +543,33 @@ class TestQptas:
         sol = qptas(inst, F(1, 2), params=params, stats=stats)
         assert stats == expected
         assert verify(inst, sol).feasible
+
+    @given(st.integers(1, 12), st.integers(0, 10**6), st.integers(2, 8), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_guess_skip_matches_recursing_on_every_guess(self, n, seed, klong, oracle_limit):
+        # a skipped guess could at best tie the best branch, and ties go to
+        # the earlier guess, so the output and its cost split stay the same
+        inst = gen_uniform(n, seed)
+        params = SchemeParams.derive(n, F(1, 2), mu=F(1, 2), klong=klong, oracle_limit=oracle_limit)
+        stats = RunStats()
+        sol = qptas(inst, F(1, 2), params=params, stats=stats)
+        want, every = qptas_every_guess(inst, F(1, 2), params)
+        assert solution_to_json(sol) == solution_to_json(want)
+        split = ("paid_cost", "guess_cost", "base_cost", "normalized_cost")
+        assert [getattr(stats, name) for name in split] == [getattr(every, name) for name in split]
+        # a skipped branch guesses nothing below it
+        assert stats.nodes <= every.nodes and stats.guesses <= every.guesses
+
+    @given(st.sampled_from(GENERATED_KINDS), st.integers(1, 10), st.integers(0, 10**6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_table_bound_is_at_most_the_residual_optimum(self, kind, n, seed, data):
+        # every candidate of a residual is dominated by a row of its chunk's
+        # full table, so the dual pass over those rows, restricted to the
+        # residual, is at most the residual's optimum
+        chunk = generated_instance(kind, n, seed)
+        _, _, lengths, covering = _candidate_table(chunk)
+        order = sorted(range(n), key=lambda i: (len(covering[i]), i))
+        left = data.draw(st.integers(0, (1 << n) - 1))
+        bound, _ = _dual_bound(left, order, covering, lengths, math.inf)
+        residual = chunk._restrict([i for i in range(n) if left >> i & 1])
+        assert F(bound, chunk._grid.dx) <= exact_opt_subset_dp(residual).cost

@@ -248,8 +248,8 @@ def test_approx8_builds_no_rounded_rect(monkeypatch):
 
     monkeypatch.setattr(stabkit.Rect, "__post_init__", counted)
     sol = stabkit.approx8(inst)
-    unit, price = _approx8_prices(inst)
-    cost = price(list(inst.rects)) * unit
+    unit, _, price = _approx8_prices(inst)
+    cost = price((1 << len(inst.rects)) - 1) * unit
     assert built == []
     assert cost == sol.cost > 0
 
@@ -359,3 +359,69 @@ def test_only_guess_long_builds_the_full_candidate_table(monkeypatch):
         assert len(calls) > before and None not in calls[before:]
     stabkit.guess_long(inst, Fraction(1, 2), 2)
     assert calls[-1] is None
+
+
+def test_qptas_builds_one_full_table_per_guessed_chunk_and_bounds_on_it(monkeypatch):
+    # a guess is skipped when its total plus a dual bound on its residual
+    # reaches the best branch; that bound reads the chunk's full candidate
+    # table, the one guess_long reads, so the chunk's table is built once
+    schemes = stabkit.schemes
+    table, guess, bound = schemes._candidate_table, schemes.guess_long, schemes._dual_bound
+    built, guessed, bounded = [], [], []
+
+    def recorded_table(inst, blocks=None):
+        built.append((inst, blocks, table(inst, blocks)))
+        return built[-1][2]
+
+    def recorded_guess(chunk, min_len, k, _budget=None, _table=None):
+        guessed.append((chunk, _table))
+        return guess(chunk, min_len, k, _budget, _table)
+
+    def recorded_bound(uncovered, order, covering, lengths, gap):
+        bounded.append((covering, lengths))
+        return bound(uncovered, order, covering, lengths, gap)
+
+    monkeypatch.setattr(schemes, "_candidate_table", recorded_table)
+    monkeypatch.setattr(schemes, "guess_long", recorded_guess)
+    monkeypatch.setattr(schemes, "_dual_bound", recorded_bound)
+    # perfbench's QPTAS_OVERRIDES on an instance of its schemes size: the
+    # bound skips ten of its twelve guesses
+    params = stabkit.SchemeParams.derive(20, Fraction(1, 2), mu=Fraction(1, 2), klong=4, oracle_limit=6)
+    stats = stabkit.RunStats()
+    stabkit.qptas(stabkit.gen_uniform(20, 1000), Fraction(1, 2), params, stats)
+    assert (stats.guesses, stats.nodes) == (12, 3) and bounded
+    assert [blocks for _, blocks, _ in built] == [None] * len(guessed)
+    assert [(inst, t) for inst, _, t in built] == guessed
+    assert all(g is t for (_, _, t), (_, g) in zip(built, guessed))
+    served = {(id(t[3]), id(t[2])) for _, _, t in built}
+    assert {(id(covering), id(lengths)) for covering, lengths in bounded} <= served
+
+
+def test_decomposition_prices_masks_and_maps_each_rect_once(monkeypatch):
+    # both stages carry pricer masks along their sweeps: a price takes an
+    # integer mask, and each stage looks a rect's pricer bit up once per
+    # call, not once per price
+    module = importlib.import_module("stabkit.decompose")
+    inst, eps = stabkit.gen_uniform(16, 1), Fraction(1, 2)
+    parts = stabkit.strip_partition(inst, eps)
+    prices = module._approx8_prices
+    priced, looked_up = [], []
+
+    class Bits(dict):
+        def __getitem__(self, rect_id):
+            looked_up.append(rect_id)
+            return super().__getitem__(rect_id)
+
+    def counted(sub):
+        unit, bit, price = prices(sub)
+
+        def counted_price(mask):
+            priced.append(mask)
+            return price(mask)
+
+        return unit, Bits(bit), counted_price
+
+    monkeypatch.setattr(module, "_approx8_prices", counted)
+    stabkit.decompose(inst, eps)
+    assert priced and all(type(mask) is int for mask in priced)
+    assert len(looked_up) == len(inst.rects) + sum(len(strip.instance.rects) for strip in parts.strips)
