@@ -9,11 +9,14 @@ exact laminar optimum stays within a factor 8 of the true optimum.
 
 Rounding runs on integers (``_rounded_spans``), and ``approx8`` feeds those
 straight to the laminar DP, so it builds no rounded ``Rect`` and no
-``Fraction`` before its output segments.  The decomposition prices many
-subsets of one instance by approx8's cost alone; ``_approx8_prices`` serves
-those prices, as integers of one unit, from one rounding and one DP, on
-masks of the DP's rect bits, and is the one place that reads the cost as
-twice the laminar optimum.  A price is monotone in its mask, which lets the
+``Fraction`` before its output segments.  It stretches each segment on
+those integers too, to [a, 2b - a] in units of 2**e, and builds each end as
+one ``Fraction`` of an integer and a power of two (``_times_pow2``), never
+as a product of Fractions.  The decomposition prices many subsets of one
+instance by approx8's cost alone; ``_approx8_prices`` serves those prices,
+as integers of one unit, from one rounding and one DP, on masks of the DP's
+rect bits, and is the one place that reads the cost as twice the laminar
+optimum.  A price is monotone in its mask, which lets the
 decomposition skip a set that holds one it has priced.
 """
 
@@ -44,6 +47,11 @@ def _rounded_spans(inst: Instance) -> tuple[int, list[tuple[int, int]]]:
         left = q << (t - e)
         spans.append((left, left + (1 << (t - e))))
     return e, spans
+
+
+def _times_pow2(v: int, e: int) -> Fraction:
+    """v * 2**e, built as one Fraction from integers: no Fraction product."""
+    return Fraction(v << e) if e >= 0 else Fraction(v, 1 << -e)
 
 
 def to_laminar(inst: Instance) -> Instance:
@@ -94,9 +102,8 @@ def approx8(inst: Instance) -> Solution:
     rects = inst.rects
     e, spans = _rounded_spans(inst)
     _, _, stabs = _laminar_dp(inst, spans)
-    unit = pow2(e)
     segments = []
     for i, j in stabs((1 << len(rects)) - 1):
         a, b = spans[i]  # stretched to [a, 2b - a]
-        segments.append(_built(Segment, a * unit, (2 * b - a) * unit, rects[j].yt))
+        segments.append(_built(Segment, _times_pow2(a, e), _times_pow2(2 * b - a, e), rects[j].yt))
     return Solution(tuple(segments))

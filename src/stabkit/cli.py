@@ -236,7 +236,10 @@ def _bench_row(
 ) -> dict:
     n = len(inst.rects)
     start = time.perf_counter()
-    sol = solve_with(algo, inst, opts)
+    try:
+        sol = solve_with(algo, inst, opts)
+    except ParameterError as exc:
+        raise ParameterError(f"{instance_id} {algo}: {exc}") from exc
     millis = int((time.perf_counter() - start) * 1000)
     report = verify(inst, sol)
     if not report.feasible:

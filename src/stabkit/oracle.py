@@ -420,8 +420,14 @@ def _branch_and_bound(inst: Instance, node_budget: int | None = None) -> Solutio
 
     The node budget counts entered nodes only, over all blocks, each
     block's root included; a block of one rect, which has one row, takes it
-    at its root.
+    at its root.  An instance of one rect is that block alone: its one row
+    is its own span at its top edge, the lowest level that meets it, and it
+    is returned without a table, at one node.
     """
+    if len(inst.rects) == 1:
+        _Budget(node_budget).tick()
+        r = inst.rects[0]
+        return Solution((_built(Segment, r.xl, r.xr, r.yt),))
     blocks = _x_blocks(inst)
     keys, masks, lengths, covering = _candidate_table(inst, blocks)
     budget = _Budget(node_budget)

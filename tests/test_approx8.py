@@ -145,12 +145,27 @@ class TestToLaminar:
 
 
 class TestStretch:
-    def test_examples(self):
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @given(st.sampled_from(GENERATED_KINDS), st.integers(0, 12), st.integers(0, 10**6), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_fraction_pipeline(self, sign, kind, n, seed, size):
         # approx8's output is the rounded instance's laminar optimum, every
-        # segment [a, b] stretched to [a, 2b - a], in the same order
-        for inst in [make_instance([(3, 6, 0, 1)]), gen_uniform(12, 1), gen_uniform(20, 2)]:
-            laminar = solve_laminar(to_laminar(inst)).segments
-            assert approx8(inst).segments == tuple(Segment(s.xl, 2 * s.xr - s.xl, s.y) for s in laminar)
+        # segment [a, b] stretched to [a, 2b - a], in the same order, byte for
+        # byte; the reference rounds on Fractions and runs the box DP.  x is
+        # scaled by a power of two so that the unit 2**e of the integer
+        # spans is below 1 (sign -1) or at least 1 (sign 1): the stretch
+        # builds its ends from integers either way
+        inst = generated_instance(kind, n, seed)
+        e, _ = _rounded_spans(inst)
+        target = size if sign > 0 else -1 - size
+        f = pow2(target - e) if inst.rects else F(1)
+        inst = Instance(tuple(Rect(r.id, r.xl * f, r.xr * f, r.yb, r.yt) for r in inst.rects))
+        assert _rounded_spans(inst)[0] == (target if inst.rects else 0)
+        laminar = solve_laminar_full_scan(to_laminar(inst)).segments
+        expected = Solution(tuple(Segment(s.xl, 2 * s.xr - s.xl, s.y) for s in laminar))
+        sol = approx8(inst)
+        assert sol.segments == expected.segments
+        assert solution_to_json(sol) == solution_to_json(expected)
 
 
 class TestApprox8:

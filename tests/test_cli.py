@@ -305,6 +305,20 @@ class TestBench:
         rows, _ = run_bench(suite)
         assert all(r["ratio"] == "1.000000" for r in rows)
 
+    def test_solver_parameter_error_names_the_row(self, tmp_path, capsys):
+        # the laminar DP rejects a uniform instance only once the row runs;
+        # the message says which row, as an option error names its algo
+        suite = {
+            "instances": [{"kind": "laminar", "n": 6, "seeds": [1]}, {"kind": "uniform", "n": 6, "seeds": [1]}],
+            "algos": [{"name": "greedy"}, {"name": "laminar-dp"}],
+        }
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps(suite))
+        out = tmp_path / "report.csv"
+        assert main(["bench", "-c", str(cfg), "-o", str(out), "-m", str(tmp_path / "s.md")]) == 2
+        assert capsys.readouterr().err == "parameter error: uniform-n6-s1 laminar-dp: instance is not laminar\n"
+        assert not out.exists()
+
     def test_overridden_qptas_parameters_declare_no_bound(self, tmp_path):
         # mu and klong overridden: the 1 + eps factor is no longer certified,
         # and this row's ratio exceeds it without any fault in the solver

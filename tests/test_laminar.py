@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from stabkit import (
     Instance,
     ParameterError,
+    Rect,
+    Segment,
+    Solution,
     approx8,
     exact_opt,
     gen_laminar,
@@ -16,6 +19,9 @@ from stabkit import (
     to_laminar,
     verify,
 )
+
+from stabkit.approx8 import _approx8_prices
+from stabkit.laminar import _laminar_dp
 
 from .conftest import make_instance
 from .helpers import affine_instance, affine_solution, is_laminar_pairwise, solve_laminar_full_scan
@@ -160,3 +166,67 @@ class TestSolveLaminar:
         assert is_laminar(sub)
         sol = solve_laminar(sub)
         assert sol.cost == exact_opt(sub).cost
+
+
+# laminar instances on the closed boundaries the DP's masks are built on
+EDGE_CASES = {
+    # [0, 2] and [2, 4] touch, [2, 3] starts where [0, 2] ends, and [4, 6]
+    # starts where [0, 4] ends
+    "shared-endpoints": make_instance(
+        [(0, 2, 0, 1), (2, 4, 0, 1), (0, 4, 1, 2), (4, 6, 0, 2), (2, 3, 0, 3), (3, 4, 2, 3)]
+    ),
+    # four rects on the span [0, 4], in an id order that is not their
+    # position: equal widths go to the lower id first
+    "equal-spans": Instance(
+        tuple(
+            Rect(i, *c)
+            for i, c in zip([7, 2, 5, 1, 3], [(0, 4, 0, 1), (0, 4, 2, 3), (0, 4, 1, 2), (1, 2, 0, 3), (0, 4, 3, 3)])
+        )
+    ),
+    # three rects share the top edge 2, two more the top edge 5
+    "shared-tops": make_instance(
+        [(0, 8, 0, 2), (1, 3, 1, 2), (4, 6, 0, 2), (5, 6, 3, 5), (0, 8, 4, 5), (1, 2, 0, 5)]
+    ),
+    # bottoms on other rects' tops: 2 on [0, 8]'s, 4 on [1, 3]'s, 5 on [4, 6]'s
+    "bottom-on-a-top": make_instance(
+        [(0, 8, 0, 2), (1, 3, 2, 4), (4, 6, 4, 5), (4, 5, 5, 6), (1, 2, 0, 2), (6, 8, 2, 3)]
+    ),
+    # flat rects, alone and on the edges of others
+    "zero-height": make_instance(
+        [(0, 4, 1, 1), (1, 2, 1, 1), (0, 4, 0, 1), (2, 4, 1, 3), (0, 1, 3, 3), (2, 3, 2, 2)]
+    ),
+}
+
+
+class TestMaskEdgeCases:
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_matches_full_scan_reference(self, name):
+        inst = EDGE_CASES[name]
+        assert is_laminar(inst)
+        sol = solve_laminar(inst)
+        assert sol.segments == solve_laminar_full_scan(inst).segments
+        assert verify(inst, sol).feasible
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    @given(st.data())
+    @settings(max_examples=30)
+    def test_masks_match_the_references(self, name, data):
+        # the DP on the instance's own spans and the approx8 pricer, each on
+        # masks of a random subset, against the box DP on that subset; the
+        # DP's levels are all of the instance's top edges, so on a subset
+        # only its cost and the feasibility of its stabs are the reference's
+        inst = EDGE_CASES[name]
+        g = inst._grid
+        bits, solve, stabs = _laminar_dp(inst, list(zip(g.xl, g.xr)))
+        unit, bit, price = _approx8_prices(inst)
+        picked = data.draw(st.lists(st.booleans(), min_size=len(inst.rects), max_size=len(inst.rects)))
+        sub = Instance(tuple(r for r, keep in zip(inst.rects, picked) if keep))
+        mask = sum(b for b, keep in zip(bits, picked) if keep)
+        ref = solve_laminar_full_scan(sub)
+        assert F(solve(mask), g.dx) == ref.cost
+        rects = inst.rects
+        picks = Solution(tuple(Segment(rects[i].xl, rects[i].xr, rects[j].yt) for i, j in stabs(mask)))
+        assert verify(sub, picks).feasible
+        assert picks.cost == ref.cost
+        priced = price(sum(bit[r.id] for r in sub.rects)) * unit
+        assert priced == 2 * solve_laminar_full_scan(to_laminar(sub)).cost == approx8(sub).cost

@@ -14,6 +14,7 @@ from stabkit import (
     OracleLimitError,
     ParameterError,
     Segment,
+    Solution,
     approx8,
     candidate_segments,
     exact_opt,
@@ -282,6 +283,42 @@ class TestExactOpt:
         a = solution_to_json(exact_opt(i1))
         b = solution_to_json(exact_opt(i1))
         assert a == b
+
+
+@st.composite
+def one_rect(draw):
+    """One rect over mixed denominators, zero height included, under the
+    affine map x -> x/3 + 1/7 or not."""
+    xl = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 12)))
+    width = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+    yb = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 12)))
+    height = Fraction(draw(st.integers(0, 40)), draw(st.integers(1, 12)))
+    inst = make_instance([(xl, xl + width, yb, yb + height)])
+    return affine_instance(inst) if draw(st.booleans()) else inst
+
+
+class TestOneRect:
+    # an instance of one rect is solved without a candidate table, as the
+    # table's one row: the rect's own span at its top edge, at one node
+
+    @given(one_rect())
+    def test_matches_the_table_path(self, inst):
+        keys, masks, lengths, covering = _candidate_table(inst, _x_blocks(inst))
+        assert (masks, covering) == ([1], [[0]])
+        table = Solution((Segment(*keys[0]),))
+        sol = _branch_and_bound(inst)
+        assert sol == table == branch_and_bound_unmemoized(inst) == exact_opt_subset_dp(inst)
+        assert solution_to_json(sol) == solution_to_json(table)
+        assert sol.cost == Fraction(lengths[0], inst._grid.dx)
+        assert exact_opt(inst, limit=1) == solve_small(inst, 1) == sol
+
+    def test_takes_one_node_of_the_budget(self):
+        inst = make_instance([(Fraction(1, 3), Fraction(5, 2), 0, 0)])
+        assert _branch_and_bound(inst, node_budget=1).segments == (Segment(Fraction(1, 3), Fraction(5, 2), 0),)
+        with pytest.raises(BudgetError):
+            _branch_and_bound(inst, node_budget=0)
+        with pytest.raises(BudgetError):
+            solve_small(inst, 1, node_budget=0)
 
 
 class TestGreedy:

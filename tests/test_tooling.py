@@ -17,7 +17,7 @@ import pytest
 
 import stabkit
 import stabkit.cli  # noqa: F401  (the tracer wraps stabkit.cli.run_bench)
-from stabkit.approx8 import _approx8_prices
+from stabkit.approx8 import _approx8_prices, _rounded_spans
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -252,6 +252,56 @@ def test_approx8_builds_no_rounded_rect(monkeypatch):
     cost = price((1 << len(inst.rects)) - 1) * unit
     assert built == []
     assert cost == sol.cost > 0
+
+
+def test_approx8_multiplies_no_fraction(monkeypatch):
+    # approx8 stretches on integers and builds each end as one Fraction of
+    # an integer and a power of two; an int times a Fraction took about
+    # 1.7 us, against 0.5 us for Fraction(n, d)
+    products = []
+
+    def counted(name):
+        original = getattr(Fraction, name)
+
+        def product(self, other):
+            products.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Fraction, name, product)
+
+    inst = stabkit.gen_uniform(40, 1)
+    # x scaled up 2**12 and down 2**12: the unit 2**e of the rounded spans
+    # is at least 1 on one and below 1 on the other
+    scaled = [
+        stabkit.Instance(tuple(stabkit.Rect(r.id, r.xl * f, r.xr * f, r.yb, r.yt) for r in inst.rects))
+        for f in (Fraction(2**12), Fraction(1, 2**12))
+    ]
+    assert [_rounded_spans(s)[0] >= 0 for s in scaled] == [True, False]
+    for name in ("__mul__", "__rmul__"):
+        counted(name)
+    sols = [stabkit.approx8(s) for s in scaled]
+    assert products == []
+    monkeypatch.undo()
+    assert [sol.cost for sol in sols] == [stabkit.approx8(inst).cost * f for f in (2**12, Fraction(1, 2**12))]
+
+
+def test_exact_opt_of_one_rect_builds_no_candidate_table(monkeypatch):
+    # one rect's only row is its own span at its top edge; a table for it
+    # was 571 of the 1,002 table builds on a seed-1 schemes pass
+    built = []
+    table = stabkit.oracle._candidate_table
+
+    def recorded(inst, blocks=None):
+        built.append(inst)
+        return table(inst, blocks)
+
+    monkeypatch.setattr(stabkit.oracle, "_candidate_table", recorded)
+    inst = stabkit.Instance((stabkit.Rect(1, Fraction(1, 3), Fraction(5, 2), 0, Fraction(1, 7)),))
+    sol = stabkit.exact_opt(inst)
+    assert built == []
+    assert sol.segments == (stabkit.Segment(Fraction(1, 3), Fraction(5, 2), Fraction(1, 7)),)
+    stabkit.exact_opt(stabkit.gen_uniform(2, 1))
+    assert len(built) == 1
 
 
 def test_only_core_scales_coordinates():
