@@ -15,17 +15,17 @@ Both stages price rect subsets by the 8-approximation's cost alone, through
 ``approx8._approx8_prices``: ``decompose`` rounds the instance's rects once
 and hands that one pricer to both stages.  A stage maps its rects to the
 pricer's bits once per call and prices masks of those bits, built up as its
-sweep goes: ``strip_partition`` toggles the crossed set's mask next to its
-position mask, and ``horizontal_cuts`` adds each top edge's rects to the
-mask and clears it at a cut.  The prices share one memo of the laminar DP
-over the instance's rect sets, so a set reached by an earlier price, or
-inside one, costs a lookup, and come as integer counts of one unit per
-pricer, so they compare as integers.  A price never falls when rects are
-added, so ``strip_partition`` does not price a crossed set that holds one
-it has priced: that set cannot be strictly cheaper than the best, and ties
-go to the smaller shift.  Called on its own, a stage builds its own pricer.
-Both stages read the instance's integer view, and every strip and chunk
-inherits it.
+sweep goes: ``strip_partition`` toggles the crossed set's mask, and
+``horizontal_cuts`` adds each top edge's rects to the mask and clears it at
+a cut.  The prices share one memo of the laminar DP over the instance's rect
+sets, so a set reached by an earlier price, or inside one, costs a lookup,
+and come as integer counts of one unit per pricer, so they compare as
+integers.  A price never falls when rects are added, so ``strip_partition``
+does not price a crossed set that holds one it has priced: that set cannot be
+strictly cheaper than the best, and ties go to the smaller shift.  A set met
+again holds itself, so each set is priced at most once, where the sweep first
+meets it.  Called on its own, a stage builds its own pricer.  Both stages
+read the instance's integer view, and every strip and chunk inherits it.
 
 Composed by ``decompose``, the paid segments cost O(eps) times the optimum
 while every remaining chunk has optimum at most 8w/eps^2 + w/eps.
@@ -112,17 +112,18 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
     max_width / eps (n/eps^2 of them); the cover for the crossed rectangles
     is the 8-approximation.  The crossed set changes only at the shifts where
     a line enters or leaves a rect, so an exact integer sweep over those event
-    shifts meets every distinct crossed set at its smallest shift.  That is
-    at most 4n + 1 sets, each priced at most once on rects rounded once;
-    only the winner's cover is built.  Ties between shifts go to the
-    smallest one.  A price never falls when rects are added, so a set that
-    holds a set priced before it costs no less than the best so far and is
-    not priced.
+    shifts meets every distinct crossed set first at its smallest shift.
+    That is at most 4n + 1 sets, each priced there, at most once, on rects
+    rounded once; only the winner's cover is built.  Ties between shifts go
+    to the smallest one.  A price never falls when rects are added, so a set
+    that holds a set priced before it, itself included, costs no less than
+    the best so far and is not priced.
     The paid cover costs at most 16 * eps * OPT and every strip spans at
     most max_width / eps in x.
 
     ``_price`` is ``_approx8_prices`` of ``inst`` or of an instance holding
-    its rects, when the caller has built it.
+    its rects, when the caller has built it; its bits are distinct per rect,
+    so a mask of them names a set of ``inst``'s rects.
     """
     eps = _unit(eps, "eps")
     if not inst.rects:
@@ -146,9 +147,8 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
     shifts = (s - 1) // t + 1  # ceil(s / t)
     _, bit, price = _approx8_prices(inst) if _price is None else _price
     bits = [bit[r.id] for r in rects]
-    # shift k -> the masks, of positions and of pricer bits, of the rects
-    # whose crossing flips at k
-    toggles = {0: (0, 0)}
+    # shift k -> the pricer mask of the rects whose crossing flips at k
+    toggles = {0: 0}
     for i, (xl, xr) in enumerate(x):
         a = xl % s
         b = a + xr - xl
@@ -158,33 +158,29 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
         for lo, hi in runs:
             if lo <= hi:
                 for at in (lo, hi + 1):
-                    old, old_bits = toggles.get(at, (0, 0))
-                    toggles[at] = (old ^ 1 << i, old_bits ^ bits[i])
-    first: dict[int, tuple[int, int]] = {}  # crossed mask -> (its smallest shift, its pricer mask)
-    crossed_mask = priced_mask = 0
-    for k in sorted(toggles):
-        if k >= shifts:
-            break
-        flip, flip_bits = toggles[k]
-        crossed_mask ^= flip
-        priced_mask ^= flip_bits
-        first.setdefault(crossed_mask, (k, priced_mask))
+                    toggles[at] = toggles.get(at, 0) ^ bits[i]
 
     best = None
     priced: list[int] = []  # the pricer masks priced so far
-    # masks come in order of their smallest shift and only a strictly cheaper
-    # set replaces the best, so ties go to the smallest shift; a set holding
-    # a priced one costs at least the best, so it cannot replace it
-    for mask, (k, priced_mask) in first.items():
-        if any(not p & ~priced_mask for p in priced):
+    # pricer bits are distinct per rect, so the pricer mask names the crossed
+    # set.  Masks come in order of their smallest shift and only a strictly
+    # cheaper set replaces the best, so ties go to the smallest shift; a set
+    # holding a priced one costs at least the best, so it cannot replace it,
+    # and a set met again holds itself
+    mask = 0
+    for k in sorted(toggles):
+        if k >= shifts:
+            break
+        mask ^= toggles[k]
+        if any(not p & ~mask for p in priced):
             continue
-        priced.append(priced_mask)
-        cost = price(priced_mask)
+        priced.append(mask)
+        cost = price(mask)
         if best is None or cost < best[0]:
             best = (cost, mask, k)
     _, mask, k_star = best
     z_star = Fraction(k_star * t, den)
-    crossed = [i for i in range(n) if mask >> i & 1]
+    crossed = [i for i in range(n) if mask & bits[i]]
     assert crossing_rects(inst, z_star, spacing) == [rects[i] for i in crossed], (
         "the sweep disagrees with the crossing test"
     )
@@ -192,7 +188,7 @@ def strip_partition(inst: Instance, eps, *, _price: _Pricer | None = None) -> St
     # rect i lies in strip floor((xl - z*) / spacing), on the same integers
     groups: dict[int, list[int]] = {}
     for i, (xl, _) in enumerate(x):
-        if not mask >> i & 1:
+        if not mask & bits[i]:
             groups.setdefault((xl - k_star * t) // s, []).append(i)
     strips = tuple(
         Strip(inst._restrict(groups[i]), Fraction(k_star * t + i * s, den), Fraction(k_star * t + (i + 1) * s, den))
@@ -221,17 +217,20 @@ def horizontal_cuts(
     ``_price`` is ``_approx8_prices`` of the strip or of an instance holding
     its rects, when the caller has built it; the prices are the same.  The
     priced set grows by the rects of each top edge and starts empty again
-    past a cut, where every rect left lies above the cut.
+    past a cut; cuts rise, so the rects left are those whose bottom edge
+    lies above the last cut.
     """
     eps, w = _unit(eps, "eps"), _positive(width, "width")
     x0, x1 = _pair(span, "span")
-    if not strip.rects:
-        return CutResult((), (), ())
-    rects, g = strip.rects, strip._grid
     # the checks and the trigger on integers, with x0 = a/b, x1 = c/d,
     # w = wn/wd and eps = p/q
     a, b = x0.as_integer_ratio()
     c, d = x1.as_integer_ratio()
+    if a * d > c * b:
+        raise ParameterError("span must be non-empty")
+    if not strip.rects:
+        return CutResult((), (), ())
+    rects, g = strip.rects, strip._grid
     wn, wd = w.as_integer_ratio()
     p, q = eps.as_integer_ratio()
     if a * g.dx > min(g.xl) * b or max(g.xr) * d > c * g.dx:
@@ -246,18 +245,17 @@ def horizontal_cuts(
     un, ud = unit.as_integer_ratio()
     limit = CUT_FACTOR * wn * q * q * ud // (wd * p * p * un)
     yb, yt = g.yb, g.yt
-    remaining = range(len(rects))  # positions in the strip
     cuts: list[Segment] = []
     chunks: list[Instance] = []
     costs: list[Fraction] = []
     at_top: dict[int, list[int]] = {}  # top edge -> the positions with it
     for p, top in enumerate(yt):
         at_top.setdefault(top, []).append(p)
-    # the pricer mask of the remaining rects with top edge at most z: past a
-    # cut every remaining rect lies above it, so the mask starts empty there
-    # and takes in the rects of each top edge still remaining.  A top edge of
-    # no remaining rect prices the empty set or a set priced (and not cut)
-    # before: it cuts nowhere
+    # cuts rise, so the rects still in play past the last cut are those with
+    # yb > last_cut.  The pricer mask holds those with top edge at most z: it
+    # starts empty past a cut and takes in the rects of each top edge still in
+    # play.  A top edge of no such rect prices the empty set or a set priced
+    # (and not cut) before: it cuts nowhere
     mask, last_cut = 0, min(yb) - 1
     for z, at in sorted(at_top.items()):
         for p in at:
@@ -266,15 +264,15 @@ def horizontal_cuts(
         cost = price(mask)
         if cost > limit:
             cuts.append(_built(Segment, x0, x1, rects[at[-1]].yt))
-            closed = [p for p in remaining if yt[p] < z]
+            closed = [p for p in range(len(rects)) if yb[p] > last_cut and yt[p] < z]
             if closed:
                 chunks.append(strip._restrict(closed))
                 costs.append(cost * unit)
-            remaining = [p for p in remaining if yb[p] > z]
             mask, last_cut = 0, z
-    if remaining:
-        # the last top edge priced every remaining rect
-        chunks.append(strip._restrict(remaining))
+    rest = [p for p in range(len(rects)) if yb[p] > last_cut]
+    if rest:
+        # the last top edge priced every rect still in play
+        chunks.append(strip._restrict(rest))
         costs.append(cost * unit)
     return CutResult(tuple(cuts), tuple(chunks), tuple(costs))
 

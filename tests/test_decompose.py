@@ -21,6 +21,7 @@ from stabkit import (
     stabs,
     strip_partition,
 )
+from stabkit.approx8 import _approx8_prices
 
 from .conftest import make_instance
 from .helpers import (
@@ -143,6 +144,23 @@ class TestStripPartition:
             [(F(x, 2), F(x + wd, 2), y, y + h) for x, wd, y, h in draws]
         )
         assert strip_partition(inst, eps) == strip_partition_all_shifts(inst, eps)
+
+    @given(
+        st.sampled_from(GENERATED_KINDS),
+        st.integers(1, 14),
+        st.integers(0, 10**6),
+        st.sampled_from(SWEEP_EPS),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_a_larger_instances_pricer_gives_the_same_partition(self, kind, n, seed, eps, data):
+        # the sweep names a crossed set by its pricer mask; the bits of a
+        # pricer of the whole instance are distinct over any of its subsets,
+        # taken in any order
+        inst = generated_instance(kind, n, seed)
+        subset = data.draw(st.lists(st.sampled_from(range(len(inst.rects))), unique=True))
+        sub = inst._restrict(subset)
+        assert strip_partition(sub, eps, _price=_approx8_prices(inst)) == strip_partition(sub, eps)
 
     @pytest.mark.parametrize("n", [21, 30])
     def test_derived_mu_prices_at_most_4n_plus_1_sets(self, n, monkeypatch):

@@ -106,8 +106,19 @@ CASES = [
     ("horizontal_cuts-eps", lambda v: horizontal_cuts(ONE, v, 2, (0, 2)), INSIDE, NOT_UNIT),
     # the positive bound on an empty strip, which no span can exceed
     ("horizontal_cuts-width", lambda v: horizontal_cuts(Instance(()), HALF, v, (0, 2)), POSITIVE, NOT_POSITIVE),
-    # a span is a pair, checked as GenConfig checks its ranges
-    ("horizontal_cuts-span", lambda v: horizontal_cuts(ONE, HALF, 2, v), [(0, 2), [0, 2]], [5, (0, 1, 2), (0,)]),
+    # a span is a pair, checked as GenConfig checks its ranges, on any strip
+    (
+        "horizontal_cuts-span",
+        lambda v: horizontal_cuts(ONE, HALF, 2, v),
+        [(0, 2), [0, 2]],
+        [5, (0, 1, 2), (0,), (2, 0)],
+    ),
+    (
+        "horizontal_cuts-span-empty_strip",
+        lambda v: horizontal_cuts(Instance(()), HALF, 2, v),
+        [(0, 2), (1, 1)],
+        [5, (0,), (2, 0)],
+    ),
     ("decompose-eps", lambda v: decompose(ONE, v), INSIDE, NOT_UNIT),
 ]
 
@@ -158,6 +169,8 @@ PAST = [
     ("horizontal_cuts-span", 5, "span must be a pair (lo, hi)"),
     ("horizontal_cuts-span", (0, 1, 2), "span must be a pair (lo, hi)"),
     ("horizontal_cuts-span", (0,), "span must be a pair (lo, hi)"),
+    ("horizontal_cuts-span", (2, 0), "span must be non-empty"),
+    ("horizontal_cuts-span-empty_strip", (2, 0), "span must be non-empty"),
 ]
 
 
