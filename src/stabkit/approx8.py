@@ -17,7 +17,8 @@ instance by approx8's cost alone; ``_approx8_prices`` serves those prices,
 as integers of one unit, from one rounding and one DP, on masks of the DP's
 rect bits, and is the one place that reads the cost as twice the laminar
 optimum.  A price is monotone in its mask, which lets the
-decomposition skip a set that holds one it has priced.
+decomposition skip a set that holds one it has priced.  Dyadic spans are
+laminar, so neither approx8 nor the pricer checks them: the DP trusts them.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _approx8_prices(inst: Instance) -> tuple[Fraction, dict[int, int], Callable[
     to double length, so its cost is exactly twice that optimum.  Rounding is
     per rect, so the rounded rects of a subset are that subset of the rounded
     instance, and a subset of a laminar family is laminar: ``inst`` is
-    rounded and checked once, and one DP over its rect sets serves every
+    rounded once, unchecked, and one DP over its rect sets serves every
     price, a price being the DP's value on the priced rects' mask.  The
     prices share that DP's memo.  A state's levels are then the top edges of
     all of ``inst``, not only of the priced rects, which may move the level

@@ -28,6 +28,7 @@ from .core import (
     _as_int,
     _json_entries,
     _rational,
+    _unit,
     as_scalar,
     instance_from_json,
     instance_to_json,
@@ -223,7 +224,7 @@ def _declared_bound(algo: str, opts: dict, n: int) -> Fraction | float:
     if algo == "approx8":
         return Fraction(8)
     if algo == "greedy":
-        return 1 + math.log(n) if n >= 1 else 1.0
+        return 1 + math.log(n)  # read only when opt > 0, so n >= 1
     if algo == "ptas":
         return 1 + 17 * opts["eps"]
     # qptas certifies 1 + eps only with its derived mu and klong; overridden,
@@ -290,18 +291,23 @@ def run_bench(suite: dict) -> tuple[list[dict], str]:
     oracle_limit = _oracle_limit(suite.get("oracle_limit", 15))
     instances = []
     for pos, entry in enumerate(_json_entries(suite, "instances", "bench suite"), start=1):
+        # checked whole, even when it lists no seed to generate
+        what = f"instance #{pos}"
         kind = entry.get("kind", "uniform")
         if kind not in KINDS:
-            raise ParameterError(f"instance #{pos}: unknown generator kind {kind!r}")
+            raise ParameterError(f"{what}: kind must be one of {', '.join(KINDS)}")
         keys = ("kind", "n", "seeds", "delta") if kind == "bounded" else ("kind", "n", "seeds")
-        _known_keys(entry, keys, f"instance #{pos}")
-        n = _as_int(entry.get("n"), f"instance #{pos}: n")
+        _known_keys(entry, keys, what)
+        n = _as_int(entry.get("n"), f"{what}: n", 0)
         seeds = entry.get("seeds", [0])
         if not isinstance(seeds, list):
-            raise ParameterError(f"instance #{pos}: seeds must be a list, got {seeds!r}")
+            raise ParameterError(f"{what}: seeds must be a list, not {type(seeds).__name__}")
+        delta = entry.get("delta")
+        if delta is not None:
+            delta = _unit(delta, f"{what}: delta", closed=True)
         for seed in seeds:
-            seed = _as_int(seed, f"instance #{pos}: seed")
-            inst = _gen_instance(kind, n, seed, entry.get("delta"))
+            seed = _as_int(seed, f"{what}: seed")
+            inst = _gen_instance(kind, n, seed, delta)
             instances.append((f"{kind}-n{n}-s{seed}", seed, inst))
 
     rows = []

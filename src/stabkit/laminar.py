@@ -30,37 +30,28 @@ off the instance's integer view, so nothing below compares Fractions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from itertools import accumulate, filterfalse
 from operator import or_
 
 from .core import Instance, ParameterError, Segment, Solution, _built
 
 
-def _nested(spans: Iterable[tuple[int, int]]) -> bool:
-    """True iff every two (left, right) spans are nested or have disjoint
-    interiors; shared endpoints count as disjoint.
+def is_laminar(inst: Instance) -> bool:
+    """True iff every pair of x-projections is nested or interior-disjoint.
 
-    In (left, -right) order each span must end inside the innermost span
-    still open where it starts.
+    Shared endpoints count as disjoint.  In (left, -right) order each span
+    must end inside the innermost span still open where it starts.
     """
+    g = inst._grid
     open_ends: list[int] = []
-    for a, neg_b in sorted({(a, -b) for a, b in spans}):
+    for a, neg_b in sorted({(a, -b) for a, b in zip(g.xl, g.xr)}):
         while open_ends and open_ends[-1] <= a:
             open_ends.pop()
         if open_ends and open_ends[-1] < -neg_b:
             return False
         open_ends.append(-neg_b)
     return True
-
-
-def is_laminar(inst: Instance) -> bool:
-    """True iff every pair of x-projections is nested or interior-disjoint.
-
-    Shared endpoints count as disjoint.
-    """
-    g = inst._grid
-    return _nested(zip(g.xl, g.xr))
 
 
 def _laminar_dp(
@@ -101,10 +92,9 @@ def _laminar_dp(
     bottom buckets after k (yb > top), and rect p's levels run from its
     bottom's index to its top's.
 
-    Raises ParameterError when the spans are not laminar.
+    The spans must be laminar, which the DP does not check: approx8's
+    dyadic spans are, and ``solve_laminar`` checks with ``is_laminar``.
     """
-    if not _nested(spans):
-        raise ParameterError("instance is not laminar")
     rects, g = inst.rects, inst._grid
     n = len(rects)
     keys = [(a - b, r.id) for (a, b), r in zip(spans, rects)]
@@ -234,8 +224,10 @@ def solve_laminar(inst: Instance) -> Solution:
     (``_laminar_dp``) on all of them, on the x spans of the instance's
     integer view, and build the stabs.
 
-    Raises ParameterError on non-laminar input.
+    Raises ParameterError on input that ``is_laminar`` rejects.
     """
+    if not is_laminar(inst):
+        raise ParameterError("instance is not laminar")
     rects = inst.rects
     g = inst._grid
     _, _, stabs = _laminar_dp(inst, list(zip(g.xl, g.xr)))

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,28 @@ class TestIntegerRounding:
         self.assert_rounds_as_reference(rects)
         for r, (t, above, _, _) in zip(to_laminar(Instance(tuple(rects))).rects, draws):
             assert r.width == pow2(t if above == 0 else t + 1)
+
+
+class TestRoundedSpansAreLaminar:
+    @given(
+        st.sampled_from(GENERATED_KINDS),
+        st.booleans(),
+        st.integers(1, 24),
+        st.integers(0, 10**6),
+        st.integers(-300, 0),
+    )
+    @settings(max_examples=100)
+    def test_every_two_spans_nest_or_are_interior_disjoint(self, kind, mapped, n, seed, shift):
+        # the laminar DP takes these spans unchecked, so they are checked
+        # here pair by pair; the affine image and the shift by a multiple of
+        # 1/5 put x over odd denominators and much of it below zero
+        inst = generated_instance(kind, n, seed)
+        if mapped:
+            inst = affine_instance(inst)
+        inst = Instance(tuple(Rect(r.id, r.xl + F(shift, 5), r.xr + F(shift, 5), r.yb, r.yt) for r in inst.rects))
+        _, spans = _rounded_spans(inst)
+        for (a, b), (c, d) in combinations(spans, 2):
+            assert b <= c or d <= a or a <= c and d <= b or c <= a and b <= d, ((a, b), (c, d))
 
 
 class TestToLaminar:

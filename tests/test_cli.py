@@ -396,6 +396,30 @@ class TestMalformedInput:
         "unknown-kind": {"instances": [dict(INSTANCE, kind="spiral")], "algos": [ALGO]},
         # an entry that generates nothing is still checked
         "unknown-kind-no-seeds": {"instances": [dict(INSTANCE, kind="spiral", seeds=[])], "algos": [ALGO]},
+        "negative-n": {"instances": [dict(INSTANCE, n=-1)], "algos": [ALGO]},
+        "negative-n-no-seeds": {"instances": [dict(INSTANCE, n=-1, seeds=[])], "algos": [ALGO]},
+        "delta-above-one": {"instances": [dict(INSTANCE, kind="bounded", delta="3/2")], "algos": [ALGO]},
+        "delta-above-one-no-seeds": {
+            "instances": [dict(INSTANCE, kind="bounded", delta="3/2", seeds=[])],
+            "algos": [ALGO],
+        },
+        "float-delta": {"instances": [dict(INSTANCE, kind="bounded", delta=0.5)], "algos": [ALGO]},
+        "seeds-long-string": {"instances": [dict(INSTANCE, seeds="x" * 5000)], "algos": [ALGO]},
+        "kind-long-string": {"instances": [dict(INSTANCE, kind="x" * 5000)], "algos": [ALGO]},
+    }
+    # the one line each bad instance entry above gets: it names the entry,
+    # and the field by its name or type, never by its value
+    INSTANCE_ENTRY_ERRORS = {
+        "negative-n": "n must be at least 0, got -1",
+        "negative-n-no-seeds": "n must be at least 0, got -1",
+        "delta-above-one": "delta must lie in (0, 1]",
+        "delta-above-one-no-seeds": "delta must lie in (0, 1]",
+        "float-delta": "delta must be an exact rational, not float",
+        "seeds-long-string": "seeds must be a list, not str",
+        "seeds-not-list": "seeds must be a list, not int",
+        "unknown-kind": "kind must be one of uniform, laminar, bounded",
+        "unknown-kind-no-seeds": "kind must be one of uniform, laminar, bounded",
+        "kind-long-string": "kind must be one of uniform, laminar, bounded",
     }
     BAD_SOLUTIONS = {
         "invalid-json": "[",
@@ -482,6 +506,14 @@ class TestMalformedInput:
         suite = self.write(tmp_path / "suite.json", self.BAD_SUITES[case])
         report, summary = str(tmp_path / "report.csv"), str(tmp_path / "summary.md")
         self.assert_rejected(["bench", "-c", suite, "-o", report, "-m", summary], capsys)
+
+    @pytest.mark.parametrize("case", sorted(INSTANCE_ENTRY_ERRORS))
+    def test_bad_instance_entry_names_its_entry(self, case, tmp_path, capsys):
+        suite = self.write(tmp_path / "suite.json", self.BAD_SUITES[case])
+        assert main(["bench", "-c", suite]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"parameter error: instance #1: {self.INSTANCE_ENTRY_ERRORS[case]}"]
 
     @pytest.mark.parametrize("flags", [["--eps", "2"], ["--eps", "1/2", "--klong", "0"]])
     def test_bad_qptas_parameters_on_empty_instance(self, flags, tmp_path, capsys):

@@ -92,6 +92,12 @@ class TestSolveLaminar:
         with pytest.raises(ParameterError):
             solve_laminar(make_instance([(0, 4, 0, 1), (2, 6, 0, 1)]))
 
+    def test_rejects_non_laminar_before_the_dp_runs(self, monkeypatch):
+        # the DP trusts its spans to be laminar; solve_laminar checks them
+        monkeypatch.setattr("stabkit.laminar._laminar_dp", lambda *args: pytest.fail("the DP ran"))
+        with pytest.raises(ParameterError, match="^instance is not laminar$"):
+            solve_laminar(make_instance([(0, 4, 0, 1), (2, 6, 0, 1)]))
+
     @pytest.mark.parametrize(
         "rect_of",
         [

@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+import stabkit
 from stabkit.cli import ALGO_OPTIONS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -18,6 +19,16 @@ def section(title: str) -> str:
 def test_library_example_runs():
     (code,) = re.findall(r"```python\n(.*?)```", section("Library"), re.S)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_library_section_names_the_reference_functions():
+    # the tests check the fast paths against the first four, which no
+    # solver calls; is_laminar is the check solve_laminar runs
+    names = ("candidate_segments", "reduce_candidates", "split_independent", "to_laminar", "is_laminar")
+    text = section("Library")
+    for name in names:
+        assert name in stabkit.__all__
+        assert f"`{name}(inst" in text, name
 
 
 def test_cli_option_table_lists_each_algorithms_options():

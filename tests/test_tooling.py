@@ -192,6 +192,35 @@ def test_strip_partition_keeps_the_traced_crossing_test_and_paid_cover():
     assert parents["approx8.approx8"] == {"decompose.strip_partition"}
 
 
+def test_only_solve_laminar_checks_laminarity(monkeypatch):
+    # the laminar DP trusts its spans: solve_laminar checks its instance
+    # through the module's is_laminar binding, the one perfbench spans, while
+    # approx8 and the decomposition's pricer hand the DP dyadic spans,
+    # laminar by construction, without a check
+    module = importlib.import_module("stabkit.laminar")
+    original = module.is_laminar
+    checked = []
+
+    def counted(inst):
+        checked.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(module, "is_laminar", counted)
+    insts = [stabkit.gen_laminar(12, 1), stabkit.to_laminar(stabkit.gen_uniform(12, 1)), stabkit.Instance(())]
+    for inst in insts:
+        stabkit.solve_laminar(inst)
+    assert checked == insts
+    checked.clear()
+    half = Fraction(1, 2)
+    stabkit.approx8(stabkit.gen_uniform(12, 1))
+    stabkit.decompose(stabkit.gen_uniform(8, 1), half)
+    stabkit.ptas(stabkit.gen_bounded_ratio(16, half, 1), half, half)
+    stabkit.qptas(
+        stabkit.gen_uniform(6, 3), half, stabkit.SchemeParams.derive(6, half, mu=half, klong=4, oracle_limit=0)
+    )
+    assert checked == []
+
+
 def _guesses_build_no_segment(inst):
     # a guess is its table rows; qptas builds segments only for the branch
     # it keeps, so guess_long itself should build none
