@@ -100,13 +100,15 @@ def _render(build, *args):
 
 def _check_options(algo, given) -> None:
     """Reject an unknown algorithm, an option it does not read, or a missing
-    required one."""
+    required one.  A message names only what the option table holds, never
+    a name it does not."""
     if not isinstance(algo, str) or algo not in ALGO_OPTIONS:
-        raise ParameterError(f"unknown algorithm {algo!r}")
+        raise ParameterError(f"unknown algorithm; one of {', '.join(ALGO_OPTIONS)}")
     reads = ALGO_OPTIONS[algo]
     for name in given:
         if name not in reads:
-            raise ParameterError(f"{algo} does not read option {name!r}")
+            unread = f"option {name!r}" if name in OPTION_TYPES else "an unknown option"
+            raise ParameterError(f"{algo} does not read {unread}; it reads {', '.join(reads) or 'none'}")
     for name, (_, required) in reads.items():
         if required and name not in given:
             raise ParameterError(f"{algo} requires option {name!r}")
@@ -191,9 +193,8 @@ CSV_COLUMNS = ["instance_id", "n", "seed", "algo", "params", "cost", "opt", "rat
 
 
 def _known_keys(entry: dict, keys, what: str) -> None:
-    for key in entry:
-        if key not in keys:
-            raise ParameterError(f"{what} has no key {key!r}")
+    if any(key not in keys for key in entry):
+        raise ParameterError(f"{what} reads only the keys {', '.join(keys)}")
 
 
 def _algo_opts(algo_entry: dict, what: str) -> tuple[str, dict]:

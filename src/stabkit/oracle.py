@@ -39,7 +39,7 @@ from .core import (
     Solution,
     _as_int,
     _built,
-    _segment_view,
+    stabs,
 )
 
 ORACLE_LIMIT = 20  # exact_opt's default rect cap; qptas's exact leaf never runs with a lower one
@@ -53,66 +53,30 @@ class Candidate:
     stab_set: int
 
 
-def _kept_rows(shortest: dict[int, tuple]) -> list[tuple]:
-    """The rows ``(key, mask, length)``, sorted by key, of the stab sets in
-    ``shortest`` (mask -> ``(length, *key)``, the least such entry per set)
-    that no other set contains at no greater length.  The general pass of
-    ``reduce_candidates``, whose segments may lie anywhere; the candidate
-    table, whose rows sit at their stab sets' spans, settles domination per
-    span instead."""
-    # visited by (length, -popcount): a set dominating S is a strict superset
-    # no longer than S, so it is shorter or has the higher popcount, and is
-    # visited first; domination is transitive and acyclic, so S is dominated
-    # exactly when a kept set visited before it contains it, that is when the
-    # bitmaps of kept rows stabbing each of its rects share a bit
-    kept = []
-    stabbed_by: dict[int, int] = {}  # rect bit -> bitmap of the kept rows that stab it
-    for mask in sorted(shortest, key=lambda m: (shortest[m][0], -m.bit_count())):
-        common, rest = -1, mask
-        while rest and common:
-            low = rest & -rest
-            common &= stabbed_by.get(low, 0)
-            rest ^= low
-        if not common:
-            row, rest = 1 << len(kept), mask
-            while rest:
-                low = rest & -rest
-                stabbed_by[low] = stabbed_by.get(low, 0) | row
-                rest ^= low
-            entry = shortest[mask]
-            kept.append((entry[1:], mask, entry[0]))
-    kept.sort()
-    return kept
-
-
 def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     """Keep one minimum-length candidate per distinct stab-set, drop dominated ones.
 
     A candidate is dominated when another candidate stabs a superset of its
     rects at no greater length.  The optimal cover cost over the reduced list
     equals that over the full list.  Ties resolve to the lexicographically
-    smallest segment (by (xl, xr, y)) so the result is deterministic.
+    smallest segment (by (xl, xr, y)) so the result is deterministic.  This is
+    the definition: each set is tested against every other one.  No solver
+    calls it; the candidate table's per-span sweep is tested against it.
     """
-    g = inst._grid
-    fx, fy, sx, sy = _segment_view(g, tuple(cands))
-    # a segment stabs exactly the rects with xl >= its xl, xr <= its xr and
-    # yb <= its y <= yt: one mask per distinct coordinate, ANDed per segment
-    edges = [
-        (1 << p, a * fx, b * fx, lo * fy, hi * fy) for p, (a, b, lo, hi) in enumerate(zip(g.xl, g.xr, g.yb, g.yt))
+    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y)
+    for s in cands:
+        mask = sum(1 << p for p, r in enumerate(inst.rects) if stabs(s, r))
+        entry = (s.length, s.xl, s.xr, s.y)
+        if mask and (mask not in shortest or entry < shortest[mask]):
+            shortest[mask] = entry
+    pool = sorted(shortest.items(), key=lambda kv: kv[1][1:])
+    return [
+        Candidate(Segment(*entry[1:]), mask)
+        for mask, entry in pool
+        if not any(
+            other != mask and mask | other == other and entry[0] >= other_entry[0] for other, other_entry in pool
+        )
     ]
-    lm = {a: sum(bit for bit, rl, _, _, _ in edges if rl >= a) for a in set(sx[::2])}
-    rm = {b: sum(bit for bit, _, rr, _, _ in edges if rr <= b) for b in set(sx[1::2])}
-    ym = {v: sum(bit for bit, _, _, rb, rt in edges if rb <= v <= rt) for v in set(sy)}
-
-    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y, index in cands)
-    for i, (a, b, y) in enumerate(zip(sx[::2], sx[1::2], sy)):
-        mask = lm[a] & rm[b] & ym[y]
-        if mask:
-            entry = (b - a, a, b, y, i)
-            old = shortest.get(mask)
-            if old is None or entry < old:
-                shortest[mask] = entry
-    return [Candidate(cands[key[-1]], mask) for key, mask, _ in _kept_rows(shortest)]
 
 
 def _x_blocks(inst: Instance) -> list[list[int]]:

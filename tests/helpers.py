@@ -3,7 +3,8 @@
 Nothing here shares code paths with the solvers under test beyond the plain
 data types and the stabbing predicate, except that the subset DP, the
 unmemoized search and the greedy scan read the candidate table, which the
-tests check against ``reduce_candidates_pairwise``, and the decomposition
+tests check against ``reduce_candidates``, the pairwise definition of the
+reduced candidates that no solver calls, and the decomposition
 references price with ``approx8`` and find crossed rects with
 ``crossing_rects``, and the rounding reference reads ``ceil_log2``, each
 tested on its own.
@@ -15,7 +16,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from stabkit import (
-    Candidate,
     CutResult,
     Instance,
     ParameterError,
@@ -318,50 +318,6 @@ def solve_laminar_full_scan(inst: Instance) -> Solution:
     sol = Solution(tuple(sorted(collect(*root), key=lambda s: (s.xl, s.xr, s.y))))
     assert sol.cost == Fraction(total, den)
     return sol
-
-
-def reduce_candidates_pairwise(inst: Instance, cands: list[Segment]) -> list[Candidate]:
-    """The reduced candidates by the definition: per distinct stab set the
-    smallest (length, xl, xr, y), then every set dropped that another set
-    contains at no greater length, tested against every other set.
-
-    Reference for ``reduce_candidates`` and ``oracle._candidate_table``.
-    """
-    shortest: dict[int, tuple] = {}  # stab set -> (length, xl, xr, y)
-    for s in cands:
-        mask = stab_mask(inst, s)
-        entry = (s.length, s.xl, s.xr, s.y)
-        if mask and (mask not in shortest or entry < shortest[mask]):
-            shortest[mask] = entry
-    pool = sorted(shortest.items(), key=lambda kv: kv[1][1:])
-    return [
-        Candidate(Segment(*entry[1:]), mask)
-        for mask, entry in pool
-        if not any(
-            other != mask and mask | other == other and entry[0] >= other_entry[0]
-            for other, other_entry in pool
-        )
-    ]
-
-
-def kept_rows_popcount(shortest: dict[int, tuple]) -> list[tuple]:
-    """The rows ``(key, mask, length)``, sorted by key, of the stab sets in
-    ``shortest`` (mask -> ``(length, *key)``) that no other set contains at
-    no greater length, by the quadratic pass: sets in descending popcount,
-    each tested against every set kept before it (a strict superset has the
-    higher popcount and domination is transitive).
-
-    Reference for ``oracle._kept_rows``, which must return these very rows.
-    """
-    kept = []
-    for mask in sorted(shortest, key=int.bit_count, reverse=True):
-        length = shortest[mask][0]
-        for other, other_length in kept:
-            if mask | other == other and length >= other_length:
-                break
-        else:
-            kept.append((mask, length))
-    return sorted((shortest[mask][1:], mask, length) for mask, length in kept)
 
 
 def horizontal_cuts_all_levels(strip: Instance, eps: Fraction) -> CutResult:

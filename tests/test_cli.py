@@ -406,6 +406,20 @@ class TestMalformedInput:
         "float-delta": {"instances": [dict(INSTANCE, kind="bounded", delta=0.5)], "algos": [ALGO]},
         "seeds-long-string": {"instances": [dict(INSTANCE, seeds="x" * 5000)], "algos": [ALGO]},
         "kind-long-string": {"instances": [dict(INSTANCE, kind="x" * 5000)], "algos": [ALGO]},
+        "instance-key-long-string": {"instances": [dict(INSTANCE, **{"x" * 5000: 1})], "algos": [ALGO]},
+        "suite-key-long-string": {"x" * 5000: 1, "instances": [INSTANCE], "algos": [ALGO]},
+        "algo-option-long-string": {"instances": [INSTANCE], "algos": [dict(ALGO, **{"x" * 5000: 1})]},
+        "algo-name-long-string": {"instances": [INSTANCE], "algos": [{"name": "x" * 5000}]},
+        "algo-name-long-list": {"instances": [INSTANCE], "algos": [{"name": ["x" * 1000] * 6}]},
+    }
+    # the one line each bad name above gets: it names what is allowed,
+    # never the name it was given
+    NAME_ERRORS = {
+        "instance-key-long-string": "instance #1 reads only the keys kind, n, seeds",
+        "suite-key-long-string": "bench suite reads only the keys oracle_limit, instances, algos",
+        "algo-option-long-string": "algo #1: greedy does not read an unknown option; it reads none",
+        "algo-name-long-string": "algo #1: unknown algorithm; one of exact, greedy, laminar-dp, approx8, ptas, qptas",
+        "algo-name-long-list": "algo #1: unknown algorithm; one of exact, greedy, laminar-dp, approx8, ptas, qptas",
     }
     # the one line each bad instance entry above gets: it names the entry,
     # and the field by its name or type, never by its value
@@ -514,6 +528,14 @@ class TestMalformedInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [f"parameter error: instance #1: {self.INSTANCE_ENTRY_ERRORS[case]}"]
+
+    @pytest.mark.parametrize("case", sorted(NAME_ERRORS))
+    def test_bad_name_is_not_echoed(self, case, tmp_path, capsys):
+        suite = self.write(tmp_path / "suite.json", self.BAD_SUITES[case])
+        assert main(["bench", "-c", suite]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"parameter error: {self.NAME_ERRORS[case]}"]
 
     @pytest.mark.parametrize("flags", [["--eps", "2"], ["--eps", "1/2", "--klong", "0"]])
     def test_bad_qptas_parameters_on_empty_instance(self, flags, tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stabkit import (
     BudgetError,
@@ -28,7 +28,7 @@ from stabkit import (
     verify,
 )
 
-from stabkit.oracle import _branch_and_bound, _candidate_table, _dual_bound, _dual_cover, _kept_rows, _x_blocks
+from stabkit.oracle import _branch_and_bound, _candidate_table, _dual_bound, _dual_cover, _x_blocks
 
 from .conftest import make_instance
 from .helpers import (
@@ -38,8 +38,6 @@ from .helpers import (
     brute_force_opt,
     exact_opt_subset_dp,
     greedy_scan,
-    kept_rows_popcount,
-    reduce_candidates_pairwise,
     stab_mask,
 )
 
@@ -104,14 +102,15 @@ class TestReduceCandidates:
         assert by_set[0b100] == 2  # stabs rect 3
 
     @given(st.one_of(generated(), tie_heavy()), st.randoms(use_true_random=False))
-    def test_shuffled_off_grid_list_matches_reference(self, inst, rng):
+    def test_shuffled_off_grid_list_keeps_the_same_rows(self, inst, rng):
         # off-grid segments reach past rect edges or sit between levels; the
         # kept rows must not depend on the order of the list
         half = Fraction(1, 2)
         cands = candidate_segments(inst)
         cands += [Segment(s.xl - half, s.xr + half, s.y - half) for s in cands[::3]]
+        ordered = sorted(cands, key=lambda s: (s.xl, s.xr, s.y))
         rng.shuffle(cands)
-        assert reduce_candidates(inst, cands) == reduce_candidates_pairwise(inst, cands)
+        assert reduce_candidates(inst, cands) == reduce_candidates(inst, ordered)
 
     @given(st.integers(0, 60))
     def test_every_candidate_dominated_by_a_kept_one(self, seed):
@@ -130,30 +129,9 @@ class TestReduceCandidates:
                 ), seg
 
 
-@st.composite
-def shortest_maps(draw):
-    # stab sets over a few rects with lengths 1-3, plus a subset of each:
-    # equal lengths, equal popcounts and nested sets are all common
-    n = draw(st.integers(1, 6))
-    masks = set()
-    for mask in draw(st.lists(st.integers(1, (1 << n) - 1), max_size=24)):
-        masks.add(mask)
-        if sub := mask & draw(st.integers(0, (1 << n) - 1)):
-            masks.add(sub)
-    return {mask: (draw(st.integers(1, 3)), draw(st.integers(0, 3)), i) for i, mask in enumerate(sorted(masks))}
-
-
-@given(shortest_maps())
-# 0b011 and 0b110 tie on length and popcount; 0b111 contains both at that
-# length, 0b001 is in both, and 0b100 is shorter than its supersets
-@example({0b011: (2, 0, 0), 0b110: (2, 0, 1), 0b111: (2, 0, 2), 0b001: (2, 0, 3), 0b100: (1, 0, 4)})
-def test_kept_rows_match_the_popcount_pass(shortest):
-    assert _kept_rows(shortest) == kept_rows_popcount(shortest)
-
-
 def assert_table_is_reference(inst):
     keys, masks, lengths, covering = _candidate_table(inst)
-    ref = reduce_candidates_pairwise(inst, candidate_segments(inst))
+    ref = reduce_candidates(inst, candidate_segments(inst))
     assert all(isinstance(v, Fraction) for key in keys for v in key)
     cands = [Candidate(Segment(*key), mask) for key, mask in zip(keys, masks)]
     assert cands == ref
@@ -472,6 +450,12 @@ class TestRootCover:
         assert _branch_and_bound(inst, node_budget=21) == exact_opt(inst, limit=35)
         with pytest.raises(BudgetError):
             _branch_and_bound(inst, node_budget=20)
+
+    def test_memo_return_keeps_the_search_within_budget(self):
+        # one block of 45 rects; the search enters 693 nodes here, and 932
+        # when a state already entered at no higher cost is entered again
+        inst = gen_uniform(45, 1)
+        assert _branch_and_bound(inst, node_budget=800) == exact_opt(inst, limit=45)
 
 
 class TestAgainstUnmemoizedSearch:

@@ -392,9 +392,9 @@ def test_generators_build_one_fraction_per_distinct_value(monkeypatch, generate)
 def test_exact_path_runs_neither_greedy_nor_the_global_domination_pass(monkeypatch):
     # the search seeds its own incumbent from each root's dual pass, and the
     # candidate table settles domination per span; greedy serves only
-    # greedy_cover, and the global pass only reduce_candidates
+    # greedy_cover, and the pairwise pass reduce_candidates serves no solver
     oracle = stabkit.oracle
-    calls = {"_greedy": 0, "_kept_rows": 0}
+    calls = {"_greedy": 0, "reduce_candidates": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -408,9 +408,51 @@ def test_exact_path_runs_neither_greedy_nor_the_global_domination_pass(monkeypat
     stabkit.exact_opt(stabkit.gen_uniform(16, 1))
     stabkit.exact_opt(stabkit.gen_bounded_ratio(40, Fraction(1, 2), 1), limit=40)
     stabkit.solve_small(stabkit.gen_uniform(8, 1), 8)
-    assert calls == {"_greedy": 0, "_kept_rows": 0}
+    assert calls == {"_greedy": 0, "reduce_candidates": 0}
     stabkit.greedy_cover(stabkit.gen_bounded_ratio(40, Fraction(1, 2), 1))
-    assert calls == {"_greedy": 1, "_kept_rows": 0}
+    assert calls == {"_greedy": 1, "reduce_candidates": 0}
+
+
+REFERENCE_FREE_SOLVES = {
+    "exact_opt": lambda: stabkit.exact_opt(stabkit.gen_uniform(16, 1)),
+    "greedy_cover": lambda: stabkit.greedy_cover(stabkit.gen_uniform(20, 1)),
+    "solve_laminar": lambda: stabkit.solve_laminar(stabkit.gen_laminar(32, 1)),
+    "approx8": lambda: stabkit.approx8(stabkit.gen_uniform(32, 1)),
+    "ptas": lambda: stabkit.ptas(stabkit.gen_bounded_ratio(16, Fraction(1, 2), 1), Fraction(1, 2), Fraction(1, 8)),
+    # recurses once and guesses long segments
+    "qptas": lambda: stabkit.qptas(
+        stabkit.gen_uniform(16, 1),
+        Fraction(1, 2),
+        params=stabkit.SchemeParams.derive(16, Fraction(1, 2), mu=Fraction(1, 2), klong=4, oracle_limit=6),
+    ),
+    "decompose": lambda: stabkit.decompose(stabkit.gen_uniform(24, 1), Fraction(1, 2)),
+    "run_bench": lambda: stabkit.cli.run_bench(
+        {
+            "oracle_limit": 12,
+            "instances": [{"kind": "bounded", "n": 10, "seeds": [1]}],
+            "algos": [
+                {"name": "exact"},
+                {"name": "greedy"},
+                {"name": "approx8"},
+                {"name": "ptas", "eps": "1/2", "delta": "1/8"},
+                {"name": "qptas", "eps": "1/2", "oracle_limit": 10},
+            ],
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(REFERENCE_FREE_SOLVES))
+def test_no_solver_runs_the_reference_candidate_functions(solver, monkeypatch):
+    # candidate_segments and reduce_candidates are references the candidate
+    # table is tested against; perfbench's spans on them read 0, and the
+    # pairwise domination test is quadratic in the stab sets, so no solver
+    # may reach either one
+    ran = []
+    for module, name in [(stabkit.core, "candidate_segments"), (stabkit.oracle, "reduce_candidates")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name: ran.append(name))
+    REFERENCE_FREE_SOLVES[solver]()
+    assert ran == []
 
 
 def test_only_guess_long_builds_the_full_candidate_table(monkeypatch):
