@@ -98,25 +98,32 @@ def _render(build, *args):
         ) from exc
 
 
-def _check_options(algo, given) -> None:
+def _flag(name: str) -> str:
+    """The ``solve`` flag of an option: ``--oracle-limit`` for ``oracle_limit``."""
+    return "--" + name.replace("_", "-")
+
+
+def _check_options(algo, given, flags: bool = False) -> None:
     """Reject an unknown algorithm, an option it does not read, or a missing
     required one.  A message names only what the option table holds, never
-    a name it does not."""
+    a name it does not: an option by its JSON key, as a bench suite writes
+    it, or with ``flags`` by the flag ``solve`` reads."""
     if not isinstance(algo, str) or algo not in ALGO_OPTIONS:
         raise ParameterError(f"unknown algorithm; one of {', '.join(ALGO_OPTIONS)}")
+    named, listed = (_flag, _flag) if flags else (repr, str)
     reads = ALGO_OPTIONS[algo]
     for name in given:
         if name not in reads:
-            unread = f"option {name!r}" if name in OPTION_TYPES else "an unknown option"
-            raise ParameterError(f"{algo} does not read {unread}; it reads {', '.join(reads) or 'none'}")
+            unread = f"option {named(name)}" if name in OPTION_TYPES else "an unknown option"
+            raise ParameterError(f"{algo} does not read {unread}; it reads {', '.join(map(listed, reads)) or 'none'}")
     for name, (_, required) in reads.items():
         if required and name not in given:
-            raise ParameterError(f"{algo} requires option {name!r}")
+            raise ParameterError(f"{algo} requires option {named(name)}")
 
 
 def solve_with(algo: str, inst: Instance, opts: dict) -> Solution:
-    """Dispatch one solver run on the options given; shared by `solve` and `bench`."""
-    _check_options(algo, opts)
+    """Dispatch one solver run on options ``_check_options`` passed; shared
+    by `solve` and `bench`."""
     if algo == "exact":
         return exact_opt(inst, limit=opts.get("oracle_limit", ORACLE_LIMIT))
     if algo == "greedy":
@@ -133,6 +140,7 @@ def solve_with(algo: str, inst: Instance, opts: dict) -> Solution:
 def cmd_solve(args) -> int:
     inst = instance_from_json(_read_json(args.input))
     opts = {name: getattr(args, name) for name in OPTION_TYPES if getattr(args, name) is not None}
+    _check_options(args.algo, opts, flags=True)
     sol = solve_with(args.algo, inst, opts)
     if args.shrink:
         sol = shrink_solution(inst, sol)
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("-i", "--input", required=True)
     p_solve.add_argument("-o", "--output", default=None)
     for name, kind in OPTION_TYPES.items():
-        p_solve.add_argument("--" + name.replace("_", "-"), type=_scalar_arg if kind is Fraction else int)
+        p_solve.add_argument(_flag(name), type=_scalar_arg if kind is Fraction else int)
     p_solve.add_argument("--shrink", action="store_true", help="shrink segments onto their assigned rects")
     p_solve.set_defaults(func=cmd_solve)
 

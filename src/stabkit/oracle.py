@@ -10,8 +10,11 @@ whose reduced cost lifts the bound to the incumbent is skipped unentered.
 The search seeds its own incumbent with the primal-dual cover read off the
 dual pass at its root; it is also the PTAS chunk solver.  The greedy
 baseline is the lazy (Minoux) greedy over one heap per last known
-newly-stabbed count.  Both run on the candidate table's integer rows and
-build a ``Segment`` only for the rows of their answer.
+newly-stabbed count.  Both run on the candidate table, whose rows are
+integers on the instance's view: an ``(a, b, y)`` key, a stab mask and a
+length.  No ``Fraction`` is built for a row; each solver maps only the rows
+of its answer back to the rects' own coordinates.  The exact search lists
+each rect's rows from the masks; greedy never reads them.
 
 Both split the instance into blocks: groups of rects whose x-projections
 chain together by closed overlap, with a positive gap between one block
@@ -99,12 +102,14 @@ def _x_blocks(inst: Instance) -> list[list[int]]:
 
 def _candidate_table(
     inst: Instance, blocks: list[list[int]] | None = None
-) -> tuple[list[tuple], list[int], list[int], list[list[int]]]:
-    """The reduced candidates of ``inst`` as four parallel lists: their
-    ``(xl, xr, y)`` Fraction triples, their stab sets as rect-position bit
-    masks, their lengths as integers over the x denominator of the
-    instance's integer view, and per rect position the indices of the
-    candidates that stab it.  Rows are in key order.
+) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
+    """The reduced candidates of ``inst`` on its integer view, as three
+    parallel lists in key order: their ``(a, b, y)`` keys, the row
+    ``[a, b] x y`` with a and b over the view's dx and y over its dy; their
+    stab sets as rect-position bit masks; and their lengths ``b - a``.  No
+    ``Fraction`` is built: ``_fraction_keys`` maps the rows of an answer
+    back to the rects' own coordinates, and ``_covering`` lists the rows
+    that stab each rect for the solvers that read it.
 
     The rows are those ``reduce_candidates`` keeps of ``candidate_segments``,
     found by a sweep that visits only *tight* segments: at each top edge y,
@@ -120,11 +125,33 @@ def _candidate_table(
     Domination is settled per span.  A strict superset T of S spans at least
     [a, b], the span of S, so it is no longer than S only when it spans
     exactly [a, b]: S is dropped when another set recorded at its own span
-    contains it, and no global pass over all sets is needed.  The sweep runs
-    on the instance's integer view, whose x denominator the lengths are
-    over, and maps coordinates back to the rects' Fractions only for the
-    kept rows.  No ``Segment`` is built: the solvers build one only for each
-    row of their answer.
+    contains it, and no global pass over all sets is needed.
+
+    A sweep, of a block or of the whole instance, visits only the levels
+    ``tops[bisect_left(tops, yb)]`` of its rects: per rect, the lowest top
+    edge of the instance at or above its bottom, its *first* level.  At any
+    other top edge y, every rect alive at y is alive at the highest visited
+    level y' below y, so each tight segment at y is one at y' too, of the
+    same length and stabbing a superset: its row is dominated, or repeats
+    the row at y', which wins the tie on y.  Levels are the instance's top
+    edges, not the block's, since the lowest top edge with a stab set
+    decides its row's y.
+
+    At each level only the sets that hold a *newborn* rect, one whose first
+    level it is, are recorded.  Every other rect alive at y was alive at the
+    previous level y' of the sweep, so a set S without a newborn has, at
+    y', the tight segment on its span, stabbing a set S' that contains S
+    and spans the same [a, b].  By induction over the levels, S' is
+    recorded at [a, b] or contained in a set recorded there, so S either
+    was recorded already or is dominated at its span.  A set with a newborn
+    p starts at or left of xl(p), so only the left edges at or left of the
+    largest left edge of a newborn are tried as starts.  The two rules go
+    together: with a start skipped, a set without a newborn may first be
+    met left of its span, where nothing dominates it.  A block of one rect
+    has one row, its span at its first level, taken directly; a span with
+    one recorded set needs no domination test.  One span holds one set per
+    level, recorded bottom up, so sorting the spans puts the rows in key
+    order.
 
     Given ``blocks``, the position lists of ``_x_blocks(inst)``, the sweep
     runs once per block over that block's rects, and the table is the one
@@ -135,66 +162,82 @@ def _candidate_table(
     A row inside a block stabs the same rects whichever rects are swept, and
     no row spanning a gap dominates it, being strictly longer, so the kept
     rows are the full table's with the same keys in the same order.
-
-    A sweep, of a block or of the whole instance, visits only the levels
-    ``tops[bisect_left(tops, yb)]`` of its rects: per rect, the lowest top
-    edge of the instance at or above its bottom.  At any other top edge y,
-    every rect alive at y is alive at the highest visited level y' below y,
-    so each tight segment at y is one at y' too, of the same length and
-    stabbing a superset: its row is dominated, or repeats the row at y',
-    which wins the tie on y.  Levels are the instance's top edges, not the
-    block's, since the lowest top edge with a stab set decides its row's y.
     """
-    rects = inst.rects
     g = inst._grid
     tops = sorted(set(g.yt))
-    # each rect's right edge, left edge, bit and y-extent
-    edges = [(b, a, 1 << p, lo, hi) for p, (a, b, lo, hi) in enumerate(zip(g.xl, g.xr, g.yb, g.yt))]
+    # each rect's right edge, left edge, bit, first level and top edge
+    edges = [
+        (b, a, 1 << p, tops[bisect_left(tops, lo)], hi) for p, (a, b, lo, hi) in enumerate(zip(g.xl, g.xr, g.yb, g.yt))
+    ]
     level: dict[int, int] = {}  # stab set -> the lowest level it was recorded at
-    at_span: dict[tuple[int, int], list[int]] = {}  # span -> the stab sets recorded at it
+    at_span: dict[tuple[int, int], list[int]] = {}  # span -> the stab sets recorded at it, levels ascending
+    end = (math.inf, math.inf, 0)  # past every right edge: flushes the last mask
     for by_right in [edges] if blocks is None else [[edges[p] for p in block] for block in blocks]:
+        if len(by_right) == 1:
+            ((b, a, bit, first, _),) = by_right
+            level[bit] = first
+            at_span[a, b] = [bit]
+            continue
         by_right.sort()
-        for y in sorted({tops[bisect_left(tops, lo)] for _, _, _, lo, _ in by_right}):
-            alive = [(left, right, bit) for right, left, bit, lo, hi in by_right if lo <= y <= hi]
+        for y in sorted({first for _, _, _, first, _ in by_right}):
+            alive = []
+            newborn = 0
+            reach = -math.inf  # the largest left edge of a newborn rect
+            for right, left, bit, first, hi in by_right:
+                if first <= y <= hi:
+                    alive.append((left, right, bit))
+                    if first == y:
+                        newborn |= bit
+                        if left > reach:
+                            reach = left
+            alive.append(end)
             # left edges in order of the least right edge of a rect starting
             # there: a set S is met at its span before any other [a, b] that
             # stabs exactly S, since every rect starting at such an a ends
             # past b, later than a rect of S starting at min xl(S)
-            starts = dict.fromkeys(left for left, _, _ in alive)
-            alive.append((math.inf, math.inf, 0))  # past every right edge: flushes the last mask
-            for a in starts:
+            for a in dict.fromkeys([left for left, _, _ in alive if left <= reach]):
                 # [a, b] x y stabs the alive rects with xl >= a and xr <= b; a
                 # mask is recorded only once every rect ending at b is in it
                 mask = 0
                 for left, right, bit in alive:
                     if left >= a:
-                        if mask and right != b and mask not in level:
+                        if mask & newborn and right != b and mask not in level:
                             level[mask] = y
                             at_span.setdefault((a, b), []).append(mask)
                         mask |= bit
                         b = right
-    kept = sorted(
-        ((a, b, level[mask]), mask, b - a)
-        for (a, b), sets in at_span.items()
-        for mask in sets
-        if not any(other != mask and other & mask == mask for other in sets)
-    )
-
-    x_of: dict[int, Fraction] = {}
-    y_of: dict[int, Fraction] = {}
-    for r, a, b, t in zip(rects, g.xl, g.xr, g.yt):
-        x_of[a], x_of[b], y_of[t] = r.xl, r.xr, r.yt
+    # spans in order, and each span's sets by level: the rows in key order
     keys, masks, lengths = [], [], []
-    covering: list[list[int]] = [[] for _ in rects]
-    for ci, ((a, b, y), mask, length) in enumerate(kept):
-        keys.append((x_of[a], x_of[b], y_of[y]))
-        masks.append(mask)
-        lengths.append(length)
+    for (a, b), sets in sorted(at_span.items()):
+        if len(sets) > 1:
+            sets = [mask for mask in sets if not any(other != mask and other & mask == mask for other in sets)]
+        for mask in sets:
+            keys.append((a, b, level[mask]))
+            masks.append(mask)
+            lengths.append(b - a)
+    return keys, masks, lengths
+
+
+def _covering(masks: list[int], n: int) -> list[list[int]]:
+    """Per rect position below n, the indices of the rows whose ``masks``
+    stab it, ascending."""
+    covering: list[list[int]] = [[] for _ in range(n)]
+    for ci, mask in enumerate(masks):
         while mask:
             low = mask & -mask
             covering[low.bit_length() - 1].append(ci)
             mask ^= low
-    return keys, masks, lengths, covering
+    return covering
+
+
+def _fraction_keys(inst: Instance, keys) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """The ``(xl, xr, y)`` coordinates of the candidate-table rows ``keys``,
+    each a rect's own ``Fraction``: a row's ends are a left and a right edge
+    of rects and its height a top edge, so each is looked up, none built.
+    A lookup scans the view, which beats building maps of every rect for
+    the few rows of an answer."""
+    rects, g = inst.rects, inst._grid
+    return [(rects[g.xl.index(a)].xl, rects[g.xr.index(b)].xr, rects[g.yt.index(y)].yt) for a, b, y in keys]
 
 
 class _Budget:
@@ -393,7 +436,8 @@ def _branch_and_bound(inst: Instance, node_budget: int | None = None) -> Solutio
         r = inst.rects[0]
         return Solution((_built(Segment, r.xl, r.xr, r.yt),))
     blocks = _x_blocks(inst)
-    keys, masks, lengths, covering = _candidate_table(inst, blocks)
+    keys, masks, lengths = _candidate_table(inst, blocks)
+    covering = _covering(masks, len(inst.rects))
     budget = _Budget(node_budget)
     best = []
     for block in blocks:
@@ -404,7 +448,7 @@ def _branch_and_bound(inst: Instance, node_budget: int | None = None) -> Solutio
         else:
             best += _search(block, masks, lengths, covering, budget)
     # rows are in key order, so the answer is sorted by row index
-    return Solution(tuple(_built(Segment, *keys[ci]) for ci in sorted(best)))
+    return Solution(tuple(_built(Segment, *key) for key in _fraction_keys(inst, [keys[ci] for ci in sorted(best)])))
 
 
 def _oracle_limit(limit: int) -> int:
@@ -438,6 +482,6 @@ def greedy_cover(inst: Instance) -> Solution:
     row stabs n1 + n2 new rects at more than the length l1 + l2 of its
     pieces, a ratio below the better piece's, so greedy never picks it.
     """
-    keys, masks, lengths, _ = _candidate_table(inst, _x_blocks(inst))
+    keys, masks, lengths = _candidate_table(inst, _x_blocks(inst))
     picked = _greedy(masks, lengths, (1 << len(inst.rects)) - 1)
-    return Solution(tuple(_built(Segment, *keys[ci]) for ci in picked))
+    return Solution(tuple(_built(Segment, *key) for key in _fraction_keys(inst, [keys[ci] for ci in picked])))

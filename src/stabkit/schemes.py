@@ -42,7 +42,9 @@ from .oracle import (
     _branch_and_bound,
     _Budget,
     _candidate_table,
+    _covering,
     _dual_bound,
+    _fraction_keys,
     _oracle_limit,
     exact_opt,
 )
@@ -168,8 +170,8 @@ def guess_long(
     """The subsets of at most k reduced candidates of length >= min_len whose
     union stabs every rect of width >= min_len, as ``(union, total, keys)``
     rows: the union of their stab sets as a rect-position bit mask, their
-    integer total length over ``inst._grid.dx``, and their ``(xl, xr, y)``
-    candidate-table keys in table order.
+    integer total length over ``inst._grid.dx``, and the ``(xl, xr, y)``
+    coordinates of their candidate-table rows in table order.
 
     The empty set counts, and qualifies when no rect is that wide.  Guesses
     with the same union of stab-sets are interchangeable up to total length,
@@ -183,14 +185,15 @@ def guess_long(
     Nor is it extended by a row that adds no rect to its union: dropping
     that row keeps the union and lowers both size and total, so neither
     key is a subset holding such a row.  Every subset reached ticks
-    ``_budget``; no ``Segment`` is built.
+    ``_budget``; no ``Segment`` is built, and only the rows of the returned
+    guesses are mapped back to coordinates.
 
     ``_table`` is ``_candidate_table(inst)``, the full table, when the
     caller has built it.
     """
     min_len = _rational(min_len, "min_len")
     _as_int(k, "k", 0)
-    keys, masks, lengths, _ = _candidate_table(inst) if _table is None else _table
+    keys, masks, lengths = _candidate_table(inst) if _table is None else _table
     g = inst._grid
     # a length l over dx is at least min_len when l * per >= bar
     per, bar = min_len.denominator, min_len.numerator * g.dx
@@ -220,10 +223,10 @@ def guess_long(
                 if not mask & ~union:
                     continue
                 todo.append((i + 1, union | mask, total + length, rows + (i,)))
-    return [
-        (union, cheapest[union][0], tuple(pool[i][2] for i in cheapest[union][2]))
-        for union in sorted(first, key=first.__getitem__)
-    ]
+    unions = sorted(first, key=first.__getitem__)
+    used = list({i for union in unions for i in cheapest[union][2]})
+    coords = dict(zip(used, _fraction_keys(inst, [pool[i][2] for i in used])))
+    return [(union, cheapest[union][0], tuple(coords[i] for i in cheapest[union][2])) for union in unions]
 
 
 def qptas(
@@ -286,8 +289,9 @@ def qptas(
             best: tuple | None = None  # (cost, guess keys, rest)
             if len(chunk.rects) > params.oracle_limit:
                 table = _candidate_table(chunk)
-                _, _, lengths, covering = table
+                _, masks, lengths = table
                 n, dx = len(chunk.rects), chunk._grid.dx
+                covering = _covering(masks, n)
                 full = (1 << n) - 1
                 order = sorted(range(n), key=lambda i: (len(covering[i]), i))
                 for union, total, keys in guess_long(chunk, half, params.klong, budget, table):

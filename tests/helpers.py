@@ -4,7 +4,9 @@ Nothing here shares code paths with the solvers under test beyond the plain
 data types and the stabbing predicate, except that the subset DP, the
 unmemoized search and the greedy scan read the candidate table, which the
 tests check against ``reduce_candidates``, the pairwise definition of the
-reduced candidates that no solver calls, and the decomposition
+reduced candidates that no solver calls (``fraction_table`` maps its
+integer rows back here, without the solvers' own mapping), and the
+decomposition
 references price with ``approx8`` and find crossed rects with
 ``crossing_rects``, and the rounding reference reads ``ceil_log2``, each
 tested on its own.
@@ -65,6 +67,29 @@ def brute_force_opt(inst: Instance) -> Fraction:
     return best
 
 
+def fraction_table(inst: Instance, blocks=None) -> tuple[list[tuple], list[int], list[int], list[list[int]]]:
+    """The candidate table with each integer row mapped back to the rects'
+    ``(xl, xr, y)`` Fractions, and per rect position the indices of the rows
+    that stab it: four parallel lists, read off the rects' own edges and
+    the masks rather than through ``_fraction_keys`` and ``_covering``."""
+    keys, masks, lengths = _candidate_table(inst, blocks)
+    g = inst._grid
+    x = {v: r.xl for v, r in zip(g.xl, inst.rects)} | {v: r.xr for v, r in zip(g.xr, inst.rects)}
+    y = {v: r.yt for v, r in zip(g.yt, inst.rects)}
+    covering = [[ci for ci, mask in enumerate(masks) if mask >> p & 1] for p in range(len(inst.rects))]
+    return [(x[a], x[b], y[t]) for a, b, t in keys], masks, lengths, covering
+
+
+def grid_key(inst: Instance, s: Segment) -> tuple[int, int, int]:
+    """A segment whose ends are rect x edges and whose height is a rect top,
+    as the ``(a, b, y)`` integer key of the candidate table on the
+    instance's integer view."""
+    g = inst._grid
+    x = {r.xl: v for v, r in zip(g.xl, inst.rects)} | {r.xr: v for v, r in zip(g.xr, inst.rects)}
+    y = {r.yt: v for v, r in zip(g.yt, inst.rects)}
+    return x[s.xl], x[s.xr], y[s.y]
+
+
 def exact_opt_subset_dp(inst: Instance) -> Solution:
     """Minimum-total-length solution by subset DP over rect bitmasks:
     dp[mask] = min over candidates c stabbing the lowest set bit of
@@ -76,7 +101,7 @@ def exact_opt_subset_dp(inst: Instance) -> Solution:
     n = len(inst.rects)
     if n == 0:
         return Solution(())
-    keys, masks, lengths, covering = _candidate_table(inst)
+    keys, masks, lengths, covering = fraction_table(inst)
     size = 1 << n
     dp = [0] * size
     choice = [-1] * size
@@ -104,7 +129,7 @@ def greedy_scan(inst: Instance) -> Solution:
 
     Reference for ``greedy_cover``, which must return this very solution.
     """
-    keys, masks, lengths, _ = _candidate_table(inst)
+    keys, masks, lengths, _ = fraction_table(inst)
     return Solution(tuple(Segment(*keys[ci]) for ci in _greedy_scan_picks(masks, lengths, len(inst.rects))))
 
 
@@ -137,7 +162,7 @@ def branch_and_bound_unmemoized(inst: Instance) -> Solution:
     ``solve_small``, which must return this very solution.  Exponential
     without the memo; keep n small.
     """
-    keys, masks, lengths, covering = _candidate_table(inst)
+    keys, masks, lengths, covering = fraction_table(inst)
     n = len(covering)
     order = sorted(range(n), key=lambda i: (len(covering[i]), i))
 
@@ -185,7 +210,7 @@ def guess_long_all(inst: Instance, min_len: Fraction, k: int) -> list[tuple[int,
     Reference for ``guess_long``, which keeps only the unions stabbing every
     rect of width >= min_len.
     """
-    keys, masks, lengths, _ = _candidate_table(inst)
+    keys, masks, lengths, _ = fraction_table(inst)
     pool = [(mask, length, key) for key, mask, length in zip(keys, masks, lengths) if key[1] - key[0] >= min_len]
     reps: dict[int, tuple[int, tuple]] = {}
     for size in range(min(k, len(pool)) + 1):

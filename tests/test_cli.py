@@ -152,7 +152,9 @@ class TestOptionTable:
         out = tmp_path / "sol.json"
         assert main(["solve", "--algo", algo, "-i", i1_file, "-o", str(out), *flags]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert repr(name) in line
+        # solve names the flag it was given, not the bench suite's key
+        assert f"does not read option --{name.replace('_', '-')};" in line
+        assert repr(name) not in line
         assert not out.exists()
 
     @pytest.mark.parametrize("algo,name", UNREAD)
@@ -167,6 +169,39 @@ class TestOptionTable:
         assert main(["bench", "-c", str(cfg), "-o", str(out), "-m", str(tmp_path / "s.md")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert repr(name) in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--algo", "greedy", "--oracle-limit", "3"], "greedy does not read option --oracle-limit; it reads none"),
+            (["--algo", "qptas"], "qptas requires option --eps"),
+            (
+                ["--algo", "ptas", "--eps", "1/2", "--klong", "2"],
+                "ptas does not read option --klong; it reads --eps, --delta",
+            ),
+        ],
+        ids=["unread", "missing", "listed"],
+    )
+    def test_solve_names_options_by_flag(self, flags, message, i1_file, capsys):
+        assert main(["solve", "-i", i1_file, *flags]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"parameter error: {message}"]
+
+    @pytest.mark.parametrize(
+        "algo, message",
+        [
+            ({"name": "greedy", "oracle_limit": 3}, "greedy does not read option 'oracle_limit'; it reads none"),
+            ({"name": "qptas"}, "qptas requires option 'eps'"),
+            ({"name": "ptas", "eps": "1/2", "klong": 2}, "ptas does not read option 'klong'; it reads eps, delta"),
+        ],
+        ids=["unread", "missing", "listed"],
+    )
+    def test_bench_names_options_by_key(self, algo, message, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"instances": [{"kind": "uniform", "n": 3, "seeds": [1]}], "algos": [algo]}))
+        out = tmp_path / "report.csv"
+        assert main(["bench", "-c", str(cfg), "-o", str(out), "-m", str(tmp_path / "s.md")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"parameter error: algo #1: {message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -28,7 +28,15 @@ from stabkit import (
     verify,
 )
 
-from stabkit.oracle import _branch_and_bound, _candidate_table, _dual_bound, _dual_cover, _x_blocks
+from stabkit.oracle import (
+    _branch_and_bound,
+    _candidate_table,
+    _covering,
+    _dual_bound,
+    _dual_cover,
+    _fraction_keys,
+    _x_blocks,
+)
 
 from .conftest import make_instance
 from .helpers import (
@@ -37,7 +45,11 @@ from .helpers import (
     branch_and_bound_unmemoized,
     brute_force_opt,
     exact_opt_subset_dp,
+    fraction_table,
+    GENERATED_KINDS,
+    generated_instance,
     greedy_scan,
+    grid_key,
     stab_mask,
 )
 
@@ -129,19 +141,29 @@ class TestReduceCandidates:
                 ), seg
 
 
-def assert_table_is_reference(inst):
-    keys, masks, lengths, covering = _candidate_table(inst)
+def assert_table_is_reference(inst, blocks=None):
+    """The table swept per block, or over the whole instance when
+    ``blocks`` is None, against ``reduce_candidates``, less the rows across
+    a gap between blocks; returns the rows as ``Candidate``s."""
+    keys, masks, lengths = _candidate_table(inst, blocks)
     ref = reduce_candidates(inst, candidate_segments(inst))
-    assert all(isinstance(v, Fraction) for key in keys for v in key)
-    cands = [Candidate(Segment(*key), mask) for key, mask in zip(keys, masks)]
-    assert cands == ref
-    # integer lengths over the least common denominator of the rects' x
-    # coordinates: equal to the lengths the grid kernel computed, not
+    if blocks is not None:
+        parts = [sum(1 << p for p in block) for block in blocks]
+        ref = [c for c in ref if any(c.stab_set & ~part == 0 for part in parts)]
+    # integer rows on the instance's view: keys are grid integers, and the
+    # lengths are over the least common denominator of the rects' x
+    # coordinates, equal to the lengths the grid kernel computed, not
     # merely proportional to them
+    assert all(type(v) is int for key in keys for v in key)
+    assert keys == [grid_key(inst, c.segment) for c in ref]
+    assert masks == [c.stab_set for c in ref]
     den = math.lcm(*(v.denominator for r in inst.rects for v in (r.xl, r.xr)))
-    assert all(isinstance(length, int) for length in lengths)
+    assert all(type(length) is int for length in lengths)
     assert lengths == [c.segment.length * den for c in ref]
-    assert covering == [
+    # the solvers' maps back to Fractions and to per-rect rows
+    cands = [Candidate(Segment(*key), mask) for key, mask in zip(_fraction_keys(inst, keys), masks)]
+    assert cands == ref
+    assert _covering(masks, len(inst.rects)) == [
         [ci for ci, c in enumerate(ref) if c.stab_set >> i & 1] for i in range(len(inst.rects))
     ]
     return cands
@@ -189,16 +211,51 @@ class TestCandidateTableSweep:
     def test_one_rect(self):
         third, five_halves, seventh = Fraction(1, 3), Fraction(5, 2), Fraction(1, 7)
         inst = make_instance([(third, five_halves, 0, seventh)])
-        assert _candidate_table(inst) == ([(third, five_halves, seventh)], [1], [13], [[0]])
+        # x over dx = 6 and y over dy = 7
+        assert _candidate_table(inst) == ([(2, 15, 1)], [1], [13])
+        assert _fraction_keys(inst, [(2, 15, 1)]) == [(third, five_halves, seventh)]
+        assert _covering([1], 1) == [[0]]
 
     def test_no_rects(self):
-        assert _candidate_table(Instance(())) == ([], [], [], [])
+        assert _candidate_table(Instance(())) == ([], [], [])
+        assert _fraction_keys(Instance(()), []) == []
+        assert _covering([], 0) == []
 
     def test_level_that_keeps_no_row(self):
         # at y = 5 only the tall rect is alive, and [0, 4] x 2 stabs it too
         inst = make_instance([(0, 4, 0, 2), (0, 4, 0, 5)])
         cands = assert_table_is_reference(inst)
         assert cands == [Candidate(Segment(0, 4, 2), 0b11)]
+
+
+class TestNewbornSweep:
+    """Each level records only the sets that hold a rect whose first level
+    it is, and tries only the left edges at or left of such a rect's."""
+
+    @given(st.sampled_from(GENERATED_KINDS), st.integers(0, 12), st.integers(0, 99), st.booleans())
+    def test_generated_table_is_reference(self, kind, n, seed, split):
+        inst = generated_instance(kind, n, seed)
+        assert_table_is_reference(inst, _x_blocks(inst) if split else None)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_new_set_starting_at_a_newborn_left_edge(self, split):
+        # at y = 3 the first rect is gone and the second, first alive there,
+        # is the only new set; it starts at x = 2, the largest left edge of
+        # a newborn, which a bound strictly below it would skip
+        inst = make_instance([(0, 3, 0, 1), (2, 4, 2, 3)])
+        assert len(_x_blocks(inst)) == 1
+        assert_table_is_reference(inst, _x_blocks(inst) if split else None)
+        assert _candidate_table(inst) == ([(0, 3, 1), (2, 4, 3)], [0b01, 0b10], [3, 2])
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_set_without_a_newborn_is_dominated_at_its_span(self, split):
+        # at y = 5 the third rect is newborn and reach is its left edge 3;
+        # [3, 6] x 5 stabs only the first rect, whose span [4, 6] holds the
+        # first two rects together at y = 3, so that set is dominated there
+        # and must not be recorded at [3, 6], where nothing dominates it
+        inst = make_instance([(4, 6, 2, 5), (5, 6, 1, 3), (3, 7, 4, 6)])
+        assert_table_is_reference(inst, _x_blocks(inst) if split else None)
+        assert _candidate_table(inst) == ([(3, 7, 5), (4, 6, 3), (5, 6, 3)], [0b101, 0b011, 0b010], [4, 2, 1])
 
 
 @pytest.mark.parametrize("solver", [exact_opt, greedy_cover])
@@ -281,7 +338,7 @@ class TestOneRect:
 
     @given(one_rect())
     def test_matches_the_table_path(self, inst):
-        keys, masks, lengths, covering = _candidate_table(inst, _x_blocks(inst))
+        keys, masks, lengths, covering = fraction_table(inst, _x_blocks(inst))
         assert (masks, covering) == ([1], [[0]])
         table = Solution((Segment(*keys[0]),))
         sol = _branch_and_bound(inst)
@@ -338,16 +395,16 @@ def table_scale(keys, lengths) -> Fraction:
 
 class TestDualBound:
     def test_empty_uncovered_set(self, i1):
-        _, _, lengths, covering = _candidate_table(i1)
+        _, _, lengths, covering = fraction_table(i1)
         assert _dual_bound(0, range(3), covering, lengths, math.inf)[0] == 0
 
     def test_i1_reaches_the_optimum(self, i1):
-        keys, _, lengths, covering = _candidate_table(i1)
+        keys, _, lengths, covering = fraction_table(i1)
         assert _dual_bound(0b111, range(3), covering, lengths, math.inf)[0] == 6 * table_scale(keys, lengths)
 
     @given(st.one_of(generated(), tie_heavy()))
     def test_below_every_cover_of_the_instance(self, inst):
-        keys, _, lengths, covering = _candidate_table(inst)
+        keys, _, lengths, covering = fraction_table(inst)
         n = len(inst.rects)
         order = sorted(range(n), key=lambda i: (len(covering[i]), i))
         bound = _dual_bound((1 << n) - 1, order, covering, lengths, math.inf)[0]
@@ -361,7 +418,7 @@ class TestDualBound:
     def test_any_order_and_subset(self, inst, rng):
         # the bound on a subset of rects holds for every visiting order, and
         # the table covers any subset as cheaply as the subset's own table
-        keys, _, lengths, covering = _candidate_table(inst)
+        keys, _, lengths, covering = fraction_table(inst)
         n = len(inst.rects)
         order = list(range(n))
         rng.shuffle(order)
@@ -375,7 +432,7 @@ class TestDualBound:
         # the search prunes when the bound reaches the gap to the incumbent:
         # the early exit must reach it exactly when the full pass does, and
         # below it return the full pass itself
-        _, _, lengths, covering = _candidate_table(inst)
+        _, _, lengths, covering = fraction_table(inst)
         n = len(inst.rects)
         order = sorted(range(n), key=lambda i: (len(covering[i]), i))
         for _ in range(8):
@@ -395,7 +452,7 @@ class TestDualBound:
         # after a full root pass, the duals of the rects a candidate leaves
         # unstabbed stay feasible: a cover that picks ci costs at least
         # bound + slack[ci], which is what lets the search skip that child
-        keys, masks, lengths, covering = _candidate_table(inst)
+        keys, masks, lengths, covering = fraction_table(inst)
         n = len(inst.rects)
         order = sorted(range(n), key=lambda i: (len(covering[i]), i))
         bound, slack = _dual_bound((1 << n) - 1, order, covering, lengths, math.inf)
@@ -410,7 +467,7 @@ def root_covers(inst):
     """Per block of ``_x_blocks``, its positions and the cover
     ``_dual_cover`` reads off the root's full dual pass, with the table."""
     blocks = _x_blocks(inst)
-    table = _candidate_table(inst, blocks)
+    table = fraction_table(inst, blocks)
     _, masks, lengths, covering = table
     for part in blocks:
         uncovered = sum(1 << p for p in part)
@@ -534,13 +591,13 @@ class TestBlocks:
     @given(st.one_of(gapped_groups(), generated(max_n=20), shared_edges()))
     def test_table_is_the_full_table_less_the_rows_across_a_gap(self, inst):
         blocks = _x_blocks(inst)
-        keys, masks, lengths, _ = _candidate_table(inst)
+        keys, masks, lengths = _candidate_table(inst)
         parts = [sum(1 << p for p in b) for b in blocks]
         inside = [ci for ci, mask in enumerate(masks) if any(mask & ~part == 0 for part in parts)]
         split = _candidate_table(inst, blocks)
-        assert split[:3] == ([keys[ci] for ci in inside], [masks[ci] for ci in inside], [lengths[ci] for ci in inside])
-        assert split[3] == [[ci for ci, mask in enumerate(split[1]) if mask >> p & 1] for p in range(len(inst.rects))]
-        extents = block_extents(inst, blocks)
+        assert split == ([keys[ci] for ci in inside], [masks[ci] for ci in inside], [lengths[ci] for ci in inside])
+        g = inst._grid
+        extents = [(min(g.xl[p] for p in b), max(g.xr[p] for p in b)) for b in blocks]
         gaps = [(hi, lo) for (_, hi), (lo, _) in zip(extents, extents[1:])]
         for ci in set(range(len(masks))) - set(inside):
             xl, xr, _ = keys[ci]

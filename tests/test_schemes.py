@@ -28,7 +28,7 @@ from stabkit import (
     verify,
 )
 
-from stabkit.oracle import _Budget, _candidate_table, _dual_bound
+from stabkit.oracle import _Budget, _dual_bound
 
 from .conftest import make_instance
 from .helpers import (
@@ -36,6 +36,7 @@ from .helpers import (
     affine_instance,
     affine_solution,
     exact_opt_subset_dp,
+    fraction_table,
     generated_instance,
     guess_long_all,
     qptas_every_guess,
@@ -288,7 +289,7 @@ class TestGuessLong:
         # subset size the pool allows, its deepest stack included
         inst = make_instance([(F(x, 2), F(x + wd, 2), y, y + h) for x, wd, y, h in draws])
         min_len = sorted(r.width for r in inst.rects)[pick % len(draws)]
-        keys, _, _, _ = _candidate_table(inst)
+        keys, _, _, _ = fraction_table(inst)
         pool = sum(1 for xl, xr, _ in keys if xr - xl >= min_len)
         self.check_filtered(inst, min_len, data.draw(st.integers(0, pool + 1), label="k"))
 
@@ -321,7 +322,7 @@ class TestGuessLong:
         assert guess_long(inst, F(4), k, budget) == [] == [
             row for row in guess_long_all(inst, F(4), k) if not wide & ~row[0]
         ]
-        keys, _, _, _ = _candidate_table(inst)
+        keys, _, _, _ = fraction_table(inst)
         pool = sum(1 for key in keys if key[1] - key[0] >= 4)
         full = sum(math.comb(pool, size) for size in range(min(k, pool) + 1))
         assert 0 < budget.used < full
@@ -567,7 +568,7 @@ class TestQptas:
         # full table, so the dual pass over those rows, restricted to the
         # residual, is at most the residual's optimum
         chunk = generated_instance(kind, n, seed)
-        _, _, lengths, covering = _candidate_table(chunk)
+        _, _, lengths, covering = fraction_table(chunk)
         order = sorted(range(n), key=lambda i: (len(covering[i]), i))
         left = data.draw(st.integers(0, (1 << n) - 1))
         bound, _ = _dual_bound(left, order, covering, lengths, math.inf)

@@ -333,6 +333,56 @@ def test_exact_opt_of_one_rect_builds_no_candidate_table(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize(
+    "inst, split",
+    [
+        (stabkit.gen_uniform(20, 1), False),
+        (stabkit.gen_uniform(20, 1), True),
+        (stabkit.gen_bounded_ratio(40, Fraction(1, 2), 1), True),
+        (stabkit.gen_bounded_ratio(40, Fraction(1, 2), 2), True),
+    ],
+    ids=["uniform", "uniform-blocks", "bounded-blocks", "bounded-blocks-2"],
+)
+def test_candidate_table_builds_no_fraction(monkeypatch, inst, split):
+    # the table's rows are integer keys on the instance's view; mapping
+    # every row back to a Fraction triple was work no solver needs, since
+    # each builds coordinates only for the rows of its answer
+    blocks = stabkit.oracle._x_blocks(inst) if split else None
+    inst._grid  # the instance's view, built once per instance, not per table
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    keys, masks, lengths = stabkit.oracle._candidate_table(inst, blocks)
+    Fraction(1, 3)  # the count sees a Fraction that is built
+    monkeypatch.undo()
+    assert made == [(1, 3)]
+    assert keys and all(type(v) is int for key in keys for v in key)
+
+
+def test_greedy_cover_builds_no_covering(monkeypatch):
+    # greedy reads only the masks and lengths; the per-rect rows are built
+    # for the exact search, which branches on them
+    oracle = stabkit.oracle
+    covering = oracle._covering
+    calls = []
+
+    def recorded(masks, n):
+        calls.append(n)
+        return covering(masks, n)
+
+    monkeypatch.setattr(oracle, "_covering", recorded)
+    stabkit.greedy_cover(stabkit.gen_uniform(20, 1))
+    stabkit.greedy_cover(stabkit.gen_bounded_ratio(40, Fraction(1, 2), 1))
+    assert calls == []
+    stabkit.exact_opt(stabkit.gen_uniform(12, 1))
+    assert calls == [12]
+
+
 def test_only_core_scales_coordinates():
     # every layer reads the instance's one integer view; a module that
     # scaled Fractions to integers on its own would rescale every
@@ -514,8 +564,9 @@ def test_qptas_builds_one_full_table_per_guessed_chunk_and_bounds_on_it(monkeypa
     assert [blocks for _, blocks, _ in built] == [None] * len(guessed)
     assert [(inst, t) for inst, _, t in built] == guessed
     assert all(g is t for (_, _, t), (_, g) in zip(built, guessed))
-    served = {(id(t[3]), id(t[2])) for _, _, t in built}
-    assert {(id(covering), id(lengths)) for covering, lengths in bounded} <= served
+    # the bound reads a table's own lengths, and rows per rect that are its masks'
+    served = {id(t[2]): stabkit.oracle._covering(t[1], len(inst.rects)) for inst, _, t in built}
+    assert all(served[id(lengths)] == covering for covering, lengths in bounded)
 
 
 def test_decomposition_prices_masks_and_maps_each_rect_once(monkeypatch):
