@@ -10,11 +10,11 @@ whose reduced cost lifts the bound to the incumbent is skipped unentered.
 The search seeds its own incumbent with the primal-dual cover read off the
 dual pass at its root; it is also the PTAS chunk solver.  The greedy
 baseline is the lazy (Minoux) greedy over one heap per last known
-newly-stabbed count.  Both run on the candidate table, whose rows are
-integers on the instance's view: an ``(a, b, y)`` key, a stab mask and a
-length.  No ``Fraction`` is built for a row; each solver maps only the rows
-of its answer back to the rects' own coordinates.  The exact search lists
-each rect's rows from the masks; greedy never reads them.
+newly-stabbed count.  Both run on the candidate table, a ``_Table`` of
+integer rows on the instance's view: an ``(a, b, y)`` key, a stab mask and
+a length.  No ``Fraction`` is built for a row; each solver maps only the
+rows of its answer back to the rects' own coordinates.  The exact search
+lists each rect's rows from the masks; greedy never reads them.
 
 Both split the instance into blocks: groups of rects whose x-projections
 chain together by closed overlap, with a positive gap between one block
@@ -33,6 +33,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     BudgetError,
@@ -42,7 +43,7 @@ from .core import (
     Solution,
     _as_int,
     _built,
-    stabs,
+    _segment_view,
 )
 
 ORACLE_LIMIT = 20  # exact_opt's default rect cap; qptas's exact leaf never runs with a lower one
@@ -65,20 +66,22 @@ def reduce_candidates(inst: Instance, cands: list[Segment]) -> list[Candidate]:
     smallest segment (by (xl, xr, y)) so the result is deterministic.  This is
     the definition: each set is tested against every other one.  No solver
     calls it; the candidate table's per-span sweep is tested against it.
+    Stab sets are the closed inequalities of ``stabs`` on one integer scale.
     """
-    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y)
-    for s in cands:
-        mask = sum(1 << p for p, r in enumerate(inst.rects) if stabs(s, r))
-        entry = (s.length, s.xl, s.xr, s.y)
+    g = inst._grid
+    fx, fy, sx, sy = _segment_view(g, cands)
+    rects = [(a * fx, b * fx, lo * fy, hi * fy) for a, b, lo, hi in zip(g.xl, g.xr, g.yb, g.yt)]
+    shortest: dict[int, tuple] = {}  # stab set -> smallest (length, xl, xr, y, index in cands)
+    for i, (a, b, y) in enumerate(zip(sx[::2], sx[1::2], sy)):
+        mask = sum(1 << p for p, (xl, xr, lo, hi) in enumerate(rects) if a <= xl and xr <= b and lo <= y <= hi)
+        entry = (b - a, a, b, y, i)
         if mask and (mask not in shortest or entry < shortest[mask]):
             shortest[mask] = entry
     pool = sorted(shortest.items(), key=lambda kv: kv[1][1:])
     return [
-        Candidate(Segment(*entry[1:]), mask)
+        Candidate(cands[entry[4]], mask)
         for mask, entry in pool
-        if not any(
-            other != mask and mask | other == other and entry[0] >= other_entry[0] for other, other_entry in pool
-        )
+        if not any(other != mask and mask | other == other and entry[0] >= theirs[0] for other, theirs in pool)
     ]
 
 
@@ -100,16 +103,8 @@ def _x_blocks(inst: Instance) -> list[list[int]]:
     return blocks
 
 
-def _candidate_table(
-    inst: Instance, blocks: list[list[int]] | None = None
-) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
-    """The reduced candidates of ``inst`` on its integer view, as three
-    parallel lists in key order: their ``(a, b, y)`` keys, the row
-    ``[a, b] x y`` with a and b over the view's dx and y over its dy; their
-    stab sets as rect-position bit masks; and their lengths ``b - a``.  No
-    ``Fraction`` is built: ``_fraction_keys`` maps the rows of an answer
-    back to the rects' own coordinates, and ``_covering`` lists the rows
-    that stab each rect for the solvers that read it.
+def _candidate_table(inst: Instance, blocks: list[list[int]] | None = None) -> _Table:
+    """The reduced candidates of ``inst`` on its integer view: a ``_Table``, rows in key order.
 
     The rows are those ``reduce_candidates`` keeps of ``candidate_segments``,
     found by a sweep that visits only *tight* segments: at each top edge y,
@@ -215,29 +210,7 @@ def _candidate_table(
             keys.append((a, b, level[mask]))
             masks.append(mask)
             lengths.append(b - a)
-    return keys, masks, lengths
-
-
-def _covering(masks: list[int], n: int) -> list[list[int]]:
-    """Per rect position below n, the indices of the rows whose ``masks``
-    stab it, ascending."""
-    covering: list[list[int]] = [[] for _ in range(n)]
-    for ci, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            covering[low.bit_length() - 1].append(ci)
-            mask ^= low
-    return covering
-
-
-def _fraction_keys(inst: Instance, keys) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """The ``(xl, xr, y)`` coordinates of the candidate-table rows ``keys``,
-    each a rect's own ``Fraction``: a row's ends are a left and a right edge
-    of rects and its height a top edge, so each is looked up, none built.
-    A lookup scans the view, which beats building maps of every rect for
-    the few rows of an answer."""
-    rects, g = inst.rects, inst._grid
-    return [(rects[g.xl.index(a)].xl, rects[g.xr.index(b)].xr, rects[g.yt.index(y)].yt) for a, b, y in keys]
+    return _Table(keys, masks, lengths, inst)
 
 
 class _Budget:
@@ -251,34 +224,165 @@ class _Budget:
             raise BudgetError(f"node budget of {self.limit} exhausted")
 
 
-def _dual_bound(uncovered: int, order, covering, lengths, gap) -> tuple[int, list[int] | None]:
-    """A lower bound, on the table's integer scale, on the cost of stabbing
-    the rects in ``uncovered``, with the slacks it leaves: one dual-fitting
-    pass for the set-cover LP that raises each uncovered rect's dual, in
-    ``order``, to the least slack left among its candidates.  Weak duality
-    makes it a bound in any order.
+@dataclass
+class _Table:
+    """The candidate table of ``inst``, rows in key order: ``(a, b, y)`` keys,
+    the row ``[a, b] x y`` over the view's dx and dy; stab sets as rect-position
+    bit masks; and lengths ``b - a``.  ``covering`` is built when first read."""
 
-    The pass stops as soon as its running sum reaches ``gap``, so the bound
-    is the full bound when that is below ``gap`` and at least ``gap``
-    otherwise; pass ``math.inf`` for the full bound.  A pass that runs to
-    the end returns ``(bound, slack)``, ``slack[ci]`` being candidate ci's
-    length less the duals of the uncovered rects it stabs: its reduced
-    cost.  An early exit returns ``(bound, None)``: the search prunes that
-    node, so it has no use for the slacks.
-    """
-    slack = lengths[:]
-    total = 0
-    for i in order:
-        if uncovered >> i & 1:
-            row = covering[i]
-            y = min(map(slack.__getitem__, row))
-            if y:
-                total += y
-                if total >= gap:
-                    return total, None
-                for ci in row:
-                    slack[ci] -= y
-    return total, slack
+    keys: list[tuple[int, int, int]]
+    masks: list[int]
+    lengths: list[int]
+    inst: Instance
+
+    @cached_property
+    def covering(self) -> list[list[int]]:
+        """Per rect position, the indices of the rows that stab it, ascending."""
+        covering: list[list[int]] = [[] for _ in self.inst.rects]
+        for ci, mask in enumerate(self.masks):
+            while mask:
+                low = mask & -mask
+                covering[low.bit_length() - 1].append(ci)
+                mask ^= low
+        return covering
+
+    def coords(self, rows) -> list[tuple[Fraction, Fraction, Fraction]]:
+        """The ``(xl, xr, y)`` of the rows at indices ``rows``, each a rect's
+        own ``Fraction``, looked up, none built: a row's ends are rect x edges
+        and its height a top edge.  A lookup scans the view, which beats
+        building maps of every rect for the few rows of an answer."""
+        rects, g, keys = self.inst.rects, self.inst._grid, map(self.keys.__getitem__, rows)
+        return [(rects[g.xl.index(a)].xl, rects[g.xr.index(b)].xr, rects[g.yt.index(y)].yt) for a, b, y in keys]
+
+    def solution(self, rows) -> Solution:
+        """The rows at indices ``rows`` as a ``Solution``, in that order."""
+        return Solution(tuple(_built(Segment, *key) for key in self.coords(rows)))
+
+    def order(self, positions) -> list[int]:
+        """The rect ``positions`` in dual order: fewest rows first, then by position."""
+        covering = self.covering
+        return sorted(positions, key=lambda i: (len(covering[i]), i))
+
+    def dual(self, uncovered: int, order: list[int], gap) -> tuple[int, list[int] | None]:
+        """A lower bound, on the table's integer scale, on the cost of
+        stabbing the rects in ``uncovered``, with the slacks it leaves: one
+        dual-fitting pass for the set-cover LP that raises each uncovered
+        rect's dual, in ``order``, to the least slack left among its rows.
+        Weak duality makes it a bound in any order.
+
+        The pass stops as soon as its running sum reaches ``gap``, so the
+        bound is the full bound when that is below ``gap`` and at least
+        ``gap`` otherwise; pass ``math.inf`` for the full bound.  A pass that
+        runs to the end returns ``(bound, slack)``, ``slack[ci]`` being row
+        ci's length less the duals of the uncovered rects it stabs: its
+        reduced cost.  An early exit returns ``(bound, None)``: the search
+        prunes that node, so it has no use for the slacks.
+        """
+        covering, slack, total = self.covering, self.lengths[:], 0
+        for i in order:
+            if uncovered >> i & 1:
+                row = covering[i]
+                y = min(map(slack.__getitem__, row))
+                if y:
+                    total += y
+                    if total >= gap:
+                        return total, None
+                    for ci in row:
+                        slack[ci] -= y
+        return total, slack
+
+    def cover(self, positions: list[int], slack: list[int]) -> list[int]:
+        """A cover of the rects at ``positions`` read off the slacks of a
+        ``dual`` pass over them that ran to the end: the rows that stab one
+        of them at zero slack, of which the pass leaves every such rect at
+        least one, less the redundant ones, dropped longest first, ties to
+        the lower index (the primal-dual cover with reverse delete)."""
+        rows: dict[int, list[int]] = {}  # zero-slack row -> the positions it stabs
+        times: dict[int, int] = {}  # position -> the number of rows still held that stab it
+        covering, lengths = self.covering, self.lengths
+        for p in positions:
+            for ci in covering[p]:
+                if not slack[ci]:
+                    rows.setdefault(ci, []).append(p)
+                    times[p] = times.get(p, 0) + 1
+        cover = []
+        for ci in sorted(rows, key=lambda ci: (-lengths[ci], ci)):
+            if all(times[p] > 1 for p in rows[ci]):
+                for p in rows[ci]:
+                    times[p] -= 1
+            else:
+                cover.append(ci)
+        return cover
+
+    def search(self, blocks: list[list[int]], budget: _Budget) -> list[int]:
+        """The rows, block by block of rect positions in ``blocks`` and in
+        choice order, of the first cheapest way to stab each block's rects;
+        one tick of ``budget`` per node entered, over all blocks, each root
+        included.  A block of one rect takes its one row at its root.
+
+        Each block's search goes depth-first: branch on the lowest unstabbed
+        rect, try its rows in table order.  A state, the uncovered mask, is
+        pruned when it was entered before at no higher cost, or when cost
+        plus ``dual`` over the block's ``order``, stopped at the gap to the
+        incumbent, reaches the incumbent.  When the bound falls short, its
+        pass ran to the end and left each row's reduced cost ``slack[ci]``;
+        the duals of the rects still uncovered after picking ci stay
+        feasible, so every leaf under that child costs at least cost + bound
+        + ``slack[ci]``, and the child is skipped, unentered and uncounted,
+        when that reaches the incumbent as it stands at the child.
+
+        The search seeds its own incumbent.  At the root there is none, so
+        the pass runs to the end, and ``cover`` reads a cover off its
+        slacks; the incumbent becomes one above that cover's cost H.  H is
+        the cost of a cover, so the incumbent lies above the optimum, and it
+        yields only to strict improvements: a skipped child holds no leaf
+        that would replace it.  An earlier entry of a state searched the
+        same subtree from no higher cost against an incumbent no lower, so
+        the memo drops no first optimal leaf; the answer is the first
+        optimal choice sequence: the one the subset DP over rect bitmasks,
+        ``tests/helpers.py::exact_opt_subset_dp``, reconstructs.
+        """
+        masks, lengths, covering, dual = self.masks, self.lengths, self.covering, self.dual
+        rows: list[int] = []
+        for positions in blocks:
+            if len(positions) == 1:
+                budget.tick()
+                rows += covering[positions[0]]
+                continue
+            order = self.order(positions)
+            best: list[int] = []
+            best_cost = math.inf
+            chosen: list[int] = []
+            seen: dict[int, int] = {}  # uncovered mask -> least cost it was entered at
+
+            def descend(uncovered: int, cost: int) -> None:
+                nonlocal best, best_cost
+                budget.tick()
+                if not uncovered:
+                    if cost < best_cost:
+                        best, best_cost = chosen[:], cost
+                    return
+                if seen.get(uncovered, math.inf) <= cost:
+                    return
+                seen[uncovered] = cost
+                gap = best_cost - cost
+                bound, slack = dual(uncovered, order, gap)
+                if bound >= gap:
+                    return
+                if not chosen:
+                    # the root: no incumbent yet, so the pass ran to the end
+                    best_cost = sum(lengths[ci] for ci in self.cover(positions, slack)) + 1
+                for ci in covering[(uncovered & -uncovered).bit_length() - 1]:
+                    # every leaf under this child costs at least cost + bound + slack[ci]
+                    if bound + slack[ci] >= best_cost - cost:
+                        continue
+                    chosen.append(ci)
+                    descend(uncovered & ~masks[ci], cost + lengths[ci])
+                    chosen.pop()
+
+            descend(sum(1 << p for p in positions), 0)
+            rows += best
+        return rows
 
 
 def _greedy(masks: list[int], lengths: list[int], full: int) -> list[int]:
@@ -327,128 +431,28 @@ def _greedy(masks: list[int], lengths: list[int], full: int) -> list[int]:
     return picked
 
 
-def _dual_cover(uncovered: int, slack: list[int], lengths, covering) -> list[int]:
-    """A cover of the rects in ``uncovered`` read off the slacks of a
-    ``_dual_bound`` pass over them that ran to the end: the rows that stab
-    one of them at zero slack, of which the pass leaves every such rect at
-    least one, less the redundant ones, dropped longest first, ties to the
-    lower index (the primal-dual cover with reverse delete)."""
-    rows: dict[int, list[int]] = {}  # zero-slack row -> the positions in uncovered it stabs
-    times: dict[int, int] = {}  # position -> the number of rows still held that stab it
-    rest = uncovered
-    while rest:
-        low = rest & -rest
-        p = low.bit_length() - 1
-        for ci in covering[p]:
-            if not slack[ci]:
-                rows.setdefault(ci, []).append(p)
-                times[p] = times.get(p, 0) + 1
-        rest ^= low
-    cover = []
-    for ci in sorted(rows, key=lambda ci: (-lengths[ci], ci)):
-        if all(times[p] > 1 for p in rows[ci]):
-            for p in rows[ci]:
-                times[p] -= 1
-        else:
-            cover.append(ci)
-    return cover
-
-
-def _search(positions, masks, lengths, covering, budget) -> list[int]:
-    """The rows, in choice order, of the first cheapest way to stab the rects
-    at ``positions``; one tick of ``budget`` per node entered.  See
-    ``_branch_and_bound``."""
-    order = sorted(positions, key=lambda i: (len(covering[i]), i))
-    best: list[int] = []
-    best_cost = math.inf
-    chosen: list[int] = []
-    seen: dict[int, int] = {}  # uncovered mask -> least cost it was entered at
-
-    def descend(uncovered: int, cost: int) -> None:
-        nonlocal best, best_cost
-        budget.tick()
-        if not uncovered:
-            if cost < best_cost:
-                best, best_cost = chosen[:], cost
-            return
-        if seen.get(uncovered, math.inf) <= cost:
-            return
-        seen[uncovered] = cost
-        gap = best_cost - cost
-        bound, slack = _dual_bound(uncovered, order, covering, lengths, gap)
-        if bound >= gap:
-            return
-        if not chosen:
-            # the root: no incumbent yet, so the pass ran to the end
-            best_cost = sum(lengths[ci] for ci in _dual_cover(uncovered, slack, lengths, covering)) + 1
-        for ci in covering[(uncovered & -uncovered).bit_length() - 1]:
-            # every leaf under this child costs at least cost + bound + slack[ci]
-            if bound + slack[ci] >= best_cost - cost:
-                continue
-            chosen.append(ci)
-            descend(uncovered & ~masks[ci], cost + lengths[ci])
-            chosen.pop()
-
-    descend(sum(1 << p for p in positions), 0)
-    return best
-
-
 def _branch_and_bound(inst: Instance, node_budget: int | None = None) -> Solution:
     """The cheapest solution; BudgetError after ``node_budget`` nodes.
 
-    The search runs once per block of ``_x_blocks``, on the table without
-    the rows that span a gap.  No such row is in an optimum, and no row
-    stabs rects of two blocks, so OPT and the subset DP's choices add up
+    ``_Table.search`` searches each block of ``_x_blocks`` on its own, on
+    the table without the rows that span a gap.  No such row is in an optimum, and no
+    row stabs rects of two blocks, so OPT and the subset DP's choices add up
     over blocks: each block's search, on its own rows in table order, makes
     the choices a search of the whole instance makes there, and the answer
     is their union.
 
-    Each block's search goes depth-first over the table: branch on the
-    lowest unstabbed rect, try its candidates in table order.  A state, the
-    uncovered mask, is pruned when it was entered before at no higher cost,
-    or when cost plus ``_dual_bound``, stopped at the gap to the incumbent,
-    reaches the incumbent.  When the bound falls short, its pass ran to the
-    end and left each candidate's reduced cost ``slack[ci]``; the duals of
-    the rects still uncovered after picking ci stay feasible, so every leaf
-    under that child costs at least cost + bound + ``slack[ci]``, and the
-    child is skipped, unentered and uncounted, when that reaches the
-    incumbent as it stands at the child.
-
-    The search seeds its own incumbent.  At the root there is none, so the
-    pass runs to the end, and ``_dual_cover`` reads a cover off its slacks;
-    the incumbent becomes one above that cover's cost H.  H is the cost of
-    a cover, so the incumbent lies above the optimum, and it yields only to
-    strict improvements: a skipped child holds no leaf that would replace
-    it.  An earlier entry of a state searched the same subtree from no
-    higher cost against an incumbent no lower, so the memo drops no first
-    optimal leaf; the answer is the first optimal choice sequence: the one
-    the subset DP over rect bitmasks, ``tests/helpers.py::exact_opt_subset_dp``,
-    reconstructs.
-
-    The node budget counts entered nodes only, over all blocks, each
-    block's root included; a block of one rect, which has one row, takes it
-    at its root.  An instance of one rect is that block alone: its one row
-    is its own span at its top edge, the lowest level that meets it, and it
-    is returned without a table, at one node.
+    An instance of one rect is one such block: its one row is its own span
+    at its top edge, the lowest level that meets it, and it is returned
+    without a table, at one node.
     """
     if len(inst.rects) == 1:
         _Budget(node_budget).tick()
         r = inst.rects[0]
         return Solution((_built(Segment, r.xl, r.xr, r.yt),))
     blocks = _x_blocks(inst)
-    keys, masks, lengths = _candidate_table(inst, blocks)
-    covering = _covering(masks, len(inst.rects))
-    budget = _Budget(node_budget)
-    best = []
-    for block in blocks:
-        if len(block) == 1:
-            # one rect has one row; the root counts
-            budget.tick()
-            best += covering[block[0]]
-        else:
-            best += _search(block, masks, lengths, covering, budget)
+    table = _candidate_table(inst, blocks)
     # rows are in key order, so the answer is sorted by row index
-    return Solution(tuple(_built(Segment, *key) for key in _fraction_keys(inst, [keys[ci] for ci in sorted(best)])))
+    return table.solution(sorted(table.search(blocks, _Budget(node_budget))))
 
 
 def _oracle_limit(limit: int) -> int:
@@ -482,6 +486,5 @@ def greedy_cover(inst: Instance) -> Solution:
     row stabs n1 + n2 new rects at more than the length l1 + l2 of its
     pieces, a ratio below the better piece's, so greedy never picks it.
     """
-    keys, masks, lengths = _candidate_table(inst, _x_blocks(inst))
-    picked = _greedy(masks, lengths, (1 << len(inst.rects)) - 1)
-    return Solution(tuple(_built(Segment, *key) for key in _fraction_keys(inst, [keys[ci] for ci in picked])))
+    table = _candidate_table(inst, _x_blocks(inst))
+    return table.solution(_greedy(table.masks, table.lengths, (1 << len(inst.rects)) - 1))

@@ -42,10 +42,8 @@ from .oracle import (
     _branch_and_bound,
     _Budget,
     _candidate_table,
-    _covering,
-    _dual_bound,
-    _fraction_keys,
     _oracle_limit,
+    _Table,
     exact_opt,
 )
 
@@ -165,7 +163,7 @@ def ptas(inst: Instance, eps, delta) -> Solution:
 
 
 def guess_long(
-    inst: Instance, min_len, k: int, _budget: _Budget | None = None, _table: tuple | None = None
+    inst: Instance, min_len, k: int, _budget: _Budget | None = None, _table: _Table | None = None
 ) -> list[tuple[int, int, tuple]]:
     """The subsets of at most k reduced candidates of length >= min_len whose
     union stabs every rect of width >= min_len, as ``(union, total, keys)``
@@ -188,16 +186,16 @@ def guess_long(
     ``_budget``; no ``Segment`` is built, and only the rows of the returned
     guesses are mapped back to coordinates.
 
-    ``_table`` is ``_candidate_table(inst)``, the full table, when the
-    caller has built it.
+    ``_table`` is the record ``_candidate_table(inst)``, the full table,
+    when the caller has built it.
     """
     min_len = _rational(min_len, "min_len")
     _as_int(k, "k", 0)
-    keys, masks, lengths = _candidate_table(inst) if _table is None else _table
+    table = _candidate_table(inst) if _table is None else _table
     g = inst._grid
     # a length l over dx is at least min_len when l * per >= bar
     per, bar = min_len.denominator, min_len.numerator * g.dx
-    pool = [(mask, length, key) for key, mask, length in zip(keys, masks, lengths) if length * per >= bar]
+    pool = [(mask, cost, ci) for ci, (mask, cost) in enumerate(zip(table.masks, table.lengths)) if cost * per >= bar]
     wide = sum(1 << i for i, (a, b) in enumerate(zip(g.xl, g.xr)) if (b - a) * per >= bar)
     reach = [0] * (len(pool) + 1)  # reach[i]: the union of pool[i:]
     for i in range(len(pool) - 1, -1, -1):
@@ -219,13 +217,13 @@ def guess_long(
             for i in range(start, len(pool)):
                 if wide & ~(union | reach[i]):
                     break
-                mask, length, _ = pool[i]
+                mask, cost, ci = pool[i]
                 if not mask & ~union:
                     continue
-                todo.append((i + 1, union | mask, total + length, rows + (i,)))
+                todo.append((i + 1, union | mask, total + cost, rows + (ci,)))
     unions = sorted(first, key=first.__getitem__)
-    used = list({i for union in unions for i in cheapest[union][2]})
-    coords = dict(zip(used, _fraction_keys(inst, [pool[i][2] for i in used])))
+    used = list({ci for union in unions for ci in cheapest[union][2]})
+    coords = dict(zip(used, table.coords(used)))
     return [(union, cheapest[union][0], tuple(coords[i] for i in cheapest[union][2])) for union in unions]
 
 
@@ -246,13 +244,13 @@ def qptas(
     scale halved.
 
     A guess is skipped, unentered, once a bound shows it cannot beat the
-    best branch so far: when its total plus ``_dual_bound`` of its residual
+    best branch so far: when its total plus ``_Table.dual`` of its residual
     over the chunk's full candidate table reaches the best cost.  Every
     candidate segment of the residual is dominated by a row of that table,
     so the bound is at most the residual's optimum, and so at most the cost
     of the recursion on it; the guesses keep their order and only a strictly
     cheaper branch replaces the best, so a skipped guess is never the one
-    kept.  One table per chunk serves ``guess_long`` and every bound.
+    kept.  One ``_Table`` per chunk serves ``guess_long`` and every bound.
     ``stats`` splits the cost exactly, summing the output's segments by the
     part that paid for each: the decomposition, a guess or an exact leaf.
     """
@@ -289,11 +287,9 @@ def qptas(
             best: tuple | None = None  # (cost, guess keys, rest)
             if len(chunk.rects) > params.oracle_limit:
                 table = _candidate_table(chunk)
-                _, masks, lengths = table
                 n, dx = len(chunk.rects), chunk._grid.dx
-                covering = _covering(masks, n)
                 full = (1 << n) - 1
-                order = sorted(range(n), key=lambda i: (len(covering[i]), i))
+                order = table.order(range(n))
                 for union, total, keys in guess_long(chunk, half, params.klong, budget, table):
                     stats.guesses += 1
                     assert len(keys) <= params.klong
@@ -301,7 +297,7 @@ def qptas(
                     if best is not None:
                         # the least integer bound b with total + b >= best cost * dx
                         gap = -(-best[0].numerator * dx // best[0].denominator) - total
-                        if _dual_bound(full & ~union, order, covering, lengths, gap)[0] >= gap:
+                        if table.dual(full & ~union, order, gap)[0] >= gap:
                             continue
                     residual = chunk._restrict([i for i in range(n) if not union >> i & 1])
                     rest_cost, rest = recurse(residual, half, depth + 1)

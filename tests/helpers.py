@@ -71,8 +71,9 @@ def fraction_table(inst: Instance, blocks=None) -> tuple[list[tuple], list[int],
     """The candidate table with each integer row mapped back to the rects'
     ``(xl, xr, y)`` Fractions, and per rect position the indices of the rows
     that stab it: four parallel lists, read off the rects' own edges and
-    the masks rather than through ``_fraction_keys`` and ``_covering``."""
-    keys, masks, lengths = _candidate_table(inst, blocks)
+    the masks rather than through the table's ``coords`` and ``covering``."""
+    table = _candidate_table(inst, blocks)
+    keys, masks, lengths = table.keys, table.masks, table.lengths
     g = inst._grid
     x = {v: r.xl for v, r in zip(g.xl, inst.rects)} | {v: r.xr for v, r in zip(g.xr, inst.rects)}
     y = {v: r.yt for v, r in zip(g.yt, inst.rects)}
@@ -102,6 +103,8 @@ def exact_opt_subset_dp(inst: Instance) -> Solution:
     if n == 0:
         return Solution(())
     keys, masks, lengths, covering = fraction_table(inst)
+    # with a rect no row stabs, the reconstruction below would loop for ever
+    assert all(covering), "no row stabs a rect"
     size = 1 << n
     dp = [0] * size
     choice = [-1] * size
@@ -146,6 +149,8 @@ def _greedy_scan_picks(masks: list[int], lengths: list[int], n: int) -> list[int
             rhs = best[0] * length
             if lhs > rhs or (lhs == rhs and length < best[1]):
                 best = (newly, length, ci)
+        # a table that leaves a rect unstabbed would loop here for ever
+        assert best[0], "no row stabs a rect left unstabbed"
         covered |= masks[best[2]]
         picked.append(best[2])
     return picked

@@ -31,10 +31,6 @@ from stabkit import (
 from stabkit.oracle import (
     _branch_and_bound,
     _candidate_table,
-    _covering,
-    _dual_bound,
-    _dual_cover,
-    _fraction_keys,
     _x_blocks,
 )
 
@@ -141,11 +137,17 @@ class TestReduceCandidates:
                 ), seg
 
 
+def rows(table):
+    """A candidate table's keys, masks and lengths."""
+    return table.keys, table.masks, table.lengths
+
+
 def assert_table_is_reference(inst, blocks=None):
     """The table swept per block, or over the whole instance when
     ``blocks`` is None, against ``reduce_candidates``, less the rows across
     a gap between blocks; returns the rows as ``Candidate``s."""
-    keys, masks, lengths = _candidate_table(inst, blocks)
+    table = _candidate_table(inst, blocks)
+    keys, masks, lengths = rows(table)
     ref = reduce_candidates(inst, candidate_segments(inst))
     if blocks is not None:
         parts = [sum(1 << p for p in block) for block in blocks]
@@ -161,9 +163,9 @@ def assert_table_is_reference(inst, blocks=None):
     assert all(type(length) is int for length in lengths)
     assert lengths == [c.segment.length * den for c in ref]
     # the solvers' maps back to Fractions and to per-rect rows
-    cands = [Candidate(Segment(*key), mask) for key, mask in zip(_fraction_keys(inst, keys), masks)]
+    cands = [Candidate(Segment(*key), mask) for key, mask in zip(table.coords(range(len(keys))), masks)]
     assert cands == ref
-    assert _covering(masks, len(inst.rects)) == [
+    assert table.covering == [
         [ci for ci, c in enumerate(ref) if c.stab_set >> i & 1] for i in range(len(inst.rects))
     ]
     return cands
@@ -212,14 +214,16 @@ class TestCandidateTableSweep:
         third, five_halves, seventh = Fraction(1, 3), Fraction(5, 2), Fraction(1, 7)
         inst = make_instance([(third, five_halves, 0, seventh)])
         # x over dx = 6 and y over dy = 7
-        assert _candidate_table(inst) == ([(2, 15, 1)], [1], [13])
-        assert _fraction_keys(inst, [(2, 15, 1)]) == [(third, five_halves, seventh)]
-        assert _covering([1], 1) == [[0]]
+        table = _candidate_table(inst)
+        assert rows(table) == ([(2, 15, 1)], [1], [13])
+        assert table.coords([0]) == [(third, five_halves, seventh)]
+        assert table.covering == [[0]]
 
     def test_no_rects(self):
-        assert _candidate_table(Instance(())) == ([], [], [])
-        assert _fraction_keys(Instance(()), []) == []
-        assert _covering([], 0) == []
+        table = _candidate_table(Instance(()))
+        assert rows(table) == ([], [], [])
+        assert table.coords([]) == []
+        assert table.covering == []
 
     def test_level_that_keeps_no_row(self):
         # at y = 5 only the tall rect is alive, and [0, 4] x 2 stabs it too
@@ -245,7 +249,7 @@ class TestNewbornSweep:
         inst = make_instance([(0, 3, 0, 1), (2, 4, 2, 3)])
         assert len(_x_blocks(inst)) == 1
         assert_table_is_reference(inst, _x_blocks(inst) if split else None)
-        assert _candidate_table(inst) == ([(0, 3, 1), (2, 4, 3)], [0b01, 0b10], [3, 2])
+        assert rows(_candidate_table(inst)) == ([(0, 3, 1), (2, 4, 3)], [0b01, 0b10], [3, 2])
 
     @pytest.mark.parametrize("split", [False, True])
     def test_set_without_a_newborn_is_dominated_at_its_span(self, split):
@@ -255,7 +259,7 @@ class TestNewbornSweep:
         # and must not be recorded at [3, 6], where nothing dominates it
         inst = make_instance([(4, 6, 2, 5), (5, 6, 1, 3), (3, 7, 4, 6)])
         assert_table_is_reference(inst, _x_blocks(inst) if split else None)
-        assert _candidate_table(inst) == ([(3, 7, 5), (4, 6, 3), (5, 6, 3)], [0b101, 0b011, 0b010], [4, 2, 1])
+        assert rows(_candidate_table(inst)) == ([(3, 7, 5), (4, 6, 3), (5, 6, 3)], [0b101, 0b011, 0b010], [4, 2, 1])
 
 
 @pytest.mark.parametrize("solver", [exact_opt, greedy_cover])
@@ -395,19 +399,23 @@ def table_scale(keys, lengths) -> Fraction:
 
 class TestDualBound:
     def test_empty_uncovered_set(self, i1):
-        _, _, lengths, covering = fraction_table(i1)
-        assert _dual_bound(0, range(3), covering, lengths, math.inf)[0] == 0
+        assert _candidate_table(i1).dual(0, range(3), math.inf)[0] == 0
 
     def test_i1_reaches_the_optimum(self, i1):
-        keys, _, lengths, covering = fraction_table(i1)
-        assert _dual_bound(0b111, range(3), covering, lengths, math.inf)[0] == 6 * table_scale(keys, lengths)
+        keys, _, lengths, _ = fraction_table(i1)
+        assert _candidate_table(i1).dual(0b111, range(3), math.inf)[0] == 6 * table_scale(keys, lengths)
 
     @given(st.one_of(generated(), tie_heavy()))
     def test_below_every_cover_of_the_instance(self, inst):
         keys, _, lengths, covering = fraction_table(inst)
+        table = _candidate_table(inst)
         n = len(inst.rects)
-        order = sorted(range(n), key=lambda i: (len(covering[i]), i))
-        bound = _dual_bound((1 << n) - 1, order, covering, lengths, math.inf)[0]
+        # the record's rows per rect are the reference's, and its dual order
+        # sorts the rects by how few rows stab them
+        assert table.covering == covering
+        order = table.order(range(n))
+        assert order == sorted(range(n), key=lambda i: (len(covering[i]), i))
+        bound = table.dual((1 << n) - 1, order, math.inf)[0]
         scale = table_scale(keys, lengths)
         assert isinstance(bound, int)
         assert bound <= exact_opt_subset_dp(inst).cost * scale
@@ -418,13 +426,13 @@ class TestDualBound:
     def test_any_order_and_subset(self, inst, rng):
         # the bound on a subset of rects holds for every visiting order, and
         # the table covers any subset as cheaply as the subset's own table
-        keys, _, lengths, covering = fraction_table(inst)
+        keys, _, lengths, _ = fraction_table(inst)
         n = len(inst.rects)
         order = list(range(n))
         rng.shuffle(order)
         uncovered = rng.getrandbits(n) if n else 0
         part = Instance(tuple(r for i, r in enumerate(inst.rects) if uncovered >> i & 1))
-        bound = _dual_bound(uncovered, order, covering, lengths, math.inf)[0]
+        bound = _candidate_table(inst).dual(uncovered, order, math.inf)[0]
         assert bound <= exact_opt_subset_dp(part).cost * table_scale(keys, lengths)
 
     @given(st.one_of(generated(), tie_heavy(), shared_edges()), st.randoms(use_true_random=False))
@@ -432,14 +440,14 @@ class TestDualBound:
         # the search prunes when the bound reaches the gap to the incumbent:
         # the early exit must reach it exactly when the full pass does, and
         # below it return the full pass itself
-        _, _, lengths, covering = fraction_table(inst)
+        table = _candidate_table(inst)
         n = len(inst.rects)
-        order = sorted(range(n), key=lambda i: (len(covering[i]), i))
+        order = table.order(range(n))
         for _ in range(8):
             uncovered = rng.getrandbits(n) if n else 0
-            full, full_slack = _dual_bound(uncovered, order, covering, lengths, math.inf)
+            full, full_slack = table.dual(uncovered, order, math.inf)
             for gap in {0, 1, full - 1, full, full + 1, rng.randint(0, 2 * full + 2)}:
-                bound, slack = _dual_bound(uncovered, order, covering, lengths, gap)
+                bound, slack = table.dual(uncovered, order, gap)
                 assert (bound >= gap) == (full >= gap)
                 assert slack is None or (bound, slack) == (full, full_slack)
                 if full < gap:
@@ -452,10 +460,10 @@ class TestDualBound:
         # after a full root pass, the duals of the rects a candidate leaves
         # unstabbed stay feasible: a cover that picks ci costs at least
         # bound + slack[ci], which is what lets the search skip that child
-        keys, masks, lengths, covering = fraction_table(inst)
+        keys, masks, lengths, _ = fraction_table(inst)
+        table = _candidate_table(inst)
         n = len(inst.rects)
-        order = sorted(range(n), key=lambda i: (len(covering[i]), i))
-        bound, slack = _dual_bound((1 << n) - 1, order, covering, lengths, math.inf)
+        bound, slack = table.dual((1 << n) - 1, table.order(range(n)), math.inf)
         scale = table_scale(keys, lengths)
         for ci, mask in enumerate(masks):
             rest = Instance(tuple(r for i, r in enumerate(inst.rects) if not mask >> i & 1))
@@ -464,16 +472,14 @@ class TestDualBound:
 
 
 def root_covers(inst):
-    """Per block of ``_x_blocks``, its positions and the cover
-    ``_dual_cover`` reads off the root's full dual pass, with the table."""
+    """Per block of ``_x_blocks``, its positions and the cover the table's
+    ``cover`` reads off the root's full dual pass over the block's own dual
+    order, with the reference table."""
     blocks = _x_blocks(inst)
-    table = fraction_table(inst, blocks)
-    _, masks, lengths, covering = table
+    table, reference = _candidate_table(inst, blocks), fraction_table(inst, blocks)
     for part in blocks:
-        uncovered = sum(1 << p for p in part)
-        order = sorted(part, key=lambda i: (len(covering[i]), i))
-        _, slack = _dual_bound(uncovered, order, covering, lengths, math.inf)
-        yield part, _dual_cover(uncovered, slack, lengths, covering), table
+        _, slack = table.dual(sum(1 << p for p in part), table.order(part), math.inf)
+        yield part, table.cover(part, slack), reference
 
 
 class TestRootCover:
@@ -591,10 +597,10 @@ class TestBlocks:
     @given(st.one_of(gapped_groups(), generated(max_n=20), shared_edges()))
     def test_table_is_the_full_table_less_the_rows_across_a_gap(self, inst):
         blocks = _x_blocks(inst)
-        keys, masks, lengths = _candidate_table(inst)
+        keys, masks, lengths = rows(_candidate_table(inst))
         parts = [sum(1 << p for p in b) for b in blocks]
         inside = [ci for ci, mask in enumerate(masks) if any(mask & ~part == 0 for part in parts)]
-        split = _candidate_table(inst, blocks)
+        split = rows(_candidate_table(inst, blocks))
         assert split == ([keys[ci] for ci in inside], [masks[ci] for ci in inside], [lengths[ci] for ci in inside])
         g = inst._grid
         extents = [(min(g.xl[p] for p in b), max(g.xr[p] for p in b)) for b in blocks]

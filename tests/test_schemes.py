@@ -28,7 +28,7 @@ from stabkit import (
     verify,
 )
 
-from stabkit.oracle import _Budget, _dual_bound
+from stabkit.oracle import _Budget, _candidate_table
 
 from .conftest import make_instance
 from .helpers import (
@@ -566,11 +566,11 @@ class TestQptas:
     def test_chunk_table_bound_is_at_most_the_residual_optimum(self, kind, n, seed, data):
         # every candidate of a residual is dominated by a row of its chunk's
         # full table, so the dual pass over those rows, restricted to the
-        # residual, is at most the residual's optimum
+        # residual, is at most the residual's optimum; the pass and its order
+        # are the table's own, as qptas runs them
         chunk = generated_instance(kind, n, seed)
-        _, _, lengths, covering = fraction_table(chunk)
-        order = sorted(range(n), key=lambda i: (len(covering[i]), i))
+        table = _candidate_table(chunk)
         left = data.draw(st.integers(0, (1 << n) - 1))
-        bound, _ = _dual_bound(left, order, covering, lengths, math.inf)
+        bound, _ = table.dual(left, table.order(range(n)), math.inf)
         residual = chunk._restrict([i for i in range(n) if left >> i & 1])
         assert F(bound, chunk._grid.dx) <= exact_opt_subset_dp(residual).cost

@@ -5,6 +5,8 @@ traced function, or changes what the harness's jobs call, would pass here and
 still break ``perfbench/run.py``.
 """
 
+import ast
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -357,7 +359,7 @@ def test_candidate_table_builds_no_fraction(monkeypatch, inst, split):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    keys, masks, lengths = stabkit.oracle._candidate_table(inst, blocks)
+    keys = stabkit.oracle._candidate_table(inst, blocks).keys
     Fraction(1, 3)  # the count sees a Fraction that is built
     monkeypatch.undo()
     assert made == [(1, 3)]
@@ -366,21 +368,51 @@ def test_candidate_table_builds_no_fraction(monkeypatch, inst, split):
 
 def test_greedy_cover_builds_no_covering(monkeypatch):
     # greedy reads only the masks and lengths; the per-rect rows are built
-    # for the exact search, which branches on them
-    oracle = stabkit.oracle
-    covering = oracle._covering
-    calls = []
+    # for the exact search, which branches on them, and for qptas's guess
+    # skip, which bounds on them: once per table, however many blocks the
+    # search runs on or guesses the skip bounds
+    oracle, schemes = stabkit.oracle, stabkit.schemes
+    covering, guess = oracle._Table.covering.func, schemes.guess_long
+    covered, guessed = [], []
 
-    def recorded(masks, n):
-        calls.append(n)
-        return covering(masks, n)
+    def recorded(table):
+        covered.append(table)
+        return covering(table)
 
-    monkeypatch.setattr(oracle, "_covering", recorded)
+    def recorded_guess(chunk, min_len, k, _budget=None, _table=None):
+        guessed.append(_table)
+        return guess(chunk, min_len, k, _budget, _table)
+
+    built = functools.cached_property(recorded)
+    built.__set_name__(oracle._Table, "covering")
+    monkeypatch.setattr(oracle._Table, "covering", built)
+    monkeypatch.setattr(schemes, "guess_long", recorded_guess)
     stabkit.greedy_cover(stabkit.gen_uniform(20, 1))
     stabkit.greedy_cover(stabkit.gen_bounded_ratio(40, Fraction(1, 2), 1))
-    assert calls == []
+    assert covered == []
     stabkit.exact_opt(stabkit.gen_uniform(12, 1))
-    assert calls == [12]
+    # 26 blocks, one table
+    stabkit.exact_opt(stabkit.gen_bounded_ratio(40, Fraction(1, 2), 1), limit=40)
+    assert [len(table.inst.rects) for table in covered] == [12, 40]
+    covered.clear()
+    params = stabkit.SchemeParams.derive(20, Fraction(1, 2), mu=Fraction(1, 2), klong=4, oracle_limit=6)
+    stabkit.qptas(stabkit.gen_uniform(20, 1000), Fraction(1, 2), params)
+    assert guessed and all(table is not None for table in guessed)
+    # each guessed chunk's table once; the exact leaves' tables once each
+    assert [table for table in covered if any(table is t for t in guessed)] == guessed
+    assert len({id(table) for table in covered}) == len(covered)
+
+
+def test_only_the_candidate_table_bounds():
+    # the exact search and qptas's guess skip prune with one dual pass over
+    # the table record's own rows per rect and dual order; a scheme that
+    # rebuilt either could bound on rows the search does not read; the dual
+    # order is the one sort key that counts rows
+    source = (Path(stabkit.__file__).resolve().parent / "schemes.py").read_text()
+    nodes = ast.walk(ast.parse(source))
+    keys = [ast.unparse(node.value) for node in nodes if isinstance(node, ast.keyword) and node.arg == "key"]
+    assert "covering" not in source
+    assert keys and not any("len(" in key for key in keys)
 
 
 def test_only_core_scales_coordinates():
@@ -537,7 +569,7 @@ def test_qptas_builds_one_full_table_per_guessed_chunk_and_bounds_on_it(monkeypa
     # reaches the best branch; that bound reads the chunk's full candidate
     # table, the one guess_long reads, so the chunk's table is built once
     schemes = stabkit.schemes
-    table, guess, bound = schemes._candidate_table, schemes.guess_long, schemes._dual_bound
+    table, guess, bound = schemes._candidate_table, schemes.guess_long, stabkit.oracle._Table.dual
     built, guessed, bounded = [], [], []
 
     def recorded_table(inst, blocks=None):
@@ -548,25 +580,31 @@ def test_qptas_builds_one_full_table_per_guessed_chunk_and_bounds_on_it(monkeypa
         guessed.append((chunk, _table))
         return guess(chunk, min_len, k, _budget, _table)
 
-    def recorded_bound(uncovered, order, covering, lengths, gap):
-        bounded.append((covering, lengths))
-        return bound(uncovered, order, covering, lengths, gap)
+    def recorded_bound(self, uncovered, order, gap):
+        bounded.append((self, order))
+        return bound(self, uncovered, order, gap)
 
     monkeypatch.setattr(schemes, "_candidate_table", recorded_table)
     monkeypatch.setattr(schemes, "guess_long", recorded_guess)
-    monkeypatch.setattr(schemes, "_dual_bound", recorded_bound)
+    monkeypatch.setattr(stabkit.oracle._Table, "dual", recorded_bound)
     # perfbench's QPTAS_OVERRIDES on an instance of its schemes size: the
     # bound skips ten of its twelve guesses
     params = stabkit.SchemeParams.derive(20, Fraction(1, 2), mu=Fraction(1, 2), klong=4, oracle_limit=6)
     stats = stabkit.RunStats()
     stabkit.qptas(stabkit.gen_uniform(20, 1000), Fraction(1, 2), params, stats)
-    assert (stats.guesses, stats.nodes) == (12, 3) and bounded
+    assert (stats.guesses, stats.nodes) == (12, 3)
     assert [blocks for _, blocks, _ in built] == [None] * len(guessed)
     assert [(inst, t) for inst, _, t in built] == guessed
     assert all(g is t for (_, _, t), (_, g) in zip(built, guessed))
-    # the bound reads a table's own lengths, and rows per rect that are its masks'
-    served = {id(t[2]): stabkit.oracle._covering(t[1], len(inst.rects)) for inst, _, t in built}
-    assert all(served[id(lengths)] == covering for covering, lengths in bounded)
+    # the exact leaves bound on their own tables; the guess skip bounds on
+    # a chunk's table, over its dual order of every rect, with rows per
+    # rect that are its masks'
+    skips = [(t, order) for t, order in bounded if any(t is b for _, _, b in built)]
+    assert skips
+    for t, order in skips:
+        n = len(t.inst.rects)
+        assert order == t.order(range(n))
+        assert t.covering == [[ci for ci, mask in enumerate(t.masks) if mask >> p & 1] for p in range(n)]
 
 
 def test_decomposition_prices_masks_and_maps_each_rect_once(monkeypatch):
