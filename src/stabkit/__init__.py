@@ -43,7 +43,7 @@ from .decompose import (
     horizontal_cuts,
     strip_partition,
 )
-from .gen import GenConfig, SplitMix64, gen_bounded_ratio, gen_laminar, gen_uniform
+from .gen import SplitMix64, gen_bounded_ratio, gen_laminar, gen_uniform
 from .laminar import is_laminar, solve_laminar
 from .oracle import ORACLE_LIMIT, Candidate, exact_opt, greedy_cover, reduce_candidates
 from .schemes import RunStats, SchemeParams, guess_long, ptas, qptas, solve_small
@@ -55,7 +55,6 @@ __all__ = [
     "Candidate",
     "CutResult",
     "Decomposition",
-    "GenConfig",
     "InfeasibleError",
     "Instance",
     "ORACLE_LIMIT",

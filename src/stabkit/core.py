@@ -93,7 +93,7 @@ def _rational(value, name: str) -> Fraction:
 
 
 def _pair(value, name: str) -> tuple[Fraction, Fraction]:
-    """``value`` as a pair (lo, hi) of exact rationals: a range or a span.
+    """``value`` as a pair (lo, hi) of exact rationals, such as a span.
     Whether lo <= hi is left to the caller."""
     if not isinstance(value, (tuple, list)) or len(value) != 2:
         raise ParameterError(f"{name} must be a pair (lo, hi)")

@@ -8,11 +8,9 @@ same (seed, parameters) pair always yields the same instance.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, ParameterError, Rect, _as_int, _built, _pair, _positive, _rational, _unit
+from .core import Instance, ParameterError, Rect, _as_int, _built, _unit
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -45,39 +43,6 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Coordinate ranges for the uniform generator.
-
-    All draws land on the grid of multiples of 1/resolution.  Heights are
-    drawn from [0, h_max]; widths from [w_min, w_max].  A config checks its
-    own ranges: 0 < w_min <= w_max, x and y ranges that are non-empty (lo, hi)
-    pairs, h_max >= 0 and an integer resolution >= 1.
-    """
-
-    x_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(16))
-    y_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(16))
-    w_min: Fraction = Fraction(1, 2)
-    w_max: Fraction = Fraction(4)
-    h_max: Fraction = Fraction(4)
-    resolution: int = 4
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_min", _positive(self.w_min, "w_min"))
-        for name in ("w_max", "h_max"):
-            object.__setattr__(self, name, _rational(getattr(self, name), name))
-        for name in ("x_range", "y_range"):
-            lo, hi = _pair(getattr(self, name), name)
-            if lo > hi:
-                raise ParameterError(f"{name} must be non-empty")
-            object.__setattr__(self, name, (lo, hi))
-        _as_int(self.resolution, "resolution", 1)
-        if not self.w_min <= self.w_max:
-            raise ParameterError("requires w_min <= w_max")
-        if self.h_max < 0:
-            raise ParameterError("h_max must be non-negative")
-
-
 def _size_and_seed(n, seed) -> None:
     """Integer rect count n >= 0 and integer seed, else a parameter error."""
     _as_int(n, "n", 0)
@@ -94,25 +59,19 @@ def _instance(rows: list[tuple[int, int, int, int]], den: int) -> Instance:
     return Instance(tuple(_built(Rect, i, *map(get, row)) for i, row in enumerate(rows, start=1)))
 
 
-def gen_uniform(n: int, seed: int, cfg: GenConfig = GenConfig()) -> Instance:
+def gen_uniform(n: int, seed: int) -> Instance:
     """n rects with grid-uniform left edges, widths and y-extents.
 
-    Per-rect draw order: xl, width, yb, height; each is uniform over
-    {lo, lo + 1/resolution, ...} up to hi of its range.
+    Every draw is a multiple of 1/4.  Per-rect draw order: xl uniform over
+    [0, 16], width over [1/2, 4], yb over [0, 16] and height over [0, 4].
     """
     _size_and_seed(n, seed)
     rng = SplitMix64(seed)
-    res = cfg.resolution
-    ranges = (cfg.x_range, (cfg.w_min, cfg.w_max), cfg.y_range, (0, cfg.h_max))
-    # each draw is an integer over den, a common multiple of res and of every
-    # lo's denominator: lo * den plus one of count multiples of den / res
-    den = res * math.lcm(*(lo.denominator for lo, _ in ranges))
-    grids = [(int(lo * den), den // res, int((hi - lo) * res) + 1) for lo, hi in ranges]
     rows = []
     for _ in range(n):
-        xl, width, yb, height = (base + step * rng.below(count) for base, step, count in grids)
+        xl, width, yb, height = rng.below(65), 2 + rng.below(15), rng.below(65), rng.below(17)
         rows.append((xl, xl + width, yb, yb + height))
-    return _instance(rows, den)
+    return _instance(rows, 4)
 
 
 def gen_laminar(n: int, seed: int) -> Instance:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .core import (
     Instance,
     InfeasibleError,
+    OracleLimitError,
     ParameterError,
     Segment,
     Solution,
@@ -57,9 +58,10 @@ class SchemeParams:
     through, for the rect count n (an integer; 0 derives as 1, negative is a
     parameter error); ``klong`` the cap on long segments per guess.  Either may be
     overridden for desk-scale runs; the certified approximation factor then
-    follows the overridden values.  ``node_budget`` None means no budget.
-    A record checks its own fields, however it is built: mu in (0, 1),
-    klong >= 1, oracle_limit >= 0 and node_budget None or >= 0.
+    follows the overridden values.  ``node_budget`` caps the recursion nodes
+    plus the subsets ``guess_long`` reaches in a ``qptas`` run, or None for
+    no cap.  A record checks its own fields, however it is built: mu in
+    (0, 1), klong >= 1, oracle_limit >= 0 and node_budget None or >= 0.
     """
 
     mu: Fraction
@@ -104,11 +106,12 @@ class RunStats:
     """Mutable accounting filled in by a scheme run when the caller asks.
 
     ``nodes`` counts the recursion nodes entered, the root and every guess
-    branch recursed on, which are also what the node budget counts;
-    ``guesses`` counts every guess ``guess_long`` returns, skipped or not, so
-    (nodes - 1) / guesses is the share of guesses recursed on.  The costs sum
-    the normalized output's segments by the part each is tagged with:
-    normalized = paid + base + guess.
+    branch recursed on; the node budget counts these, every subset
+    ``guess_long`` reaches and no exact leaf's search node, so a guessing
+    run needs more budget than ``nodes``.  ``guesses`` counts every guess
+    ``guess_long`` returns, skipped or not, so (nodes - 1) / guesses is the
+    share of guesses recursed on.  The costs sum the normalized output's
+    segments by the part each is tagged with: normalized = paid + base + guess.
     """
 
     max_depth: int = 0
@@ -253,6 +256,10 @@ def qptas(
     kept.  One ``_Table`` per chunk serves ``guess_long`` and every bound.
     ``stats`` splits the cost exactly, summing the output's segments by the
     part that paid for each: the decomposition, a guess or an exact leaf.
+    ``params.node_budget`` caps the nodes entered plus the subsets
+    ``guess_long`` reaches (BudgetError), not the exact leaves' search.  A
+    chunk with no qualifying guess above the exact leaf's limit,
+    max(oracle_limit, ORACLE_LIMIT), raises OracleLimitError.
     """
     eps = _unit(eps, "eps")
     if params is None:
@@ -305,9 +312,12 @@ def qptas(
                     if best is None or branch < best[0]:
                         best = (branch, keys, rest)
             if best is None:
-                # the exact leaf: a small chunk, or one where no guess of at
-                # most klong long segments stabs every wide rect, as happens
-                # when klong is overridden below what the chunk needs
+                # the exact leaf: a small chunk, or one that no guess fits
+                if len(chunk.rects) > limit:
+                    raise OracleLimitError(
+                        f"a chunk of {len(chunk.rects)} rects has no guess of at most klong={params.klong} long"
+                        f" segments and is above the exact leaf's limit of {limit}"
+                    )
                 leaf_cost, rest = leaf(chunk)
                 best = (leaf_cost, (), rest)
             cost += best[0]

@@ -8,8 +8,9 @@ reduced candidates that no solver calls (``fraction_table`` maps its
 integer rows back here, without the solvers' own mapping), and the
 decomposition
 references price with ``approx8`` and find crossed rects with
-``crossing_rects``, and the rounding reference reads ``ceil_log2``, each
-tested on its own.
+``crossing_rects``, the rounding reference reads ``ceil_log2``, and the
+uniform generator's reference draws from ``SplitMix64``, each tested on
+its own.
 """
 
 import math
@@ -26,6 +27,7 @@ from stabkit import (
     SchemeParams,
     Segment,
     Solution,
+    SplitMix64,
     Strip,
     StripPartition,
     VerifyReport,
@@ -458,6 +460,50 @@ def affine_instance(inst: Instance) -> Instance:
     coordinates or lengths are kept, and each length shrinks by exactly 3.
     """
     return Instance(tuple(Rect(r.id, _affine(r.xl), _affine(r.xr), r.yb, r.yt) for r in inst.rects))
+
+
+def uniform_on_fractions(
+    n: int,
+    seed: int,
+    x_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(16)),
+    widths: tuple[Fraction, Fraction] = (Fraction(1, 2), Fraction(4)),
+    y_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(16)),
+    h_max: Fraction = Fraction(4),
+    resolution: int = 4,
+) -> Instance:
+    """n rects whose left edge, width, bottom edge and height, drawn in that
+    order from one SplitMix64 stream, are each uniform over the multiples
+    of 1/resolution from lo up to hi of its range, in plain Fraction
+    arithmetic.
+
+    With its defaults it is ``gen_uniform``'s grid; the tests that need
+    other shapes draw them here.
+    """
+    rng = SplitMix64(seed)
+    ranges = (x_range, widths, y_range, (Fraction(0), h_max))
+    rects = []
+    for i in range(1, n + 1):
+        xl, width, yb, height = (
+            lo + Fraction(rng.below(int((hi - lo) * resolution) + 1), resolution) for lo, hi in ranges
+        )
+        rects.append(Rect(i, xl, xl + width, yb, yb + height))
+    return Instance(tuple(rects))
+
+
+# The shapes the decomposition tests draw, as ``uniform_on_fractions``
+# keywords.  PACKED: rects 7/2 to 4 wide on [0, 30], tight enough that some
+# instances cross a grid line at every shift (C3).  SPREAD: rects 1 to 4
+# wide on [0, 40].  STACKED: rects 9/8 wide in one column, tall enough to
+# make the horizontal-cut sweep cut (C4).
+PACKED = dict(x_range=(Fraction(0), Fraction(30)), widths=(Fraction(7, 2), Fraction(4)))
+SPREAD = dict(x_range=(Fraction(0), Fraction(40)), widths=(Fraction(1), Fraction(4)))
+STACKED = dict(
+    x_range=(Fraction(0), Fraction(3, 4)),
+    widths=(Fraction(9, 8), Fraction(9, 8)),
+    y_range=(Fraction(0), Fraction(64)),
+    h_max=Fraction(1, 2),
+    resolution=8,
+)
 
 
 GENERATED_KINDS = ["uniform", "bounded", "laminar", "affine"]

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction as F
 
 from stabkit import (
-    GenConfig,
     Instance,
     Rect,
     RunStats,
@@ -41,7 +40,7 @@ from stabkit import (
     verify,
 )
 
-from .helpers import strip_span
+from .helpers import PACKED, STACKED, strip_span, uniform_on_fractions
 
 
 def report(criterion: str, detail: str) -> None:
@@ -107,11 +106,10 @@ def test_c3_strip_partition_bound():
     eps = F(1, 4)
     # wide rects packed tightly enough that some instances cross lines at
     # every grid shift, exercising the non-trivial paid cover
-    cfg = GenConfig(x_range=(F(0), F(30)), w_min=F(7, 2), w_max=F(4))
     crossed_somewhere = 0
     for seed in range(50):
         n = seed % 10 + 1
-        inst = gen_uniform(n, seed, cfg)
+        inst = uniform_on_fractions(n, seed, **PACKED)
         parts = strip_partition(inst, eps)
         paid = sum((s.length for s in parts.segments), F(0))
         opt = exact_opt(inst).cost
@@ -130,18 +128,10 @@ def test_c3_strip_partition_bound():
 
 def test_c4_horizontal_cuts_bound():
     eps = F(1, 2)
-    cfg = GenConfig(
-        x_range=(F(0), F(3, 4)),
-        y_range=(F(0), F(64)),
-        w_min=F(9, 8),
-        w_max=F(9, 8),
-        h_max=F(1, 2),
-        resolution=8,
-    )
     with_cuts = 0
     for seed in range(50):
         n = 8 + seed % 3
-        inst = gen_uniform(n, seed, cfg)
+        inst = uniform_on_fractions(n, seed, **STACKED)
         cut = horizontal_cuts(inst, eps, inst.max_width, strip_span(inst))
         total = sum((s.length for s in cut.segments), F(0))
         opt = exact_opt(inst).cost

@@ -125,6 +125,20 @@ class TestSolve:
         ])
         assert code == 3
 
+    def test_qptas_chunk_above_the_leaf_limit(self, tmp_path):
+        # a klong too small for a chunk above the exact leaf's cap: one line
+        # that names the chunk, exit 2, no traceback
+        path = str(tmp_path / "u40.json")
+        assert run_cli("gen", "--kind", "uniform", "--n", "40", "--seed", "2", "-o", path).returncode == 0
+        res = run_cli(
+            "solve", "--algo", "qptas", "--eps", "1/2", "--mu", "1/2", "--klong", "1", "--oracle-limit", "0", "-i", path
+        )
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [
+            "error: a chunk of 24 rects has no guess of at most klong=1 long segments "
+            "and is above the exact leaf's limit of 20"
+        ]
+
 
 # every (algorithm, option) pair the option table does not list
 UNREAD = [(algo, name) for algo, reads in ALGO_OPTIONS.items() for name in OPTION_TYPES if name not in reads]

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from stabkit import (
     Decomposition,
-    GenConfig,
     Instance,
     ParameterError,
     SchemeParams,
@@ -26,11 +25,14 @@ from stabkit.approx8 import _approx8_prices
 from .conftest import make_instance
 from .helpers import (
     GENERATED_KINDS,
+    SPREAD,
+    STACKED,
     crossing_rects_floor,
     generated_instance,
     horizontal_cuts_all_levels,
     strip_partition_all_shifts,
     strip_span,
+    uniform_on_fractions,
 )
 
 # the submodule; the package's name ``decompose`` is the function
@@ -71,7 +73,7 @@ class TestStripPartition:
     @given(st.integers(0, 30))
     @settings(max_examples=30)
     def test_chosen_offset_is_exhaustive_minimum(self, seed):
-        inst = gen_uniform(seed % 8 + 1, seed, GenConfig(x_range=(F(0), F(40)), w_min=F(1)))
+        inst = uniform_on_fractions(seed % 8 + 1, seed, **SPREAD)
         eps = F(1, 4)
         parts = strip_partition(inst, eps)
         w = inst.max_width
@@ -236,7 +238,7 @@ class TestStripPartition:
 
     @given(st.integers(0, 40))
     def test_cover_and_strip_invariants(self, seed):
-        inst = gen_uniform(seed % 10 + 1, seed, GenConfig(x_range=(F(0), F(40)), w_min=F(1)))
+        inst = uniform_on_fractions(seed % 10 + 1, seed, **SPREAD)
         eps = F(1, 4)
         parts = strip_partition(inst, eps)
         w = inst.max_width
@@ -289,11 +291,7 @@ class TestHorizontalCuts:
     @settings(max_examples=30)
     def test_cut_cost_within_eps_of_opt(self, seed):
         n = 8 + seed % 3
-        inst = gen_uniform(
-            n, seed,
-            GenConfig(x_range=(F(0), F(3, 4)), y_range=(F(0), F(64)),
-                      w_min=F(9, 8), w_max=F(9, 8), h_max=F(1, 2), resolution=8),
-        )
+        inst = uniform_on_fractions(n, seed, **STACKED)
         eps = F(1, 2)
         cut = horizontal_cuts(inst, eps, inst.max_width, strip_span(inst))
         total = sum((s.length for s in cut.segments), F(0))
@@ -305,11 +303,7 @@ class TestHorizontalCuts:
     @given(st.integers(8, 24), st.integers(0, 10**6))
     def test_matches_all_levels_sweep(self, n, seed):
         # C4's generator on a tall strip; at these sizes most examples get cuts
-        cfg = GenConfig(
-            x_range=(F(0), F(3, 4)), y_range=(F(0), F(64)),
-            w_min=F(9, 8), w_max=F(9, 8), h_max=F(1, 2), resolution=8,
-        )
-        inst = gen_uniform(n, seed, cfg)
+        inst = uniform_on_fractions(n, seed, **STACKED)
         cut = horizontal_cuts(inst, F(1, 2), inst.max_width, strip_span(inst))
         assert cut == horizontal_cuts_all_levels(inst, F(1, 2))
 

@@ -648,3 +648,29 @@ class TestBlocks:
         assert sol.cost == cost
         assert hashlib.sha256(json.dumps(solution_to_json(sol), sort_keys=True).encode()).hexdigest() == digest
         assert exact_opt(inst, limit=200) == sol
+
+
+@pytest.mark.parametrize("n, seed", [(40, 1), (40, 2), (50, 1), (50, 2), (80, 1), (80, 3)])
+def test_exact_opt_matches_highs_at_the_frontier(n, seed):
+    # past n of about 20 no reference here reaches: HiGHS solves the 0/1
+    # program over the candidate table, least total length with every
+    # rect's rows summing to at least 1, and its LP relaxation lies between
+    # the root dual pass and the optimum, all on the table's integer scale
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    inst = gen_uniform(n, seed)
+    table = _candidate_table(inst)
+    lengths = np.array(table.lengths, dtype=float)
+    stabbed = LinearConstraint([[mask >> p & 1 for mask in table.masks] for p in range(n)], lb=1)
+    mip = milp(lengths, constraints=stabbed, integrality=np.ones_like(lengths), bounds=Bounds(0, 1))
+    lp = milp(lengths, constraints=stabbed, bounds=Bounds(0, 1))
+    assert mip.success and lp.success
+    report = verify(inst, table.solution([ci for ci, x in enumerate(mip.x) if x > 0.5]))
+    opt = exact_opt(inst, limit=200).cost
+    assert report.feasible and report.recomputed_cost == opt
+    scaled = opt * inst._grid.dx
+    assert round(mip.fun) == scaled
+    root = table.dual((1 << n) - 1, table.order(range(n)), math.inf)[0]
+    assert root <= lp.fun + 1e-6 * scaled and lp.fun <= scaled * (1 + 1e-6)

@@ -13,7 +13,6 @@ from fractions import Fraction as F
 import pytest
 
 from stabkit import (
-    GenConfig,
     Instance,
     ParameterError,
     Rect,
@@ -50,10 +49,6 @@ def derive(**kw):
     return SchemeParams.derive(**{"n": 0, "eps": HALF, **kw})
 
 
-def config(**kw):
-    return gen_uniform(1, 1, GenConfig(**kw))
-
-
 # (id, call, accepted values, rejected values)
 CASES = [
     ("exact_opt-limit", lambda v: exact_opt(Instance(()), limit=v), [0], [-1, *NOT_INT]),
@@ -84,34 +79,18 @@ CASES = [
     ("gen_laminar-seed", lambda v: gen_laminar(1, v), [0, -1], NOT_INT),
     ("gen_bounded_ratio-seed", lambda v: gen_bounded_ratio(1, HALF, v), [0, -1], NOT_INT),
     ("gen_bounded_ratio-delta", lambda v: gen_bounded_ratio(1, v, 1), [1, F(1, 1000)], [0, F(1001, 1000), True, 2.5, "4"]),
-    ("GenConfig-resolution", lambda v: config(resolution=v), [1], [0, *NOT_INT]),
-    ("GenConfig-w_min", lambda v: config(w_min=v), [4, F(1, 1000)], [0, F(4001, 1000), True, 2.5]),
-    ("GenConfig-w_max", lambda v: config(w_max=v), [HALF], [F(499, 1000), True, 2.5]),
-    ("GenConfig-h_max", lambda v: config(h_max=v), [0], [F(-1, 1000), True, 2.5]),
-    (
-        "GenConfig-x_range",
-        lambda v: config(x_range=v),
-        [(1, 1)],
-        [(1, F(999, 1000)), (True, 1), (2.5, 3), (1,), 5, (0, 1, 2)],
-    ),
-    (
-        "GenConfig-y_range",
-        lambda v: config(y_range=v),
-        [(1, 1)],
-        [(1, F(999, 1000)), (True, 1), (2.5, 3), (1,), 5, (0, 1, 2)],
-    ),
     ("crossing_rects-z", lambda v: crossing_rects(ONE, v, 1), [0, F(-1, 1000), "4"], [True, 2.5]),
     ("crossing_rects-spacing", lambda v: crossing_rects(ONE, 0, v), POSITIVE, NOT_POSITIVE),
     ("strip_partition-eps", lambda v: strip_partition(ONE, v), INSIDE, NOT_UNIT),
     ("horizontal_cuts-eps", lambda v: horizontal_cuts(ONE, v, 2, (0, 2)), INSIDE, NOT_UNIT),
     # the positive bound on an empty strip, which no span can exceed
     ("horizontal_cuts-width", lambda v: horizontal_cuts(Instance(()), HALF, v, (0, 2)), POSITIVE, NOT_POSITIVE),
-    # a span is a pair, checked as GenConfig checks its ranges, on any strip
+    # a span is a pair (lo, hi) with lo <= hi, on any strip
     (
         "horizontal_cuts-span",
         lambda v: horizontal_cuts(ONE, HALF, 2, v),
         [(0, 2), [0, 2]],
-        [5, (0, 1, 2), (0,), (2, 0)],
+        [5, (0, 1, 2), (0,), (2, 0), (True, 2), (0, 2.5)],
     ),
     (
         "horizontal_cuts-span-empty_strip",
@@ -143,12 +122,9 @@ PAST = [
     ("Transform-x_scale", 0, "x_scale must be positive"),
     ("normalize-eps", 1, "eps must lie in (0, 1)"),
     ("ceil_log2-argument", 0, "ceil_log2's argument must be positive"),
-    ("GenConfig-w_min", 0, "w_min must be positive"),
     ("crossing_rects-spacing", 0, "spacing must be positive"),
     ("horizontal_cuts-width", 0, "width must be positive"),
     ("horizontal_cuts-width", -1, "width must be positive"),
-    ("GenConfig-x_range", (1, F(999, 1000)), "x_range must be non-empty"),
-    ("GenConfig-y_range", (1, F(999, 1000)), "y_range must be non-empty"),
     ("SchemeParams-mu", True, "mu must be an exact rational, not bool"),
     ("derive-mu", "1/x", "mu must be an exact rational, not an unparsable string"),
     ("ptas-eps", 2.5, "eps must be an exact rational, not float"),
@@ -157,10 +133,6 @@ PAST = [
     ("Transform-x_scale", True, "x_scale must be an exact rational, not bool"),
     ("Transform-x_shift", 2.5, "x_shift must be an exact rational, not float"),
     ("ceil_log2-argument", 2.5, "ceil_log2's argument must be an exact rational, not float"),
-    ("GenConfig-w_min", True, "w_min must be an exact rational, not bool"),
-    ("GenConfig-w_max", 2.5, "w_max must be an exact rational, not float"),
-    ("GenConfig-h_max", True, "h_max must be an exact rational, not bool"),
-    ("GenConfig-x_range", (2.5, 3), "x_range must be an exact rational, not float"),
     ("gen_bounded_ratio-delta", True, "delta must be an exact rational, not bool"),
     ("crossing_rects-z", True, "z must be an exact rational, not bool"),
     ("crossing_rects-spacing", 2.5, "spacing must be an exact rational, not float"),
@@ -170,6 +142,7 @@ PAST = [
     ("horizontal_cuts-span", (0, 1, 2), "span must be a pair (lo, hi)"),
     ("horizontal_cuts-span", (0,), "span must be a pair (lo, hi)"),
     ("horizontal_cuts-span", (2, 0), "span must be non-empty"),
+    ("horizontal_cuts-span", (0, 2.5), "span must be an exact rational, not float"),
     ("horizontal_cuts-span-empty_strip", (2, 0), "span must be non-empty"),
 ]
 

@@ -29,6 +29,8 @@ def test_library_section_names_the_reference_functions():
     for name in names:
         assert name in stabkit.__all__
         assert f"`{name}(inst" in text, name
+    # the tests' definition of stabbing, which no solver calls either
+    assert "stabs" in stabkit.__all__ and "`stabs(s, r)`" in text
 
 
 def test_cli_option_table_lists_each_algorithms_options():

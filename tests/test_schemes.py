@@ -10,6 +10,7 @@ from stabkit import (
     BudgetError,
     InfeasibleError,
     Instance,
+    OracleLimitError,
     ParameterError,
     RunStats,
     SchemeParams,
@@ -522,6 +523,30 @@ class TestQptas:
         # the fallback's cost lands in the split next to paid and guessed parts
         assert stats.paid_cost > 0 and stats.guess_cost > 0 and stats.max_depth >= 1
         assert stats.normalized_cost == stats.paid_cost + stats.base_cost + stats.guess_cost
+
+    def test_fallback_above_the_leaf_limit_names_the_chunk(self):
+        # no guess of one long segment stabs every wide rect of a 24-rect
+        # chunk, which is also too large for the exact leaf; the message
+        # names that chunk and limit, not the input's 40 rects or the
+        # oracle_limit of 0
+        params = SchemeParams.derive(40, F(1, 2), mu=F(1, 2), klong=1, oracle_limit=0)
+        with pytest.raises(OracleLimitError) as exc:
+            qptas(gen_uniform(40, 2), F(1, 2), params=params)
+        assert str(exc.value) == (
+            "a chunk of 24 rects has no guess of at most klong=1 long segments "
+            "and is above the exact leaf's limit of 20"
+        )
+
+    def test_budget_of_the_nodes_entered_does_not_finish_a_guessing_run(self):
+        # the budget also ticks once per subset guess_long reaches, so a run
+        # that guesses needs more than the nodes RunStats counts
+        inst = gen_uniform(20, 1000)
+        params = SchemeParams.derive(20, F(1, 2), mu=F(1, 2), klong=4, oracle_limit=6)
+        stats = RunStats()
+        qptas(inst, F(1, 2), params=params, stats=stats)
+        assert stats.guesses
+        with pytest.raises(BudgetError):
+            qptas(inst, F(1, 2), params=dataclasses.replace(params, node_budget=stats.nodes))
 
     @pytest.mark.parametrize(
         "n, seed, overrides, expected",

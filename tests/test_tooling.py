@@ -424,6 +424,23 @@ def test_only_core_scales_coordinates():
     assert scaling == []
 
 
+def test_library_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies; scipy, which some tests
+    # import, must not reach the library
+    package = Path(stabkit.__file__).resolve().parent
+    foreign = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
+
+
 def test_instance_loader_parses_each_distinct_string_once(monkeypatch):
     # a load once parsed every coordinate string, about 0.3 s of a 0.4 s
     # load of 16,000 grid rects; the parsed values are kept for one call
