@@ -176,18 +176,17 @@ def guess_long(
 
     The empty set counts, and qualifies when no rect is that wide.  Guesses
     with the same union of stab-sets are interchangeable up to total length,
-    so one guess is kept per union, and two keys over its qualifying subsets
-    (rows: candidate indices ascending, in canonical order) set the policy:
-    the union's first sighting, the least (size, rows), orders the output,
-    and its cheapest subset, the least (total, size, rows), is the guess.
-    One depth-first walk reaches every subset it needs once.  A subset is
-    not extended once its union together with every candidate after its
-    last row misses a wide rect: no extension of it could stab them all.
-    Nor is it extended by a row that adds no rect to its union: dropping
-    that row keeps the union and lowers both size and total, so neither
-    key is a subset holding such a row.  Every subset reached ticks
-    ``_budget``; no ``Segment`` is built, and only the rows of the returned
-    guesses are mapped back to coordinates.
+    so one guess is kept per union: its least qualifying subset by the key
+    (total, size, rows), rows being candidate indices ascending, in
+    canonical order.  The same key orders the output, so the order does not
+    depend on the walk.  One depth-first walk reaches every subset it needs
+    once.  A subset is not extended once its union together with every
+    candidate after its last row misses a wide rect: no extension of it
+    could stab them all.  Nor is it extended by a row that adds no rect to
+    its union: dropping that row keeps the union and lowers both size and
+    total, so the key never picks a subset holding such a row.  Every
+    subset reached ticks ``_budget``; no ``Segment`` is built, and only the
+    rows of the returned guesses are mapped back to coordinates.
 
     ``_table`` is the record ``_candidate_table(inst)``, the full table,
     when the caller has built it.
@@ -203,7 +202,6 @@ def guess_long(
     reach = [0] * (len(pool) + 1)  # reach[i]: the union of pool[i:]
     for i in range(len(pool) - 1, -1, -1):
         reach[i] = reach[i + 1] | pool[i][0]
-    first: dict[int, tuple] = {}  # union -> least (size, rows)
     cheapest: dict[int, tuple] = {}  # union -> least (integer total, size, rows)
     todo = [(0, 0, 0, ())]  # subsets as (next index, union, total, rows)
     while todo:
@@ -211,10 +209,8 @@ def guess_long(
         if _budget is not None:
             _budget.tick()
         if not wide & ~union:
-            seen = (len(rows), rows)
-            cost = (total, *seen)
-            first[union] = min(first.get(union, seen), seen)
-            cheapest[union] = min(cheapest.get(union, cost), cost)
+            key = (total, len(rows), rows)
+            cheapest[union] = min(cheapest.get(union, key), key)
         if len(rows) < k:
             # reach only shrinks as i grows, so the first dead end ends the run
             for i in range(start, len(pool)):
@@ -224,7 +220,7 @@ def guess_long(
                 if not mask & ~union:
                     continue
                 todo.append((i + 1, union | mask, total + cost, rows + (ci,)))
-    unions = sorted(first, key=first.__getitem__)
+    unions = sorted(cheapest, key=cheapest.__getitem__)
     used = list({ci for union in unions for ci in cheapest[union][2]})
     coords = dict(zip(used, table.coords(used)))
     return [(union, cheapest[union][0], tuple(coords[i] for i in cheapest[union][2])) for union in unions]
@@ -253,7 +249,9 @@ def qptas(
     so the bound is at most the residual's optimum, and so at most the cost
     of the recursion on it; the guesses keep their order and only a strictly
     cheaper branch replaces the best, so a skipped guess is never the one
-    kept.  One ``_Table`` per chunk serves ``guess_long`` and every bound.
+    kept: among branches of equal cost, the guess with the least
+    ``guess_long`` key, (total, size, rows), wins.  One ``_Table`` per
+    chunk serves ``guess_long`` and every bound.
     ``stats`` splits the cost exactly, summing the output's segments by the
     part that paid for each: the decomposition, a guess or an exact leaf.
     ``params.node_budget`` caps the nodes entered plus the subsets

@@ -208,27 +208,26 @@ def branch_and_bound_unmemoized(inst: Instance) -> Solution:
 
 def guess_long_all(inst: Instance, min_len: Fraction, k: int) -> list[tuple[int, int, tuple]]:
     """Every union of stab sets of at most k reduced candidates of length >=
-    min_len, with the cheapest subset per union, in the order of each
-    union's first sighting over the subsets (sizes ascending, candidates in
-    table order); the empty set included.  Rows are ``(union, total, keys)``:
-    the union, the subset's integer total over the grid's dx and its
-    candidate-table keys.
+    min_len, each with its least subset by (total, size, rows), rows being
+    candidate indices in table order, and sorted by that key; the empty set
+    included.  Rows are ``(union, total, keys)``: the union, the subset's
+    integer total over the grid's dx and its candidate-table keys.
 
     Reference for ``guess_long``, which keeps only the unions stabbing every
     rect of width >= min_len.
     """
     keys, masks, lengths, _ = fraction_table(inst)
     pool = [(mask, length, key) for key, mask, length in zip(keys, masks, lengths) if key[1] - key[0] >= min_len]
-    reps: dict[int, tuple[int, tuple]] = {}
+    least: dict[int, tuple[int, int, tuple]] = {}  # union -> least (total, size, pool indices)
     for size in range(min(k, len(pool)) + 1):
-        for combo in combinations(pool, size):
+        for combo in combinations(range(len(pool)), size):
             union = 0
-            for mask, _, _ in combo:
-                union |= mask
-            total = sum(length for _, length, _ in combo)
-            if union not in reps or total < reps[union][0]:
-                reps[union] = (total, combo)
-    return [(union, total, tuple(key for _, _, key in combo)) for union, (total, combo) in reps.items()]
+            for i in combo:
+                union |= pool[i][0]
+            key = (sum(pool[i][1] for i in combo), size, combo)
+            least[union] = min(least.get(union, key), key)
+    picked = sorted((key, union) for union, key in least.items())
+    return [(union, total, tuple(pool[i][2] for i in combo)) for (total, _, combo), union in picked]
 
 
 def qptas_every_guess(inst: Instance, eps: Fraction, params: SchemeParams) -> tuple[Solution, RunStats]:

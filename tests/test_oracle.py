@@ -650,6 +650,33 @@ class TestBlocks:
         assert exact_opt(inst, limit=200) == sol
 
 
+@pytest.mark.parametrize("kind, n, seed", [("uniform", 24, 1), ("uniform", 30, 1), ("uniform", 30, 2), ("bounded", 30, 1)])
+def test_exact_opt_matches_highs_on_the_plain_candidates(kind, n, seed):
+    # ground truth that shares no code with the candidate table: the 0/1
+    # program over candidate_segments, one shortest segment per set of rects
+    # it stabs by the plain predicate, on lengths scaled to integers
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    inst = generated_instance(kind, n, seed)
+    shortest: dict[int, Segment] = {}
+    for s in candidate_segments(inst):
+        mask = stab_mask(inst, s)
+        if mask and (mask not in shortest or s.length < shortest[mask].length):
+            shortest[mask] = s
+    masks, segs = list(shortest), list(shortest.values())
+    scale = math.lcm(*(s.length.denominator for s in segs))
+    stabbed = LinearConstraint([[mask >> p & 1 for mask in masks] for p in range(n)], lb=1)
+    lengths = np.array([s.length * scale for s in segs], dtype=float)
+    mip = milp(lengths, constraints=stabbed, integrality=np.ones_like(lengths), bounds=Bounds(0, 1))
+    assert mip.success
+    report = verify(inst, Solution(tuple(s for s, x in zip(segs, mip.x) if x > 0.5)))
+    opt = exact_opt(inst, limit=200).cost
+    assert report.feasible and report.recomputed_cost == opt
+    assert round(mip.fun) == opt * scale
+
+
 @pytest.mark.parametrize("n, seed", [(40, 1), (40, 2), (50, 1), (50, 2), (80, 1), (80, 3)])
 def test_exact_opt_matches_highs_at_the_frontier(n, seed):
     # past n of about 20 no reference here reaches: HiGHS solves the 0/1

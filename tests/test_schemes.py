@@ -227,7 +227,7 @@ class TestGuessLong:
 
     def test_only_unions_stabbing_every_wide_rect(self):
         # a wide rect [0,4] on the top pair: only the guesses holding that
-        # pair's segment stab it, and they keep their enumeration order
+        # pair's segment stab it, and they come in key order
         inst = make_instance(NARROW_PAIRS + [(0, 4, 20, 21)])
         top = (0, 4, 21)
         guesses = guess_long(inst, F(2), 2)
@@ -293,6 +293,13 @@ class TestGuessLong:
         keys, _, _, _ = fraction_table(inst)
         pool = sum(1 for xl, xr, _ in keys if xr - xl >= min_len)
         self.check_filtered(inst, min_len, data.draw(st.integers(0, pool + 1), label="k"))
+
+    def test_orders_guesses_by_the_key_that_picks_them(self):
+        # both unions' guesses are pairs, and union 7's pair comes first in
+        # row order, but union 3's total is less, so union 3 comes first
+        inst = gen_uniform(3, 2)
+        guesses = guess_long(inst, sorted(r.width for r in inst.rects)[1], 2)
+        assert [(union, total, len(keys)) for union, total, keys in guesses] == [(3, 24, 2), (7, 65, 2)]
 
     def test_ticks_every_reached_subset_once(self):
         # derived klong (666,264) on normalized gen_uniform(10, 1) at half
@@ -554,7 +561,8 @@ class TestQptas:
         # nodes count the branches entered, guesses every guess returned
         [
             (11, 0, dict(klong=1, oracle_limit=2), RunStats(1, 2, 1, F(5, 2), F(25, 16), F(27, 8), F(119, 16))),
-            (16, 1, dict(klong=4, oracle_limit=6), RunStats(1, 4, 4, F(2), F(103, 16), F(21, 16), F(39, 4))),
+            # the guesses come cheapest first, so the bound skips two of four
+            (16, 1, dict(klong=4, oracle_limit=6), RunStats(1, 3, 4, F(2), F(103, 16), F(21, 16), F(39, 4))),
             # perfbench's QPTAS_OVERRIDES, on an instance of its schemes size
             (20, 1000, dict(klong=4, oracle_limit=6), RunStats(1, 3, 12, F(4), F(4, 3), F(82, 15), F(54, 5))),
         ],
@@ -568,6 +576,23 @@ class TestQptas:
         params = SchemeParams.derive(n, F(1, 2), mu=F(1, 2), **overrides)
         sol = qptas(inst, F(1, 2), params=params, stats=stats)
         assert stats == expected
+        assert verify(inst, sol).feasible
+
+    @given(st.integers(1, 12), st.integers(0, 10**6), st.integers(2, 4), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_cost_does_not_depend_on_the_guess_order(self, n, seed, klong, oracle_limit):
+        # each chunk keeps the cheapest branch over all its guesses, and a
+        # guess is skipped only when a lower bound on its branch reaches the
+        # best so far, so guess_long's order may move ties but not the cost
+        inst = gen_uniform(n, seed)
+        params = SchemeParams.derive(n, F(1, 2), mu=F(1, 2), klong=klong, oracle_limit=oracle_limit)
+        cost = qptas(inst, F(1, 2), params=params).cost
+        module = importlib.import_module("stabkit.schemes")
+        original = module.guess_long
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "guess_long", lambda *args: original(*args)[::-1])
+            sol = qptas(inst, F(1, 2), params=params)
+        assert sol.cost == cost
         assert verify(inst, sol).feasible
 
     @given(st.integers(1, 12), st.integers(0, 10**6), st.integers(2, 8), st.integers(0, 6))
